@@ -11,6 +11,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -55,7 +56,7 @@ func BenchmarkTableIScriptDelay(b *testing.B) {
 			var last *flows.Result
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := flows.ScriptDelay(src, lib)
+				r, err := flows.ScriptDelay(context.Background(), src, lib, flows.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -72,14 +73,14 @@ func BenchmarkTableIRetiming(b *testing.B) {
 	for _, name := range tableCircuits {
 		b.Run(name, func(b *testing.B) {
 			src := buildCircuit(b, name)
-			sd, err := flows.ScriptDelay(src, lib)
+			sd, err := flows.ScriptDelay(context.Background(), src, lib, flows.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			var last *flows.Result
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := flows.RetimeCombOpt(sd.Net, lib)
+				r, err := flows.RetimeCombOpt(context.Background(), sd.Net, lib, flows.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -96,14 +97,14 @@ func BenchmarkTableIResynthesis(b *testing.B) {
 	for _, name := range tableCircuits {
 		b.Run(name, func(b *testing.B) {
 			src := buildCircuit(b, name)
-			sd, err := flows.ScriptDelay(src, lib)
+			sd, err := flows.ScriptDelay(context.Background(), src, lib, flows.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			var last *flows.Result
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := flows.Resynthesis(sd.Net, lib)
+				r, err := flows.Resynthesis(context.Background(), sd.Net, lib, flows.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -127,7 +128,7 @@ func BenchmarkPaperExample(b *testing.B) {
 	var res *core.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = core.Resynthesize(src, core.Options{})
+		res, err = core.Resynthesize(context.Background(), src, core.Options{})
 		if err != nil || !res.Applied {
 			b.Fatalf("%v %v", err, res)
 		}
@@ -145,7 +146,7 @@ func BenchmarkRetimingEngine(b *testing.B) {
 		b.Run(fmt.Sprintf("path%d", length), func(b *testing.B) {
 			src := buildChainFSM(length)
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Resynthesize(src, core.Options{KeepHarm: true}); err != nil {
+				if _, err := core.Resynthesize(context.Background(), src, core.Options{KeepHarm: true}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -188,7 +189,7 @@ func BenchmarkAblationDCRet(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = core.Resynthesize(src, ab.opt)
+				res, err = core.Resynthesize(context.Background(), src, ab.opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -214,7 +215,7 @@ func BenchmarkAblationMinArea(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = core.Resynthesize(src, ab.opt)
+				res, err = core.Resynthesize(context.Background(), src, ab.opt)
 				if err != nil || !res.Applied {
 					b.Fatalf("%v", err)
 				}
@@ -231,7 +232,7 @@ func BenchmarkMinPeriodRetiming(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			src := buildCircuit(b, name)
 			for i := 0; i < b.N; i++ {
-				if _, _, err := retime.MinPeriod(src, nil); err != nil {
+				if _, _, err := retime.MinPeriod(context.Background(), src, nil, nil); err != nil {
 					b.Skipf("retiming failed (a legitimate Table I outcome): %v", err)
 				}
 			}
@@ -246,7 +247,7 @@ func BenchmarkImplicitEnumeration(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			src := buildCircuit(b, name)
 			for i := 0; i < b.N; i++ {
-				if _, err := reach.Analyze(src, reach.DefaultLimits); err != nil {
+				if _, err := reach.Analyze(context.Background(), src, reach.DefaultLimits, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -268,7 +269,7 @@ func BenchmarkEspressoSimplify(b *testing.B) {
 func BenchmarkSTA(b *testing.B) {
 	lib := genlib.Lib2()
 	src := buildCircuit(b, "s344")
-	sd, err := flows.ScriptDelay(src, lib)
+	sd, err := flows.ScriptDelay(context.Background(), src, lib, flows.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -218,7 +218,7 @@ func aigBenchCircuit(c bench.Circuit, lib *genlib.Library, budget guard.Budget, 
 	}
 	cr.GuardSOP = guardedRestructure(src, "algebraic.optimize", guardPass,
 		func(ctx context.Context, work *network.Network) (*network.Network, int, error) {
-			if err := algebraic.OptimizeDelayCtx(ctx, work, nil); err != nil {
+			if err := algebraic.OptimizeDelay(ctx, work, nil); err != nil {
 				return nil, 0, err
 			}
 			return work, 0, nil
@@ -350,7 +350,7 @@ func loweredBytes(n *network.Network) ([]byte, error) {
 // mappedClk maps a subject network through the shared genlib library and
 // reports the mapped clock period.
 func mappedClk(subject *network.Network, lib *genlib.Library) (float64, error) {
-	m, err := mapper.MapDelayT(subject.Clone(), lib, nil)
+	m, err := mapper.MapDelay(context.Background(), subject.Clone(), lib, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -285,7 +285,7 @@ func runCircuit(c bench.Circuit, lib *genlib.Library, budget guard.Budget, lim r
 		tr.SetRegistry(reg)
 	}
 	start := time.Now()
-	sd, ret, rsyn, err := flows.RunAllCtx(context.Background(), src, lib,
+	sd, ret, rsyn, err := flows.RunAll(context.Background(), src, lib,
 		flows.Config{Tracer: tr, Budget: budget, Reach: lim})
 	cr.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
 	if err != nil {
@@ -501,7 +501,7 @@ func simBenchCircuit(c bench.Circuit, cycles int, skipLarge bool) simCircuitRepo
 		return sim.RandomEquivalentScalar(src, src, 0, cycles, 1)
 	})
 	cr.Bitsim = simMeasure(int64(cycles)*bitsim.LanesPerWord, func() error {
-		return sim.RandomEquivalent(src, src, 0, cycles, 1)
+		return bitsim.RandomEquivalent(src, src, 0, cycles, 1, bitsim.Options{})
 	})
 	if cr.Scalar.Error != "" || cr.Bitsim.Error != "" {
 		cr.Error = cr.Scalar.Error + cr.Bitsim.Error
@@ -536,7 +536,7 @@ func reachBenchCircuit(c bench.Circuit, lim reach.Limits, budget guard.Budget, s
 		}
 		tr := obs.New()
 		start := time.Now()
-		a, err := reach.AnalyzeCtx(ctx, src, ml, tr)
+		a, err := reach.Analyze(ctx, src, ml, tr)
 		mr.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
 		cnt := tr.Counters()
 		mr.Clusters = int(cnt["reach_clusters"])

@@ -117,7 +117,7 @@ func satBenchCircuit(ctx context.Context, c bench.Circuit, budget guard.Budget, 
 	}
 
 	start := time.Now()
-	rerr := seqverify.EquivalentCtx(ctx, src, dup, seqverify.Options{})
+	rerr := seqverify.Equivalent(ctx, src, dup, seqverify.Options{})
 	cr.ReachWallMS = float64(time.Since(start)) / float64(time.Millisecond)
 	switch {
 	case rerr == nil:

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/bitsim"
 	"repro/internal/blif"
 	"repro/internal/buildinfo"
 	"repro/internal/flows"
@@ -144,7 +145,7 @@ func main() {
 		case err == nil:
 			fmt.Printf("verify: %s PASSED (K-induction over the product state registers)\n", verdict)
 		case errors.Is(err, seqverify.ErrTooLarge):
-			if serr := sim.RandomEquivalent(src, result.Net, result.PrefixK, *simCycles, sim.DefaultSpotCheck.CLI.Seed); serr != nil {
+			if serr := bitsim.RandomEquivalent(src, result.Net, result.PrefixK, *simCycles, sim.DefaultSpotCheck.CLI.Seed, bitsim.Options{}); serr != nil {
 				fatal(serr)
 			}
 			fmt.Printf("verify: %d-cycle random simulation PASSED (state space too large for exact check)\n", *simCycles)

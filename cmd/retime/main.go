@@ -8,10 +8,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
+	"repro/internal/bitsim"
 	"repro/internal/blif"
 	"repro/internal/buildinfo"
 	"repro/internal/reach"
@@ -21,6 +23,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	in := flag.String("in", "", "input BLIF file")
 	minarea := flag.Bool("minarea", false, "min-area retiming under -period instead of min-period")
 	period := flag.Float64("period", 0, "clock target for -minarea (0 = current period)")
@@ -69,14 +72,14 @@ func main() {
 				fatal(err)
 			}
 		}
-		ret, info, err := retime.MinAreaUnderPeriod(src, nil, c)
+		ret, info, err := retime.MinAreaUnderPeriod(ctx, src, nil, c, nil)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("min-area @ %.2f: %v\n", c, info)
 		result = ret
 	} else {
-		ret, info, err := retime.MinPeriod(src, nil)
+		ret, info, err := retime.MinPeriod(ctx, src, nil, nil)
 		if err != nil {
 			fatal(fmt.Errorf("%w (the paper reports the same failure mode for several benchmarks)", err))
 		}
@@ -84,12 +87,12 @@ func main() {
 		result = ret
 	}
 	if *verify {
-		err := seqverify.Equivalent(src, result, seqverify.Options{Limits: reachLim})
+		err := seqverify.Equivalent(ctx, src, result, seqverify.Options{Limits: reachLim})
 		switch {
 		case err == nil:
 			fmt.Println("verify: exact equivalence PASSED")
 		case err == seqverify.ErrTooLarge:
-			if serr := sim.RandomEquivalent(src, result, 0, *simCycles, sim.DefaultSpotCheck.CLI.Seed); serr != nil {
+			if serr := bitsim.RandomEquivalent(src, result, 0, *simCycles, sim.DefaultSpotCheck.CLI.Seed, bitsim.Options{}); serr != nil {
 				fatal(serr)
 			}
 			fmt.Printf("verify: %d-cycle random simulation PASSED\n", *simCycles)

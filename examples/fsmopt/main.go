@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -22,6 +23,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	name := "bbtas"
 	if len(os.Args) > 1 {
 		name = os.Args[1]
@@ -44,7 +46,7 @@ func main() {
 	fmt.Printf("binary-encoded network: %v\n\n", net.Stat())
 
 	lib := genlib.Lib2()
-	sd, ret, rsyn, err := flows.RunAll(net, lib)
+	sd, ret, rsyn, err := flows.RunAll(ctx, net, lib, flows.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func main() {
 	}
 	fmt.Println()
 	for _, row := range rows {
-		if err := flows.Verify(net, row.r); err != nil {
+		if _, err := flows.VerifyVerdict(ctx, net, row.r, flows.Config{}); err != nil {
 			log.Fatalf("%s: VERIFICATION FAILED: %v", row.flow, err)
 		}
 	}
@@ -77,7 +79,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sdOH, err := flows.ScriptDelay(oneHot, lib)
+	sdOH, err := flows.ScriptDelay(ctx, oneHot, lib, flows.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,6 +27,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	fmt.Println("== case 1: a feed-forward pipeline ==")
 	pipe := bench.BuildPipelineExample()
 	p0, err := timing.Period(pipe, timing.UnitDelay{})
@@ -34,7 +36,7 @@ func main() {
 	}
 	fmt.Printf("pipeline: %v, cycle time %.0f\n", pipe.Stat(), p0)
 
-	res, err := core.Resynthesize(pipe, core.Options{})
+	res, err := core.Resynthesize(ctx, pipe, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func main() {
 	fmt.Printf("resynthesis declined: %s\n", res.Reason)
 
 	// Retiming, in contrast, balances the pipeline to the optimum.
-	ret, info, err := retime.MinPeriod(pipe, nil)
+	ret, info, err := retime.MinPeriod(ctx, pipe, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +60,7 @@ func main() {
 	sf := bench.BuildSingleFanoutExample()
 	p1, _ := timing.Period(sf, timing.UnitDelay{})
 	fmt.Printf("circuit: %v, cycle time %.0f\n", sf.Stat(), p1)
-	res2, err := core.Resynthesize(sf, core.Options{})
+	res2, err := core.Resynthesize(ctx, sf, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -23,6 +24,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	orig := bench.BuildPaperExample()
 	fmt.Println("== Section III worked example (unit delay model) ==")
 	fmt.Printf("original circuit: %v\n", orig.Stat())
@@ -33,7 +35,7 @@ func main() {
 	fmt.Printf("cycle time after delay optimization: %.0f gate delays\n\n", p0)
 
 	// Step 1: what conventional retiming can do (Fig. 4b).
-	ret, info, err := retime.MinPeriod(orig, nil)
+	ret, info, err := retime.MinPeriod(ctx, orig, nil, nil)
 	if err != nil {
 		log.Fatalf("retiming failed: %v", err)
 	}
@@ -44,7 +46,7 @@ func main() {
 	fmt.Println()
 
 	// Step 2: the paper's resynthesis (Fig. 5).
-	res, err := core.Resynthesize(orig, core.Options{})
+	res, err := core.Resynthesize(ctx, orig, core.Options{})
 	if err != nil {
 		log.Fatalf("resynthesis failed: %v", err)
 	}
@@ -70,7 +72,7 @@ func main() {
 // check verifies sequential equivalence under a k-cycle delayed-replacement
 // prefix and reports the result.
 func check(a, b *network.Network, k int) {
-	if err := seqverify.Equivalent(a, b, seqverify.Options{Delay: k}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), a, b, seqverify.Options{Delay: k}); err != nil {
 		log.Fatalf("VERIFICATION FAILED: %v", err)
 	}
 	if k == 0 {

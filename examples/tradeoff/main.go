@@ -12,19 +12,21 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 
 	"repro/internal/bench"
+	"repro/internal/bitsim"
 	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/retime"
 	"repro/internal/seqverify"
-	"repro/internal/sim"
 )
 
 func main() {
+	ctx := context.Background()
 	name := "paper"
 	if len(os.Args) > 1 {
 		name = os.Args[1]
@@ -54,7 +56,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// The fastest achievable implementation anchors the sweep.
-	fastest, info, err := retime.MinPeriod(src, nil)
+	fastest, info, err := retime.MinPeriod(ctx, src, nil, nil)
 	if err != nil {
 		log.Fatalf("min-period retiming failed: %v (a legitimate Table I outcome)", err)
 	}
@@ -63,7 +65,7 @@ func main() {
 
 	fmt.Printf("%-18s %8s %10s\n", "period target", "regs", "verified")
 	for target := pMin; target <= p0+0.5; target++ {
-		ret, mInfo, err := retime.MinAreaUnderPeriod(fastest, nil, target)
+		ret, mInfo, err := retime.MinAreaUnderPeriod(ctx, fastest, nil, target, nil)
 		if err != nil {
 			fmt.Printf("%-18.0f %8s   (%v)\n", target, "-", err)
 			continue
@@ -72,7 +74,7 @@ func main() {
 	}
 
 	// Where the paper's resynthesis lands.
-	res, err := core.Resynthesize(src, core.Options{})
+	res, err := core.Resynthesize(ctx, src, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,12 +92,12 @@ func main() {
 // verify checks equivalence (exact when the product state space is small,
 // random simulation otherwise) and renders a table cell.
 func verify(a, b *network.Network, k int) string {
-	err := seqverify.Equivalent(a, b, seqverify.Options{Delay: k})
+	err := seqverify.Equivalent(context.Background(), a, b, seqverify.Options{Delay: k})
 	switch {
 	case err == nil:
 		return "exact"
 	case err == seqverify.ErrTooLarge:
-		if sim.RandomEquivalent(a, b, k, 2000, 5) == nil {
+		if bitsim.RandomEquivalent(a, b, k, 2000, 5, bitsim.Options{}) == nil {
 			return "sim"
 		}
 		return "FAILED"

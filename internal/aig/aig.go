@@ -455,21 +455,6 @@ func (g *Graph) requiredTimes() []int32 {
 	return req
 }
 
-// CriticalNodes runs the exact unit-delay arrival/required analysis and
-// returns the AND nodes with zero slack — the nodes on some maximum-depth
-// combinational path — in ascending id order. This is the AIG counterpart
-// of the SOP path's timing.CriticalPath extraction.
-func (g *Graph) CriticalNodes() []int32 {
-	req := g.requiredTimes()
-	var crit []int32
-	for id := int32(1); id < int32(len(g.nodes)); id++ {
-		if g.IsAnd(id) && req[id] != reqInf && req[id] == g.levels[id] {
-			crit = append(crit, id)
-		}
-	}
-	return crit
-}
-
 // Sweep removes AND nodes unreachable from any combinational output,
 // compacting the node array and rebuilding the strash table. CI nodes are
 // interface and always kept. Existing Lit values are invalidated; the

@@ -1,9 +1,13 @@
 package algebraic
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitsim"
+	"repro/internal/guard"
 	"repro/internal/logic"
 	"repro/internal/network"
 	"repro/internal/seqverify"
@@ -157,7 +161,7 @@ func TestExtractKernels(t *testing.T) {
 	}
 	// Function must be preserved.
 	m := buildNet(t)
-	if err := sim.RandomEquivalent(m, n, 0, 100, 3); err != nil {
+	if err := bitsim.RandomEquivalent(m, n, 0, 100, 3, bitsim.Options{}); err != nil {
 		t.Fatalf("extraction changed function: %v", err)
 	}
 }
@@ -169,7 +173,10 @@ func TestEliminate(t *testing.T) {
 	g := n.AddLogic("g", []*network.Node{a, b}, logic.MustParseCover(2, "11"))
 	h := n.AddLogic("h", []*network.Node{g}, logic.MustParseCover(1, "0"))
 	n.AddPO("y", h)
-	removed := Eliminate(n, 10)
+	removed, err := Eliminate(context.Background(), n, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if removed == 0 {
 		t.Fatal("buffer-like node not eliminated")
 	}
@@ -199,8 +206,31 @@ func TestEliminateRespectsThreshold(t *testing.T) {
 	h2 := n.AddLogic("h2", []*network.Node{g, b}, logic.MustParseCover(2, "1-", "-1"))
 	n.AddPO("y1", h1)
 	n.AddPO("y2", h2)
-	if removed := Eliminate(n, 0); removed != 0 {
-		t.Fatalf("shared 6-literal node eliminated at threshold 0 (%d)", removed)
+	if removed, err := Eliminate(context.Background(), n, 0); err != nil || removed != 0 {
+		t.Fatalf("shared 6-literal node eliminated at threshold 0 (%d, %v)", removed, err)
+	}
+}
+
+// TestEliminateCancelled: a cancelled context stops eliminate before it
+// touches a candidate node, with a typed budget error and a valid network.
+func TestEliminateCancelled(t *testing.T) {
+	n := network.New("elim")
+	a := n.AddPI("a")
+	b := n.AddPI("b")
+	g := n.AddLogic("g", []*network.Node{a, b}, logic.MustParseCover(2, "11"))
+	h := n.AddLogic("h", []*network.Node{g}, logic.MustParseCover(1, "0"))
+	n.AddPO("y", h)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	removed, err := Eliminate(ctx, n, 10)
+	if !errors.Is(err, guard.ErrBudget) {
+		t.Fatalf("Eliminate under a cancelled context: err = %v, want guard.ErrBudget", err)
+	}
+	if removed != 0 {
+		t.Fatalf("Eliminate under a cancelled context removed %d nodes", removed)
+	}
+	if err := n.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -226,7 +256,7 @@ func TestDecomposeBalanced(t *testing.T) {
 	if err := n.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.RandomEquivalent(ref, n, 0, 200, 7); err != nil {
+	if err := bitsim.RandomEquivalent(ref, n, 0, 200, 7, bitsim.Options{}); err != nil {
 		t.Fatalf("decomposition changed function: %v", err)
 	}
 	// Balanced tree of a 3-literal AND plus OR chain: depth must be
@@ -257,22 +287,11 @@ func TestOptimizeDelayPreservesSequentialBehaviour(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := n.Clone()
-	if err := OptimizeDelay(n); err != nil {
+	if err := OptimizeDelay(context.Background(), n, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := seqverify.Equivalent(ref, n, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{}); err != nil {
 		t.Fatalf("OptimizeDelay broke the FSM: %v", err)
-	}
-}
-
-func TestOptimizeAreaPreservesBehaviour(t *testing.T) {
-	n := buildNet(t)
-	ref := n.Clone()
-	if err := OptimizeArea(n); err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.RandomEquivalent(ref, n, 0, 200, 9); err != nil {
-		t.Fatalf("OptimizeArea changed function: %v", err)
 	}
 }
 
@@ -288,10 +307,10 @@ func TestDecomposeRandomNetworks(t *testing.T) {
 		g := n.AddLogic("g", pis, f)
 		n.AddPO("y", g)
 		ref := n.Clone()
-		if err := OptimizeDelay(n); err != nil {
+		if err := OptimizeDelay(context.Background(), n, nil); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := sim.RandomEquivalent(ref, n, 0, 100, int64(trial)); err != nil {
+		if err := bitsim.RandomEquivalent(ref, n, 0, 100, int64(trial), bitsim.Options{}); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}

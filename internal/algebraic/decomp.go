@@ -132,44 +132,38 @@ func isInvOrBuf(f *logic.Cover) bool {
 // three evaluation flows before mapping: sweep, simplify, eliminate small
 // nodes, extract common divisors, then decompose into balanced two-input
 // trees (the script.delay analogue).
-func OptimizeDelay(n *network.Network) error {
-	return OptimizeDelayT(n, nil)
-}
-
-// OptimizeDelayT is OptimizeDelay with tracing: an "algebraic.optimize"
-// span with one child step span per script pass and counters for nodes
-// simplified/eliminated, kernels extracted, and literals saved.
-func OptimizeDelayT(n *network.Network, tr *obs.Tracer) error {
-	return OptimizeDelayCtx(context.Background(), n, tr)
-}
-
-// OptimizeDelayCtx is OptimizeDelayT with cancellation, checked between
-// script passes; exceeding the deadline returns a typed guard budget error
-// with the network left in a valid intermediate state.
-func OptimizeDelayCtx(ctx context.Context, n *network.Network, tr *obs.Tracer) error {
+//
+// It records an "algebraic.optimize" span on tr with one child step span
+// per script pass and counters for nodes simplified/eliminated, kernels
+// extracted, and literals saved. ctx is checked between script passes and
+// once per candidate node inside eliminate; exceeding the deadline returns
+// a typed guard budget error with the network left in a valid
+// intermediate state.
+func OptimizeDelay(ctx context.Context, n *network.Network, tr *obs.Tracer) error {
 	sp := tr.Begin("algebraic.optimize")
 	defer sp.End()
 	litsIn := n.NumLits()
 	simplified, eliminated, kernels := 0, 0, 0
-	step := func(name string, f func()) error {
+	step := func(name string, f func() error) error {
 		if cerr := guard.Check(ctx, "algebraic.optimize"); cerr != nil {
 			return cerr
 		}
 		s := tr.Begin(name)
-		f()
+		err := f()
 		s.End()
-		return nil
+		return err
 	}
+	simplify := func() error { simplified += SimplifyNodes(n); return nil }
 	for _, st := range []struct {
 		name string
-		f    func()
+		f    func() error
 	}{
-		{"sweep", func() { n.Sweep(); n.TrimAllFanins() }},
-		{"simplify", func() { simplified += SimplifyNodes(n) }},
-		{"eliminate", func() { eliminated = Eliminate(n, 0) }},
-		{"simplify", func() { simplified += SimplifyNodes(n) }},
-		{"kernels", func() { kernels = ExtractKernels(n, 64) }},
-		{"simplify", func() { simplified += SimplifyNodes(n) }},
+		{"sweep", func() error { n.Sweep(); n.TrimAllFanins(); return nil }},
+		{"simplify", simplify},
+		{"eliminate", func() (err error) { eliminated, err = Eliminate(ctx, n, 0); return err }},
+		{"simplify", simplify},
+		{"kernels", func() error { kernels = ExtractKernels(n, 64); return nil }},
+		{"simplify", simplify},
 	} {
 		if err := step(st.name, st.f); err != nil {
 			return err
@@ -191,18 +185,5 @@ func OptimizeDelayCtx(ctx context.Context, n *network.Network, tr *obs.Tracer) e
 	if d := litsIn - n.NumLits(); d > 0 {
 		sp.Add("lits_saved", int64(d))
 	}
-	return n.Check()
-}
-
-// OptimizeArea is a lighter area-oriented cleanup (used after local
-// resynthesis steps): simplify + eliminate + extract, no decomposition.
-func OptimizeArea(n *network.Network) error {
-	n.Sweep()
-	n.TrimAllFanins()
-	SimplifyNodes(n)
-	Eliminate(n, 0)
-	ExtractKernels(n, 64)
-	SimplifyNodes(n)
-	n.Sweep()
 	return n.Check()
 }

@@ -86,16 +86,3 @@ func Kernels(f *logic.Cover) []Kernel {
 	rec(cf, cc, 0)
 	return out
 }
-
-// Level0Kernels returns only the kernels that themselves have no kernels —
-// cheaper candidates for extraction.
-func Level0Kernels(f *logic.Cover) []Kernel {
-	all := Kernels(f)
-	var out []Kernel
-	for _, k := range all {
-		if len(Kernels(k.K)) <= 1 {
-			out = append(out, k)
-		}
-	}
-	return out
-}

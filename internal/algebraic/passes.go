@@ -1,8 +1,10 @@
 package algebraic
 
 import (
+	"context"
 	"sort"
 
+	"repro/internal/guard"
 	"repro/internal/logic"
 	"repro/internal/network"
 )
@@ -28,14 +30,19 @@ func SimplifyNodes(n *network.Network) int {
 // Eliminate collapses logic nodes into their consumers when the resulting
 // literal-count change does not exceed threshold (SIS `eliminate`).
 // Nodes feeding POs or registers directly are kept. Returns the number of
-// nodes eliminated.
-func Eliminate(n *network.Network, threshold int) int {
+// nodes eliminated. ctx is checked once per candidate node, before the
+// node is touched: a typed guard budget error is returned together with
+// the count so far, and the network is left valid.
+func Eliminate(ctx context.Context, n *network.Network, threshold int) (int, error) {
 	count := 0
 	for {
 		progress := false
 		for _, g := range n.Nodes() {
 			if g.Kind != network.KindLogic {
 				continue
+			}
+			if err := guard.Check(ctx, "algebraic.eliminate"); err != nil {
+				return count, err
 			}
 			if n.FindNode(g.Name) != g {
 				continue
@@ -76,7 +83,7 @@ func Eliminate(n *network.Network, threshold int) int {
 			progress = true
 		}
 		if !progress {
-			return count
+			return count, nil
 		}
 	}
 }

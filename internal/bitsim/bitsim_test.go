@@ -208,7 +208,7 @@ func TestRandomEquivalentMatchesScalarFirstDivergence(t *testing.T) {
 	for _, delay := range []int{0, 3} {
 		for seed := int64(1); seed <= 5; seed++ {
 			want := sim.RandomEquivalentScalar(a, b, delay, 200, seed)
-			got := sim.RandomEquivalent(a, b, delay, 200, seed)
+			got := bitsim.RandomEquivalent(a, b, delay, 200, seed, bitsim.Options{})
 			if want == nil {
 				t.Fatalf("seed %d: scalar oracle unexpectedly passed", seed)
 			}
@@ -219,7 +219,7 @@ func TestRandomEquivalentMatchesScalarFirstDivergence(t *testing.T) {
 	}
 	a, b = buildToggle(false)
 	for seed := int64(1); seed <= 3; seed++ {
-		if err := sim.RandomEquivalent(a, b, 0, 200, seed); err != nil {
+		if err := bitsim.RandomEquivalent(a, b, 0, 200, seed, bitsim.Options{}); err != nil {
 			t.Fatalf("equivalent pair rejected: %v", err)
 		}
 	}
@@ -249,7 +249,7 @@ func TestRandomEquivalentXPanicParity(t *testing.T) {
 		return ""
 	}
 	want := catch(func() { _ = sim.RandomEquivalentScalar(a, b, 0, 50, 1) })
-	got := catch(func() { _ = sim.RandomEquivalent(a, b, 0, 50, 1) })
+	got := catch(func() { _ = bitsim.RandomEquivalent(a, b, 0, 50, 1, bitsim.Options{}) })
 	if want == "" {
 		t.Fatal("scalar oracle did not panic on X at PO")
 	}
@@ -312,7 +312,7 @@ func TestSynchronizingSequenceCertificateIsValid(t *testing.T) {
 	found := 0
 	for trial := 0; trial < 30; trial++ {
 		n := randTestNetwork(r, 1+r.Intn(3), 1+r.Intn(3), 1+r.Intn(6))
-		seq, ok := sim.SynchronizingSequence(n, 15, 64, int64(trial+1))
+		seq, ok := bitsim.SynchronizingSequence(n, 15, int64(trial+1), bitsim.Options{Streams: 64})
 		if !ok {
 			continue
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bitsim"
 	"repro/internal/network"
 	"repro/internal/sim"
 )
@@ -66,7 +67,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-read failed: %v\n%s", err, buf.String())
 	}
-	if err := sim.RandomEquivalent(n, m, 0, 300, 5); err != nil {
+	if err := bitsim.RandomEquivalent(n, m, 0, 300, 5, bitsim.Options{}); err != nil {
 		t.Fatalf("round trip not equivalent: %v", err)
 	}
 }
@@ -204,7 +205,7 @@ func TestPOBufferEmitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.RandomEquivalent(n, m, 0, 50, 2); err != nil {
+	if err := bitsim.RandomEquivalent(n, m, 0, 50, 2, bitsim.Options{}); err != nil {
 		t.Fatal(err)
 	}
 }

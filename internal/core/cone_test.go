@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -132,7 +133,7 @@ func TestResynthesizeStressMediumCircuits(t *testing.T) {
 			Name: "m", PIs: 2 + r.Intn(4), POs: 1 + r.Intn(3),
 			FFs: 3 + r.Intn(5), Gates: 12 + r.Intn(24), Seed: int64(trial) + 500,
 		})
-		res, err := Resynthesize(n, Options{KeepHarm: true})
+		res, err := Resynthesize(context.Background(), n, Options{KeepHarm: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -96,16 +96,11 @@ type Result struct {
 // transformation counters (gates_duplicated, stems_split, dcret_pairs,
 // regs_forward_moved, cones_simplified, lits_saved) are emitted only when
 // the pass applies, so aggregated counters always describe the returned
-// circuit; a declined pass records resyn_declined instead.
-func Resynthesize(n *network.Network, opt Options) (*Result, error) {
-	return ResynthesizeCtx(context.Background(), n, opt)
-}
-
-// ResynthesizeCtx is Resynthesize with cancellation: the Algorithm 1 steps
-// (timing analysis, path retiming, DCret simplification, min-area recovery)
-// check ctx between phases and return a typed guard budget error once the
-// deadline passes.
-func ResynthesizeCtx(ctx context.Context, n *network.Network, opt Options) (*Result, error) {
+// circuit; a declined pass records resyn_declined instead. The Algorithm 1
+// steps (timing analysis, path retiming, DCret simplification, min-area
+// recovery) check ctx between phases and return a typed guard budget error
+// once the deadline passes.
+func Resynthesize(ctx context.Context, n *network.Network, opt Options) (*Result, error) {
 	opt.defaults()
 	sp := opt.Tracer.Begin("core.resynthesize")
 	defer sp.End()
@@ -279,7 +274,7 @@ func resynthesize(ctx context.Context, n *network.Network, opt Options) (*Result
 		return nil, cerr
 	}
 	if !opt.SkipMinArea {
-		if ma, _, err := retime.MinAreaUnderPeriodCtx(ctx, work, opt.VertexDelay, p, tr); err == nil {
+		if ma, _, err := retime.MinAreaUnderPeriod(ctx, work, opt.VertexDelay, p, tr); err == nil {
 			if q, err2 := timing.Period(ma, opt.Delay); err2 == nil && q <= p+1e-9 {
 				work = ma
 			}
@@ -506,14 +501,9 @@ func sweepDanglingLatches(work *network.Network) int {
 
 // ResynthesizeIterate applies Resynthesize repeatedly (each pass attacks
 // the then-current critical path) until no further cycle-time improvement
-// or maxPasses is reached. PrefixK accumulates across passes.
-func ResynthesizeIterate(n *network.Network, opt Options, maxPasses int) (*Result, error) {
-	return ResynthesizeIterateCtx(context.Background(), n, opt, maxPasses)
-}
-
-// ResynthesizeIterateCtx is ResynthesizeIterate with cancellation, checked
-// before every pass and inside each pass's phases.
-func ResynthesizeIterateCtx(ctx context.Context, n *network.Network, opt Options, maxPasses int) (*Result, error) {
+// or maxPasses is reached. PrefixK accumulates across passes. ctx is
+// checked before every pass and inside each pass's phases.
+func ResynthesizeIterate(ctx context.Context, n *network.Network, opt Options, maxPasses int) (*Result, error) {
 	opt.defaults()
 	if maxPasses < 1 {
 		maxPasses = 1
@@ -523,7 +513,7 @@ func ResynthesizeIterateCtx(ctx context.Context, n *network.Network, opt Options
 	cur := n
 	var total *Result
 	for pass := 0; pass < maxPasses; pass++ {
-		r, err := ResynthesizeCtx(ctx, cur, opt)
+		r, err := Resynthesize(ctx, cur, opt)
 		if err != nil {
 			return nil, err
 		}

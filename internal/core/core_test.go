@@ -1,13 +1,14 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/bitsim"
 	"repro/internal/network"
 	"repro/internal/retime"
 	"repro/internal/seqverify"
-	"repro/internal/sim"
 	"repro/internal/timing"
 )
 
@@ -28,19 +29,19 @@ func TestPaperWorkedExample(t *testing.T) {
 	}
 
 	// Conventional min-period retiming reaches 2 (Fig. 4b).
-	ret, info, err := retime.MinPeriod(orig, nil)
+	ret, info, err := retime.MinPeriod(context.Background(), orig, nil, nil)
 	if err != nil {
 		t.Fatalf("conventional retiming failed: %v", err)
 	}
 	if info.PeriodAfter != 2 {
 		t.Fatalf("conventional retiming period = %v, want 2", info.PeriodAfter)
 	}
-	if err := seqverify.Equivalent(orig, ret, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), orig, ret, seqverify.Options{}); err != nil {
 		t.Fatalf("conventional retiming not equivalent: %v", err)
 	}
 
 	// The paper's resynthesis reaches 1 (Fig. 5d).
-	res, err := Resynthesize(orig, Options{})
+	res, err := Resynthesize(context.Background(), orig, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestPaperWorkedExample(t *testing.T) {
 		t.Fatal("DCret simplification must fire on the worked example")
 	}
 	// Delayed replacement with prefix k must hold exactly.
-	if err := seqverify.Equivalent(orig, res.Network, seqverify.Options{Delay: res.PrefixK}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), orig, res.Network, seqverify.Options{Delay: res.PrefixK}); err != nil {
 		t.Fatalf("resynthesized circuit not delayed-equivalent: %v", err)
 	}
 	if err := res.Network.Check(); err != nil {
@@ -70,14 +71,14 @@ func TestPaperWorkedExample(t *testing.T) {
 // of registers without sacrificing the cycle-time performance").
 func TestPaperExampleRegisterEconomy(t *testing.T) {
 	orig := bench.BuildPaperExample()
-	res, err := Resynthesize(orig, Options{})
+	res, err := Resynthesize(context.Background(), orig, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Applied {
 		t.Fatal(res.Reason)
 	}
-	noMA, err := Resynthesize(orig, Options{SkipMinArea: true})
+	noMA, err := Resynthesize(context.Background(), orig, Options{SkipMinArea: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestPaperExampleRegisterEconomy(t *testing.T) {
 // could have been achieved at all").
 func TestDCRetAblation(t *testing.T) {
 	orig := bench.BuildPaperExample()
-	res, err := Resynthesize(orig, Options{DisableDCRet: true, KeepHarm: true})
+	res, err := Resynthesize(context.Background(), orig, Options{DisableDCRet: true, KeepHarm: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestDCRetAblation(t *testing.T) {
 	}
 	// Even the harmed circuit must remain behaviourally correct.
 	if res.Applied {
-		if err := seqverify.Equivalent(orig, res.Network, seqverify.Options{Delay: res.PrefixK}); err != nil {
+		if err := seqverify.Equivalent(context.Background(), orig, res.Network, seqverify.Options{Delay: res.PrefixK}); err != nil {
 			t.Fatalf("ablated result not equivalent: %v", err)
 		}
 	}
@@ -118,7 +119,7 @@ func TestDCRetAblation(t *testing.T) {
 // nothing; the single-fanout-register case returns the original circuit.
 func TestPipelineNotApplicable(t *testing.T) {
 	pipe := bench.BuildPipelineExample()
-	res, err := Resynthesize(pipe, Options{})
+	res, err := Resynthesize(context.Background(), pipe, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestPipelineNotApplicable(t *testing.T) {
 
 func TestSingleFanoutNotApplicable(t *testing.T) {
 	n := bench.BuildSingleFanoutExample()
-	res, err := Resynthesize(n, Options{})
+	res, err := Resynthesize(context.Background(), n, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestSingleFanoutNotApplicable(t *testing.T) {
 // prefix.
 func TestResynthesizeIterate(t *testing.T) {
 	orig := bench.BuildPaperExample()
-	res, err := ResynthesizeIterate(orig, Options{}, 4)
+	res, err := ResynthesizeIterate(context.Background(), orig, Options{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestResynthesizeIterate(t *testing.T) {
 	if res.PeriodAfter > res.PeriodBefore {
 		t.Fatalf("iteration made things worse: %v -> %v", res.PeriodBefore, res.PeriodAfter)
 	}
-	if err := seqverify.Equivalent(orig, res.Network, seqverify.Options{Delay: res.PrefixK}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), orig, res.Network, seqverify.Options{Delay: res.PrefixK}); err != nil {
 		t.Fatalf("iterated result not equivalent: %v", err)
 	}
 }
@@ -174,7 +175,7 @@ func TestResynthesizeRandomFSMs(t *testing.T) {
 		if err := n.Check(); err != nil {
 			t.Fatalf("seed %d: invalid synthetic circuit: %v", seed, err)
 		}
-		res, err := Resynthesize(n, Options{KeepHarm: true})
+		res, err := Resynthesize(context.Background(), n, Options{KeepHarm: true})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -184,7 +185,7 @@ func TestResynthesizeRandomFSMs(t *testing.T) {
 		if err := res.Network.Check(); err != nil {
 			t.Fatalf("seed %d: invalid result: %v", seed, err)
 		}
-		if err := seqverify.Equivalent(n, res.Network, seqverify.Options{Delay: res.PrefixK}); err != nil {
+		if err := seqverify.Equivalent(context.Background(), n, res.Network, seqverify.Options{Delay: res.PrefixK}); err != nil {
 			t.Fatalf("seed %d: not equivalent: %v", seed, err)
 		}
 	}
@@ -201,7 +202,7 @@ func TestHarmReversion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Resynthesize(n, Options{})
+		res, err := Resynthesize(context.Background(), n, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,11 +221,11 @@ func TestHarmReversion(t *testing.T) {
 // verifier.
 func TestPaperExampleBehaviour(t *testing.T) {
 	orig := bench.BuildPaperExample()
-	res, err := Resynthesize(orig, Options{})
+	res, err := Resynthesize(context.Background(), orig, Options{})
 	if err != nil || !res.Applied {
 		t.Fatalf("apply failed: %v %v", err, res)
 	}
-	if err := sim.RandomEquivalent(orig, res.Network, res.PrefixK, 2000, 99); err != nil {
+	if err := bitsim.RandomEquivalent(orig, res.Network, res.PrefixK, 2000, 99, bitsim.Options{}); err != nil {
 		t.Fatalf("simulation mismatch: %v", err)
 	}
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/bitsim"
 	"repro/internal/logic"
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -22,12 +24,12 @@ import (
 // state from which both machines agree forever.
 func TestStructuralSyncSequenceSurvivesResynthesis(t *testing.T) {
 	orig := resettableFSM(t)
-	seq, ok := sim.SynchronizingSequence(orig, 8, 100, 31)
+	seq, ok := bitsim.SynchronizingSequence(orig, 8, 31, bitsim.Options{Streams: 100})
 	if !ok {
 		t.Fatal("original machine must have a structural synchronizing sequence")
 	}
 
-	res, err := Resynthesize(orig, Options{KeepHarm: true})
+	res, err := Resynthesize(context.Background(), orig, Options{KeepHarm: true})
 	if err != nil {
 		t.Fatal(err)
 	}

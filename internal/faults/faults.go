@@ -7,7 +7,7 @@
 // from its seed alone.
 //
 // The package's test suite is the acceptance harness for the robustness
-// work: under every injected fault, every flow in flows.RunAllCtx must
+// work: under every injected fault, every flow in flows.RunAll must
 // either return a valid network (with a Metrics.Note footnote on degraded
 // flows) or a typed guard error — never a raw panic, never a corrupted
 // result.

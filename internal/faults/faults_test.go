@@ -1,5 +1,5 @@
 // The acceptance suite for the robustness work: every flow in
-// flows.RunAllCtx must, under every injected fault, either complete with a
+// flows.RunAll must, under every injected fault, either complete with a
 // valid verified network (degraded flows carrying a Metrics.Note footnote)
 // or return a typed guard error. No raw panic may escape. Run with -race in
 // CI.
@@ -53,7 +53,7 @@ func resultsFailure(src *network.Network, rs ...*flows.Result) string {
 		if err := r.Net.Check(); err != nil {
 			return fmt.Sprintf("flow %d returned an invalid network: %v", i, err)
 		}
-		if err := flows.Verify(src, r); err != nil {
+		if _, err := flows.VerifyVerdict(context.Background(), src, r, flows.Config{}); err != nil {
 			return fmt.Sprintf("flow %d not equivalent to the source: %v", i, err)
 		}
 	}
@@ -68,7 +68,7 @@ func checkResults(t *testing.T, src *network.Network, rs ...*flows.Result) {
 }
 
 // TestTargetedFaultMatrix injects every failure mode into every guarded
-// pass, one at a time. Whatever happens inside, RunAllCtx must finish with
+// pass, one at a time. Whatever happens inside, RunAll must finish with
 // either a typed guard error or three valid, verified results; unless the
 // faulted pass is the purely opportunistic guide retiming, the degradation
 // must leave a visible footnote.
@@ -94,7 +94,7 @@ func TestTargetedFaultMatrix(t *testing.T) {
 			src := bench.BuildPaperExample()
 			lib := genlib.Lib2()
 			inj := faults.NewInjector(1).Force(sc.pass, sc.kind)
-			sd, ret, rsyn, err := flows.RunAllCtx(ctx, src, lib, flows.Config{Inject: inj})
+			sd, ret, rsyn, err := flows.RunAll(ctx, src, lib, flows.Config{Inject: inj})
 			if !inj.Fired(sc.pass, sc.kind) {
 				return fmt.Sprintf("fault %v on %s never fired; events: %v", sc.kind, sc.pass, inj.Events()), nil
 			}
@@ -143,7 +143,7 @@ func TestTargetedFaultsOnFSM(t *testing.T) {
 				t.Fatal(err)
 			}
 			inj := faults.NewInjector(3).Force(pass, guard.FaultPanic)
-			sd, ret, rsyn, err := flows.RunAllCtx(context.Background(), src, genlib.Lib2(), flows.Config{Inject: inj})
+			sd, ret, rsyn, err := flows.RunAll(context.Background(), src, genlib.Lib2(), flows.Config{Inject: inj})
 			if err != nil {
 				if !typed(err) {
 					t.Fatalf("untyped error: %v", err)
@@ -164,7 +164,7 @@ func TestTargetedFaultsOnFSM(t *testing.T) {
 func TestBDDBlowupDegradesToSkippedDCs(t *testing.T) {
 	src := bench.BuildPaperExample()
 	inj := faults.NewInjector(7).Force("reach.dc_extract", guard.FaultBDDBlowup)
-	sd, ret, rsyn, err := flows.RunAllCtx(context.Background(), src, genlib.Lib2(), flows.Config{Inject: inj})
+	sd, ret, rsyn, err := flows.RunAll(context.Background(), src, genlib.Lib2(), flows.Config{Inject: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestBDDBlowupDegradesToSkippedDCs(t *testing.T) {
 func TestDeadlineFaultIsBudgetTyped(t *testing.T) {
 	src := bench.BuildPaperExample()
 	inj := faults.NewInjector(5).Force("mapper.map_delay", guard.FaultDeadline)
-	_, _, _, err := flows.RunAllCtx(context.Background(), src, genlib.Lib2(), flows.Config{Inject: inj})
+	_, _, _, err := flows.RunAll(context.Background(), src, genlib.Lib2(), flows.Config{Inject: inj})
 	if err == nil {
 		t.Fatal("script.delay cannot survive an unmappable pass")
 	}
@@ -203,7 +203,7 @@ func TestRandomFaultSweep(t *testing.T) {
 		func(ctx context.Context, _ int, seed int64) (string, error) {
 			src := bench.BuildPaperExample()
 			inj := faults.NewInjector(seed).WithRate(0.35, kinds...)
-			sd, ret, rsyn, err := flows.RunAllCtx(ctx, src, genlib.Lib2(), flows.Config{Inject: inj})
+			sd, ret, rsyn, err := flows.RunAll(ctx, src, genlib.Lib2(), flows.Config{Inject: inj})
 			if err != nil {
 				if !typed(err) {
 					return fmt.Sprintf("seed %d: untyped error: %v", seed, err), nil
@@ -232,7 +232,7 @@ func TestInjectionDeterminism(t *testing.T) {
 	run := func() ([]faults.Event, []string) {
 		src := bench.BuildPaperExample()
 		inj := faults.NewInjector(11).WithRate(0.5, kinds...)
-		sd, ret, rsyn, err := flows.RunAllCtx(context.Background(), src, genlib.Lib2(), flows.Config{Inject: inj})
+		sd, ret, rsyn, err := flows.RunAll(context.Background(), src, genlib.Lib2(), flows.Config{Inject: inj})
 		outcomes := []string{}
 		if err != nil {
 			outcomes = append(outcomes, "err: "+err.Error())

@@ -73,7 +73,7 @@ type Result struct {
 }
 
 // Config configures guarded flow execution. The zero value runs unbounded,
-// untraced, and fault-free, matching the legacy T-variant behaviour.
+// untraced, and fault-free.
 type Config struct {
 	// Tracer receives the flow spans plus the guard layer's commit/rollback
 	// counters and events (nil: no tracing).
@@ -167,22 +167,13 @@ func measure(n *network.Network, lib *genlib.Library) (Metrics, error) {
 	}, nil
 }
 
-// ScriptDelay optimizes and maps a circuit for minimum delay.
-func ScriptDelay(n *network.Network, lib *genlib.Library) (*Result, error) {
-	return ScriptDelayT(n, lib, nil)
-}
-
-// ScriptDelayT is ScriptDelay with tracing: a "flow.script_delay" span
-// whose children time the algebraic script and the mapper.
-func ScriptDelayT(n *network.Network, lib *genlib.Library, tr *obs.Tracer) (*Result, error) {
-	return ScriptDelayCtx(context.Background(), n, lib, Config{Tracer: tr})
-}
-
-// ScriptDelayCtx is ScriptDelayT under the guard layer: the algebraic
-// script and the mapper run transactionally under cfg.Budget. A failed
-// script degrades to plain decomposition (noted); a failed mapping is a
-// flow failure, since the flow's contract is a mapped network.
-func ScriptDelayCtx(ctx context.Context, n *network.Network, lib *genlib.Library, cfg Config) (*Result, error) {
+// ScriptDelay optimizes and maps a circuit for minimum delay. It records a
+// "flow.script_delay" span on cfg.Tracer whose children time the
+// restructuring script and the mapper. Both run transactionally under
+// cfg.Budget and ctx: a failed script degrades to plain decomposition
+// (noted); a failed mapping is a flow failure, since the flow's contract
+// is a mapped network.
+func ScriptDelay(ctx context.Context, n *network.Network, lib *genlib.Library, cfg Config) (*Result, error) {
 	tr := cfg.Tracer
 	sp := tr.Begin("flow.script_delay")
 	defer sp.End()
@@ -196,7 +187,7 @@ func ScriptDelayCtx(ctx context.Context, n *network.Network, lib *genlib.Library
 	note := ""
 	optPass := "algebraic.optimize"
 	optFn := func(ctx context.Context, work *network.Network) (*network.Network, int, error) {
-		if err := algebraic.OptimizeDelayCtx(ctx, work, tr); err != nil {
+		if err := algebraic.OptimizeDelay(ctx, work, tr); err != nil {
 			return nil, 0, err
 		}
 		return work, 0, nil
@@ -228,7 +219,7 @@ func ScriptDelayCtx(ctx context.Context, n *network.Network, lib *genlib.Library
 	}
 	m, mrep := guard.Tx(fctx, "mapper.map_delay", w, cfg.tx(cfg.fault("mapper.map_delay")),
 		func(ctx context.Context, work *network.Network) (*network.Network, int, error) {
-			mm, err := mapper.MapDelayCtx(ctx, work, lib, tr)
+			mm, err := mapper.MapDelay(ctx, work, lib, tr)
 			return mm, 0, err
 		})
 	if !mrep.Committed {
@@ -246,23 +237,15 @@ func ScriptDelayCtx(ctx context.Context, n *network.Network, lib *genlib.Library
 // min-period retiming, unreachable-state don't-care extraction by implicit
 // state enumeration, per-node simplification, and remapping. The input
 // should be a ScriptDelay result; it is not modified.
-func RetimeCombOpt(mappedIn *network.Network, lib *genlib.Library) (*Result, error) {
-	return RetimeCombOptT(mappedIn, lib, nil)
-}
-
-// RetimeCombOptT is RetimeCombOpt with tracing: a "flow.retime_combopt"
-// span over the min-period retimer, the implicit state enumeration, the
-// don't-care application (dc_nodes_simplified / lits_saved), and the
-// remap; a guard revert records flow_reverted.
-func RetimeCombOptT(mappedIn *network.Network, lib *genlib.Library, tr *obs.Tracer) (*Result, error) {
-	return RetimeCombOptCtx(context.Background(), mappedIn, lib, Config{Tracer: tr})
-}
-
-// RetimeCombOptCtx is RetimeCombOptT under the guard layer. Every pass is
-// optional for this flow: a rolled-back retiming or DC extraction keeps the
-// previous network and records the paper's footnote, and a rolled-back
+//
+// It records a "flow.retime_combopt" span on cfg.Tracer over the
+// min-period retimer, the implicit state enumeration, the don't-care
+// application (dc_nodes_simplified / lits_saved), and the remap; a guard
+// revert records flow_reverted. Every pass runs under the guard layer and
+// is optional for this flow: a rolled-back retiming or DC extraction keeps
+// the previous network and records the paper's footnote, and a rolled-back
 // remap degrades to the (already mapped) flow input.
-func RetimeCombOptCtx(ctx context.Context, mappedIn *network.Network, lib *genlib.Library, cfg Config) (*Result, error) {
+func RetimeCombOpt(ctx context.Context, mappedIn *network.Network, lib *genlib.Library, cfg Config) (*Result, error) {
 	tr := cfg.Tracer
 	sp := tr.Begin("flow.retime_combopt")
 	defer sp.End()
@@ -271,7 +254,7 @@ func RetimeCombOptCtx(ctx context.Context, mappedIn *network.Network, lib *genli
 	note := ""
 	ret, rep := guard.Tx(fctx, "retime.min_period", mappedIn, cfg.tx(cfg.fault("retime.min_period")),
 		func(ctx context.Context, work *network.Network) (*network.Network, int, error) {
-			r, _, err := retime.MinPeriodCtx(ctx, work, retime.GateVertexDelay, tr)
+			r, _, err := retime.MinPeriod(ctx, work, retime.GateVertexDelay, tr)
 			return r, 0, err
 		})
 	if !rep.Committed {
@@ -291,7 +274,7 @@ func RetimeCombOptCtx(ctx context.Context, mappedIn *network.Network, lib *genli
 	}
 	dcNet, dcRep := guard.Tx(fctx, "reach.dc_extract", ret, cfg.tx(dcFault),
 		func(ctx context.Context, work *network.Network) (*network.Network, int, error) {
-			a, rerr := reach.AnalyzeCtx(ctx, work, lim, tr)
+			a, rerr := reach.Analyze(ctx, work, lim, tr)
 			if rerr != nil {
 				if cfg.Sweep && errors.Is(rerr, reach.ErrTooLarge) {
 					return work, 0, applySweepDCs(ctx, work, tr, cfg)
@@ -374,7 +357,9 @@ func remapTx(ctx context.Context, cur, mappedIn *network.Network, lib *genlib.Li
 // and (b) plain re-decomposition + mapping, compared by clock then area.
 // Re-optimizing an already-mapped netlist is occasionally lossy; keeping
 // the better candidate models the "keep the best implementation seen"
-// discipline of a real flow.
+// discipline of a real flow. Both candidates are built under ctx: an
+// exhausted budget is returned as the typed guard error rather than
+// dropping the candidate, so the remap never outlives its deadline.
 func bestRemap(ctx context.Context, n *network.Network, lib *genlib.Library, cfg Config) (*network.Network, Metrics, error) {
 	tr := cfg.Tracer
 	sp := tr.Begin("remap")
@@ -384,28 +369,36 @@ func bestRemap(ctx context.Context, n *network.Network, lib *genlib.Library, cfg
 		met Metrics
 	}
 	var cands []cand
+	// try maps one restructured subject graph; only a budget error is
+	// fatal, any other failure just drops the candidate.
+	try := func(subject *network.Network, err error) error {
+		if err == nil {
+			var m *network.Network
+			if m, err = mapper.MapDelay(ctx, subject, lib, tr); err == nil {
+				if met, merr := measure(m, lib); merr == nil {
+					cands = append(cands, cand{m, met})
+				}
+			}
+		}
+		if errors.Is(err, guard.ErrBudget) {
+			return err
+		}
+		return nil
+	}
 	full := n.Clone()
-	fullErr := error(nil)
+	var fullErr error
 	if cfg.substrate() == SubstrateAIG {
 		full, fullErr = aigRestructure(ctx, full, tr, cfg)
 	} else {
-		fullErr = algebraic.OptimizeDelayT(full, tr)
+		fullErr = algebraic.OptimizeDelay(ctx, full, tr)
 	}
-	if fullErr == nil {
-		if m, err := mapper.MapDelayT(full, lib, tr); err == nil {
-			if met, err := measure(m, lib); err == nil {
-				cands = append(cands, cand{m, met})
-			}
-		}
+	if err := try(full, fullErr); err != nil {
+		return nil, Metrics{}, err
 	}
 	plain := n.Clone()
 	plain.Sweep()
-	if err := algebraic.DecomposeBalanced(plain); err == nil {
-		if m, err := mapper.MapDelayT(plain, lib, tr); err == nil {
-			if met, err := measure(m, lib); err == nil {
-				cands = append(cands, cand{m, met})
-			}
-		}
+	if err := try(plain, algebraic.DecomposeBalanced(plain)); err != nil {
+		return nil, Metrics{}, err
 	}
 	sp.Add("remap_candidates", int64(len(cands)))
 	if len(cands) == 0 {
@@ -540,24 +533,17 @@ func applyUnreachableDCs(n *network.Network, a *reach.Analysis) (improvedNodes, 
 
 // Resynthesis runs the paper's flow on a mapped circuit: Algorithm 1
 // (iterated), then remapping. The input should be a ScriptDelay result.
-func Resynthesis(mappedIn *network.Network, lib *genlib.Library) (*Result, error) {
-	return ResynthesisT(mappedIn, lib, nil)
-}
-
-// ResynthesisT is Resynthesis with tracing: a "flow.resynthesis" span over
-// the core Algorithm 1 passes, the guiding min-period retiming, and the
-// remap; a guard revert records flow_reverted and zeroes the prefix.
-func ResynthesisT(mappedIn *network.Network, lib *genlib.Library, tr *obs.Tracer) (*Result, error) {
-	return ResynthesisCtx(context.Background(), mappedIn, lib, Config{Tracer: tr})
-}
-
-// ResynthesisCtx is ResynthesisT under the guard layer. A rolled-back
-// Algorithm 1 keeps the input (noted), a rolled-back guide retiming keeps
-// the restructured network silently (it is opportunistic, like the
-// keep-only-if-better rule), and a rolled-back remap degrades to the
-// mapped input. The delayed-replacement prefix is zeroed whenever the
-// returned network is not the committed resynthesis result.
-func ResynthesisCtx(ctx context.Context, mappedIn *network.Network, lib *genlib.Library, cfg Config) (*Result, error) {
+//
+// It records a "flow.resynthesis" span on cfg.Tracer over the core
+// Algorithm 1 passes, the guiding min-period retiming, and the remap; a
+// guard revert records flow_reverted and zeroes the prefix. Every pass
+// runs under the guard layer: a rolled-back Algorithm 1 keeps the input
+// (noted), a rolled-back guide retiming keeps the restructured network
+// silently (it is opportunistic, like the keep-only-if-better rule), and a
+// rolled-back remap degrades to the mapped input. The delayed-replacement
+// prefix is zeroed whenever the returned network is not the committed
+// resynthesis result.
+func Resynthesis(ctx context.Context, mappedIn *network.Network, lib *genlib.Library, cfg Config) (*Result, error) {
 	tr := cfg.Tracer
 	sp := tr.Begin("flow.resynthesis")
 	defer sp.End()
@@ -577,7 +563,7 @@ func ResynthesisCtx(ctx context.Context, mappedIn *network.Network, lib *genlib.
 				VertexDelay: retime.GateVertexDelay,
 				Tracer:      tr,
 			}
-			res, err := core.ResynthesizeIterateCtx(ctx, work, opt, 3)
+			res, err := core.ResynthesizeIterate(ctx, work, opt, 3)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -598,7 +584,7 @@ func ResynthesisCtx(ctx context.Context, mappedIn *network.Network, lib *genlib.
 	// It is kept only when it helps and the initial states work out.
 	g, grep := guard.Tx(fctx, "retime.guide", w, cfg.tx(cfg.fault("retime.guide")),
 		func(ctx context.Context, work *network.Network) (*network.Network, int, error) {
-			ret, info, rerr := retime.MinPeriodCtx(ctx, work, retime.GateVertexDelay, tr)
+			ret, info, rerr := retime.MinPeriod(ctx, work, retime.GateVertexDelay, tr)
 			if rerr != nil {
 				return nil, 0, rerr
 			}
@@ -626,49 +612,17 @@ func ResynthesisCtx(ctx context.Context, mappedIn *network.Network, lib *genlib.
 	return &Result{Net: m, Metrics: met, PrefixK: prefix}, nil
 }
 
-// Verify checks a flow result against the source circuit: exact
-// product-machine equivalence with delayed replacement when the state
-// space permits, long random simulation otherwise.
-func Verify(src *network.Network, r *Result) error {
-	return VerifyCtx(context.Background(), src, r)
-}
-
-// VerifyCtx is Verify with cancellation threaded into the product-machine
-// traversal; a budget exhausted mid-proof surfaces as a typed guard error,
-// not as a verification failure.
-func VerifyCtx(ctx context.Context, src *network.Network, r *Result) error {
-	return VerifyCfg(ctx, src, r, Config{})
-}
-
-// VerifyCfg is VerifyCtx with the configuration's reach limits (image
-// partitioning, variable order, latch/node budgets) threaded into the
-// product-machine traversal. With cfg.Sweep, circuits beyond the exact
-// limits are proved by k-induction over the product machine; only an
-// inconclusive induction degrades to the random-simulation spot check.
-func VerifyCfg(ctx context.Context, src *network.Network, r *Result, cfg Config) error {
-	_, err := seqverify.Check(ctx, src, r.Net, seqverify.Options{
-		Delay:      r.PrefixK,
-		Limits:     cfg.reachLimits(),
-		Sweep:      cfg.Sweep,
-		InductionK: cfg.InductionK,
-		Workers:    cfg.Workers,
-		Tracer:     cfg.Tracer,
-	})
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, seqverify.ErrTooLarge) {
-		sc := sim.DefaultSpotCheck.Verify
-		return bitsim.RandomEquivalent(src, r.Net, r.PrefixK, sc.Cycles, sc.Seed,
-			bitsim.Options{Tracer: cfg.Tracer})
-	}
-	return err
-}
-
-// VerifyVerdict is VerifyCfg surfacing how the equivalence was
-// established: seqverify.VerdictExact, seqverify.VerdictInduction, or
-// "spot-checked" when both exact and inductive engines were out of reach
-// and only the random-simulation spot check vouches for the result.
+// VerifyVerdict checks a flow result against the source circuit and
+// reports how the equivalence was established. It tries exact
+// product-machine equivalence with delayed replacement first, with the
+// configuration's reach limits (image partitioning, variable order,
+// latch/node budgets) threaded into the traversal: verdict
+// seqverify.VerdictExact. With cfg.Sweep, circuits beyond the exact limits
+// are proved by k-induction over the product machine:
+// seqverify.VerdictInduction. When both engines are out of reach, a long
+// random simulation is the only check: VerdictSpotChecked. ctx is checked
+// at every image step of the traversal; a budget exhausted mid-proof
+// surfaces as a typed guard error, not as a verification failure.
 func VerifyVerdict(ctx context.Context, src *network.Network, r *Result, cfg Config) (string, error) {
 	v, err := seqverify.Check(ctx, src, r.Net, seqverify.Options{
 		Delay:      r.PrefixK,
@@ -693,42 +647,33 @@ func VerifyVerdict(ctx context.Context, src *network.Network, r *Result, cfg Con
 // simulation (see VerifyVerdict).
 const VerdictSpotChecked = "spot-checked"
 
-// RunAll executes the three flows of Table I on one source circuit.
-func RunAll(src *network.Network, lib *genlib.Library) (sd, ret, rsyn *Result, err error) {
-	return RunAllT(src, lib, nil)
-}
-
-// RunAllT is RunAll with tracing: each flow contributes its own top-level
-// span (flow.script_delay, flow.retime_combopt, flow.resynthesis) to tr.
-func RunAllT(src *network.Network, lib *genlib.Library, tr *obs.Tracer) (sd, ret, rsyn *Result, err error) {
-	return RunAllCtx(context.Background(), src, lib, Config{Tracer: tr})
-}
-
-// RunAllCtx is RunAllT under the guard layer. Each flow additionally runs
-// under flow-level panic containment (belt and braces over the per-pass
-// runner), so a defect anywhere in a flow surfaces as a typed error on
-// that flow instead of killing the process.
-func RunAllCtx(ctx context.Context, src *network.Network, lib *genlib.Library, cfg Config) (sd, ret, rsyn *Result, err error) {
+// RunAll executes the three flows of Table I on one source circuit. Each
+// flow contributes its own top-level span (flow.script_delay,
+// flow.retime_combopt, flow.resynthesis) to cfg.Tracer. Each flow
+// additionally runs under flow-level panic containment (belt and braces
+// over the per-pass runner), so a defect anywhere in a flow surfaces as a
+// typed error on that flow instead of killing the process.
+func RunAll(ctx context.Context, src *network.Network, lib *genlib.Library, cfg Config) (sd, ret, rsyn *Result, err error) {
 	run := func(name string, f func(ctx context.Context) error) error {
 		return guard.Run(ctx, name, src, f)
 	}
 	if err = run("flow.script_delay", func(ctx context.Context) error {
 		var ferr error
-		sd, ferr = ScriptDelayCtx(ctx, src, lib, cfg)
+		sd, ferr = ScriptDelay(ctx, src, lib, cfg)
 		return ferr
 	}); err != nil {
 		return nil, nil, nil, err
 	}
 	if err = run("flow.retime_combopt", func(ctx context.Context) error {
 		var ferr error
-		ret, ferr = RetimeCombOptCtx(ctx, sd.Net, lib, cfg)
+		ret, ferr = RetimeCombOpt(ctx, sd.Net, lib, cfg)
 		return ferr
 	}); err != nil {
 		return nil, nil, nil, err
 	}
 	if err = run("flow.resynthesis", func(ctx context.Context) error {
 		var ferr error
-		rsyn, ferr = ResynthesisCtx(ctx, sd.Net, lib, cfg)
+		rsyn, ferr = Resynthesis(ctx, sd.Net, lib, cfg)
 		return ferr
 	}); err != nil {
 		return nil, nil, nil, err

@@ -2,10 +2,13 @@ package flows
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/genlib"
+	"repro/internal/guard"
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/timing"
@@ -14,7 +17,7 @@ import (
 func runAll(t *testing.T, n *network.Network) (sd, ret, rsyn *Result) {
 	t.Helper()
 	lib := genlib.Lib2()
-	sd, ret, rsyn, err := RunAll(n, lib)
+	sd, ret, rsyn, err := RunAll(context.Background(), n, lib, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +40,7 @@ func TestFlowsOnPaperExample(t *testing.T) {
 	}
 	// All three verified against the source.
 	for i, r := range []*Result{sd, ret, rsyn} {
-		if err := Verify(src, r); err != nil {
+		if _, err := VerifyVerdict(context.Background(), src, r, Config{}); err != nil {
 			t.Fatalf("flow %d not equivalent: %v", i, err)
 		}
 	}
@@ -57,7 +60,7 @@ func TestFlowsOnEmbeddedFSM(t *testing.T) {
 		if r.Regs == 0 || r.Clk <= 0 || r.Area <= 0 {
 			t.Fatalf("flow %d metrics degenerate: %v", i, r.Metrics)
 		}
-		if err := Verify(src, r); err != nil {
+		if _, err := VerifyVerdict(context.Background(), src, r, Config{}); err != nil {
 			t.Fatalf("flow %d not equivalent: %v", i, err)
 		}
 	}
@@ -71,7 +74,7 @@ func TestFlowsOnS27(t *testing.T) {
 	}
 	sd, ret, rsyn := runAll(t, src)
 	for i, r := range []*Result{sd, ret, rsyn} {
-		if err := Verify(src, r); err != nil {
+		if _, err := VerifyVerdict(context.Background(), src, r, Config{}); err != nil {
 			t.Fatalf("flow %d not equivalent: %v", i, err)
 		}
 	}
@@ -82,18 +85,18 @@ func TestFlowsOnS27(t *testing.T) {
 func TestResynthesisDeclinesOnPipeline(t *testing.T) {
 	src := bench.BuildPipelineExample()
 	lib := genlib.Lib2()
-	sd, err := ScriptDelay(src, lib)
+	sd, err := ScriptDelay(context.Background(), src, lib, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsyn, err := Resynthesis(sd.Net, lib)
+	rsyn, err := Resynthesis(context.Background(), sd.Net, lib, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rsyn.Note == "" {
 		t.Fatalf("pipeline must carry a non-applicability note, got %v", rsyn.Metrics)
 	}
-	if err := Verify(src, rsyn); err != nil {
+	if _, err := VerifyVerdict(context.Background(), src, rsyn, Config{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -104,14 +107,14 @@ func TestScriptDelayImprovesOrMatchesNaiveMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sd, err := ScriptDelay(src, genlib.Lib2())
+	sd, err := ScriptDelay(context.Background(), src, genlib.Lib2(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sd.Clk <= 0 {
 		t.Fatal("degenerate clk")
 	}
-	if err := Verify(src, sd); err != nil {
+	if _, err := VerifyVerdict(context.Background(), src, sd, Config{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -124,7 +127,7 @@ func TestFlowsOnSyntheticISCASProfile(t *testing.T) {
 	}
 	sd, ret, rsyn := runAll(t, src)
 	for i, r := range []*Result{sd, ret, rsyn} {
-		if err := Verify(src, r); err != nil {
+		if _, err := VerifyVerdict(context.Background(), src, r, Config{}); err != nil {
 			t.Fatalf("flow %d not equivalent: %v", i, err)
 		}
 	}
@@ -144,7 +147,7 @@ func TestMappedDelayPeriodConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sd, err := ScriptDelay(src, genlib.Lib2())
+		sd, err := ScriptDelay(context.Background(), src, genlib.Lib2(), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,11 +178,11 @@ func TestResynthesisCountersConsistent(t *testing.T) {
 	lib := genlib.Lib2()
 	var buf bytes.Buffer
 	tr := obs.NewJSON(&buf)
-	sd, err := ScriptDelayT(src, lib, tr)
+	sd, err := ScriptDelay(context.Background(), src, lib, Config{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsyn, err := ResynthesisT(sd.Net, lib, tr)
+	rsyn, err := Resynthesis(context.Background(), sd.Net, lib, Config{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +245,7 @@ func TestGuardRevertRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib := genlib.Lib2()
-	sd, err := ScriptDelay(src, lib)
+	sd, err := ScriptDelay(context.Background(), src, lib, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +290,7 @@ func TestRunAllTracedEmitsPerFlowSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.New()
-	if _, _, _, err := RunAllT(src, genlib.Lib2(), tr); err != nil {
+	if _, _, _, err := RunAll(context.Background(), src, genlib.Lib2(), Config{Tracer: tr}); err != nil {
 		t.Fatal(err)
 	}
 	var names []string
@@ -308,5 +311,33 @@ func TestRunAllTracedEmitsPerFlowSpans(t *testing.T) {
 	}
 	if tr.Root().Find("retime.min_period") == nil {
 		t.Fatal("retiming span missing from the tree")
+	}
+}
+
+// TestBestRemapHonoursCancelledContext pins that the remap runs under its
+// context on both substrates: with the budget already spent it returns the
+// typed guard error instead of mapping unbounded or reporting "no
+// mappable candidate".
+func TestBestRemapHonoursCancelledContext(t *testing.T) {
+	c, _ := bench.ByName("s27")
+	src, err := c.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := genlib.Lib2()
+	sd, err := ScriptDelay(context.Background(), src, lib, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, sub := range []string{SubstrateSOP, SubstrateAIG} {
+		m, _, err := bestRemap(ctx, sd.Net, lib, Config{Substrate: sub})
+		if !errors.Is(err, guard.ErrBudget) {
+			t.Fatalf("%s: bestRemap under a cancelled context: err = %v, want guard.ErrBudget", sub, err)
+		}
+		if m != nil {
+			t.Fatalf("%s: bestRemap under a cancelled context returned a network", sub)
+		}
 	}
 }

@@ -52,25 +52,25 @@ func RunFlow(ctx context.Context, name string, src *network.Network, lib *genlib
 	}
 	switch name {
 	case "script":
-		return ScriptDelayCtx(ctx, src, lib, cfg)
+		return ScriptDelay(ctx, src, lib, cfg)
 	case "retime":
-		sd, err := ScriptDelayCtx(ctx, src, lib, cfg)
+		sd, err := ScriptDelay(ctx, src, lib, cfg)
 		if err != nil {
 			return nil, err
 		}
-		return RetimeCombOptCtx(ctx, sd.Net, lib, cfg)
+		return RetimeCombOpt(ctx, sd.Net, lib, cfg)
 	case "resyn":
-		sd, err := ScriptDelayCtx(ctx, src, lib, cfg)
+		sd, err := ScriptDelay(ctx, src, lib, cfg)
 		if err != nil {
 			return nil, err
 		}
-		return ResynthesisCtx(ctx, sd.Net, lib, cfg)
+		return Resynthesis(ctx, sd.Net, lib, cfg)
 	case "core":
 		// The flow budget bounds the whole iterated run; there is no
 		// per-pass transaction at this level (core guards internally).
 		cctx, cancel := cfg.Budget.FlowContext(ctx)
 		defer cancel()
-		res, err := core.ResynthesizeIterateCtx(cctx, src, core.Options{Tracer: cfg.Tracer}, 4)
+		res, err := core.ResynthesizeIterate(cctx, src, core.Options{Tracer: cfg.Tracer}, 4)
 		if err != nil {
 			return nil, err
 		}

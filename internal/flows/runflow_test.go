@@ -24,7 +24,7 @@ func TestRunFlowDispatch(t *testing.T) {
 		if r == nil || r.Net == nil {
 			t.Fatalf("flow %q returned no network", name)
 		}
-		if err := Verify(src, r); err != nil {
+		if _, err := VerifyVerdict(context.Background(), src, r, Config{}); err != nil {
 			t.Fatalf("flow %q not equivalent: %v", name, err)
 		}
 	}

@@ -117,7 +117,7 @@ func aigRestructure(ctx context.Context, work *network.Network, tr *obs.Tracer, 
 
 // RestructureAIG applies the AIG substrate's technology-independent
 // optimization to work and returns the restructured subject network. It is
-// the pass ScriptDelayCtx runs for Config{Substrate: SubstrateAIG},
+// the pass ScriptDelay runs for Config{Substrate: SubstrateAIG},
 // exported so benchmark harnesses (benchflows -aig-bench) measure exactly
 // the production pass rather than a reimplementation. Only cfg.Workers,
 // cfg.RewriteIters, and cfg.Tracer are consulted.

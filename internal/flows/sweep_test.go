@@ -47,12 +47,12 @@ func TestRetimeCombOptSweepDCExtraction(t *testing.T) {
 	src := buildSweepTwins(t)
 	lib := genlib.Lib2()
 	ctx := context.Background()
-	sd, err := ScriptDelayCtx(ctx, src, lib, Config{})
+	sd, err := ScriptDelay(ctx, src, lib, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Sweep: true}
-	ret, err := RetimeCombOptCtx(ctx, sd.Net, lib, cfg)
+	ret, err := RetimeCombOpt(ctx, sd.Net, lib, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package kiss
 import (
 	"testing"
 
+	"repro/internal/bitsim"
 	"repro/internal/network"
 	"repro/internal/sim"
 )
@@ -126,7 +127,7 @@ func TestEncodingsEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.RandomEquivalent(nb, nh, 0, 400, 11); err != nil {
+	if err := bitsim.RandomEquivalent(nb, nh, 0, 400, 11, bitsim.Options{}); err != nil {
 		t.Fatalf("binary vs one-hot: %v", err)
 	}
 }

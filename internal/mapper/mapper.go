@@ -119,21 +119,11 @@ type choice struct {
 // MapDelay maps the network for minimum delay, returning a fresh mapped
 // network. The input must be decomposed (every node function must be
 // coverable by 4-feasible cuts over the library; algebraic.OptimizeDelay
-// produces suitable subject graphs).
-func MapDelay(n *network.Network, lib *genlib.Library) (*network.Network, error) {
-	return MapDelayT(n, lib, nil)
-}
-
-// MapDelayT is MapDelay with tracing: a "mapper.map_delay" span counting
-// the cuts enumerated and the (cut, gate) candidates tried by the DP.
-func MapDelayT(n *network.Network, lib *genlib.Library, tr *obs.Tracer) (*network.Network, error) {
-	return MapDelayCtx(context.Background(), n, lib, tr)
-}
-
-// MapDelayCtx is MapDelayT with cancellation: the per-node cut-enumeration
-// DP checks ctx at every node and returns a typed guard budget error once
-// the deadline passes.
-func MapDelayCtx(ctx context.Context, n *network.Network, lib *genlib.Library, tr *obs.Tracer) (*network.Network, error) {
+// produces suitable subject graphs). It records a "mapper.map_delay" span
+// on tr counting the cuts enumerated and the (cut, gate) candidates tried
+// by the DP. The per-node cut-enumeration DP checks ctx at every node and
+// returns a typed guard budget error once the deadline passes.
+func MapDelay(ctx context.Context, n *network.Network, lib *genlib.Library, tr *obs.Tracer) (*network.Network, error) {
 	sp := tr.Begin("mapper.map_delay")
 	defer sp.End()
 	cutsEnumerated, candidatesTried := 0, 0

@@ -1,9 +1,11 @@
 package mapper
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/algebraic"
+	"repro/internal/bitsim"
 	"repro/internal/genlib"
 	"repro/internal/logic"
 	"repro/internal/network"
@@ -28,7 +30,7 @@ func subjectAndInv(t *testing.T) *network.Network {
 func TestMapFindsComplexGate(t *testing.T) {
 	n := subjectAndInv(t)
 	lib := genlib.Lib2()
-	m, err := MapDelay(n, lib)
+	m, err := MapDelay(context.Background(), n, lib, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func TestMapFindsComplexGate(t *testing.T) {
 	if gate != "nand2" {
 		t.Fatalf("gate = %s, want nand2", gate)
 	}
-	if err := sim.RandomEquivalent(n, m, 0, 100, 1); err != nil {
+	if err := bitsim.RandomEquivalent(n, m, 0, 100, 1, bitsim.Options{}); err != nil {
 		t.Fatalf("mapping changed function: %v", err)
 	}
 }
@@ -62,14 +64,14 @@ func TestMapAOI(t *testing.T) {
 	g2 := n.AddLogic("g2", []*network.Node{g1, c}, logic.MustParseCover(2, "1-", "-1"))
 	g3 := n.AddLogic("g3", []*network.Node{g2}, logic.MustParseCover(1, "0"))
 	n.AddPO("y", g3)
-	m, err := MapDelay(n, genlib.Lib2())
+	m, err := MapDelay(context.Background(), n, genlib.Lib2(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.NumLogicNodes() != 1 {
 		t.Fatalf("mapped to %d gates, want 1 (aoi21)", m.NumLogicNodes())
 	}
-	if err := sim.RandomEquivalent(n, m, 0, 100, 2); err != nil {
+	if err := bitsim.RandomEquivalent(n, m, 0, 100, 2, bitsim.Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -88,14 +90,14 @@ func TestMapSequentialPreservesBehaviour(t *testing.T) {
 	l1.Driver = d1
 	n.AddPO("carry", cy)
 	ref := n.Clone()
-	if err := algebraic.OptimizeDelay(n); err != nil {
+	if err := algebraic.OptimizeDelay(context.Background(), n, nil); err != nil {
 		t.Fatal(err)
 	}
-	m, err := MapDelay(n, genlib.Lib2())
+	m, err := MapDelay(context.Background(), n, genlib.Lib2(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := seqverify.Equivalent(ref, m, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), ref, m, seqverify.Options{}); err != nil {
 		t.Fatalf("optimize+map broke the counter: %v", err)
 	}
 	// All logic must carry gate annotations.
@@ -116,7 +118,7 @@ func TestMapConstants(t *testing.T) {
 	zero := n.AddConst("k0", false)
 	n.AddPO("o1", one)
 	n.AddPO("o0", zero)
-	m, err := MapDelay(n, genlib.Lib2())
+	m, err := MapDelay(context.Background(), n, genlib.Lib2(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestMapConstants(t *testing.T) {
 func TestMappedDelayReported(t *testing.T) {
 	n := subjectAndInv(t)
 	lib := genlib.Lib2()
-	m, err := MapDelay(n, lib)
+	m, err := MapDelay(context.Background(), n, lib, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,10 +157,10 @@ func TestMapDeepNetworkEquivalence(t *testing.T) {
 	g := n.AddLogic("g", pis, f)
 	n.AddPO("y", g)
 	ref := n.Clone()
-	if err := algebraic.OptimizeDelay(n); err != nil {
+	if err := algebraic.OptimizeDelay(context.Background(), n, nil); err != nil {
 		t.Fatal(err)
 	}
-	m, err := MapDelay(n, genlib.Lib2())
+	m, err := MapDelay(context.Background(), n, genlib.Lib2(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

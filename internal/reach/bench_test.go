@@ -1,6 +1,7 @@
 package reach_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bench"
@@ -38,7 +39,7 @@ func BenchmarkReachFixpoint(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					a, err := reach.Analyze(src, lim)
+					a, err := reach.Analyze(context.Background(), src, lim, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -64,7 +65,7 @@ func BenchmarkUnreachableDC(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := reach.Analyze(src, reach.DefaultLimits)
+	a, err := reach.Analyze(context.Background(), src, reach.DefaultLimits, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

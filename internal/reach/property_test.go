@@ -1,6 +1,7 @@
 package reach_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bench"
@@ -44,7 +45,7 @@ func TestPropertyPartitionedMatchesMonolithic(t *testing.T) {
 		ffs := len(src.Latches)
 		var ref *reach.Analysis
 		for _, cfg := range configs {
-			a, err := reach.Analyze(src, cfg.lim)
+			a, err := reach.Analyze(context.Background(), src, cfg.lim, nil)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, cfg.name, err)
 			}

@@ -85,22 +85,13 @@ var DefaultLimits = Limits{MaxLatches: 32, MaxBDDNodes: 2_000_000}
 var ErrTooLarge = fmt.Errorf("reach: circuit exceeds implicit-enumeration limits")
 
 // Analyze computes the reachable state set from the declared initial state.
-func Analyze(n *network.Network, lim Limits) (*Analysis, error) {
-	return AnalyzeT(n, lim, nil)
-}
-
-// AnalyzeT is Analyze with tracing: one "reach.analyze" span carrying the
-// iteration count, frontier peak, and BDD table counters, plus one
-// "reach_iter" event per image step on the JSON sink.
-func AnalyzeT(n *network.Network, lim Limits, tr *obs.Tracer) (*Analysis, error) {
-	return AnalyzeCtx(context.Background(), n, lim, tr)
-}
-
-// AnalyzeCtx is AnalyzeT with cancellation: the node-function construction
-// and every image step of the fixpoint iteration check ctx, returning a
-// typed guard budget error (errors.Is(err, guard.ErrBudget)) wrapping the
-// cause when the deadline passes or the context is cancelled.
-func AnalyzeCtx(ctx context.Context, n *network.Network, lim Limits, tr *obs.Tracer) (a *Analysis, err error) {
+// It records one "reach.analyze" span on tr carrying the iteration count,
+// frontier peak, and BDD table counters, plus one "reach_iter" event per
+// image step on the JSON sink. The node-function construction and every
+// image step of the fixpoint iteration check ctx, returning a typed guard
+// budget error (errors.Is(err, guard.ErrBudget)) wrapping the cause when
+// the deadline passes or the context is cancelled.
+func Analyze(ctx context.Context, n *network.Network, lim Limits, tr *obs.Tracer) (a *Analysis, err error) {
 	L := len(n.Latches)
 	if lim.MaxLatches > 0 && L > lim.MaxLatches {
 		return nil, fmt.Errorf("reach: %d latches exceed the %d-latch limit (enable -sweep for SAT-based induction instead of exact reachability): %w",

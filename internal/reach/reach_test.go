@@ -2,6 +2,7 @@ package reach
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -43,7 +44,7 @@ func TestCounterFullyReachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Analyze(n, DefaultLimits)
+	a, err := Analyze(context.Background(), n, DefaultLimits, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func oneHotRing(t *testing.T) *network.Network {
 
 func TestRingReachability(t *testing.T) {
 	n := oneHotRing(t)
-	a, err := Analyze(n, DefaultLimits)
+	a, err := Analyze(context.Background(), n, DefaultLimits, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestRingReachability(t *testing.T) {
 
 func TestUnreachableDCRing(t *testing.T) {
 	n := oneHotRing(t)
-	a, err := Analyze(n, DefaultLimits)
+	a, err := Analyze(context.Background(), n, DefaultLimits, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestInitXUnconstrained(t *testing.T) {
 	b := n.AddLogic("b", []*network.Node{l.Output}, buf.Clone())
 	l.Driver = b
 	n.AddPO("y", l.Output)
-	a, err := Analyze(n, DefaultLimits)
+	a, err := Analyze(context.Background(), n, DefaultLimits, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,14 +141,14 @@ func TestInitXUnconstrained(t *testing.T) {
 
 func TestLimits(t *testing.T) {
 	n, _ := blif.ParseString(counter3)
-	if _, err := Analyze(n, Limits{MaxLatches: 2}); !errors.Is(err, ErrTooLarge) {
+	if _, err := Analyze(context.Background(), n, Limits{MaxLatches: 2}, nil); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("latch limit not enforced: %v", err)
 	}
-	if _, err := Analyze(n, Limits{MaxBDDNodes: 8}); !errors.Is(err, ErrTooLarge) {
+	if _, err := Analyze(context.Background(), n, Limits{MaxBDDNodes: 8}, nil); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("node limit not enforced: %v", err)
 	}
 	// The wrapped errors must carry the observed numbers, not a bare string.
-	_, err := Analyze(n, Limits{MaxLatches: 2})
+	_, err := Analyze(context.Background(), n, Limits{MaxLatches: 2}, nil)
 	if !strings.Contains(err.Error(), "3 latches") {
 		t.Fatalf("latch-limit error lacks the latch count: %v", err)
 	}
@@ -156,7 +157,7 @@ func TestLimits(t *testing.T) {
 	if !strings.Contains(err.Error(), "-sweep") {
 		t.Fatalf("latch-limit error lacks the -sweep hint: %v", err)
 	}
-	_, err = Analyze(n, Limits{MaxBDDNodes: 8})
+	_, err = Analyze(context.Background(), n, Limits{MaxBDDNodes: 8}, nil)
 	if !strings.Contains(err.Error(), "BDD nodes") || !strings.Contains(err.Error(), "image steps") {
 		t.Fatalf("node-limit error lacks node/iteration numbers: %v", err)
 	}
@@ -166,7 +167,7 @@ func TestAnalysisStatsAndTrace(t *testing.T) {
 	n, _ := blif.ParseString(counter3)
 	var buf bytes.Buffer
 	tr := obs.NewJSON(&buf)
-	a, err := AnalyzeT(n, DefaultLimits, tr)
+	a, err := Analyze(context.Background(), n, DefaultLimits, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

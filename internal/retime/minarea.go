@@ -175,21 +175,11 @@ func (g *Graph) components() []int {
 // MinAreaUnderPeriod retimes a copy of the network to minimize registers
 // without exceeding clock period c. Exact (flow-based) below the size
 // limit, greedy peephole otherwise or when the exact lags cannot be
-// realized with consistent initial states.
-func MinAreaUnderPeriod(n *network.Network, d VertexDelay, c float64) (*network.Network, Info, error) {
-	return MinAreaUnderPeriodT(n, d, c, nil)
-}
-
-// MinAreaUnderPeriodT is MinAreaUnderPeriod with tracing: a
-// "retime.min_area" span carrying applied/reverted move counters.
-func MinAreaUnderPeriodT(n *network.Network, d VertexDelay, c float64, tr *obs.Tracer) (*network.Network, Info, error) {
-	return MinAreaUnderPeriodCtx(context.Background(), n, d, c, tr)
-}
-
-// MinAreaUnderPeriodCtx is MinAreaUnderPeriodT with cancellation: the exact
-// lag realization and the greedy peephole sweep check ctx and return a
-// typed guard budget error once the deadline passes.
-func MinAreaUnderPeriodCtx(ctx context.Context, n *network.Network, d VertexDelay, c float64, tr *obs.Tracer) (*network.Network, Info, error) {
+// realized with consistent initial states. It records a "retime.min_area"
+// span on tr carrying applied/reverted move counters. The exact lag
+// realization and the greedy peephole sweep check ctx and return a typed
+// guard budget error once the deadline passes.
+func MinAreaUnderPeriod(ctx context.Context, n *network.Network, d VertexDelay, c float64, tr *obs.Tracer) (*network.Network, Info, error) {
 	sp := tr.Begin("retime.min_area")
 	defer sp.End()
 	net, info, err := minAreaUnderPeriod(ctx, n, d, c)
@@ -221,7 +211,7 @@ func minAreaUnderPeriod(ctx context.Context, n *network.Network, d VertexDelay, 
 			attempt := work.Clone()
 			ag, aerr := BuildGraph(attempt, d)
 			if aerr == nil {
-				if fwd, bwd, aerr := ApplyCtx(ctx, attempt, ag, r); aerr == nil {
+				if fwd, bwd, aerr := Apply(ctx, attempt, ag, r); aerr == nil {
 					MergeSiblingRegisters(attempt)
 					// The LP minimizes per-edge register counts (no
 					// fanout sharing in the basic Leiserson–Saxe model);

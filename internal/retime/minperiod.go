@@ -121,15 +121,10 @@ func (g *Graph) FEAS(c float64) (r []int, ok bool) {
 // larger graphs fall back to binary search over FEAS. FEAS with a pinned
 // host vertex can only add registers to vertex inputs (non-negative lags),
 // so on large graphs the result is a sound upper bound rather than the
-// true optimum — an authentic limitation of increment-only retimers.
-func (g *Graph) MinPeriodLags() ([]int, float64, error) {
-	return g.MinPeriodLagsCtx(context.Background())
-}
-
-// MinPeriodLagsCtx is MinPeriodLags with cancellation: the FEAS binary
-// search checks ctx at every probe and returns a typed guard budget error
-// once the deadline passes.
-func (g *Graph) MinPeriodLagsCtx(ctx context.Context) ([]int, float64, error) {
+// true optimum — an authentic limitation of increment-only retimers. The
+// FEAS binary search checks ctx at every probe and returns a typed guard
+// budget error once the deadline passes.
+func (g *Graph) MinPeriodLags(ctx context.Context) ([]int, float64, error) {
 	if len(g.Nodes)+1 <= MaxExactMinAreaVertices {
 		if cerr := guard.Check(ctx, "retime.min_period"); cerr != nil {
 			return nil, 0, cerr
@@ -190,13 +185,9 @@ func (g *Graph) minPeriodLagsFEAS(ctx context.Context) ([]int, float64, error) {
 // forward/backward moves, computing initial states along the way. On
 // failure (typically: a backward move whose initial state has no preimage)
 // the network is left in a valid, behaviour-preserving but partially
-// retimed form and an error is returned.
-func Apply(n *network.Network, g *Graph, r []int) (fwd, bwd int, err error) {
-	return ApplyCtx(context.Background(), n, g, r)
-}
-
-// ApplyCtx is Apply with cancellation, checked once per move sweep.
-func ApplyCtx(ctx context.Context, n *network.Network, g *Graph, r []int) (fwd, bwd int, err error) {
+// retimed form and an error is returned. ctx is checked once per move
+// sweep.
+func Apply(ctx context.Context, n *network.Network, g *Graph, r []int) (fwd, bwd int, err error) {
 	lag := make([]int, len(r))
 	copy(lag, r)
 	for {
@@ -240,20 +231,12 @@ func ApplyCtx(ctx context.Context, n *network.Network, g *Graph, r []int) (fwd, 
 // An error is returned when the optimal lags cannot be realized with
 // consistent initial states — the failure mode the paper reports for
 // conventional retiming on several benchmarks.
-func MinPeriod(n *network.Network, d VertexDelay) (*network.Network, Info, error) {
-	return MinPeriodT(n, d, nil)
-}
-
-// MinPeriodT is MinPeriod with tracing: a "retime.min_period" span carrying
-// applied-move counters, and a "retime_failed" counter on error.
-func MinPeriodT(n *network.Network, d VertexDelay, tr *obs.Tracer) (*network.Network, Info, error) {
-	return MinPeriodCtx(context.Background(), n, d, tr)
-}
-
-// MinPeriodCtx is MinPeriodT with cancellation: the lag search and the move
-// realization check ctx and return a typed guard budget error once the
-// deadline passes.
-func MinPeriodCtx(ctx context.Context, n *network.Network, d VertexDelay, tr *obs.Tracer) (*network.Network, Info, error) {
+//
+// It records a "retime.min_period" span on tr carrying applied-move
+// counters, and a "retime_failed" counter on error. The lag search and the
+// move realization check ctx and return a typed guard budget error once
+// the deadline passes.
+func MinPeriod(ctx context.Context, n *network.Network, d VertexDelay, tr *obs.Tracer) (*network.Network, Info, error) {
 	sp := tr.Begin("retime.min_period")
 	defer sp.End()
 	net, info, err := minPeriod(ctx, n, d)
@@ -281,12 +264,12 @@ func minPeriod(ctx context.Context, n *network.Network, d VertexDelay) (*network
 	if err != nil {
 		return nil, info, err
 	}
-	r, c, err := g.MinPeriodLagsCtx(ctx)
+	r, c, err := g.MinPeriodLags(ctx)
 	if err != nil {
 		return nil, info, err
 	}
 	info.PeriodAfter = c
-	fwd, bwd, err := ApplyCtx(ctx, work, g, r)
+	fwd, bwd, err := Apply(ctx, work, g, r)
 	info.ForwardMoves, info.BackwardMoves = fwd, bwd
 	if err != nil {
 		return nil, info, err

@@ -15,7 +15,7 @@ func TestOPTAgreesWithFEASOnPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cFeas, err := g.MinPeriodLags()
+	_, cFeas, err := g.MinPeriodLags(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestOPTAgreesWithFEASOnPaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cFeas, _ := g.MinPeriodLags()
+	_, cFeas, _ := g.MinPeriodLags(context.Background())
 	_, cOpt, err := g.MinPeriodLagsOPT()
 	if err != nil {
 		t.Fatal(err)

@@ -1,13 +1,14 @@
 package retime
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/bitsim"
 	"repro/internal/network"
 	"repro/internal/seqverify"
-	"repro/internal/sim"
 )
 
 // TestPropertyRandomAtomicMoves applies random sequences of legal atomic
@@ -53,9 +54,9 @@ func TestPropertyRandomAtomicMoves(t *testing.T) {
 		if moves == 0 {
 			continue
 		}
-		err := seqverify.Equivalent(orig, work, seqverify.Options{})
+		err := seqverify.Equivalent(context.Background(), orig, work, seqverify.Options{})
 		if err == seqverify.ErrTooLarge {
-			err = sim.RandomEquivalent(orig, work, 0, 500, seed)
+			err = bitsim.RandomEquivalent(orig, work, 0, 500, seed, bitsim.Options{})
 		}
 		if err != nil {
 			t.Fatalf("seed %d after %d moves: %v", seed, moves, err)
@@ -89,9 +90,9 @@ func TestPropertyStemSplitAlwaysDelayedEquivalent(t *testing.T) {
 		if err := work.Check(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		err := seqverify.Equivalent(orig, work, seqverify.Options{Delay: k})
+		err := seqverify.Equivalent(context.Background(), orig, work, seqverify.Options{Delay: k})
 		if err == seqverify.ErrTooLarge {
-			err = sim.RandomEquivalent(orig, work, k, 500, seed)
+			err = bitsim.RandomEquivalent(orig, work, k, 500, seed, bitsim.Options{})
 		}
 		if err != nil {
 			t.Fatalf("seed %d: stem splits not delayed-equivalent: %v", seed, err)
@@ -99,7 +100,7 @@ func TestPropertyStemSplitAlwaysDelayedEquivalent(t *testing.T) {
 		// With preserved initial values the split is even safe (Section II:
 		// preservation of initial states makes the new states invalid but
 		// unreachable).
-		err = seqverify.Equivalent(orig, work, seqverify.Options{})
+		err = seqverify.Equivalent(context.Background(), orig, work, seqverify.Options{})
 		if err != nil && err != seqverify.ErrTooLarge {
 			t.Fatalf("seed %d: init-preserving split must be safe: %v", seed, err)
 		}
@@ -113,7 +114,7 @@ func TestPropertyMinPeriodNeverWorse(t *testing.T) {
 		orig := bench.Synthetic(bench.Profile{
 			Name: "p", PIs: 3, POs: 2, FFs: 5, Gates: 16, Seed: seed,
 		})
-		ret, info, err := MinPeriod(orig, nil)
+		ret, info, err := MinPeriod(context.Background(), orig, nil, nil)
 		if err != nil {
 			continue // initial-state realization failures are legitimate
 		}
@@ -123,9 +124,9 @@ func TestPropertyMinPeriodNeverWorse(t *testing.T) {
 		if p, err := periodOf(ret, nil); err != nil || p > info.PeriodAfter+1e-9 {
 			t.Fatalf("seed %d: realized period %v does not match claim %v", seed, p, info.PeriodAfter)
 		}
-		verr := seqverify.Equivalent(orig, ret, seqverify.Options{})
+		verr := seqverify.Equivalent(context.Background(), orig, ret, seqverify.Options{})
 		if verr == seqverify.ErrTooLarge {
-			verr = sim.RandomEquivalent(orig, ret, 0, 500, seed)
+			verr = bitsim.RandomEquivalent(orig, ret, 0, 500, seed, bitsim.Options{})
 		}
 		if verr != nil {
 			t.Fatalf("seed %d: retimed circuit not equivalent: %v", seed, verr)
@@ -143,7 +144,7 @@ func TestPropertyMinAreaKeepsPeriodAndEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ret, info, err := MinAreaUnderPeriod(orig, nil, p)
+		ret, info, err := MinAreaUnderPeriod(context.Background(), orig, nil, p, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -154,9 +155,9 @@ func TestPropertyMinAreaKeepsPeriodAndEquivalence(t *testing.T) {
 		if q, err := periodOf(ret, nil); err != nil || q > p+1e-9 {
 			t.Fatalf("seed %d: period constraint violated: %v", seed, q)
 		}
-		verr := seqverify.Equivalent(orig, ret, seqverify.Options{})
+		verr := seqverify.Equivalent(context.Background(), orig, ret, seqverify.Options{})
 		if verr == seqverify.ErrTooLarge {
-			verr = sim.RandomEquivalent(orig, ret, 0, 500, seed)
+			verr = bitsim.RandomEquivalent(orig, ret, 0, 500, seed, bitsim.Options{})
 		}
 		if verr != nil {
 			t.Fatalf("seed %d: %v", seed, verr)

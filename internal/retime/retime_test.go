@@ -1,12 +1,13 @@
 package retime
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/bitsim"
 	"repro/internal/logic"
 	"repro/internal/network"
 	"repro/internal/seqverify"
-	"repro/internal/sim"
 )
 
 func buf() *logic.Cover  { return logic.MustParseCover(1, "1") }
@@ -89,7 +90,7 @@ func TestForwardMove(t *testing.T) {
 	if err := n.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if err := seqverify.Equivalent(ref, n, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{}); err != nil {
 		t.Fatalf("forward move broke equivalence: %v", err)
 	}
 }
@@ -129,7 +130,7 @@ func TestForwardSharedRegisterStays(t *testing.T) {
 	if len(n.Latches) != 2 { // r1 kept (other consumer), r2 replaced by new
 		t.Fatalf("latches = %d, want 2", len(n.Latches))
 	}
-	if err := seqverify.Equivalent(ref, n, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{}); err != nil {
 		t.Fatalf("equivalence: %v", err)
 	}
 }
@@ -157,7 +158,7 @@ func TestBackwardMove(t *testing.T) {
 	if err := n.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if err := seqverify.Equivalent(ref, n, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{}); err != nil {
 		t.Fatalf("backward move broke equivalence: %v", err)
 	}
 }
@@ -216,11 +217,11 @@ func TestSplitFanoutStem(t *testing.T) {
 	if err := n.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if err := seqverify.Equivalent(ref, n, seqverify.Options{Delay: 1}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{Delay: 1}); err != nil {
 		t.Fatalf("stem split not delayed-equivalent: %v", err)
 	}
 	// With equal initial states this split is even safe-equivalent.
-	if err := seqverify.Equivalent(ref, n, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{}); err != nil {
 		t.Fatalf("stem split with preserved inits must be safe: %v", err)
 	}
 }
@@ -252,7 +253,7 @@ func TestMergeSiblingRegistersInvertsSplit(t *testing.T) {
 
 func TestMinPeriodPipeline(t *testing.T) {
 	n := pipeline3(t)
-	ret, info, err := MinPeriod(n, nil)
+	ret, info, err := MinPeriod(context.Background(), n, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestMinPeriodPipeline(t *testing.T) {
 	// Pipeline latency must be preserved: with X-free original this is
 	// checkable exactly (backward moves may introduce fresh-but-consistent
 	// initial values).
-	if err := seqverify.Equivalent(n, ret, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), n, ret, seqverify.Options{}); err != nil {
 		t.Fatalf("retimed pipeline not equivalent: %v", err)
 	}
 }
@@ -286,14 +287,14 @@ func TestMinPeriodFSM(t *testing.T) {
 	if err := n.Check(); err != nil {
 		t.Fatal(err)
 	}
-	ret, info, err := MinPeriod(n, nil)
+	ret, info, err := MinPeriod(context.Background(), n, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.PeriodAfter > info.PeriodBefore {
 		t.Fatalf("period regressed: %v", info)
 	}
-	if err := seqverify.Equivalent(n, ret, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), n, ret, seqverify.Options{}); err != nil {
 		t.Fatalf("retimed FSM not equivalent: %v", err)
 	}
 }
@@ -310,14 +311,14 @@ func TestMinPeriodBalancesTwoSided(t *testing.T) {
 	g4 := n.AddLogic("g4", []*network.Node{g3}, buf())
 	l2 := n.AddLatch("q2", g4, network.V0)
 	n.AddPO("y", l2.Output)
-	ret, info, err := MinPeriod(n, nil)
+	ret, info, err := MinPeriod(context.Background(), n, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.PeriodAfter != 2 {
 		t.Fatalf("period = %v, want 2", info.PeriodAfter)
 	}
-	if err := sim.RandomEquivalent(n, ret, 0, 300, 17); err != nil {
+	if err := bitsim.RandomEquivalent(n, ret, 0, 300, 17, bitsim.Options{}); err != nil {
 		t.Fatalf("balance retiming broke behaviour: %v", err)
 	}
 }
@@ -421,14 +422,14 @@ func TestMinAreaMergesSplitRegisters(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, _ := periodOf(n, nil)
-	ret, info, err := MinAreaUnderPeriod(n, nil, p)
+	ret, info, err := MinAreaUnderPeriod(context.Background(), n, nil, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.RegsAfter != 1 {
 		t.Fatalf("registers after min-area = %d, want 1", info.RegsAfter)
 	}
-	if err := seqverify.Equivalent(n, ret, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), n, ret, seqverify.Options{}); err != nil {
 		t.Fatalf("min-area broke equivalence: %v", err)
 	}
 }
@@ -446,14 +447,14 @@ func TestMinAreaRespectsPeriod(t *testing.T) {
 	g3 := n.AddLogic("g3", []*network.Node{l2.Output}, buf())
 	l3 := n.AddLatch("q3", g3, network.V0)
 	n.AddPO("y", l3.Output)
-	retTight, infoTight, err := MinAreaUnderPeriod(n, nil, 1)
+	retTight, infoTight, err := MinAreaUnderPeriod(context.Background(), n, nil, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p, _ := periodOf(retTight, nil); p > 1 {
 		t.Fatalf("tight min-area period %v", p)
 	}
-	retLoose, infoLoose, err := MinAreaUnderPeriod(n, nil, 3)
+	retLoose, infoLoose, err := MinAreaUnderPeriod(context.Background(), n, nil, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +465,7 @@ func TestMinAreaRespectsPeriod(t *testing.T) {
 	if p, _ := periodOf(retLoose, nil); p > 3 {
 		t.Fatalf("loose min-area period %v", p)
 	}
-	if err := sim.RandomEquivalent(n, retLoose, 0, 200, 23); err != nil {
+	if err := bitsim.RandomEquivalent(n, retLoose, 0, 200, 23, bitsim.Options{}); err != nil {
 		t.Fatalf("loose min-area equivalence: %v", err)
 	}
 }
@@ -494,7 +495,7 @@ func TestRemoveConstantRegisters(t *testing.T) {
 	if err := n.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if err := seqverify.Equivalent(ref, n, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{}); err != nil {
 		t.Fatalf("constant-register removal broke equivalence: %v", err)
 	}
 }
@@ -516,7 +517,7 @@ func TestRemoveConstantRegistersChain(t *testing.T) {
 	if n.FindNode("q1") != nil {
 		t.Fatal("q1 not removed")
 	}
-	if err := seqverify.Equivalent(ref, n, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -61,7 +61,7 @@ const (
 // may still fall back to simulation-based spot checking. Any other error
 // is a genuine refutation or resource failure.
 func Check(ctx context.Context, a, b *network.Network, opt Options) (Verdict, error) {
-	err := EquivalentCtx(ctx, a, b, opt)
+	err := Equivalent(ctx, a, b, opt)
 	if err == nil {
 		return VerdictExact, nil
 	}
@@ -94,14 +94,10 @@ type machine struct {
 // Equivalent returns nil if the two networks are sequentially equivalent
 // under the configured delayed-replacement prefix. POs and PIs are matched
 // by name. A non-nil error describes the mismatch or a resource failure.
-func Equivalent(a, b *network.Network, opt Options) error {
-	return EquivalentCtx(context.Background(), a, b, opt)
-}
-
-// EquivalentCtx is Equivalent with cancellation: every image step of the
-// product-machine traversal checks ctx and returns a typed guard budget
-// error (errors.Is(err, guard.ErrBudget)) once the deadline passes.
-func EquivalentCtx(ctx context.Context, a, b *network.Network, opt Options) (err error) {
+// Every image step of the product-machine traversal checks ctx and returns
+// a typed guard budget error (errors.Is(err, guard.ErrBudget)) once the
+// deadline passes.
+func Equivalent(ctx context.Context, a, b *network.Network, opt Options) (err error) {
 	lim := opt.Limits
 	if lim.MaxLatches == 0 {
 		lim.MaxLatches = reach.DefaultLimits.MaxLatches

@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bitsim"
 	"repro/internal/blif"
 	"repro/internal/flows"
 	"repro/internal/genlib"
@@ -556,7 +557,7 @@ func (s *Server) execute(ctx context.Context, j *Job, tr *obs.Tracer) (*JobResul
 		case verr == nil:
 			res.Verify = string(verdict)
 		case errors.Is(verr, seqverify.ErrTooLarge):
-			if serr := sim.RandomEquivalent(src, result.Net, result.PrefixK, s.cfg.SimCycles, sim.DefaultSpotCheck.CLI.Seed); serr != nil {
+			if serr := bitsim.RandomEquivalent(src, result.Net, result.PrefixK, s.cfg.SimCycles, sim.DefaultSpotCheck.CLI.Seed, bitsim.Options{}); serr != nil {
 				sp.End()
 				// A reproducible mismatch between input and output is a
 				// property of the result, not of the environment.

@@ -42,7 +42,7 @@ func BenchmarkRandomEquivalent(b *testing.B) {
 		b.Run(name+"/bitsim", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := sim.RandomEquivalent(n, n, 0, cycles, 1); err != nil {
+				if err := bitsim.RandomEquivalent(n, n, 0, cycles, 1, bitsim.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -69,7 +69,7 @@ func BenchmarkSynchronizingSequence(b *testing.B) {
 		b.Run(name+"/bitsim", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sim.SynchronizingSequence(n, maxLen, tries, 1)
+				bitsim.SynchronizingSequence(n, maxLen, 1, bitsim.Options{Streams: tries})
 			}
 		})
 	}

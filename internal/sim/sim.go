@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/bitsim"
 	"repro/internal/logic"
 	"repro/internal/network"
 )
@@ -170,23 +169,10 @@ func (s *Simulator) AllDefined() bool {
 	return true
 }
 
-// RandomEquivalent drives both networks with the same random input vectors
-// for `cycles` cycles after a warm-up prefix of `delay` cycles (the paper's
-// delayed replacement: machines need only agree after k power-up cycles).
-// POs are matched by name. Returns nil if no mismatch was observed.
-//
-// The check runs on the bit-parallel engine (internal/bitsim) with 64
-// independent vector streams: stream 0 replays this package's scalar
-// sequence exactly (same RNG draws, same first-divergence error message,
-// same X-at-PO panic), and the 63 extra streams only add coverage. Use
-// RandomEquivalentScalar for the one-stream reference path.
-func RandomEquivalent(a, b *network.Network, delay, cycles int, seed int64) error {
-	return bitsim.RandomEquivalent(a, b, delay, cycles, seed, bitsim.Options{})
-}
-
 // RandomEquivalentScalar is the scalar (one vector per pass) reference
-// implementation of RandomEquivalent. It is kept as the oracle the bitsim
-// property suite pins against; callers should prefer RandomEquivalent.
+// implementation of bitsim.RandomEquivalent. It is kept as the oracle the
+// bitsim property suite pins against; callers should prefer
+// bitsim.RandomEquivalent.
 func RandomEquivalentScalar(a, b *network.Network, delay, cycles int, seed int64) error {
 	if len(a.PIs) != len(b.PIs) {
 		return fmt.Errorf("sim: PI count differs: %d vs %d", len(a.PIs), len(b.PIs))
@@ -236,27 +222,9 @@ func RandomEquivalentScalar(a, b *network.Network, delay, cycles int, seed int64
 	return nil
 }
 
-// SynchronizingSequence searches for an input sequence that drives the
-// network from the all-X state to a fully defined state under conservative
-// 3-valued simulation (a structural synchronizing sequence). It tries
-// random sequences up to maxLen; returns the sequence (one []bool per
-// cycle) or false.
-//
-// The search runs on the bit-parallel engine: all `tries` candidate
-// sequences advance together, 64 per word pass. The candidate streams
-// differ from the scalar path's RNG, so the returned sequence may differ
-// from SynchronizingSequenceScalar's — both are valid certificates (any
-// returned sequence synchronizes under 3-valued simulation), and the
-// result is deterministic for a given (maxLen, tries, seed).
-func SynchronizingSequence(n *network.Network, maxLen, tries int, seed int64) ([][]bool, bool) {
-	if tries <= 0 {
-		return nil, false
-	}
-	return bitsim.SynchronizingSequence(n, maxLen, seed, bitsim.Options{Streams: tries})
-}
-
 // SynchronizingSequenceScalar is the scalar reference implementation of
-// SynchronizingSequence, kept as the oracle for the bitsim property suite.
+// bitsim.SynchronizingSequence, kept as the oracle for the bitsim property
+// suite.
 func SynchronizingSequenceScalar(n *network.Network, maxLen, tries int, seed int64) ([][]bool, bool) {
 	s, err := New(n)
 	if err != nil {

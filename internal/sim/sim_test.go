@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/bitsim"
 	"repro/internal/logic"
 	"repro/internal/network"
 )
@@ -106,7 +107,7 @@ func TestThreeValuedDominance(t *testing.T) {
 func TestRandomEquivalentSelf(t *testing.T) {
 	n := buildCounter(t)
 	m := n.Clone()
-	if err := RandomEquivalent(n, m, 0, 200, 1); err != nil {
+	if err := bitsim.RandomEquivalent(n, m, 0, 200, 1, bitsim.Options{}); err != nil {
 		t.Fatalf("network not equivalent to its clone: %v", err)
 	}
 }
@@ -117,7 +118,7 @@ func TestRandomEquivalentCatchesBug(t *testing.T) {
 	// Corrupt the clone: carry becomes OR instead of AND.
 	c := m.FindNode("c")
 	m.SetFunction(c, c.Fanins, logic.MustParseCover(2, "1-", "-1"))
-	if err := RandomEquivalent(n, m, 0, 200, 1); err == nil {
+	if err := bitsim.RandomEquivalent(n, m, 0, 200, 1, bitsim.Options{}); err == nil {
 		t.Fatal("corrupted network reported equivalent")
 	}
 }
@@ -136,10 +137,10 @@ func TestDelayedReplacementPrefixMasksStartup(t *testing.T) {
 	}
 	a := build(network.V0)
 	b := build(network.V1)
-	if err := RandomEquivalent(a, b, 0, 50, 3); err == nil {
+	if err := bitsim.RandomEquivalent(a, b, 0, 50, 3, bitsim.Options{}); err == nil {
 		t.Fatal("differing initial outputs must be caught without prefix")
 	}
-	if err := RandomEquivalent(a, b, 1, 50, 3); err != nil {
+	if err := bitsim.RandomEquivalent(a, b, 1, 50, 3, bitsim.Options{}); err != nil {
 		t.Fatalf("1-cycle prefix must mask the initial difference: %v", err)
 	}
 }
@@ -159,7 +160,7 @@ func TestSynchronizingSequence(t *testing.T) {
 	l0.Driver = s0
 	l1.Driver = s1
 	n.AddPO("q", l1.Output)
-	seq, ok := SynchronizingSequence(n, 8, 50, 7)
+	seq, ok := bitsim.SynchronizingSequence(n, 8, 7, bitsim.Options{Streams: 50})
 	if !ok {
 		t.Fatal("no synchronizing sequence found for resettable shift register")
 	}
@@ -180,7 +181,7 @@ func TestSynchronizingSequenceImpossible(t *testing.T) {
 	if err := n.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := SynchronizingSequence(n, 10, 20, 9); ok {
+	if _, ok := bitsim.SynchronizingSequence(n, 10, 9, bitsim.Options{Streams: 20}); ok {
 		t.Fatal("toggle flip-flop cannot have a structural synchronizing sequence")
 	}
 }

@@ -71,7 +71,7 @@ func TestPropertySweepMatchesReach(t *testing.T) {
 		if len(n.Latches) > reach.DefaultLimits.MaxLatches {
 			continue
 		}
-		a, err := reach.Analyze(n, reach.DefaultLimits)
+		a, err := reach.Analyze(context.Background(), n, reach.DefaultLimits, nil)
 		if errors.Is(err, reach.ErrTooLarge) {
 			continue
 		}

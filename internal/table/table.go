@@ -211,7 +211,7 @@ func runCircuit(ctx context.Context, c bench.Circuit, lib *genlib.Library, opt O
 		Sweep:      opt.Sweep,
 		InductionK: opt.InductionK,
 	}
-	sd, ret, rsyn, err := flows.RunAllCtx(ctx, src, lib, cfg)
+	sd, ret, rsyn, err := flows.RunAll(ctx, src, lib, cfg)
 	csp.End()
 	if err != nil {
 		fmt.Fprintf(&errs, "%s: flow failed: %v\n", c.Name, err)
@@ -219,7 +219,7 @@ func runCircuit(ctx context.Context, c bench.Circuit, lib *genlib.Library, opt O
 	}
 	if opt.Verify {
 		for i, res := range []*flows.Result{sd, ret, rsyn} {
-			if err := flows.VerifyCfg(ctx, src, res, cfg); err != nil {
+			if _, err := flows.VerifyVerdict(ctx, src, res, cfg); err != nil {
 				fmt.Fprintf(&errs, "%s: flow %d FAILED VERIFICATION: %v\n", c.Name, i, err)
 				r.verifyFail = true
 				return r
