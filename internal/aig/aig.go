@@ -19,7 +19,7 @@
 // input (CI) nodes; primary outputs and latch next-state functions are
 // combinational output literals. Converters to and from network.Network
 // live in convert.go, depth-oriented restructuring in balance.go, and the
-// k-feasible-cut LUT mapper in cuts.go.
+// 4-cut rewriting engine in rewrite.go.
 package aig
 
 import (

@@ -268,69 +268,3 @@ func TestBalancePreservesSequential(t *testing.T) {
 		t.Fatalf("balanced graph diverges from source: %v", err)
 	}
 }
-
-func TestMapForDelay(t *testing.T) {
-	src := bench.Synthetic(bench.Profile{Name: "lut", PIs: 8, POs: 6, FFs: 6, Gates: 120, Seed: 3})
-	g, err := FromNetwork(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 2; k <= MaxLutK; k++ {
-		m, err := g.MapForDelay(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.NumLUTs() == 0 {
-			t.Fatalf("k=%d: empty mapping for a %d-AND graph", k, g.NumAnds())
-		}
-		for _, lut := range m.LUTs {
-			if len(lut.Leaves) > k {
-				t.Fatalf("k=%d: LUT at %d has %d leaves", k, lut.Root, len(lut.Leaves))
-			}
-		}
-		if int(m.Depth) > int(g.Depth()) {
-			t.Errorf("k=%d: LUT depth %d exceeds AIG depth %d", k, m.Depth, g.Depth())
-		}
-		mapped, err := m.ToNetwork()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := bitsim.RandomEquivalent(src, mapped, 0, 128, int64(k), bitsim.Options{}); err != nil {
-			t.Fatalf("k=%d: mapped network diverges: %v", k, err)
-		}
-	}
-	// Wider LUTs can only help depth.
-	m4, _ := g.MapForDelay(4)
-	m6, _ := g.MapForDelay(6)
-	if m6.Depth > m4.Depth {
-		t.Errorf("k=6 depth %d worse than k=4 depth %d", m6.Depth, m4.Depth)
-	}
-	if _, err := g.MapForDelay(1); err == nil {
-		t.Error("k=1 accepted")
-	}
-	if _, err := g.MapForDelay(7); err == nil {
-		t.Error("k=7 accepted")
-	}
-}
-
-func TestTtToCover(t *testing.T) {
-	// Every 3-variable function: the extracted cover must evaluate back to
-	// the truth table.
-	for tt := uint64(0); tt < 256; tt++ {
-		cov := ttToCover(tt, 3)
-		for m := 0; m < 8; m++ {
-			assign := []bool{m&1 != 0, m&2 != 0, m&4 != 0}
-			want := tt>>m&1 == 1
-			got := false
-			for _, cu := range cov.Cubes {
-				if cu.Eval(assign) {
-					got = true
-					break
-				}
-			}
-			if got != want {
-				t.Fatalf("tt %02x minterm %d: cover says %v, table says %v", tt, m, got, want)
-			}
-		}
-	}
-}

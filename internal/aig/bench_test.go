@@ -8,8 +8,7 @@ import (
 )
 
 // benchCircuit is an s5378-profile synthetic: the largest Table I row,
-// big enough that strash, balance and cut enumeration dominate over
-// per-call overhead.
+// big enough that strash and balance dominate over per-call overhead.
 func benchCircuit(b *testing.B) *network.Network {
 	b.Helper()
 	return bench.Synthetic(bench.Profile{
@@ -47,27 +46,6 @@ func BenchmarkSweepBalance(b *testing.B) {
 		bal := g.Balance()
 		if i == 0 {
 			b.ReportMetric(float64(bal.Depth()), "levels")
-		}
-	}
-}
-
-func BenchmarkMapForDelay(b *testing.B) {
-	src := benchCircuit(b)
-	g, err := FromNetwork(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g.Sweep()
-	bal := g.Balance()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := bal.MapForDelay(4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(m.NumLUTs()), "luts")
 		}
 	}
 }

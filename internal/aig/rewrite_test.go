@@ -93,7 +93,7 @@ func rewriteSuite(t *testing.T) map[string]*Graph {
 			continue
 		}
 		if src.NumLogicNodes() > 3000 {
-			continue // keep the unit suite fast; large rows run in benchflows
+			continue // keep the unit suite fast
 		}
 		g, err := FromNetwork(src)
 		if err != nil {

@@ -122,8 +122,8 @@ func TableI() []Circuit {
 // handle"). They are deliberately NOT part of TableI(): at tens of
 // thousands of gates the SOP substrate's two-level covers blow past any
 // reasonable pass budget, which is exactly the wall the AIG substrate
-// exists to break — benchflows -aig-bench runs both substrates over this
-// suite and records who finishes.
+// exists to break. The benchmark's large-script-aig workload runs the AIG
+// script flow over three of these rows.
 func Large() []Circuit {
 	return []Circuit{
 		{"s9234", KindISCASSynthetic, fromProfile(Profile{"s9234", 19, 22, 228, 5597, 9234})},

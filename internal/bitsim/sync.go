@@ -11,7 +11,7 @@ import (
 // syncHit is one block's best synchronizing-sequence candidate.
 type syncHit struct {
 	found       bool
-	cycle, lane int     // absolute lane index, earliest (cycle, lane) in block
+	cycle, lane int      // absolute lane index, earliest (cycle, lane) in block
 	seq         [][]bool // the winning lane's input vectors, len cycle+1
 }
 

@@ -2,7 +2,6 @@ package flows
 
 import (
 	"context"
-	"math"
 
 	"repro/internal/aig"
 	"repro/internal/network"
@@ -113,26 +112,4 @@ func aigRestructure(ctx context.Context, work *network.Network, tr *obs.Tracer, 
 	sp.Add("aig_cuts_pruned", pruned)
 	sp.Add("aig_wave_count", waves)
 	return best.ToSubjectNetwork()
-}
-
-// RestructureAIG applies the AIG substrate's technology-independent
-// optimization to work and returns the restructured subject network. It is
-// the pass ScriptDelay runs for Config{Substrate: SubstrateAIG},
-// exported so benchmark harnesses (benchflows -aig-bench) measure exactly
-// the production pass rather than a reimplementation. Only cfg.Workers,
-// cfg.RewriteIters, and cfg.Tracer are consulted.
-func RestructureAIG(ctx context.Context, work *network.Network, cfg Config) (*network.Network, error) {
-	return aigRestructure(ctx, work, cfg.Tracer, cfg)
-}
-
-// PeriodClass buckets a mapped clock period into a factor-of-two
-// comparability class: two implementations of the same circuit land in the
-// same class unless one is better than the other by 2x or more. The
-// substrate property test holds both substrates to the same class over the
-// paper registry.
-func PeriodClass(clk float64) int {
-	if clk <= 1 {
-		return 0
-	}
-	return int(math.Floor(math.Log2(clk)))
 }

@@ -47,10 +47,10 @@ func TestShouldGrowThreshold(t *testing.T) {
 		want                         bool
 	}{
 		{0, 0, 16, false},
-		{11, 0, 16, false},  // 11/16 < 3/4
-		{12, 0, 16, true},   // exactly 3/4
-		{8, 4, 16, true},    // tombstones count toward load
-		{8, 3, 16, false},   // 11/16 again
+		{11, 0, 16, false}, // 11/16 < 3/4
+		{12, 0, 16, true},  // exactly 3/4
+		{8, 4, 16, true},   // tombstones count toward load
+		{8, 3, 16, false},  // 11/16 again
 		{767, 0, 1024, false},
 		{768, 0, 1024, true},
 	}

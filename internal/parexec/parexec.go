@@ -1,6 +1,8 @@
 // Package parexec is the deterministic worker pool behind the parallel
-// evaluation flows: tablegen's circuit×flow matrix, benchflows and the
-// fault-acceptance sweep all fan their independent work items through it.
+// evaluation flows: tablegen's circuit×flow matrix, the AIG rewrite
+// waves, the sweep proof shards, bitsim's stream blocks, resynd's job
+// queue and the fault-acceptance sweep all fan their independent work
+// items through it.
 //
 // Determinism contract: results are collected by input index, so Map's
 // output (and therefore anything serialized from it, such as Table-I rows

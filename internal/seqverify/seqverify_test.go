@@ -143,28 +143,48 @@ func TestTooLarge(t *testing.T) {
 	}
 }
 
-// TestCheckProvedByInduction drives the sweep fallback: a 21-register
-// circuit makes the product machine (42 registers) too large for exact
-// reachability, so Check must first fail without Sweep and then prove
-// the clone pair by induction with it.
+// TestCheckProvedByInduction proves registry circuits against their
+// clones. Rows whose product machine fits the exact engine keep its
+// verdict; rows past the latch limit must first fail without Sweep and
+// then be proved by K-induction with it. -short skips s5378 (~4 s).
 func TestCheckProvedByInduction(t *testing.T) {
-	c, ok := bench.ByName("s382")
-	if !ok {
-		t.Fatal("s382 not in registry")
-	}
-	n, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Check(context.Background(), n, n.Clone(), Options{}); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("without Sweep: err = %v, want ErrTooLarge", err)
-	}
-	v, err := Check(context.Background(), n, n.Clone(), Options{Sweep: true})
-	if err != nil {
-		t.Fatalf("with Sweep: %v", err)
-	}
-	if v != VerdictInduction {
-		t.Fatalf("verdict = %q, want %q", v, VerdictInduction)
+	for _, tc := range []struct {
+		circuit string
+		want    Verdict
+	}{
+		{"s27", VerdictExact},
+		{"s298", VerdictExact},
+		{"s382", VerdictInduction},
+		{"s400", VerdictInduction},
+		{"s526", VerdictInduction},
+		{"s641", VerdictInduction},
+		{"s5378", VerdictInduction},
+	} {
+		t.Run(tc.circuit, func(t *testing.T) {
+			if tc.circuit == "s5378" && testing.Short() {
+				t.Skip("large row skipped under -short")
+			}
+			c, ok := bench.ByName(tc.circuit)
+			if !ok {
+				t.Fatalf("%s not in registry", tc.circuit)
+			}
+			n, err := c.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.want == VerdictInduction {
+				if _, err := Check(context.Background(), n, n.Clone(), Options{}); !errors.Is(err, ErrTooLarge) {
+					t.Fatalf("without Sweep: err = %v, want ErrTooLarge", err)
+				}
+			}
+			v, err := Check(context.Background(), n, n.Clone(), Options{Sweep: true})
+			if err != nil {
+				t.Fatalf("with Sweep: %v", err)
+			}
+			if v != tc.want {
+				t.Fatalf("verdict = %q, want %q", v, tc.want)
+			}
+		})
 	}
 }
 

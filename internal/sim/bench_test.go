@@ -51,8 +51,8 @@ func BenchmarkRandomEquivalent(b *testing.B) {
 	}
 }
 
-// BenchmarkSynchronizingSequence compares the scalar try-by-try search
-// against the 64-candidates-per-word bitsim search.
+// BenchmarkSynchronizingSequence times the 64-candidates-per-word bitsim
+// search for a synchronizing sequence.
 func BenchmarkSynchronizingSequence(b *testing.B) {
 	const (
 		maxLen = 40
@@ -60,12 +60,6 @@ func BenchmarkSynchronizingSequence(b *testing.B) {
 	)
 	for _, name := range []string{"s298", "s344"} {
 		n := benchCircuit(b, name)
-		b.Run(name+"/scalar", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sim.SynchronizingSequenceScalar(n, maxLen, tries, 1)
-			}
-		})
 		b.Run(name+"/bitsim", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -1,8 +1,9 @@
 // Package sim provides two-valued and three-valued (0/1/X) simulation of
-// sequential networks, random-vector equivalence spot-checks with the
-// paper's delayed-replacement semantics, and structural synchronizing-
-// sequence search based on conservative 3-valued simulation (the class of
-// synchronizing sequences that Section II notes is preserved by retiming).
+// sequential networks, one vector per pass, the scalar random-vector
+// equivalence spot-check with the paper's delayed-replacement semantics,
+// and the spot-check budgets the verifiers share (DefaultSpotCheck). The
+// simulator and the scalar check are the reference the bit-parallel
+// engine in internal/bitsim is tested against.
 package sim
 
 import (
@@ -220,42 +221,4 @@ func RandomEquivalentScalar(a, b *network.Network, delay, cycles int, seed int64
 		}
 	}
 	return nil
-}
-
-// SynchronizingSequenceScalar is the scalar reference implementation of
-// bitsim.SynchronizingSequence, kept as the oracle for the bitsim property
-// suite.
-func SynchronizingSequenceScalar(n *network.Network, maxLen, tries int, seed int64) ([][]bool, bool) {
-	s, err := New(n)
-	if err != nil {
-		return nil, false
-	}
-	r := rand.New(rand.NewSource(seed))
-	for t := 0; t < tries; t++ {
-		// Start from all-X.
-		x := make([]network.Value, len(n.Latches))
-		for i := range x {
-			x[i] = network.VX
-		}
-		s.SetState(x)
-		var seq [][]bool
-		for c := 0; c < maxLen; c++ {
-			bits := make([]bool, len(n.PIs))
-			pi := make(map[*network.Node]network.Value, len(bits))
-			for i, p := range n.PIs {
-				bits[i] = r.Intn(2) == 1
-				if bits[i] {
-					pi[p] = network.V1
-				} else {
-					pi[p] = network.V0
-				}
-			}
-			seq = append(seq, bits)
-			s.Step3(pi)
-			if s.AllDefined() {
-				return seq, true
-			}
-		}
-	}
-	return nil, false
 }

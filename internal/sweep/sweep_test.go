@@ -152,13 +152,15 @@ func TestDelayedDisproofHonoursPrefix(t *testing.T) {
 
 // TestSweepDeterminism demands byte-identical results at any worker
 // width: the fixed chunking must make the counterexample stream — and
-// through it every derived number — independent of scheduling.
+// through it every derived number — independent of scheduling. It covers
+// register sweeping of one circuit and the equivalence proof of a circuit
+// against its clone.
 func TestSweepDeterminism(t *testing.T) {
-	for _, name := range []string{"planet", "s510", "s820"} {
-		n := build(t, name)
+	check := func(name string, run func(workers int) (*sweep.Result, error)) {
+		t.Helper()
 		var got []*sweep.Result
 		for _, workers := range []int{1, 8} {
-			res, err := sweep.Registers(context.Background(), n, sweep.Options{Workers: workers})
+			res, err := run(workers)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
@@ -168,6 +170,18 @@ func TestSweepDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(got[0], got[1]) {
 			t.Fatalf("%s: workers=1 gave %+v, workers=8 gave %+v", name, got[0], got[1])
 		}
+	}
+	for _, name := range []string{"planet", "s510", "s820"} {
+		n := build(t, name)
+		check(name, func(workers int) (*sweep.Result, error) {
+			return sweep.Registers(context.Background(), n, sweep.Options{Workers: workers})
+		})
+	}
+	for _, name := range []string{"s382", "s641"} {
+		n := build(t, name)
+		check(name+" vs clone", func(workers int) (*sweep.Result, error) {
+			return sweep.ProveEquivalent(context.Background(), n, n.Clone(), 0, sweep.Options{Workers: workers})
+		})
 	}
 }
 
