@@ -66,20 +66,14 @@ type Library struct {
 	Gates []*Gate
 	// RegisterArea is charged per register when reporting mapped area.
 	RegisterArea float64
-	// byCanon maps (pins, canonical tt) to candidate gates with the
-	// permutation that canonicalizes them.
-	byCanon map[canonKey][]match
+	// matches holds, for every permutation image (pins, tt) of every gate,
+	// the gates implementing it with their pin assignments.
+	matches map[matchKey][]Match
 }
 
-type canonKey struct {
+type matchKey struct {
 	pins int
 	tt   uint16
-}
-
-type match struct {
-	g *Gate
-	// perm maps canonical variable index -> gate pin.
-	perm []int
 }
 
 // evalTT computes a cover's truth table over n ≤ 4 variables.
@@ -156,8 +150,12 @@ func CanonTT(tt uint16, n int) (uint16, []int) {
 
 // NewLibrary indexes the given gates for matching.
 func NewLibrary(name string, regArea float64, gates []*Gate) (*Library, error) {
-	lib := &Library{Name: name, Gates: gates, RegisterArea: regArea,
-		byCanon: make(map[canonKey][]match)}
+	type canonGate struct {
+		g *Gate
+		// perm maps canonical variable index -> gate pin.
+		perm []int
+	}
+	byCanon := make(map[matchKey][]canonGate)
 	for _, g := range gates {
 		n := g.NumPins()
 		if n > 4 {
@@ -167,13 +165,35 @@ func NewLibrary(name string, regArea float64, gates []*Gate) (*Library, error) {
 			return nil, fmt.Errorf("genlib: gate %s: %d cover vars for %d pins", g.Name, g.Func.N, n)
 		}
 		g.tt = evalTT(g.Func, n)
-		// Index under every permutation image so lookup is a single probe:
-		// store the canonical form with its canonicalizing permutation.
 		canon, perm := CanonTT(g.tt, n)
-		key := canonKey{n, canon}
-		// perm maps canonical var -> ... permuteTT(tt, perm) semantics:
-		// new var i is old var perm[i]; canonical var i = gate pin perm[i].
-		lib.byCanon[key] = append(lib.byCanon[key], match{g: g, perm: perm})
+		key := matchKey{n, canon}
+		byCanon[key] = append(byCanon[key], canonGate{g, perm})
+	}
+	// Index under every permutation image so lookup is a single probe. A
+	// query tt over n variables matches exactly the gates whose canonical
+	// form equals its own, and every such tt is an image of those gates.
+	lib := &Library{Name: name, Gates: gates, RegisterArea: regArea,
+		matches: make(map[matchKey][]Match)}
+	for _, g := range gates {
+		n := g.NumPins()
+		for _, p := range permutations(n) {
+			tt := permuteTT(g.tt, n, p)
+			if _, done := lib.matches[matchKey{n, tt}]; done {
+				continue
+			}
+			canon, permQ := CanonTT(tt, n)
+			var ms []Match
+			for _, c := range byCanon[matchKey{n, canon}] {
+				// canonical var i corresponds to query var permQ[i] and to
+				// gate pin c.perm[i]; so query var permQ[i] -> pin c.perm[i].
+				pinFor := make([]int, n)
+				for i := 0; i < n; i++ {
+					pinFor[permQ[i]] = c.perm[i]
+				}
+				ms = append(ms, Match{G: c.g, PinFor: pinFor})
+			}
+			lib.matches[matchKey{n, tt}] = ms
+		}
 	}
 	return lib, nil
 }
@@ -186,19 +206,13 @@ type Match struct {
 }
 
 // Match looks up gates whose function equals tt over n variables, up to
-// input permutation.
+// input permutation, in library order. Bits of tt above minterm 2^n-1 are
+// ignored. The returned slice and its PinFor slices are shared by every
+// caller of the library, including concurrent ones, and must not be
+// modified.
 func (lib *Library) Match(tt uint16, n int) []Match {
-	canon, permQ := CanonTT(tt, n)
-	cands := lib.byCanon[canonKey{n, canon}]
-	out := make([]Match, 0, len(cands))
-	for _, c := range cands {
-		// canonical var i corresponds to query var permQ[i] and to gate
-		// pin c.perm[i]; so query var permQ[i] -> pin c.perm[i].
-		pinFor := make([]int, n)
-		for i := 0; i < n; i++ {
-			pinFor[permQ[i]] = c.perm[i]
-		}
-		out = append(out, Match{G: c.g, PinFor: pinFor})
+	if n < 4 {
+		tt &= uint16(1)<<(1<<uint(n)) - 1
 	}
-	return out
+	return lib.matches[matchKey{n, tt}]
 }

@@ -1,6 +1,7 @@
 package genlib
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/logic"
@@ -145,3 +146,59 @@ func TestBoundAnnotation(t *testing.T) {
 		t.Fatal("PinOf not applied")
 	}
 }
+
+// referenceMatcher returns the per-call matcher the library's match
+// table replaces: canonicalize the query, then pair its canonicalizing
+// permutation with that of each gate of the same canonical form.
+func referenceMatcher(lib *Library) func(tt uint16, n int) []Match {
+	type canonGate struct {
+		g    *Gate
+		perm []int
+	}
+	byCanon := map[matchKey][]canonGate{}
+	for _, g := range lib.Gates {
+		canon, perm := CanonTT(g.TT(), g.NumPins())
+		key := matchKey{g.NumPins(), canon}
+		byCanon[key] = append(byCanon[key], canonGate{g, perm})
+	}
+	return func(tt uint16, n int) []Match {
+		canon, permQ := CanonTT(tt, n)
+		var out []Match
+		for _, c := range byCanon[matchKey{n, canon}] {
+			pinFor := make([]int, n)
+			for i := 0; i < n; i++ {
+				pinFor[permQ[i]] = c.perm[i]
+			}
+			out = append(out, Match{G: c.g, PinFor: pinFor})
+		}
+		return out
+	}
+}
+
+func TestMatchTableEqualsReference(t *testing.T) {
+	lib := Lib2()
+	reference := referenceMatcher(lib)
+	for n := 0; n <= 4; n++ {
+		for tt := 0; tt < 1<<(1<<uint(n)); tt++ {
+			got, want := lib.Match(uint16(tt), n), reference(uint16(tt), n)
+			if len(got) != len(want) {
+				t.Fatalf("n=%d tt=%04x: %d matches, want %d", n, tt, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].G != want[i].G || !slices.Equal(got[i].PinFor, want[i].PinFor) {
+					t.Fatalf("n=%d tt=%04x match %d: %s %v, want %s %v", n, tt, i,
+						got[i].G.Name, got[i].PinFor, want[i].G.Name, want[i].PinFor)
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkLib2(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchLib = Lib2()
+	}
+}
+
+var benchLib *Library

@@ -23,92 +23,112 @@ const (
 	maxCutsPerNode = 16
 )
 
+// cut is a set of at most maxCutLeaves leaves sorted by ID, with the
+// truth table of its root over them (leaf i is variable i).
 type cut struct {
-	leaves []*network.Node // sorted by ID
+	leaves [maxCutLeaves]*network.Node
+	n      int
 	tt     uint16
 }
 
-func cutKey(leaves []*network.Node) string {
-	k := ""
-	for _, l := range leaves {
-		k += fmt.Sprintf("%d,", l.ID)
+// cutKey identifies a cut by its leaf IDs; unused slots hold -1.
+type cutKey [maxCutLeaves]int
+
+func (c *cut) key() cutKey {
+	k := cutKey{-1, -1, -1, -1}
+	for i, l := range c.leaves[:c.n] {
+		k[i] = l.ID
 	}
 	return k
 }
 
-// mergeLeaves unions two sorted leaf sets, returning nil if above limit.
-func mergeLeaves(a, b []*network.Node) []*network.Node {
-	out := make([]*network.Node, 0, len(a)+len(b))
+func trivialCut(v *network.Node) cut {
+	return cut{leaves: [maxCutLeaves]*network.Node{v}, n: 1, tt: 0xAAAA}
+}
+
+// mergeCuts unions the leaves of two cuts, failing above maxCutLeaves.
+func mergeCuts(a, b *cut) (cut, bool) {
+	var out cut
 	i, j := 0, 0
-	for i < len(a) || j < len(b) {
+	for i < a.n || j < b.n {
+		var x *network.Node
 		switch {
-		case j >= len(b) || (i < len(a) && a[i].ID < b[j].ID):
-			out = append(out, a[i])
+		case j >= b.n || (i < a.n && a.leaves[i].ID < b.leaves[j].ID):
+			x = a.leaves[i]
 			i++
-		case i >= len(a) || b[j].ID < a[i].ID:
-			out = append(out, b[j])
+		case i >= a.n || b.leaves[j].ID < a.leaves[i].ID:
+			x = b.leaves[j]
 			j++
 		default:
-			out = append(out, a[i])
+			x = a.leaves[i]
 			i++
 			j++
 		}
-		if len(out) > maxCutLeaves {
-			return nil
+		if out.n == maxCutLeaves {
+			return cut{}, false
 		}
+		out.leaves[out.n] = x
+		out.n++
 	}
-	return out
+	return out, true
 }
 
-// coneTT evaluates the truth table of v over the cut leaves.
-func coneTT(v *network.Node, leaves []*network.Node) (uint16, bool) {
-	idx := make(map[*network.Node]int, len(leaves))
-	for i, l := range leaves {
-		idx[l] = i
-	}
+// coneEval computes cut truth tables. The cone of the root is evaluated
+// down to the cut's leaves and no further: a leaf is a free variable even
+// where other leaves compute it, so a cut's table is not in general the
+// composition of its fanin cuts' tables (DESIGN.md §8). memo[id] is node
+// id's table over the current cut while stamp[id] == epoch, so no
+// evaluation has to clear the arrays.
+type coneEval struct {
+	stamp []int
+	memo  []uint16
+	epoch int
+}
+
+// tt evaluates the truth table of v over the leaves of c; false means the
+// cone escapes the cut.
+func (e *coneEval) tt(v *network.Node, c *cut) (uint16, bool) {
+	e.epoch++
 	// Projection patterns for up to 4 variables over 16 minterms.
-	proj := [4]uint16{0xAAAA, 0xCCCC, 0xF0F0, 0xFF00}
-	memo := make(map[*network.Node]uint16)
-	var eval func(x *network.Node) (uint16, bool)
-	eval = func(x *network.Node) (uint16, bool) {
-		if i, ok := idx[x]; ok {
-			return proj[i], true
-		}
-		if t, ok := memo[x]; ok {
-			return t, true
-		}
-		if x.Kind != network.KindLogic {
-			return 0, false // cone escapes the cut
-		}
-		fanTT := make([]uint16, len(x.Fanins))
-		for i, fi := range x.Fanins {
-			t, ok := eval(fi)
-			if !ok {
-				return 0, false
-			}
-			fanTT[i] = t
-		}
-		var out uint16
-		for _, c := range x.Func.Cubes {
-			cube := uint16(0xFFFF)
-			for pin := 0; pin < c.N; pin++ {
-				switch c.Lit(pin) {
-				case logic.LitPos:
-					cube &= fanTT[pin]
-				case logic.LitNeg:
-					cube &= ^fanTT[pin]
-				case logic.LitNone:
-					cube = 0
-				}
-			}
-			out |= cube
-		}
-		memo[x] = out
-		return out, true
+	proj := [maxCutLeaves]uint16{0xAAAA, 0xCCCC, 0xF0F0, 0xFF00}
+	for i, l := range c.leaves[:c.n] {
+		e.stamp[l.ID], e.memo[l.ID] = e.epoch, proj[i]
 	}
-	return eval(v)
+	return e.eval(v)
 }
 
+func (e *coneEval) eval(x *network.Node) (uint16, bool) {
+	if e.stamp[x.ID] == e.epoch {
+		return e.memo[x.ID], true
+	}
+	if x.Kind != network.KindLogic {
+		return 0, false // cone escapes the cut
+	}
+	for _, fi := range x.Fanins {
+		if _, ok := e.eval(fi); !ok {
+			return 0, false
+		}
+	}
+	var out uint16
+	for _, c := range x.Func.Cubes {
+		cube := uint16(0xFFFF)
+		for pin := 0; pin < c.N; pin++ {
+			switch c.Lit(pin) {
+			case logic.LitPos:
+				cube &= e.memo[x.Fanins[pin].ID]
+			case logic.LitNeg:
+				cube &= ^e.memo[x.Fanins[pin].ID]
+			case logic.LitNone:
+				cube = 0
+			}
+		}
+		out |= cube
+	}
+	e.stamp[x.ID], e.memo[x.ID] = e.epoch, out
+	return out, true
+}
+
+// choice is a node's best cover; match.G is nil for a node not mapped.
 type choice struct {
 	cut   cut
 	match genlib.Match
@@ -126,37 +146,62 @@ type choice struct {
 func MapDelay(ctx context.Context, n *network.Network, lib *genlib.Library, tr *obs.Tracer) (*network.Network, error) {
 	sp := tr.Begin("mapper.map_delay")
 	defer sp.End()
-	cutsEnumerated, candidatesTried := 0, 0
-	m, err := mapDelay(ctx, n, lib, &cutsEnumerated, &candidatesTried)
-	sp.Add("mapper_cuts", int64(cutsEnumerated))
-	sp.Add("mapper_candidates", int64(candidatesTried))
-	return m, err
-}
-
-func mapDelay(ctx context.Context, n *network.Network, lib *genlib.Library, cutsEnumerated, candidatesTried *int) (*network.Network, error) {
-	order, err := n.TopoOrder()
+	s := newMapState(n, lib)
+	err := s.run(ctx, n)
+	sp.Add("mapper_cuts", int64(s.cutsEnumerated))
+	sp.Add("mapper_candidates", int64(s.candidatesTried))
 	if err != nil {
 		return nil, err
 	}
-	cuts := make(map[*network.Node][]cut)
-	arr := make(map[*network.Node]float64)
-	best := make(map[*network.Node]*choice)
+	return extract(n, s.best)
+}
 
-	trivial := func(v *network.Node) cut {
-		return cut{leaves: []*network.Node{v}, tt: 0xAAAA}
+// mapState is the delay DP over one network. Per-node state is indexed
+// by Node.ID; seen and cand are buffers reused from node to node.
+type mapState struct {
+	lib  *genlib.Library
+	cuts [][]cut
+	arr  []float64
+	best []choice
+	cone coneEval
+	seen map[cutKey]struct{}
+	cand []cut
+
+	cutsEnumerated, candidatesTried int
+}
+
+func newMapState(n *network.Network, lib *genlib.Library) *mapState {
+	size := 0
+	for _, v := range n.Nodes() {
+		size = max(size, v.ID+1)
+	}
+	return &mapState{
+		lib:  lib,
+		cuts: make([][]cut, size),
+		arr:  make([]float64, size),
+		best: make([]choice, size),
+		cone: coneEval{stamp: make([]int, size), memo: make([]uint16, size)},
+		seen: make(map[cutKey]struct{}),
+	}
+}
+
+// run chooses, in topological order, the cut and gate that minimize each
+// node's arrival time, breaking ties by gate area.
+func (s *mapState) run(ctx context.Context, n *network.Network) error {
+	order, err := n.TopoOrder()
+	if err != nil {
+		return err
 	}
 	for _, p := range n.PIs {
-		cuts[p] = []cut{trivial(p)}
-		arr[p] = 0
+		s.cuts[p.ID] = []cut{trivialCut(p)}
 	}
 	for _, l := range n.Latches {
-		cuts[l.Output] = []cut{trivial(l.Output)}
-		arr[l.Output] = 0
+		s.cuts[l.Output.ID] = []cut{trivialCut(l.Output)}
 	}
 
 	for _, v := range order {
 		if cerr := guard.Check(ctx, "mapper.map_delay"); cerr != nil {
-			return nil, fmt.Errorf("mapper: cut enumeration interrupted: %w", cerr)
+			return fmt.Errorf("mapper: cut enumeration interrupted: %w", cerr)
 		}
 		// Constant nodes map directly to tie cells.
 		if len(v.Fanins) == 0 {
@@ -164,113 +209,109 @@ func mapDelay(ctx context.Context, n *network.Network, lib *genlib.Library, cuts
 			if !v.Func.IsZeroFunction() {
 				tt = 0xFFFF
 			}
-			var m []genlib.Match
-			if tt == 0 {
-				m = lib.Match(0, 0)
-			} else {
-				m = lib.Match(1, 0)
-			}
+			m := s.lib.Match(tt, 0)
 			if len(m) == 0 {
-				return nil, fmt.Errorf("mapper: library lacks tie cells")
+				return fmt.Errorf("mapper: library lacks tie cells")
 			}
-			best[v] = &choice{cut: cut{leaves: nil, tt: tt}, match: m[0], arr: 0, area: m[0].G.Area}
-			arr[v] = 0
-			cuts[v] = []cut{trivial(v)}
+			s.best[v.ID] = choice{cut: cut{tt: tt}, match: m[0], area: m[0].G.Area}
+			s.cuts[v.ID] = []cut{trivialCut(v)}
 			continue
 		}
-		// Enumerate cuts: cross-merge fanin cuts.
-		seen := map[string]bool{}
-		var cand []cut
-		addCut := func(leaves []*network.Node) {
-			if leaves == nil {
-				return
-			}
-			k := cutKey(leaves)
-			if seen[k] {
-				return
-			}
-			seen[k] = true
-			tt, ok := coneTT(v, leaves)
-			if !ok {
-				return
-			}
-			*cutsEnumerated++
-			cand = append(cand, cut{leaves: leaves, tt: tt})
-		}
-		switch len(v.Fanins) {
-		case 1:
-			for _, c0 := range cuts[v.Fanins[0]] {
-				addCut(c0.leaves)
-			}
-		case 2:
-			for _, c0 := range cuts[v.Fanins[0]] {
-				for _, c1 := range cuts[v.Fanins[1]] {
-					addCut(mergeLeaves(c0.leaves, c1.leaves))
-				}
-			}
-		default:
-			// Wider nodes: immediate-fanin cut only.
-			leaves := make([]*network.Node, len(v.Fanins))
-			copy(leaves, v.Fanins)
-			sort.Slice(leaves, func(i, j int) bool { return leaves[i].ID < leaves[j].ID })
-			if len(leaves) <= maxCutLeaves {
-				addCut(leaves)
-			}
-		}
+		cand := s.enumerate(v)
 		if len(cand) == 0 {
-			return nil, fmt.Errorf("mapper: no feasible cut at node %s", v.Name)
+			return fmt.Errorf("mapper: no feasible cut at node %s", v.Name)
 		}
 		// DP: choose the cut+gate minimizing arrival (area tie-break).
-		var bc *choice
-		for _, c := range cand {
-			nLeaves := len(c.leaves)
-			// Compact the tt to the significant variables only.
-			for _, m := range lib.Match(truncTT(c.tt, nLeaves), nLeaves) {
-				*candidatesTried++
+		var bc choice
+		for i := range cand {
+			c := &cand[i]
+			for _, m := range s.lib.Match(c.tt, c.n) {
+				s.candidatesTried++
 				a := 0.0
-				for li, leaf := range c.leaves {
-					la := arr[leaf] + m.G.PinDelays[m.PinFor[li]]
+				for li, leaf := range c.leaves[:c.n] {
+					la := s.arr[leaf.ID] + m.G.PinDelays[m.PinFor[li]]
 					if la > a {
 						a = la
 					}
 				}
-				if bc == nil || a < bc.arr-1e-12 ||
+				if bc.match.G == nil || a < bc.arr-1e-12 ||
 					(a < bc.arr+1e-12 && m.G.Area < bc.area) {
-					bc = &choice{cut: c, match: m, arr: a, area: m.G.Area}
+					bc = choice{cut: *c, match: m, arr: a, area: m.G.Area}
 				}
 			}
 		}
-		if bc == nil {
-			return nil, fmt.Errorf("mapper: no library match at node %s (function %v)", v.Name, v.Func)
+		if bc.match.G == nil {
+			return fmt.Errorf("mapper: no library match at node %s (function %v)", v.Name, v.Func)
 		}
-		best[v] = bc
-		arr[v] = bc.arr
-		// Keep a bounded cut set for consumers (prefer few leaves, then
-		// early arrival of the mapped node).
-		sort.SliceStable(cand, func(i, j int) bool {
-			return len(cand[i].leaves) < len(cand[j].leaves)
-		})
-		if len(cand) > maxCutsPerNode-1 {
-			cand = cand[:maxCutsPerNode-1]
+		s.best[v.ID] = bc
+		s.arr[v.ID] = bc.arr
+		// Keep a bounded cut set for consumers: the trivial cut, then the
+		// candidates by leaf count, stable in enumeration order.
+		kept := make([]cut, 1, min(len(cand)+1, maxCutsPerNode))
+		kept[0] = trivialCut(v)
+		for k := 1; k <= maxCutLeaves; k++ {
+			for i := 0; i < len(cand) && len(kept) < maxCutsPerNode; i++ {
+				if cand[i].n == k {
+					kept = append(kept, cand[i])
+				}
+			}
 		}
-		cuts[v] = append([]cut{trivial(v)}, cand...)
+		s.cuts[v.ID] = kept
 	}
-
-	return extract(n, lib, best)
+	return nil
 }
 
-// truncTT reduces a 4-var table to n significant variables.
-func truncTT(tt uint16, n int) uint16 {
-	bits := 1 << uint(n)
-	mask := uint16(1)<<uint(bits) - 1
-	if bits >= 16 {
-		mask = 0xFFFF
+// enumerate returns the distinct cuts of v with their truth tables, in
+// first-seen order: the cross-merges of the fanins' kept cuts, or the
+// immediate-fanin cut for wider nodes. The result is reused by the next
+// call.
+func (s *mapState) enumerate(v *network.Node) []cut {
+	clear(s.seen)
+	s.cand = s.cand[:0]
+	add := func(c cut) {
+		k := c.key()
+		if _, dup := s.seen[k]; dup {
+			return
+		}
+		s.seen[k] = struct{}{}
+		tt, ok := s.cone.tt(v, &c)
+		if !ok {
+			return
+		}
+		s.cutsEnumerated++
+		c.tt = tt
+		s.cand = append(s.cand, c)
 	}
-	return tt & mask
+	switch len(v.Fanins) {
+	case 1:
+		for _, c0 := range s.cuts[v.Fanins[0].ID] {
+			add(c0)
+		}
+	case 2:
+		cuts1 := s.cuts[v.Fanins[1].ID]
+		for i0 := range s.cuts[v.Fanins[0].ID] {
+			c0 := &s.cuts[v.Fanins[0].ID][i0]
+			for i1 := range cuts1 {
+				if c, ok := mergeCuts(c0, &cuts1[i1]); ok {
+					add(c)
+				}
+			}
+		}
+	default:
+		// Wider nodes: immediate-fanin cut only.
+		if len(v.Fanins) <= maxCutLeaves {
+			var c cut
+			c.n = copy(c.leaves[:], v.Fanins)
+			leaves := c.leaves[:c.n]
+			sort.Slice(leaves, func(i, j int) bool { return leaves[i].ID < leaves[j].ID })
+			add(c)
+		}
+	}
+	return s.cand
 }
 
 // extract builds the mapped network from the chosen covers.
-func extract(n *network.Network, lib *genlib.Library, best map[*network.Node]*choice) (*network.Network, error) {
+func extract(n *network.Network, best []choice) (*network.Network, error) {
 	m := network.New(n.Name + "_mapped")
 	old2new := make(map[*network.Node]*network.Node)
 	for _, p := range n.PIs {
@@ -294,11 +335,8 @@ func extract(n *network.Network, lib *genlib.Library, best map[*network.Node]*ch
 			return
 		}
 		required[v] = true
-		bc := best[v]
-		if bc == nil {
-			return
-		}
-		for _, leaf := range bc.cut.leaves {
+		bc := &best[v.ID]
+		for _, leaf := range bc.cut.leaves[:bc.cut.n] {
 			need(leaf)
 		}
 	}
@@ -317,12 +355,12 @@ func extract(n *network.Network, lib *genlib.Library, best map[*network.Node]*ch
 		if !required[v] {
 			continue
 		}
-		bc := best[v]
-		if bc == nil {
+		bc := &best[v.ID]
+		if bc.match.G == nil {
 			return nil, fmt.Errorf("mapper: required node %s has no mapping", v.Name)
 		}
-		fanins := make([]*network.Node, len(bc.cut.leaves))
-		for i, leaf := range bc.cut.leaves {
+		fanins := make([]*network.Node, bc.cut.n)
+		for i, leaf := range bc.cut.leaves[:bc.cut.n] {
 			nf, ok := old2new[leaf]
 			if !ok {
 				return nil, fmt.Errorf("mapper: leaf %s of %s not materialized", leaf.Name, v.Name)

@@ -2,11 +2,15 @@ package mapper
 
 import (
 	"context"
+	"errors"
 	"testing"
 
+	"repro/internal/aig"
 	"repro/internal/algebraic"
+	"repro/internal/bench"
 	"repro/internal/bitsim"
 	"repro/internal/genlib"
+	"repro/internal/guard"
 	"repro/internal/logic"
 	"repro/internal/network"
 	"repro/internal/seqverify"
@@ -174,3 +178,179 @@ func TestMapDeepNetworkEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// referenceConeTT is the map-based evaluator of v's truth table over the
+// cut leaves, stopping at every leaf.
+func referenceConeTT(v *network.Node, leaves []*network.Node) (uint16, bool) {
+	idx := make(map[*network.Node]int, len(leaves))
+	for i, l := range leaves {
+		idx[l] = i
+	}
+	proj := [4]uint16{0xAAAA, 0xCCCC, 0xF0F0, 0xFF00}
+	memo := make(map[*network.Node]uint16)
+	var eval func(x *network.Node) (uint16, bool)
+	eval = func(x *network.Node) (uint16, bool) {
+		if i, ok := idx[x]; ok {
+			return proj[i], true
+		}
+		if t, ok := memo[x]; ok {
+			return t, true
+		}
+		if x.Kind != network.KindLogic {
+			return 0, false
+		}
+		fanTT := make([]uint16, len(x.Fanins))
+		for i, fi := range x.Fanins {
+			t, ok := eval(fi)
+			if !ok {
+				return 0, false
+			}
+			fanTT[i] = t
+		}
+		var out uint16
+		for _, c := range x.Func.Cubes {
+			cube := uint16(0xFFFF)
+			for pin := 0; pin < c.N; pin++ {
+				switch c.Lit(pin) {
+				case logic.LitPos:
+					cube &= fanTT[pin]
+				case logic.LitNeg:
+					cube &= ^fanTT[pin]
+				case logic.LitNone:
+					cube = 0
+				}
+			}
+			out |= cube
+		}
+		memo[x] = out
+		return out, true
+	}
+	return eval(v)
+}
+
+// checkConeTTs maps n and compares every cut the DP enumerates with the
+// reference evaluator.
+func checkConeTTs(t *testing.T, n *network.Network) *mapState {
+	t.Helper()
+	s := newMapState(n, genlib.Lib2())
+	if err := s.run(context.Background(), n); err != nil {
+		t.Fatal(err)
+	}
+	order, err := n.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	enumerated, cuts := s.cutsEnumerated, 0
+	for _, v := range order {
+		if len(v.Fanins) == 0 {
+			continue
+		}
+		for _, c := range s.enumerate(v) {
+			want, ok := referenceConeTT(v, c.leaves[:c.n])
+			if !ok || c.tt != want {
+				t.Fatalf("%s: cut %v of %s: tt %04x, reference %04x (ok %v)", n.Name, c.key(), v.Name, c.tt, want, ok)
+			}
+			cuts++
+		}
+	}
+	if cuts != enumerated {
+		t.Fatalf("%s: re-enumerated %d cuts, mapping enumerated %d", n.Name, cuts, enumerated)
+	}
+	return s
+}
+
+func TestConeTTStopsAtLeaves(t *testing.T) {
+	// y = f0 + f1 with f0 = x', f1 = x·c and x = a·b. The merged cut
+	// {a, b, c, x} has leaf x inside f1's cone through {a, b, c}. Stopping
+	// at x gives y = x' + x·c = x' + c; composing f1's table over {a, b, c}
+	// would give x' + a·b·c instead.
+	n := network.New("leafincone")
+	a := n.AddPI("a")
+	b := n.AddPI("b")
+	c := n.AddPI("c")
+	x := n.AddLogic("x", []*network.Node{a, b}, logic.MustParseCover(2, "11"))
+	f0 := n.AddLogic("f0", []*network.Node{x}, logic.MustParseCover(1, "0"))
+	f1 := n.AddLogic("f1", []*network.Node{x, c}, logic.MustParseCover(2, "11"))
+	y := n.AddLogic("y", []*network.Node{f0, f1}, logic.MustParseCover(2, "1-", "-1"))
+	n.AddPO("y", y)
+	s := checkConeTTs(t, n)
+	// Leaves a, b, c, x are variables 0..3, so x' + c = ^0xFF00 | 0xF0F0.
+	const xNotOrC = ^uint16(0xFF00) | 0xF0F0
+	want := cutKey{a.ID, b.ID, c.ID, x.ID}
+	for _, cu := range s.enumerate(y) {
+		if cu.key() == want {
+			if cu.tt != xNotOrC {
+				t.Fatalf("tt over {a,b,c,x} = %04x, want %04x", cu.tt, xNotOrC)
+			}
+			return
+		}
+	}
+	t.Fatal("cut {a,b,c,x} not enumerated")
+}
+
+func TestConeTTMatchesReferenceOnRegistry(t *testing.T) {
+	for _, name := range []string{"s27", "s298", "s1238"} {
+		n := buildCircuit(t, name)
+		if err := algebraic.OptimizeDelay(context.Background(), n, nil); err != nil {
+			t.Fatal(err)
+		}
+		checkConeTTs(t, n)
+	}
+}
+
+func TestMapDelayHonoursCancelledContext(t *testing.T) {
+	n := aigSubject(t, "s5378")
+	if len(n.Nodes()) < 1000 {
+		t.Fatalf("subject graph has %d nodes, want at least 1000", len(n.Nodes()))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m, err := MapDelay(ctx, n, genlib.Lib2(), nil)
+	if !errors.Is(err, guard.ErrBudget) || m != nil {
+		t.Fatalf("MapDelay on a cancelled context = %v, %v; want nil and a budget error", m, err)
+	}
+}
+
+func buildCircuit(tb testing.TB, name string) *network.Network {
+	tb.Helper()
+	c, ok := bench.ByName(name)
+	if !ok {
+		tb.Fatalf("no circuit %s", name)
+	}
+	n, err := c.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return n
+}
+
+// aigSubject returns the balanced AIG subject graph of a registry circuit.
+func aigSubject(tb testing.TB, name string) *network.Network {
+	tb.Helper()
+	g, err := aig.FromNetwork(buildCircuit(tb, name))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g.Sweep()
+	n, err := g.Balance().ToSubjectNetwork()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return n
+}
+
+func BenchmarkMapDelay(b *testing.B) {
+	n := aigSubject(b, "s9234")
+	lib := genlib.Lib2()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := MapDelay(context.Background(), n, lib, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchMapped = m
+	}
+}
+
+var benchMapped *network.Network
