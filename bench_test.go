@@ -226,11 +226,14 @@ func BenchmarkAblationMinArea(b *testing.B) {
 }
 
 // BenchmarkMinPeriodRetiming measures the Leiserson–Saxe substrate on the
-// synthetic ISCAS profiles (binary search + FEAS + realization).
+// synthetic ISCAS profiles (exact OPT up to 420 vertices, binary search +
+// FEAS above; then realization). s5378, 1,575 vertices, takes the FEAS path.
 func BenchmarkMinPeriodRetiming(b *testing.B) {
-	for _, name := range []string{"s208", "s344", "s641"} {
+	for _, name := range []string{"s208", "s344", "s641", "s1196", "s5378"} {
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			src := buildCircuit(b, name)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := retime.MinPeriod(context.Background(), src, nil, nil); err != nil {
 					b.Skipf("retiming failed (a legitimate Table I outcome): %v", err)

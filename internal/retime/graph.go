@@ -163,50 +163,5 @@ func (g *Graph) Retimed(r []int) ([]int, error) {
 // vertex-delay path through zero-weight edges. An error signals a
 // zero-weight cycle (combinational loop ⇒ infeasible).
 func (g *Graph) Period(r []int) (float64, error) {
-	nv := len(g.Nodes) + 1
-	adj := make([][]int, nv) // zero-weight out-edges (target vertex ids)
-	indeg := make([]int, nv)
-	for _, e := range g.Edges {
-		w := e.W
-		if r != nil {
-			w += r[e.To] - r[e.From]
-		}
-		if w == 0 && e.From != Host && e.To != Host {
-			adj[e.From] = append(adj[e.From], e.To)
-			indeg[e.To]++
-		}
-	}
-	// Kahn's algorithm over internal vertices; host contributes delay 0 and
-	// cannot sit on a zero-weight internal path.
-	arr := make([]float64, nv)
-	queue := make([]int, 0, nv)
-	for v := 1; v < nv; v++ {
-		arr[v] = g.Delay[v]
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	processed := 0
-	period := 0.0
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		processed++
-		if arr[u] > period {
-			period = arr[u]
-		}
-		for _, v := range adj[u] {
-			if a := arr[u] + g.Delay[v]; a > arr[v] {
-				arr[v] = a
-			}
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, v)
-			}
-		}
-	}
-	if processed != nv-1 {
-		return 0, fmt.Errorf("retime: zero-weight cycle (combinational loop)")
-	}
-	return period, nil
+	return g.newTiming().period(r)
 }

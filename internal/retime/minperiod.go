@@ -3,6 +3,7 @@ package retime
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/guard"
 	"repro/internal/network"
@@ -36,84 +37,195 @@ func (i Info) record(sp *obs.Span) {
 	}
 }
 
-// arrivals computes Δ(v): the longest zero-weight-path delay ending at each
-// vertex under lags r (nil = current weights).
-func (g *Graph) arrivals(r []int) ([]float64, error) {
-	nv := len(g.Nodes) + 1
-	adj := make([][]int, nv)
-	indeg := make([]int, nv)
-	for _, e := range g.Edges {
-		w := e.W
-		if r != nil {
-			w += r[e.To] - r[e.From]
-		}
-		if w == 0 && e.From != Host && e.To != Host {
-			adj[e.From] = append(adj[e.From], e.To)
-			indeg[e.To]++
-		}
-	}
-	arr := make([]float64, nv)
-	queue := make([]int, 0, nv)
-	for v := 1; v < nv; v++ {
-		arr[v] = g.Delay[v]
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	processed := 0
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		processed++
-		for _, v := range adj[u] {
-			if a := arr[u] + g.Delay[v]; a > arr[v] {
-				arr[v] = a
-			}
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, v)
-			}
-		}
-	}
-	if processed != nv-1 {
-		return nil, fmt.Errorf("retime: zero-weight cycle")
-	}
-	return arr, nil
+// timing is the arrival-time workspace of one graph, built once and reused
+// by every FEAS iteration: the internal (host-free) edges in CSR form,
+// grouped by source in edge order and carrying their base weights, plus the
+// Kahn buffers. An arrival pass allocates nothing.
+type timing struct {
+	g     *Graph
+	start []int // out-edges of u are to[start[u]:start[u+1]]
+	to, w []int
+	indeg []int
+	arr   []float64 // arr[v] = Δ(v) after arrivals
+	queue []int
+	bound []int // register distance to the host; built by the first feas
 }
 
-// FEAS runs the Leiserson–Saxe feasibility algorithm for clock period c.
-// It returns a legal lag assignment achieving period ≤ c, or ok=false.
-func (g *Graph) FEAS(c float64) (r []int, ok bool) {
+func (g *Graph) newTiming() *timing {
 	nv := len(g.Nodes) + 1
+	t := &timing{
+		g:     g,
+		start: make([]int, nv+1),
+		indeg: make([]int, nv),
+		arr:   make([]float64, nv),
+		queue: make([]int, nv),
+	}
+	for _, e := range g.Edges {
+		if e.From != Host && e.To != Host {
+			t.start[e.From+1]++
+		}
+	}
+	for u := 0; u < nv; u++ {
+		t.start[u+1] += t.start[u]
+	}
+	t.to, t.w = make([]int, t.start[nv]), make([]int, t.start[nv])
+	next := append([]int(nil), t.start[:nv]...)
+	for _, e := range g.Edges {
+		if e.From != Host && e.To != Host {
+			t.to[next[e.From]], t.w[next[e.From]] = e.To, e.W
+			next[e.From]++
+		}
+	}
+	return t
+}
+
+// arrivals computes Δ(v) into t.arr: the longest zero-weight-path delay
+// ending at each vertex under lags r. The host contributes delay 0 and
+// cannot sit on a zero-weight internal path. Each Δ(v) is a max of path
+// sums, so it does not depend on the order Kahn's algorithm visits vertices.
+func (t *timing) arrivals(r []int) error {
+	nv := len(t.arr)
+	clear(t.indeg)
+	for u := 1; u < nv; u++ {
+		for i := t.start[u]; i < t.start[u+1]; i++ {
+			if t.w[i]+r[t.to[i]]-r[u] == 0 {
+				t.indeg[t.to[i]]++
+			}
+		}
+	}
+	tail := 0
+	for v := 1; v < nv; v++ {
+		t.arr[v] = t.g.Delay[v]
+		if t.indeg[v] == 0 {
+			t.queue[tail] = v
+			tail++
+		}
+	}
+	for head := 0; head < tail; head++ {
+		u := t.queue[head]
+		for i := t.start[u]; i < t.start[u+1]; i++ {
+			v := t.to[i]
+			if t.w[i]+r[v]-r[u] != 0 {
+				continue
+			}
+			if a := t.arr[u] + t.g.Delay[v]; a > t.arr[v] {
+				t.arr[v] = a
+			}
+			t.indeg[v]--
+			if t.indeg[v] == 0 {
+				t.queue[tail] = v
+				tail++
+			}
+		}
+	}
+	if tail != nv-1 {
+		return fmt.Errorf("retime: zero-weight cycle (combinational loop)")
+	}
+	return nil
+}
+
+// period is the clock period under lags r (nil = current weights): the
+// largest arrival.
+func (t *timing) period(r []int) (float64, error) {
+	if r == nil {
+		r = make([]int, len(t.arr))
+	}
+	if err := t.arrivals(r); err != nil {
+		return 0, err
+	}
+	p := 0.0
+	for _, a := range t.arr[1:] {
+		p = max(p, a)
+	}
+	return p, nil
+}
+
+// registerBounds returns, per vertex v, the fewest registers on any
+// v ⇝ host path (math.MaxInt when there is none): Dijkstra from the host
+// over reversed edges, with a bucket queue since weights are small
+// non-negative integers.
+func (g *Graph) registerBounds() []int {
+	nv := len(g.Nodes) + 1
+	in := make([][]int, nv) // in[v] = indices of the edges into v
+	for k, e := range g.Edges {
+		in[e.To] = append(in[e.To], k)
+	}
+	bound := make([]int, nv)
+	for v := range bound {
+		bound[v] = math.MaxInt
+	}
+	bound[Host] = 0
+	buckets := [][]int{{Host}}
+	for d := 0; d < len(buckets); d++ {
+		for i := 0; i < len(buckets[d]); i++ { // zero-weight edges grow buckets[d]
+			u := buckets[d][i]
+			if bound[u] != d {
+				continue
+			}
+			for _, k := range in[u] {
+				e := g.Edges[k]
+				if nd := d + e.W; nd < bound[e.From] {
+					bound[e.From] = nd
+					for len(buckets) <= nd {
+						buckets = append(buckets, nil)
+					}
+					buckets[nd] = append(buckets[nd], e.From)
+				}
+			}
+		}
+	}
+	return bound
+}
+
+// feas runs the Leiserson–Saxe feasibility algorithm for clock period c.
+// It returns a legal lag assignment achieving period ≤ c, or ok=false.
+//
+// A probe stops as soon as some lag r[v] exceeds bound[v], the register
+// count of the lightest v ⇝ host path P. FEAS keeps r[Host] = 0 and only
+// raises lags, so P's retimed weight W(P) − r[v] is negative from then on:
+// some edge of P stays negative at every later iterate, the final Retimed
+// check cannot pass, and the full-length probe would return false too.
+// ctx is checked once per iteration.
+func (t *timing) feas(ctx context.Context, c float64) (r []int, ok bool, err error) {
+	if t.bound == nil {
+		t.bound = t.g.registerBounds()
+	}
+	nv := len(t.arr)
 	r = make([]int, nv)
 	const eps = 1e-9
 	for iter := 0; iter <= nv; iter++ {
-		arr, err := g.arrivals(r)
-		if err != nil {
-			return nil, false
+		if cerr := guard.Check(ctx, "retime.min_period"); cerr != nil {
+			return nil, false, cerr
+		}
+		if t.arrivals(r) != nil {
+			return nil, false, nil
 		}
 		violated := false
 		for v := 1; v < nv; v++ {
-			if arr[v] > c+eps {
+			if t.arr[v] > c+eps {
 				violated = true
+				break
 			}
 		}
 		if !violated {
-			if _, err := g.Retimed(r); err != nil {
-				return nil, false // defensive: FEAS must keep legality
+			if _, err := t.g.Retimed(r); err != nil {
+				return nil, false, nil // defensive: FEAS must keep legality
 			}
-			return r, true
+			return r, true, nil
 		}
 		if iter == nv {
 			break
 		}
 		for v := 1; v < nv; v++ {
-			if arr[v] > c+eps {
+			if t.arr[v] > c+eps {
 				r[v]++
+				if r[v] > t.bound[v] {
+					return nil, false, nil
+				}
 			}
 		}
 	}
-	return nil, false
+	return nil, false, nil
 }
 
 // MinPeriodLags finds the minimum feasible clock period and matching lags.
@@ -121,8 +233,8 @@ func (g *Graph) FEAS(c float64) (r []int, ok bool) {
 // larger graphs fall back to binary search over FEAS. FEAS with a pinned
 // host vertex can only add registers to vertex inputs (non-negative lags),
 // so on large graphs the result is a sound upper bound rather than the
-// true optimum — an authentic limitation of increment-only retimers. The
-// FEAS binary search checks ctx at every probe and returns a typed guard
+// true optimum — an authentic limitation of increment-only retimers. FEAS
+// checks ctx at every iteration of every probe and returns a typed guard
 // budget error once the deadline passes.
 func (g *Graph) MinPeriodLags(ctx context.Context) ([]int, float64, error) {
 	if len(g.Nodes)+1 <= MaxExactMinAreaVertices {
@@ -138,7 +250,8 @@ func (g *Graph) MinPeriodLags(ctx context.Context) ([]int, float64, error) {
 
 // minPeriodLagsFEAS is the heuristic binary search over FEAS.
 func (g *Graph) minPeriodLagsFEAS(ctx context.Context) ([]int, float64, error) {
-	cur, err := g.Period(nil)
+	t := g.newTiming()
+	cur, err := t.period(nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -150,25 +263,27 @@ func (g *Graph) minPeriodLagsFEAS(ctx context.Context) ([]int, float64, error) {
 	}
 	hi := cur
 	bestR, bestC := make([]int, len(g.Nodes)+1), cur
-	if r, ok := g.FEAS(hi); ok {
-		bestR, bestC = r, hi
-	} else {
-		// The current configuration achieves `cur` by construction; FEAS
-		// failing here would be a bug, but fall back to the identity lags.
-		bestR = make([]int, len(g.Nodes)+1)
-		bestC = cur
+	r, ok, err := t.feas(ctx, hi)
+	if err != nil {
+		return nil, 0, fmt.Errorf("retime: feasibility probe at the current period %g interrupted: %w", hi, err)
 	}
+	if ok {
+		bestR, bestC = r, hi
+	}
+	// Otherwise keep the identity lags: the current configuration achieves
+	// `cur` by construction, so FEAS failing here would be a bug.
 	if lo >= hi {
 		return bestR, bestC, nil
 	}
 	for i := 0; i < 48 && hi-lo > 1e-6; i++ {
-		if cerr := guard.Check(ctx, "retime.min_period"); cerr != nil {
-			return nil, 0, fmt.Errorf("retime: binary search interrupted at [%g, %g]: %w", lo, hi, cerr)
-		}
 		mid := (lo + hi) / 2
-		if r, ok := g.FEAS(mid); ok {
+		r, ok, err := t.feas(ctx, mid)
+		if err != nil {
+			return nil, 0, fmt.Errorf("retime: binary search interrupted at [%g, %g]: %w", lo, hi, err)
+		}
+		if ok {
 			// Tighten to the actual achieved period for exactness.
-			if p, err := g.Period(r); err == nil && p <= bestC {
+			if p, err := t.period(r); err == nil && p <= bestC {
 				bestR, bestC = r, p
 				hi = p
 			} else {

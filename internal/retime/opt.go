@@ -13,9 +13,10 @@ import (
 //	r(u) − r(v) ≤ w(e)          for every edge u→v
 //	r(u) − r(v) ≤ W(u,v) − 1    whenever D(u,v) > c.
 //
-// It is quadratic in memory (W/D matrices) and exists as an independent
-// cross-check of the FEAS-based MinPeriodLags: both must agree on the
-// optimal period (property-tested in opt_test.go).
+// It is quadratic in memory (W/D matrices), so MinPeriodLags uses it only
+// for graphs of at most MaxExactMinAreaVertices vertices and falls back to
+// the binary search over FEAS above that. On small graphs it also
+// cross-checks FEAS: OPT is never worse (property-tested in opt_test.go).
 
 // MinPeriodLagsOPT computes optimal lags via the W/D formulation. It is
 // limited to MaxExactMinAreaVertices vertices.
