@@ -6,18 +6,15 @@
 //
 //	resyn -in circuit.blif [-kiss] [-flow script|retime|resyn|core] [-out out.blif] [-verify]
 //	      [-substrate sop|aig] [-workers N] [-timeout 30s] [-pass-timeout 5s] [-trace] [-stats-json events.jsonl]
-//	      [-partition on|off] [-order topo|positional] [-partition-nodes N] [-reorder]
 //	      [-sweep] [-induction-k K]
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 
-	"repro/internal/bitsim"
 	"repro/internal/blif"
 	"repro/internal/buildinfo"
 	"repro/internal/flows"
@@ -26,9 +23,6 @@ import (
 	"repro/internal/kiss"
 	"repro/internal/network"
 	"repro/internal/obs"
-	"repro/internal/reach"
-	"repro/internal/seqverify"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -43,11 +37,6 @@ func main() {
 	statsJSON := flag.String("stats-json", "", "write the JSON-lines trace event stream to this file")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per flow; exceeding it degrades or fails with a typed error (0 = unbounded)")
 	passTimeout := flag.Duration("pass-timeout", 0, "wall-clock budget per pass within a flow (0 = unbounded)")
-	partition := flag.String("partition", "on", "partitioned transition relations for state enumeration: on | off")
-	order := flag.String("order", "topo", "BDD variable order: topo | positional")
-	partitionNodes := flag.Int("partition-nodes", 0, "cluster node-size threshold for -partition on (0 = default)")
-	reorder := flag.Bool("reorder", false, "enable dynamic BDD variable reordering (sifting) on node-count blowup")
-	simCycles := flag.Int("sim-cycles", sim.DefaultSpotCheck.CLI.Cycles, "random-simulation cycles for the -verify fallback when the state space is too large for the exact check")
 	sweepOn := flag.Bool("sweep", false, "SAT-based sequential sweeping: prove register equivalences by K-induction when the state space exceeds the exact-reachability limit, both for don't-care extraction and for -verify")
 	inductionK := flag.Int("induction-k", 1, "induction depth for -sweep proofs (1 = simple induction)")
 	metricsOut := flag.String("metrics", "", "write a Prometheus text dump of run metrics to this file")
@@ -60,10 +49,6 @@ func main() {
 	if *in == "" {
 		flag.Usage()
 		os.Exit(2)
-	}
-	reachLim, err := reach.FlagLimits(reach.DefaultLimits, *partition, *order, *partitionNodes, *reorder)
-	if err != nil {
-		fatal(err)
 	}
 	var tr *obs.Tracer
 	if *trace || *statsJSON != "" || *metricsOut != "" {
@@ -111,7 +96,6 @@ func main() {
 	cfg := flows.Config{
 		Tracer:     tr,
 		Budget:     guard.Budget{Flow: *timeout, Pass: *passTimeout},
-		Reach:      reachLim,
 		Substrate:  *substrate,
 		Workers:    *workers,
 		Sweep:      *sweepOn,
@@ -131,27 +115,11 @@ func main() {
 	}
 
 	if *verify {
-		verdict, err := seqverify.Check(ctx, src, result.Net, seqverify.Options{
-			Delay:      result.PrefixK,
-			Limits:     reachLim,
-			Sweep:      *sweepOn,
-			InductionK: *inductionK,
-			Workers:    *workers,
-			Tracer:     tr,
-		})
-		switch {
-		case err == nil && verdict == seqverify.VerdictExact:
-			fmt.Println("verify: exact product-machine equivalence PASSED")
-		case err == nil:
-			fmt.Printf("verify: %s PASSED (K-induction over the product state registers)\n", verdict)
-		case errors.Is(err, seqverify.ErrTooLarge):
-			if serr := bitsim.RandomEquivalent(src, result.Net, result.PrefixK, *simCycles, sim.DefaultSpotCheck.CLI.Seed, bitsim.Options{}); serr != nil {
-				fatal(serr)
-			}
-			fmt.Printf("verify: %d-cycle random simulation PASSED (state space too large for exact check)\n", *simCycles)
-		default:
+		verdict, err := flows.VerifyVerdict(ctx, src, result, cfg)
+		if err != nil {
 			fatal(err)
 		}
+		fmt.Printf("verify: %s PASSED\n", verdict)
 	}
 	if *out != "" {
 		g, err := os.Create(*out)

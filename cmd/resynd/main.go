@@ -15,7 +15,6 @@
 //	resynd [-addr :8080] [-workers N] [-queue N] [-job-timeout 5m]
 //	       [-timeout 1m] [-pass-timeout 30s] [-debug]
 //	       [-data-dir DIR] [-drain-timeout 30s] [-max-jobs N] [-job-ttl D] [-retries N]
-//	       [-partition on|off] [-order topo|positional] [-partition-nodes N] [-reorder]
 //	       [-sweep] [-induction-k K]
 //
 //	resynd -loadgen [-target http://host:8080] [-qps 2] [-duration 10s]
@@ -46,9 +45,7 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/guard"
-	"repro/internal/reach"
 	"repro/internal/serve"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -64,11 +61,6 @@ func main() {
 	maxJobs := flag.Int("max-jobs", 0, "evict least-recently-used finished jobs past this count (0 = unbounded)")
 	jobTTL := flag.Duration("job-ttl", 0, "evict finished jobs this long after completion (0 = keep)")
 	retries := flag.Int("retries", serve.DefaultRetryPolicy.Max, "retries for transiently failed jobs (deadline, contained panic)")
-	partition := flag.String("partition", "on", "partitioned transition relations for state enumeration: on | off")
-	order := flag.String("order", "topo", "BDD variable order: topo | positional")
-	partitionNodes := flag.Int("partition-nodes", 0, "cluster node-size threshold for -partition on (0 = default)")
-	reorder := flag.Bool("reorder", false, "enable dynamic BDD variable reordering (sifting) on node-count blowup")
-	simCycles := flag.Int("sim-cycles", sim.DefaultSpotCheck.CLI.Cycles, "random-simulation cycles for the verification fallback")
 	sweepOn := flag.Bool("sweep", false, "default every request to SAT-based sequential sweeping (folded into the job content address)")
 	inductionK := flag.Int("induction-k", 0, "default induction depth for requests that leave induction_k unset (0 = engine default)")
 	version := flag.Bool("version", false, "print version and exit")
@@ -88,16 +80,10 @@ func main() {
 		fmt.Println("resynd", buildinfo.Version())
 		return
 	}
-	reachLim, err := reach.FlagLimits(reach.DefaultLimits, *partition, *order, *partitionNodes, *reorder)
-	if err != nil {
-		fatal(err)
-	}
 	cfg := serve.Config{
 		Workers:    *workers,
 		Queue:      *queue,
 		Budget:     guard.Budget{Job: *jobTimeout, Flow: *timeout, Pass: *passTimeout},
-		Reach:      reachLim,
-		SimCycles:  *simCycles,
 		Sweep:      *sweepOn,
 		InductionK: *inductionK,
 		Version:    buildinfo.Version(),

@@ -3,8 +3,7 @@
 //
 // Usage:
 //
-//	retime -in circuit.blif [-minarea -period 3.0] [-out out.blif]
-//	       [-partition on|off] [-order topo|positional] [-partition-nodes N] [-reorder]
+//	retime -in circuit.blif [-minarea -period 3.0] [-out out.blif] [-verify]
 package main
 
 import (
@@ -13,13 +12,10 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/bitsim"
 	"repro/internal/blif"
 	"repro/internal/buildinfo"
-	"repro/internal/reach"
+	"repro/internal/flows"
 	"repro/internal/retime"
-	"repro/internal/seqverify"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -29,11 +25,6 @@ func main() {
 	period := flag.Float64("period", 0, "clock target for -minarea (0 = current period)")
 	out := flag.String("out", "", "output BLIF file")
 	verify := flag.Bool("verify", true, "verify the result against the input")
-	partition := flag.String("partition", "on", "partitioned transition relations for exact verification: on | off")
-	order := flag.String("order", "topo", "BDD variable order: topo | positional")
-	partitionNodes := flag.Int("partition-nodes", 0, "cluster node-size threshold for -partition on (0 = default)")
-	reorder := flag.Bool("reorder", false, "enable dynamic BDD variable reordering (sifting) on node-count blowup")
-	simCycles := flag.Int("sim-cycles", sim.DefaultSpotCheck.CLI.Cycles, "random-simulation cycles for the -verify fallback when the state space is too large for the exact check")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -43,10 +34,6 @@ func main() {
 	if *in == "" {
 		flag.Usage()
 		os.Exit(2)
-	}
-	reachLim, err := reach.FlagLimits(reach.DefaultLimits, *partition, *order, *partitionNodes, *reorder)
-	if err != nil {
-		fatal(err)
 	}
 	f, err := os.Open(*in)
 	if err != nil {
@@ -87,18 +74,11 @@ func main() {
 		result = ret
 	}
 	if *verify {
-		err := seqverify.Equivalent(ctx, src, result, seqverify.Options{Limits: reachLim})
-		switch {
-		case err == nil:
-			fmt.Println("verify: exact equivalence PASSED")
-		case err == seqverify.ErrTooLarge:
-			if serr := bitsim.RandomEquivalent(src, result, 0, *simCycles, sim.DefaultSpotCheck.CLI.Seed, bitsim.Options{}); serr != nil {
-				fatal(serr)
-			}
-			fmt.Printf("verify: %d-cycle random simulation PASSED\n", *simCycles)
-		default:
+		verdict, err := flows.VerifyVerdict(ctx, src, &flows.Result{Net: result}, flows.Config{})
+		if err != nil {
 			fatal(err)
 		}
+		fmt.Printf("verify: %s PASSED\n", verdict)
 	}
 	if *out != "" {
 		g, err := os.Create(*out)

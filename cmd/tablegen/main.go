@@ -13,7 +13,6 @@
 //	tablegen [-circuits ex2,bbtas,...] [-verify] [-skip-large] [-workers N]
 //	         [-times] [-timeout 60s] [-pass-timeout 10s] [-trace]
 //	         [-substrate sop|aig] [-stats-json events.jsonl]
-//	         [-partition on|off] [-order topo|positional] [-partition-nodes N] [-reorder]
 //	         [-sweep] [-induction-k K]
 package main
 
@@ -27,7 +26,6 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/guard"
 	"repro/internal/obs"
-	"repro/internal/reach"
 	"repro/internal/table"
 )
 
@@ -42,10 +40,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per flow; a circuit exceeding it reports a typed error instead of stalling the table (0 = unbounded)")
 	passTimeout := flag.Duration("pass-timeout", 0, "wall-clock budget per pass within a flow (0 = unbounded)")
 	substrate := flag.String("substrate", "sop", "technology-independent substrate for the flows: sop | aig")
-	partition := flag.String("partition", "on", "partitioned transition relations for state enumeration: on | off")
-	order := flag.String("order", "topo", "BDD variable order: topo | positional")
-	partitionNodes := flag.Int("partition-nodes", 0, "cluster node-size threshold for -partition on (0 = default)")
-	reorder := flag.Bool("reorder", false, "enable dynamic BDD variable reordering (sifting) on node-count blowup")
 	sweepOn := flag.Bool("sweep", false, "SAT-based sequential sweeping: prove register equivalences by K-induction past the exact-reachability limit, for don't-cares and verification")
 	inductionK := flag.Int("induction-k", 1, "induction depth for -sweep proofs (1 = simple induction)")
 	metricsOut := flag.String("metrics", "", "write a Prometheus text dump of run metrics to this file")
@@ -56,18 +50,12 @@ func main() {
 		return
 	}
 
-	reachLim, err := reach.FlagLimits(reach.DefaultLimits, *partition, *order, *partitionNodes, *reorder)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tablegen:", err)
-		os.Exit(1)
-	}
 	opt := table.Options{
 		Verify:     *verify,
 		SkipLarge:  *skipLarge,
 		Workers:    *workers,
 		ShowTimes:  *times,
 		Budget:     guard.Budget{Flow: *timeout, Pass: *passTimeout},
-		Reach:      reachLim,
 		Substrate:  *substrate,
 		Sweep:      *sweepOn,
 		InductionK: *inductionK,
@@ -91,7 +79,7 @@ func main() {
 		opt.JSON = jf
 	}
 
-	_, err = table.Run(context.Background(), os.Stdout, os.Stderr, opt)
+	_, err := table.Run(context.Background(), os.Stdout, os.Stderr, opt)
 	if *trace {
 		fmt.Println()
 		opt.Tracer.WriteTree(os.Stdout)

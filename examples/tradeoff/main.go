@@ -18,11 +18,10 @@ import (
 	"os"
 
 	"repro/internal/bench"
-	"repro/internal/bitsim"
 	"repro/internal/core"
+	"repro/internal/flows"
 	"repro/internal/network"
 	"repro/internal/retime"
-	"repro/internal/seqverify"
 )
 
 func main() {
@@ -63,14 +62,14 @@ func main() {
 	pMin := info.PeriodAfter
 	fmt.Printf("unretimed period %.0f, minimum achievable period %.0f (unit delay)\n\n", p0, pMin)
 
-	fmt.Printf("%-18s %8s %10s\n", "period target", "regs", "verified")
+	fmt.Printf("%-18s %8s %12s\n", "period target", "regs", "verified")
 	for target := pMin; target <= p0+0.5; target++ {
 		ret, mInfo, err := retime.MinAreaUnderPeriod(ctx, fastest, nil, target, nil)
 		if err != nil {
 			fmt.Printf("%-18.0f %8s   (%v)\n", target, "-", err)
 			continue
 		}
-		fmt.Printf("%-18.0f %8d %10s\n", target, mInfo.RegsAfter, verify(src, ret, 0))
+		fmt.Printf("%-18.0f %8d %12s\n", target, mInfo.RegsAfter, verify(src, ret, 0))
 	}
 
 	// Where the paper's resynthesis lands.
@@ -89,19 +88,13 @@ func main() {
 	fmt.Println(" the retiming-induced don't cares simplify the relocated logic)")
 }
 
-// verify checks equivalence (exact when the product state space is small,
-// random simulation otherwise) and renders a table cell.
+// verify checks b against a with delayed-replacement prefix k through the
+// shared verification ladder (exact when the product state space is small,
+// random simulation otherwise) and renders the verdict as a table cell.
 func verify(a, b *network.Network, k int) string {
-	err := seqverify.Equivalent(context.Background(), a, b, seqverify.Options{Delay: k})
-	switch {
-	case err == nil:
-		return "exact"
-	case err == seqverify.ErrTooLarge:
-		if bitsim.RandomEquivalent(a, b, k, 2000, 5, bitsim.Options{}) == nil {
-			return "sim"
-		}
-		return "FAILED"
-	default:
+	v, err := flows.VerifyVerdict(context.Background(), a, &flows.Result{Net: b, PrefixK: k}, flows.Config{})
+	if err != nil {
 		return "FAILED"
 	}
+	return v
 }

@@ -74,24 +74,20 @@ type Manager struct {
 	// Variable order: node levels index positions in the order, not
 	// variables. var2level[v] is the level holding variable v; level2var is
 	// its inverse. The identity order reproduces the historical layout;
-	// SetOrder installs a static order and Sift adjusts it dynamically.
+	// SetOrder installs a static order before the first node is built.
 	var2level []int
 	level2var []int
 
 	// Unique table: open-addressed, power-of-two sized buckets holding node
-	// refs (0 = empty, tombstone = deleted; terminals are never entered).
-	// During a rehash the previous table is drained incrementally: `old`
-	// stays read-only while mk migrates migrateStep buckets per call, so no
-	// single operation pays a full-table rehash stall. Tombstones appear
-	// only during reordering (deleteRef) and are reclaimed by inserts and
-	// rehashes.
+	// refs (0 = empty; terminals are never entered). Nodes are never
+	// deleted. During a rehash the previous table is drained incrementally:
+	// `old` stays read-only while mk migrates migrateStep buckets per call,
+	// so no single operation pays a full-table rehash stall.
 	table      []Ref
 	tabEntries int
-	tombstones int
 	old        []Ref
 	oldPos     int
 	rehashes   int
-	siftSwaps  int64
 
 	// Computed table: direct-mapped lossy cache over (op, f, g, h).
 	cache     []cacheEntry
@@ -129,7 +125,6 @@ type Stats struct {
 	CacheCap    int     // computed-table slot count
 	CacheHits   int64
 	CacheMisses int64
-	SiftSwaps   int64 // adjacent-level swaps performed by Sift
 }
 
 // Stats returns the current table accounting.
@@ -150,7 +145,6 @@ func (m *Manager) Stats() Stats {
 		CacheCap:    len(m.cache),
 		CacheHits:   m.cacheHits,
 		CacheMisses: m.cacheMisses,
-		SiftSwaps:   m.siftSwaps,
 	}
 }
 
@@ -228,14 +222,9 @@ func hash3(level int32, lo, hi Ref) uint32 {
 	return ohash.Mix3(uint32(level), uint32(lo), uint32(hi))
 }
 
-// tombstone marks a deleted unique-table slot. Valid entries are >= 2
-// (terminals never enter the table), so probes distinguish empty (0),
-// deleted (tombstone), and live buckets.
-const tombstone Ref = -1
-
 // migrate drains up to migrateStep buckets of the old unique table into the
 // current one. Entries live in exactly one table, so reinsertion cannot
-// duplicate. Tombstones left behind by a reorder are dropped.
+// duplicate.
 func (m *Manager) migrate() {
 	if m.old == nil {
 		return
@@ -254,46 +243,17 @@ func (m *Manager) migrate() {
 	}
 }
 
-// finishMigration drains any in-progress incremental rehash completely, so
-// the current table is the single source of truth. Required before entries
-// can be deleted (level swaps must see every node of the two levels).
-func (m *Manager) finishMigration() {
-	for m.old != nil {
-		m.migrate()
-	}
-}
-
-// insertRef places an existing node into the current table, reusing the
-// first tombstone on its probe path (no existence check: callers guarantee
-// the node is not already present).
+// insertRef places an existing node into the current table at the first
+// empty slot on its probe path (no existence check: callers guarantee the
+// node is not already present).
 func (m *Manager) insertRef(r Ref) {
 	n := &m.nodes[r]
 	p := ohash.NewProbe(hash3(n.level, n.lo, n.hi), len(m.table))
-	for m.table[p.Slot()] != 0 && m.table[p.Slot()] != tombstone {
+	for m.table[p.Slot()] != 0 {
 		p.Advance()
-	}
-	if m.table[p.Slot()] == tombstone {
-		m.tombstones--
 	}
 	m.table[p.Slot()] = r
 	m.tabEntries++
-}
-
-// deleteRef removes a node from the current table, leaving a tombstone so
-// longer probe chains stay intact. The caller must have finished any
-// incremental migration first. Used only by level swaps.
-func (m *Manager) deleteRef(r Ref) {
-	n := &m.nodes[r]
-	p := ohash.NewProbe(hash3(n.level, n.lo, n.hi), len(m.table))
-	for m.table[p.Slot()] != r {
-		if m.table[p.Slot()] == 0 {
-			panic("bdd: deleteRef of a node not in the unique table")
-		}
-		p.Advance()
-	}
-	m.table[p.Slot()] = tombstone
-	m.tabEntries--
-	m.tombstones++
 }
 
 // grow doubles the unique table. The full old table is kept read-only and
@@ -312,7 +272,6 @@ func (m *Manager) grow() {
 	m.oldPos = 0
 	m.table = make([]Ref, 2*len(m.table))
 	m.tabEntries = 0
-	m.tombstones = 0
 	m.rehashes++
 }
 
@@ -324,19 +283,10 @@ func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 	h := hash3(level, lo, hi)
 	p := ohash.NewProbe(h, len(m.table))
 	i := p.Slot()
-	ins := uint32(1) << 31 // first tombstone on the probe path, if any
 	for {
 		r := m.table[i]
 		if r == 0 {
 			break
-		}
-		if r == tombstone {
-			if ins == uint32(1)<<31 {
-				ins = i
-			}
-			p.Advance()
-			i = p.Slot()
-			continue
 		}
 		n := &m.nodes[r]
 		if n.level == level && n.lo == lo && n.hi == hi {
@@ -351,31 +301,24 @@ func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 			if r == 0 {
 				break
 			}
-			if r != tombstone {
-				n := &m.nodes[r]
-				if n.level == level && n.lo == lo && n.hi == hi {
-					return r
-				}
+			n := &m.nodes[r]
+			if n.level == level && n.lo == lo && n.hi == hi {
+				return r
 			}
 		}
 	}
 	if m.MaxNodes > 0 && len(m.nodes) >= m.MaxNodes {
 		panic(ErrNodeLimit)
 	}
-	if ins != uint32(1)<<31 {
-		i = ins
-		m.tombstones--
-	}
 	r := Ref(len(m.nodes))
 	m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi})
 	m.table[i] = r
 	m.tabEntries++
-	// Grow at 3/4 load (ohash.ShouldGrow; tombstones count — they lengthen
-	// probe chains just like live entries). Migration drains far faster
+	// Grow at 3/4 load (ohash.ShouldGrow). Migration drains far faster
 	// than fresh inserts can refill, so the draining table is always empty
 	// well before this fires again (the grow() drain loop is a safety net,
 	// not the common path).
-	if ohash.ShouldGrow(m.tabEntries, m.tombstones, len(m.table)) {
+	if ohash.ShouldGrow(m.tabEntries, 0, len(m.table)) {
 		m.grow()
 	}
 	return r

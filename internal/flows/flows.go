@@ -40,7 +40,6 @@ import (
 	"repro/internal/reach"
 	"repro/internal/retime"
 	"repro/internal/seqverify"
-	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/timing"
 )
@@ -84,15 +83,6 @@ type Config struct {
 	// Inject optionally injects faults per guarded pass (nil: none). It is
 	// consulted exactly once per pass invocation.
 	Inject guard.Injector
-	// SmokeCycles / SmokeSeed configure the post-pass random-simulation
-	// smoke check (see guard.TxOptions).
-	SmokeCycles int
-	SmokeSeed   int64
-	// Reach bounds and configures the implicit state enumeration used for
-	// don't-care extraction and exact verification (image partitioning,
-	// variable order, reordering). The zero value takes
-	// reach.DefaultLimits.
-	Reach reach.Limits
 	// Substrate selects the technology-independent representation the
 	// flows restructure before mapping: SubstrateSOP (default, also for
 	// "") or SubstrateAIG. See substrate.go.
@@ -102,10 +92,6 @@ type Config struct {
 	// width produces byte-identical results — it is purely a throughput
 	// knob.
 	Workers int
-	// RewriteIters bounds the rewrite+balance iterations of the AIG
-	// substrate's restructuring loop; 0 means DefaultRewriteIters. The
-	// loop also stops early at a fixpoint (no rewrite applied).
-	RewriteIters int
 	// Sweep enables SAT-based sequential sweeping wherever the state
 	// space exceeds the exact reach limits: verification falls back to
 	// k-induction over the product machine instead of random simulation,
@@ -114,15 +100,6 @@ type Config struct {
 	Sweep bool
 	// InductionK is the sweeping induction depth (0 means 1).
 	InductionK int
-}
-
-// reachLimits resolves the configured reach limits, defaulting the zero
-// value.
-func (c Config) reachLimits() reach.Limits {
-	if c.Reach == (reach.Limits{}) {
-		return reach.DefaultLimits
-	}
-	return c.Reach
 }
 
 // fault consults the injector once for a pass invocation.
@@ -137,11 +114,9 @@ func (c Config) fault(pass string) guard.Fault {
 // already-resolved fault decision.
 func (c Config) tx(f guard.Fault) guard.TxOptions {
 	return guard.TxOptions{
-		Tracer:      c.Tracer,
-		Budget:      c.Budget,
-		Inject:      guard.FixedInjector(f),
-		SmokeCycles: c.SmokeCycles,
-		SmokeSeed:   c.SmokeSeed,
+		Tracer: c.Tracer,
+		Budget: c.Budget,
+		Inject: guard.FixedInjector(f),
 	}
 }
 
@@ -265,7 +240,7 @@ func RetimeCombOpt(ctx context.Context, mappedIn *network.Network, lib *genlib.L
 	// Combinational optimization with retiming-induced external don't
 	// cares from implicit state enumeration (bounded; skipped when the
 	// state space is out of reach, as it was for SIS on large circuits).
-	lim := cfg.reachLimits()
+	lim := reach.DefaultLimits
 	dcFault := cfg.fault("reach.dc_extract")
 	if dcFault == guard.FaultBDDBlowup {
 		// Realized here rather than in the runner: blowup is a resource
@@ -612,21 +587,29 @@ func Resynthesis(ctx context.Context, mappedIn *network.Network, lib *genlib.Lib
 	return &Result{Net: m, Metrics: met, PrefixK: prefix}, nil
 }
 
+// The spot-check budget of VerifyVerdict: the bit-parallel random
+// simulation run when neither exact reachability nor induction can decide.
+const (
+	verifyCycles = 3000
+	verifySeed   = 1999
+)
+
 // VerifyVerdict checks a flow result against the source circuit and
-// reports how the equivalence was established. It tries exact
-// product-machine equivalence with delayed replacement first, with the
-// configuration's reach limits (image partitioning, variable order,
-// latch/node budgets) threaded into the traversal: verdict
-// seqverify.VerdictExact. With cfg.Sweep, circuits beyond the exact limits
-// are proved by k-induction over the product machine:
-// seqverify.VerdictInduction. When both engines are out of reach, a long
-// random simulation is the only check: VerdictSpotChecked. ctx is checked
-// at every image step of the traversal; a budget exhausted mid-proof
-// surfaces as a typed guard error, not as a verification failure.
+// reports how the equivalence was established. It is the one verification
+// ladder: every command, the service and the benchmark call it. It tries
+// exact product-machine equivalence with delayed replacement first, within
+// reach.DefaultLimits: verdict seqverify.VerdictExact. With cfg.Sweep,
+// circuits beyond the exact limits are proved by k-induction over the
+// product machine: seqverify.VerdictInduction. When both engines are out
+// of reach, a verifyCycles-cycle random simulation is the only check:
+// VerdictSpotChecked, returned together with the simulation's error (nil
+// when no mismatch showed). Any other error is a refutation, a malformed
+// pair, or a typed guard budget error: ctx is checked at every image step
+// of the traversal, so a budget exhausted mid-proof surfaces as
+// errors.Is(err, guard.ErrBudget), not as a verification failure.
 func VerifyVerdict(ctx context.Context, src *network.Network, r *Result, cfg Config) (string, error) {
 	v, err := seqverify.Check(ctx, src, r.Net, seqverify.Options{
 		Delay:      r.PrefixK,
-		Limits:     cfg.reachLimits(),
 		Sweep:      cfg.Sweep,
 		InductionK: cfg.InductionK,
 		Workers:    cfg.Workers,
@@ -636,8 +619,7 @@ func VerifyVerdict(ctx context.Context, src *network.Network, r *Result, cfg Con
 		return string(v), nil
 	}
 	if errors.Is(err, seqverify.ErrTooLarge) {
-		sc := sim.DefaultSpotCheck.Verify
-		return VerdictSpotChecked, bitsim.RandomEquivalent(src, r.Net, r.PrefixK, sc.Cycles, sc.Seed,
+		return VerdictSpotChecked, bitsim.RandomEquivalent(src, r.Net, r.PrefixK, verifyCycles, verifySeed,
 			bitsim.Options{Tracer: cfg.Tracer})
 	}
 	return "", err

@@ -41,20 +41,13 @@ func (c Config) substrate() string {
 	return c.Substrate
 }
 
-// DefaultRewriteIters is the rewrite+balance iteration bound of the AIG
-// substrate's restructuring loop when Config.RewriteIters is zero. Two
-// rounds captures nearly all of the gain in practice — the first rewrite
-// exposes sharing the balance pass then restructures, the second harvests
-// what that restructuring exposed — while keeping the pass budget flat.
-const DefaultRewriteIters = 2
-
-// rewriteIters resolves the configured iteration bound.
-func (c Config) rewriteIters() int {
-	if c.RewriteIters <= 0 {
-		return DefaultRewriteIters
-	}
-	return c.RewriteIters
-}
+// rewriteIters bounds the rewrite+balance iterations of the AIG
+// substrate's restructuring loop, which also stops early at a fixpoint (no
+// rewrite applied). Two rounds captures nearly all of the gain in practice
+// — the first rewrite exposes sharing the balance pass then restructures,
+// the second harvests what that restructuring exposed — while keeping the
+// pass budget flat.
+const rewriteIters = 2
 
 // aigRestructure is the AIG substrate's technology-independent
 // optimization: convert, sweep, then a keep-best loop of NPN cut
@@ -86,7 +79,7 @@ func aigRestructure(ctx context.Context, work *network.Network, tr *obs.Tracer, 
 	}
 	var gain, pruned, waves int64
 	cur := best
-	for i := 0; i < cfg.rewriteIters(); i++ {
+	for i := 0; i < rewriteIters; i++ {
 		ng, stats, rerr := cur.Rewrite(ctx, aig.RewriteOptions{Workers: cfg.Workers})
 		if rerr != nil {
 			return nil, rerr

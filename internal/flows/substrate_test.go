@@ -9,7 +9,6 @@ import (
 	"repro/internal/bitsim"
 	"repro/internal/genlib"
 	"repro/internal/network"
-	"repro/internal/sim"
 )
 
 // TestPropertyAigMatchesSOP is the substrate agreement property: the same
@@ -52,7 +51,6 @@ func TestPropertyAigMatchesSOP(t *testing.T) {
 	}
 
 	lib := genlib.Lib2()
-	sc := sim.DefaultSpotCheck.Verify
 	for name, src := range circuits {
 		name, src := name, src
 		t.Run(name, func(t *testing.T) {
@@ -70,7 +68,7 @@ func TestPropertyAigMatchesSOP(t *testing.T) {
 				if r.Clk <= 0 || r.Area <= 0 {
 					t.Fatalf("substrate %s: degenerate metrics %v", sub, r.Metrics)
 				}
-				if err := bitsim.RandomEquivalent(src, r.Net, r.PrefixK, sc.Cycles, sc.Seed,
+				if err := bitsim.RandomEquivalent(src, r.Net, r.PrefixK, verifyCycles, verifySeed,
 					bitsim.Options{}); err != nil {
 					t.Fatalf("substrate %s diverges from source: %v", sub, err)
 				}
@@ -81,7 +79,7 @@ func TestPropertyAigMatchesSOP(t *testing.T) {
 			if aigr.PrefixK > delay {
 				delay = aigr.PrefixK
 			}
-			if err := bitsim.RandomEquivalent(sop.Net, aigr.Net, delay, sc.Cycles, sc.Seed,
+			if err := bitsim.RandomEquivalent(sop.Net, aigr.Net, delay, verifyCycles, verifySeed,
 				bitsim.Options{}); err != nil {
 				t.Fatalf("substrates diverge from each other: %v", err)
 			}

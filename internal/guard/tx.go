@@ -8,7 +8,13 @@ import (
 	"repro/internal/bitsim"
 	"repro/internal/network"
 	"repro/internal/obs"
-	"repro/internal/sim"
+)
+
+// The post-pass smoke check's budget: a short random simulation against
+// the pass input, cheap enough to run after every pass.
+const (
+	smokeCycles = 64
+	smokeSeed   = 1
 )
 
 // TxOptions configures the transactional pass runner.
@@ -22,12 +28,8 @@ type TxOptions struct {
 	// Inject optionally injects faults per pass invocation (nil: none).
 	Inject Injector
 	// SmokeCycles is the length of the post-pass random-simulation smoke
-	// check against the pass input (default sim.DefaultSpotCheck.Smoke.Cycles;
-	// negative disables).
+	// check against the pass input (0: smokeCycles; negative disables).
 	SmokeCycles int
-	// SmokeSeed seeds the smoke check's input vectors (default
-	// sim.DefaultSpotCheck.Smoke.Seed).
-	SmokeSeed int64
 }
 
 // TxReport describes the outcome of one transactional pass.
@@ -144,14 +146,10 @@ func Tx(ctx context.Context, pass string, in *network.Network, opt TxOptions, fn
 func smokeCheck(in, out *network.Network, prefix int, opt TxOptions, sp *obs.Span) (err error) {
 	cycles := opt.SmokeCycles
 	if cycles == 0 {
-		cycles = sim.DefaultSpotCheck.Smoke.Cycles
+		cycles = smokeCycles
 	}
 	if cycles < 0 {
 		return nil
-	}
-	seed := opt.SmokeSeed
-	if seed == 0 {
-		seed = sim.DefaultSpotCheck.Smoke.Seed
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -159,7 +157,7 @@ func smokeCheck(in, out *network.Network, prefix int, opt TxOptions, sp *obs.Spa
 			err = nil
 		}
 	}()
-	return bitsim.RandomEquivalent(in, out, prefix, cycles, seed, bitsim.Options{Tracer: opt.Tracer})
+	return bitsim.RandomEquivalent(in, out, prefix, cycles, smokeSeed, bitsim.Options{Tracer: opt.Tracer})
 }
 
 // corruptNetwork realizes FaultCorrupt: it breaks a structural invariant of

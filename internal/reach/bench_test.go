@@ -15,40 +15,29 @@ import (
 // §8 records the speedup of the open-addressed tables against the original
 // map-based manager on exactly this benchmark.
 func BenchmarkReachFixpoint(b *testing.B) {
-	modes := []struct {
-		name string
-		im   reach.ImageMode
-	}{
-		{"partitioned", reach.ImagePartitioned},
-		{"monolithic", reach.ImageMonolithic},
-	}
 	for _, name := range []string{"bbtas", "bbara", "s298", "s344"} {
-		for _, mode := range modes {
-			b.Run(name+"/"+mode.name, func(b *testing.B) {
-				c, ok := bench.ByName(name)
-				if !ok {
-					b.Fatalf("unknown circuit %s", name)
-				}
-				src, err := c.Build()
+		b.Run(name, func(b *testing.B) {
+			c, ok := bench.ByName(name)
+			if !ok {
+				b.Fatalf("unknown circuit %s", name)
+			}
+			src, err := c.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			var last *reach.Analysis
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a, err := reach.Analyze(context.Background(), src, reach.DefaultLimits, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				lim := reach.DefaultLimits
-				lim.Image = mode.im
-				var last *reach.Analysis
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					a, err := reach.Analyze(context.Background(), src, lim, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = a
-				}
-				b.ReportMetric(float64(last.Stats.PeakNodes), "peak-nodes")
-				b.ReportMetric(float64(last.Depth), "depth")
-			})
-		}
+				last = a
+			}
+			b.ReportMetric(float64(last.Stats.PeakNodes), "peak-nodes")
+			b.ReportMetric(float64(last.Depth), "depth")
+		})
 	}
 }
 

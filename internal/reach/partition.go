@@ -9,111 +9,16 @@
 package reach
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/bdd"
 	"repro/internal/network"
 )
 
-// ImageMode selects how the image of a state set is computed.
-type ImageMode int
-
-const (
-	// ImageDefault resolves to ImagePartitioned.
-	ImageDefault ImageMode = iota
-	// ImagePartitioned chains AndExists over clustered per-latch relations
-	// with an early-quantification schedule.
-	ImagePartitioned
-	// ImageMonolithic conjoins all per-latch relations into one BDD and
-	// quantifies in a single AndExists (the historical behaviour).
-	ImageMonolithic
-)
-
-func (im ImageMode) String() string {
-	switch im {
-	case ImageMonolithic:
-		return "monolithic"
-	default:
-		return "partitioned"
-	}
-}
-
-// ParseImageMode parses a -partition flag value.
-func ParseImageMode(s string) (ImageMode, error) {
-	switch s {
-	case "", "on", "partitioned", "part":
-		return ImagePartitioned, nil
-	case "off", "monolithic", "mono":
-		return ImageMonolithic, nil
-	}
-	return 0, fmt.Errorf("reach: unknown partition mode %q (want on|off)", s)
-}
-
-// VarOrder selects the static variable order of the BDD manager.
-type VarOrder int
-
-const (
-	// OrderDefault resolves to OrderTopo.
-	OrderDefault VarOrder = iota
-	// OrderTopo derives latch and PI ranks from a fanin-DFS of the network,
-	// keeping each latch's current/next pair adjacent.
-	OrderTopo
-	// OrderPositional is the historical layout: latch i at levels 2i/2i+1,
-	// PIs after all latches, in declaration order.
-	OrderPositional
-)
-
-func (vo VarOrder) String() string {
-	switch vo {
-	case OrderPositional:
-		return "positional"
-	default:
-		return "topo"
-	}
-}
-
-// ParseVarOrder parses a -order flag value.
-func ParseVarOrder(s string) (VarOrder, error) {
-	switch s {
-	case "", "topo", "topological":
-		return OrderTopo, nil
-	case "positional", "pos":
-		return OrderPositional, nil
-	}
-	return 0, fmt.Errorf("reach: unknown variable order %q (want topo|positional)", s)
-}
-
-const (
-	// DefaultClusterNodes is the greedy clustering threshold: a cluster
-	// stops absorbing per-latch relations once its BDD exceeds this many
-	// nodes.
-	DefaultClusterNodes = 2000
-	// DefaultSiftNodes is the manager size at which the first dynamic
-	// reordering pass triggers when Limits.Reorder is set.
-	DefaultSiftNodes = 50_000
-)
-
-// FlagLimits resolves the shared CLI knob surface (-partition, -order,
-// -partition-nodes, -reorder) into Limits, starting from base (typically
-// DefaultLimits).
-func FlagLimits(base Limits, partition, order string, clusterNodes int, reorder bool) (Limits, error) {
-	im, err := ParseImageMode(partition)
-	if err != nil {
-		return Limits{}, err
-	}
-	vo, err := ParseVarOrder(order)
-	if err != nil {
-		return Limits{}, err
-	}
-	base.Image = im
-	base.Order = vo
-	if clusterNodes > 0 {
-		base.ClusterNodes = clusterNodes
-	}
-	base.Reorder = reorder
-	return base, nil
-}
+// DefaultClusterNodes is the greedy clustering threshold of the image
+// computation Analyze and the product-machine verifier use: a cluster stops
+// absorbing per-latch relations once its BDD exceeds this many nodes.
+const DefaultClusterNodes = 2000
 
 // TransRel is a (possibly partitioned) transition relation prepared for
 // image computation: an ordered list of cluster BDDs, a per-step
@@ -132,23 +37,9 @@ type TransRel struct {
 // BuildTransRel clusters the per-latch relations `parts` under the node
 // threshold and computes the early-quantification schedule for the
 // variables marked in quant; perm is the next→current renaming applied
-// after the chain. clusterNodes <= 0 requests the monolithic relation: one
-// cluster holding the full conjunction, quantified in a single step —
-// operation-for-operation the historical image computation.
+// after the chain. clusterNodes 1 gives every latch its own cluster.
 func BuildTransRel(m *bdd.Manager, parts []bdd.Ref, quant []bool, perm []int, clusterNodes int) *TransRel {
 	t := &TransRel{perm: perm}
-	if clusterNodes <= 0 {
-		rel := bdd.True
-		for _, p := range parts {
-			rel = m.And(rel, p)
-		}
-		t.clusters = []bdd.Ref{rel}
-		t.sched = [][]bool{quant}
-		t.schedSteps = 1
-		t.peakClusterNodes = m.NodeCount(rel)
-		return t
-	}
-
 	// Greedy sequential clustering: absorb relations in latch order while
 	// the conjunction stays under the threshold. Under the topology-driven
 	// variable order adjacent latches share structure, so neighbouring
@@ -288,12 +179,6 @@ func (t *TransRel) ScheduleLen() int { return t.schedSteps }
 // PeakClusterNodes returns the largest cluster BDD, in internal nodes.
 func (t *TransRel) PeakClusterNodes() int { return t.peakClusterNodes }
 
-// Roots returns the BDD refs the relation keeps alive, for use as dynamic-
-// reordering roots.
-func (t *TransRel) Roots() []bdd.Ref {
-	return append([]bdd.Ref(nil), t.clusters...)
-}
-
 // TopoLeafRanks assigns discovery ranks to latches and PIs from a
 // depth-first traversal of the combinational fanin cones of the latch
 // drivers (in latch order) and then the primary outputs: sources discovered
@@ -343,12 +228,12 @@ func TopoLeafRanks(n *network.Network) (latchRank, piRank []int, found int) {
 	return latchRank, piRank, found
 }
 
-// topoVarOrder derives the static variable order for one network: sources
+// topoLevelOrder derives the static variable order for one network: sources
 // sorted by their TopoLeafRanks discovery rank (unseen sources after all
 // seen ones, in declaration order), each latch contributing its
 // current/next pair adjacently. The manager variable *indices* are
 // untouched — only their level placement changes.
-func topoVarOrder(n *network.Network, curVar, nextVar, inVar []int, nv int) []int {
+func topoLevelOrder(n *network.Network, curVar, nextVar, inVar []int, nv int) []int {
 	latchRank, piRank, found := TopoLeafRanks(n)
 	type ent struct{ rank, kind, idx int } // kind: 0 latch, 1 PI
 	ents := make([]ent, 0, len(latchRank)+len(piRank))

@@ -4,77 +4,185 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/bdd"
 	"repro/internal/bench"
+	"repro/internal/network"
 	"repro/internal/reach"
+	"repro/internal/sim"
 )
 
-// TestPropertyPartitionedMatchesMonolithic is the correctness anchor of the
-// partitioned image computation: over random FSMs, every combination of
-// image mode, variable order, clustering granularity and dynamic reordering
-// must compute the exact same reachable set — same fixpoint depth, same
-// state count, and bitwise-identical membership over the full 2^L state
-// space — as the historical monolithic relation in positional order.
-func TestPropertyPartitionedMatchesMonolithic(t *testing.T) {
-	mk := func(im reach.ImageMode, vo reach.VarOrder) reach.Limits {
-		lim := reach.DefaultLimits
-		lim.Image = im
-		lim.Order = vo
-		return lim
+// explicitReach is the explicit-state reference for Analyze: a breadth-
+// first search over all 2^L states × 2^PI inputs, stepped with the scalar
+// simulator. A latch initialised to X may start at either value, so the
+// initial layer holds every completion of the declared init vector. A
+// state is a bitmask, bit i holding latch i. It returns the reachable set,
+// the fixpoint depth as Analyze counts it (image steps that found new
+// states), the BFS frontiers (the initial set first) and, per frontier,
+// the set of all its successors.
+func explicitReach(t *testing.T, n *network.Network) (reached map[int]bool, depth int, frontiers [][]int, succs []map[int]bool) {
+	t.Helper()
+	s, err := sim.New(n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	fine := mk(reach.ImagePartitioned, reach.OrderTopo)
-	fine.ClusterNodes = 1 // every per-latch relation its own cluster
-	sifted := mk(reach.ImagePartitioned, reach.OrderTopo)
-	sifted.Reorder = true
-	sifted.SiftNodes = 1 // sift on every fixpoint iteration
-	configs := []struct {
-		name string
-		lim  reach.Limits
-	}{
-		{"monolithic/positional", mk(reach.ImageMonolithic, reach.OrderPositional)},
-		{"monolithic/topo", mk(reach.ImageMonolithic, reach.OrderTopo)},
-		{"partitioned/positional", mk(reach.ImagePartitioned, reach.OrderPositional)},
-		{"partitioned/topo", mk(reach.ImagePartitioned, reach.OrderTopo)},
-		{"partitioned/finest", fine},
-		{"partitioned/sifted", sifted},
+	L, P := len(n.Latches), len(n.PIs)
+	var init []int
+	for st := 0; st < 1<<L; st++ {
+		ok := true
+		for i, l := range n.Latches {
+			bit := st>>i&1 == 1
+			if (l.Init == network.V0 && bit) || (l.Init == network.V1 && !bit) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			init = append(init, st)
+		}
 	}
+	reached = make(map[int]bool)
+	for _, st := range init {
+		reached[st] = true
+	}
+	state := make([]network.Value, L)
+	in := make([]bool, P)
+	for frontier := init; ; depth++ {
+		frontiers = append(frontiers, frontier)
+		succ := make(map[int]bool)
+		succs = append(succs, succ)
+		var fresh []int
+		for _, st := range frontier {
+			for iv := 0; iv < 1<<P; iv++ {
+				for i := range state {
+					state[i] = network.V0
+					if st>>i&1 == 1 {
+						state[i] = network.V1
+					}
+				}
+				for j := range in {
+					in[j] = iv>>j&1 == 1
+				}
+				s.SetState(state)
+				s.StepBits(in)
+				next := 0
+				for i, v := range s.State() {
+					if v == network.V1 {
+						next |= 1 << i
+					}
+				}
+				succ[next] = true
+				if !reached[next] {
+					reached[next] = true
+					fresh = append(fresh, next)
+				}
+			}
+		}
+		if len(fresh) == 0 {
+			return reached, depth, frontiers, succs
+		}
+		frontier = fresh
+	}
+}
 
+// stateSet builds the BDD over a's current-state variables holding exactly
+// the given bitmask states.
+func stateSet(a *reach.Analysis, states map[int]bool) bdd.Ref {
+	m := a.M
+	set := bdd.False
+	for st := range states {
+		cube := bdd.True
+		for i, v := range a.CurVar {
+			if st>>i&1 == 1 {
+				cube = m.And(cube, m.Var(v))
+			} else {
+				cube = m.And(cube, m.NVar(v))
+			}
+		}
+		set = m.Or(set, cube)
+	}
+	return set
+}
+
+// TestPropertyAnalyzeMatchesExplicitState is the correctness anchor of the
+// implicit state enumeration: over random FSMs (every even seed with one
+// X-initialised latch), Analyze must agree with explicit-state BFS on the
+// fixpoint depth, the state count and the membership of every one of the
+// 2^L states. On every BFS frontier, the images through the finest
+// (granularity 1) and default clustered transition relation, and the
+// monolithic image built here from the full conjunction, must be the same
+// BDD and hold exactly the explicit successors.
+func TestPropertyAnalyzeMatchesExplicitState(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		src := bench.Synthetic(bench.Profile{
 			Name: "p", PIs: 3, POs: 2, FFs: 5, Gates: 14, Seed: seed,
 		})
-		ffs := len(src.Latches)
-		var ref *reach.Analysis
-		for _, cfg := range configs {
-			a, err := reach.Analyze(context.Background(), src, cfg.lim, nil)
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, cfg.name, err)
+		L := len(src.Latches)
+		if seed%2 == 0 {
+			src.Latches[int(seed)%L].Init = network.VX
+		}
+		reached, depth, frontiers, succs := explicitReach(t, src)
+		a, err := reach.Analyze(context.Background(), src, reach.DefaultLimits, nil)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if a.Depth != depth {
+			t.Errorf("seed %d: depth %d, explicit BFS %d", seed, a.Depth, depth)
+		}
+		if got := a.NumReachable(); got != float64(len(reached)) {
+			t.Errorf("seed %d: %v reachable states, explicit BFS %d", seed, got, len(reached))
+		}
+		env := make([]bool, a.M.NumVars())
+		for st := 0; st < 1<<L; st++ {
+			for i, v := range a.CurVar {
+				env[v] = st>>i&1 == 1
 			}
-			if ref == nil {
-				ref = a
-				continue
+			if a.M.Eval(a.Reachable, env) != reached[st] {
+				t.Fatalf("seed %d: state %0*b membership differs from explicit BFS", seed, L, st)
 			}
-			if a.Depth != ref.Depth {
-				t.Errorf("seed %d %s: depth %d != reference %d",
-					seed, cfg.name, a.Depth, ref.Depth)
+		}
+
+		// The relation Analyze builds, at two granularities and as one
+		// monolithic conjunction, in its own manager: BDDs are canonical,
+		// so equal sets are equal Refs.
+		m := a.M
+		parts := make([]bdd.Ref, L)
+		for i, l := range src.Latches {
+			parts[i] = m.Xnor(m.Var(a.NextVar[i]), a.NodeFn[l.Driver])
+		}
+		quant := make([]bool, m.NumVars())
+		perm := make([]int, m.NumVars())
+		for v := range perm {
+			perm[v] = v
+		}
+		for i := range a.CurVar {
+			quant[a.CurVar[i]] = true
+			perm[a.CurVar[i]], perm[a.NextVar[i]] = a.NextVar[i], a.CurVar[i]
+		}
+		for _, v := range a.InVar {
+			quant[v] = true
+		}
+		mono := bdd.True
+		for _, p := range parts {
+			mono = m.And(mono, p)
+		}
+		granularities := []int{1, reach.DefaultClusterNodes}
+		rels := make([]*reach.TransRel, len(granularities))
+		for i, g := range granularities {
+			rels[i] = reach.BuildTransRel(m, parts, quant, perm, g)
+		}
+		for k, frontier := range frontiers {
+			inFront := make(map[int]bool, len(frontier))
+			for _, st := range frontier {
+				inFront[st] = true
 			}
-			if got, want := a.NumReachable(), ref.NumReachable(); got != want {
-				t.Errorf("seed %d %s: %v reachable states != reference %v",
-					seed, cfg.name, got, want)
+			from, want := stateSet(a, inFront), stateSet(a, succs[k])
+			if m.Permute(m.AndExists(from, mono, quant), perm) != want {
+				t.Errorf("seed %d frontier %d: monolithic image differs from the explicit successors", seed, k)
 			}
-			// Exhaustive membership: the same state must be in (or out of)
-			// both reachable sets for all 2^L assignments. Variable indices
-			// are identical across configs; only level placement differs.
-			env := make([]bool, a.M.NumVars())
-			refEnv := make([]bool, ref.M.NumVars())
-			for s := 0; s < 1<<ffs; s++ {
-				for i := 0; i < ffs; i++ {
-					bit := s>>i&1 == 1
-					env[a.CurVar[i]] = bit
-					refEnv[ref.CurVar[i]] = bit
-				}
-				if a.M.Eval(a.Reachable, env) != ref.M.Eval(ref.Reachable, refEnv) {
-					t.Fatalf("seed %d %s: state %0*b membership differs from reference",
-						seed, cfg.name, ffs, s)
+			for i, rel := range rels {
+				if rel.Image(m, from) != want {
+					t.Errorf("seed %d frontier %d: image at granularity %d differs from the explicit successors",
+						seed, k, granularities[i])
 				}
 			}
 		}

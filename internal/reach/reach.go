@@ -24,8 +24,8 @@ import (
 // Variable layout in the manager: latch i owns current-state var 2i and
 // next-state var 2i+1 (interleaved for compact transition relations);
 // primary input j owns var 2L+j. Variable *indices* are fixed; their level
-// placement follows Limits.Order (topology-driven by default, with each
-// cur/next pair kept adjacent).
+// placement is topology-driven (topoLevelOrder), with each cur/next pair kept
+// adjacent.
 type Analysis struct {
 	M *bdd.Manager
 	N *network.Network
@@ -49,28 +49,10 @@ type Analysis struct {
 	FrontierPeakNodes int
 }
 
-// Limits bounds and configures the analysis; zero values mean "no limit"
-// for the bounds and "package default" for the strategy knobs, so the
-// struct stays comparable and a zero Limits is a usable configuration.
+// Limits bounds the analysis; a zero field means "no limit".
 type Limits struct {
 	MaxLatches  int // refuse circuits with more registers than this
 	MaxBDDNodes int // abort when the manager exceeds this many nodes
-
-	// Image selects monolithic vs clustered-partitioned image computation
-	// (zero value: partitioned).
-	Image ImageMode
-	// Order selects the static variable order (zero value: topology-driven).
-	Order VarOrder
-	// ClusterNodes is the node-size threshold for greedy clustering of the
-	// partitioned relation (<= 0: DefaultClusterNodes). Ignored under
-	// ImageMonolithic.
-	ClusterNodes int
-	// Reorder enables dynamic variable reordering: a sifting pass runs when
-	// the manager first exceeds SiftNodes, and again on each doubling.
-	Reorder bool
-	// SiftNodes is the manager size triggering the first sifting pass
-	// (<= 0: DefaultSiftNodes). Meaningful only with Reorder.
-	SiftNodes int
 }
 
 // DefaultLimits keeps implicit enumeration within laptop-friendly bounds,
@@ -110,7 +92,6 @@ func Analyze(ctx context.Context, n *network.Network, lim Limits, tr *obs.Tracer
 		sp.Add("bdd_nodes", int64(st.PeakNodes))
 		sp.Add("bdd_cache_hits", st.CacheHits)
 		sp.Add("bdd_cache_misses", st.CacheMisses)
-		sp.Add("bdd_sift_swaps", st.SiftSwaps)
 		if r != nil {
 			if r == bdd.ErrNodeLimit {
 				a, err = nil, fmt.Errorf("reach: state space too large: %d BDD nodes for %d latches after %d image steps (limit %d): %w",
@@ -135,9 +116,7 @@ func Analyze(ctx context.Context, n *network.Network, lim Limits, tr *obs.Tracer
 	for j := range n.PIs {
 		a.InVar[j] = 2*L + j
 	}
-	if lim.Order != OrderPositional {
-		m.SetOrder(topoVarOrder(n, a.CurVar, a.NextVar, a.InVar, nv))
-	}
+	m.SetOrder(topoLevelOrder(n, a.CurVar, a.NextVar, a.InVar, nv))
 	if err := a.buildNodeFns(ctx); err != nil {
 		return nil, err
 	}
@@ -155,7 +134,7 @@ func Analyze(ctx context.Context, n *network.Network, lim Limits, tr *obs.Tracer
 	a.Init = init
 
 	// Per-latch relations next_i ↔ δ_i, clustered with an early-
-	// quantification schedule (monolithic on request).
+	// quantification schedule.
 	parts := make([]bdd.Ref, L)
 	for i, l := range n.Latches {
 		parts[i] = m.Xnor(m.Var(a.NextVar[i]), a.NodeFn[l.Driver])
@@ -176,25 +155,11 @@ func Analyze(ctx context.Context, n *network.Network, lim Limits, tr *obs.Tracer
 		perm[a.NextVar[i]] = a.CurVar[i]
 		perm[a.CurVar[i]] = a.NextVar[i]
 	}
-	threshold := 0 // monolithic
-	if lim.Image != ImageMonolithic {
-		threshold = lim.ClusterNodes
-		if threshold <= 0 {
-			threshold = DefaultClusterNodes
-		}
-	}
-	trel := BuildTransRel(m, parts, quant, perm, threshold)
+	trel := BuildTransRel(m, parts, quant, perm, DefaultClusterNodes)
 	sp.Add("reach_clusters", int64(trel.NumClusters()))
 	sp.Add("reach_quant_schedule_len", int64(trel.ScheduleLen()))
 	sp.Max("reach_cluster_peak_nodes", int64(trel.PeakClusterNodes()))
 
-	nextSift := 0
-	if lim.Reorder {
-		nextSift = lim.SiftNodes
-		if nextSift <= 0 {
-			nextSift = DefaultSiftNodes
-		}
-	}
 	reached := init
 	frontier := init
 	for ; ; depth++ {
@@ -209,17 +174,6 @@ func Analyze(ctx context.Context, n *network.Network, lim Limits, tr *obs.Tracer
 			tr.Event("reach_iter", map[string]any{
 				"depth": depth, "frontier_nodes": fn, "bdd_nodes": m.Size(),
 			})
-		}
-		if nextSift > 0 && m.Size() >= nextSift {
-			roots := append(trel.Roots(), reached, frontier, a.Init)
-			res := m.Sift(roots, 0)
-			nextSift = 2 * m.Size()
-			if tr != nil {
-				tr.Event("reach_sift", map[string]any{
-					"depth": depth, "swaps": res.Swaps,
-					"live_before": res.BeforeNodes, "live_after": res.AfterNodes,
-				})
-			}
 		}
 		img := trel.Image(m, frontier)
 		newStates := m.And(img, m.Not(reached))

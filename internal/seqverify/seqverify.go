@@ -172,9 +172,7 @@ func Equivalent(ctx context.Context, a, b *network.Network, opt Options) (err er
 		inVarA[i] = i
 		inVarB[piOfB[i]] = i
 	}
-	if lim.Order != reach.OrderPositional {
-		m.SetOrder(productVarOrder(a, b, piOfB, inVarA, ma, mb, nv))
-	}
+	m.SetOrder(productLevelOrder(a, b, piOfB, inVarA, ma, mb, nv))
 	if err := buildFns(m, ma, inVarA); err != nil {
 		return fmt.Errorf("seqverify: %s: %w", a.Name, err)
 	}
@@ -197,7 +195,7 @@ func Equivalent(ctx context.Context, a, b *network.Network, opt Options) (err er
 	front := m.And(initSet(ma), initSet(mb))
 
 	// Per-latch relations of both machines, clustered with an early-
-	// quantification schedule (monolithic on request via lim.Image).
+	// quantification schedule.
 	parts := make([]bdd.Ref, 0, la+lb)
 	for i, l := range a.Latches {
 		parts = append(parts, m.Xnor(m.Var(ma.nextVar[i]), ma.nodeFn[l.Driver]))
@@ -226,42 +224,13 @@ func Equivalent(ctx context.Context, a, b *network.Network, opt Options) (err er
 	for i := 0; i < lb; i++ {
 		perm[mb.nextVar[i]], perm[mb.curVar[i]] = mb.curVar[i], mb.nextVar[i]
 	}
-	threshold := 0 // monolithic
-	if lim.Image != reach.ImageMonolithic {
-		threshold = lim.ClusterNodes
-		if threshold <= 0 {
-			threshold = reach.DefaultClusterNodes
-		}
-	}
-	trel := reach.BuildTransRel(m, parts, quant, perm, threshold)
-	nextSift := 0
-	if lim.Reorder {
-		nextSift = lim.SiftNodes
-		if nextSift <= 0 {
-			nextSift = reach.DefaultSiftNodes
-		}
-	}
-	// The PO functions are consulted after the traversal; they must count
-	// as live roots for any reordering pass.
-	poFns := make([]bdd.Ref, 0, 2*len(pairs))
-	for _, pp := range pairs {
-		poFns = append(poFns, ma.nodeFn[pp.pa.Driver], mb.nodeFn[pp.pb.Driver])
-	}
-	sift := func(reached, front bdd.Ref) {
-		if nextSift == 0 || m.Size() < nextSift {
-			return
-		}
-		roots := append(trel.Roots(), poFns...)
-		m.Sift(append(roots, reached, front), 0)
-		nextSift = 2 * m.Size()
-	}
+	trel := reach.BuildTransRel(m, parts, quant, perm, reach.DefaultClusterNodes)
 
 	// Advance the frontier through the delayed-replacement prefix.
 	for k := 0; k < opt.Delay; k++ {
 		if cerr := guard.Check(ctx, "seqverify.equivalent"); cerr != nil {
 			return fmt.Errorf("seqverify: prefix traversal interrupted at cycle %d: %w", k, cerr)
 		}
-		sift(front, front)
 		front = trel.Image(m, front)
 	}
 	// Closure from the post-prefix frontier.
@@ -270,7 +239,6 @@ func Equivalent(ctx context.Context, a, b *network.Network, opt Options) (err er
 		if cerr := guard.Check(ctx, "seqverify.equivalent"); cerr != nil {
 			return fmt.Errorf("seqverify: reachability closure interrupted: %w", cerr)
 		}
-		sift(reached, front)
 		img := trel.Image(m, front)
 		fresh := m.And(img, m.Not(reached))
 		if fresh == bdd.False {
@@ -354,13 +322,13 @@ func buildFns(m *bdd.Manager, mc *machine, inVar []int) error {
 	return nil
 }
 
-// productVarOrder merges the topology-driven orders of the two machines
+// productLevelOrder merges the topology-driven orders of the two machines
 // into one static order for the product manager: each machine's latches
 // and the shared PIs are keyed by their normalized TopoLeafRanks discovery
 // rank (a PI takes the earlier of its two ranks), so corresponding state
 // variables of structurally similar machines interleave. Each latch's
 // cur/next pair stays adjacent.
-func productVarOrder(a, b *network.Network, piOfB []int, inVarA []int, ma, mb *machine, nv int) []int {
+func productLevelOrder(a, b *network.Network, piOfB []int, inVarA []int, ma, mb *machine, nv int) []int {
 	laR, paR, fa := reach.TopoLeafRanks(a)
 	lbR, pbR, fb := reach.TopoLeafRanks(b)
 	denomA := float64(fa + len(laR) + len(paR) + 1)

@@ -69,9 +69,11 @@ type JobResult struct {
 	Area    float64 `json:"area"`
 	PrefixK int     `json:"prefix_k"`
 	Note    string  `json:"note,omitempty"`
-	// Verify reports how equivalence was established: "exact",
-	// "simulated" (state space too large for the product machine), or
-	// "skipped".
+	// Verify reports how flows.VerifyVerdict established equivalence:
+	// "exact", "proved-by-induction" (sweep on, state space past the exact
+	// limits), "simulated" (flows.VerdictSpotChecked: neither proof engine
+	// could decide, so a bounded random simulation vouches for the result),
+	// or "skipped".
 	Verify string `json:"verify"`
 }
 

@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bitsim"
 	"repro/internal/blif"
 	"repro/internal/flows"
 	"repro/internal/genlib"
@@ -43,9 +42,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/parexec"
-	"repro/internal/reach"
-	"repro/internal/seqverify"
-	"repro/internal/sim"
 )
 
 // Request is one job submission.
@@ -61,7 +57,8 @@ type Request struct {
 	// flows restructure (flows.SubstrateNames; default "sop").
 	Substrate string `json:"substrate,omitempty"`
 	// Verify requests an equivalence check of the result against the
-	// input (exact when feasible, random simulation otherwise).
+	// input through flows.VerifyVerdict (exact when feasible, random
+	// simulation otherwise).
 	Verify bool `json:"verify,omitempty"`
 	// Workers bounds the worker pool of parallel passes inside the flows
 	// (the AIG substrate's levelized rewriter, the sweep proof shards); 0
@@ -169,14 +166,9 @@ type Config struct {
 	Queue int
 	// Budget bounds each job (Job), its flows (Flow) and passes (Pass).
 	Budget guard.Budget
-	// Reach bounds the BDD engines.
-	Reach reach.Limits
 	// Registry receives job/pass metrics; a fresh one is created when
 	// nil.
 	Registry *obs.Registry
-	// SimCycles bounds the random-simulation verification fallback
-	// (default sim.DefaultSpotCheck.CLI.Cycles).
-	SimCycles int
 	// Sweep turns SAT-based sequential sweeping on for every request that
 	// did not ask for it itself. Applied before content addressing, so the
 	// effective value is what the job key answers for.
@@ -268,9 +260,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Queue <= 0 {
 		cfg.Queue = 64
-	}
-	if cfg.SimCycles <= 0 {
-		cfg.SimCycles = sim.DefaultSpotCheck.CLI.Cycles
 	}
 	if cfg.CompactEvery == 0 {
 		cfg.CompactEvery = 4096
@@ -525,7 +514,6 @@ func (s *Server) execute(ctx context.Context, j *Job, tr *obs.Tracer) (*JobResul
 	cfg := flows.Config{
 		Tracer:     tr,
 		Budget:     s.cfg.Budget,
-		Reach:      s.cfg.Reach,
 		Substrate:  j.req.Substrate,
 		Workers:    j.req.Workers,
 		Sweep:      j.req.Sweep,
@@ -545,33 +533,22 @@ func (s *Server) execute(ctx context.Context, j *Job, tr *obs.Tracer) (*JobResul
 	}
 	if j.req.Verify {
 		sp := tr.Begin("serve.verify")
-		verdict, verr := seqverify.Check(ctx, src, result.Net, seqverify.Options{
-			Delay:      result.PrefixK,
-			Limits:     s.cfg.Reach,
-			Sweep:      j.req.Sweep,
-			InductionK: j.req.InductionK,
-			Workers:    j.req.Workers,
-			Tracer:     tr,
-		})
+		verdict, verr := flows.VerifyVerdict(ctx, src, result, cfg)
+		sp.End()
 		switch {
-		case verr == nil:
-			res.Verify = string(verdict)
-		case errors.Is(verr, seqverify.ErrTooLarge):
-			if serr := bitsim.RandomEquivalent(src, result.Net, result.PrefixK, s.cfg.SimCycles, sim.DefaultSpotCheck.CLI.Seed, bitsim.Options{}); serr != nil {
-				sp.End()
-				// A reproducible mismatch between input and output is a
-				// property of the result, not of the environment.
-				return nil, "", guard.WithClass(serr, guard.ErrClassPermanent)
-			}
+		case verr == nil && verdict == flows.VerdictSpotChecked:
+			// The wire value predates the shared ladder; journaled
+			// results and clients depend on it.
 			res.Verify = "simulated"
+		case verr == nil:
+			res.Verify = verdict
 		case errors.Is(verr, guard.ErrBudget):
-			sp.End()
 			return nil, "", verr
 		default:
-			sp.End()
+			// A refutation is a property of the result, not of the
+			// environment: retrying cannot change it.
 			return nil, "", guard.WithClass(verr, guard.ErrClassPermanent)
 		}
-		sp.End()
 	}
 	var out strings.Builder
 	if err := blif.Write(&out, result.Net); err != nil {

@@ -30,7 +30,10 @@ func sweepTwinsBLIF() string {
 // TestServeSweepVerification drives the sweep knobs end to end: the flags
 // participate in the content address and validation, a >32-latch job
 // verifies as proved-by-induction instead of degrading to simulation, and
-// the solver counters cross the tracer bridge onto /metrics.
+// the solver counters cross the tracer bridge onto /metrics. It also pins
+// the three verdicts of flows.VerifyVerdict on the wire: "exact" for a
+// small circuit, "proved-by-induction" with sweep past the exact limits,
+// and "simulated" (flows.VerdictSpotChecked) without.
 func TestServeSweepVerification(t *testing.T) {
 	_, ts := startServer(t, Config{Workers: 2})
 	src := sweepTwinsBLIF()
@@ -66,6 +69,13 @@ func TestServeSweepVerification(t *testing.T) {
 	final = waitDone(t, ts.URL, info.ID)
 	if final.State != StateDone || final.Result.Verify != "simulated" {
 		t.Fatalf("plain job verify = %+v, want simulated", final.Result)
+	}
+
+	// Within the exact limits the product machine is enumerated.
+	info, _ = postJob(t, ts.URL, Request{Netlist: circuitBLIF(t, "s27"), Flow: "script", Verify: true})
+	final = waitDone(t, ts.URL, info.ID)
+	if final.State != StateDone || final.Result.Verify != "exact" {
+		t.Fatalf("s27 job verify = %+v, want exact", final.Result)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")

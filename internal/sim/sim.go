@@ -1,9 +1,9 @@
 // Package sim provides two-valued and three-valued (0/1/X) simulation of
-// sequential networks, one vector per pass, the scalar random-vector
-// equivalence spot-check with the paper's delayed-replacement semantics,
-// and the spot-check budgets the verifiers share (DefaultSpotCheck). The
-// simulator and the scalar check are the reference the bit-parallel
-// engine in internal/bitsim is tested against.
+// sequential networks, one vector per pass, and the scalar random-vector
+// equivalence spot-check with the paper's delayed-replacement semantics.
+// It is a test oracle: no production code imports it. The tests of the
+// bit-parallel engine (internal/bitsim), the flows, the substrates and the
+// parsers check their results against this simulator.
 package sim
 
 import (

@@ -26,7 +26,6 @@ import (
 	"repro/internal/guard"
 	"repro/internal/obs"
 	"repro/internal/parexec"
-	"repro/internal/reach"
 )
 
 // Options configures one table run.
@@ -49,10 +48,6 @@ type Options struct {
 	ShowTimes bool
 	// Budget bounds flow/pass wall time via the guard layer.
 	Budget guard.Budget
-	// Reach configures the implicit state enumeration of the retiming +
-	// comb.opt flow and of exact verification (image partitioning, variable
-	// order, limits). Zero value: reach.DefaultLimits.
-	Reach reach.Limits
 	// Tracer, when non-nil, receives every circuit's span tree, merged in
 	// suite order.
 	Tracer *obs.Tracer
@@ -205,7 +200,6 @@ func runCircuit(ctx context.Context, c bench.Circuit, lib *genlib.Library, opt O
 	cfg := flows.Config{
 		Tracer:     tr,
 		Budget:     opt.Budget,
-		Reach:      opt.Reach,
 		Substrate:  opt.Substrate,
 		Workers:    opt.Workers,
 		Sweep:      opt.Sweep,

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/reach"
 )
 
 // smallSuite keeps the determinism matrix fast enough for -race CI runs
@@ -49,50 +48,6 @@ func TestParallelTableIsByteIdentical(t *testing.T) {
 		}
 		if parSum != seqSum {
 			t.Errorf("workers=%d summary differs: %+v vs %+v", w, parSum, seqSum)
-		}
-	}
-}
-
-// TestTablePartitionModesByteIdentical pins that image partitioning is a
-// pure performance change: the rendered table — registers, clocks, areas,
-// notes, every verification verdict — is byte-for-byte the same whether the
-// reachability engine runs partitioned or monolithic, in topological or
-// positional variable order.
-func TestTablePartitionModesByteIdentical(t *testing.T) {
-	run := func(im reach.ImageMode, vo reach.VarOrder) (string, Summary) {
-		lim := reach.DefaultLimits
-		lim.Image = im
-		lim.Order = vo
-		var out, errs bytes.Buffer
-		sum, err := Run(context.Background(), &out, &errs, Options{
-			Circuits: smallSuite,
-			Verify:   true,
-			Reach:    lim,
-		})
-		if err != nil {
-			t.Fatalf("%v/%v: %v", im, vo, err)
-		}
-		if errs.Len() > 0 {
-			t.Fatalf("%v/%v produced diagnostics:\n%s", im, vo, errs.String())
-		}
-		return out.String(), sum
-	}
-	refOut, refSum := run(reach.ImagePartitioned, reach.OrderTopo)
-	for _, alt := range []struct {
-		im reach.ImageMode
-		vo reach.VarOrder
-	}{
-		{reach.ImageMonolithic, reach.OrderTopo},
-		{reach.ImagePartitioned, reach.OrderPositional},
-		{reach.ImageMonolithic, reach.OrderPositional},
-	} {
-		out, sum := run(alt.im, alt.vo)
-		if out != refOut {
-			t.Errorf("%v/%v table differs from partitioned/topo:\n--- ref ---\n%s\n--- alt ---\n%s",
-				alt.im, alt.vo, refOut, out)
-		}
-		if sum != refSum {
-			t.Errorf("%v/%v summary differs: %+v vs %+v", alt.im, alt.vo, sum, refSum)
 		}
 	}
 }
