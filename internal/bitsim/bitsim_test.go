@@ -1,21 +1,24 @@
 package bitsim_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/bitsim"
 	"repro/internal/logic"
 	"repro/internal/network"
+	"repro/internal/seqverify"
 	"repro/internal/sim"
 )
 
 // randTestNetwork builds a random sequential network: nPI inputs, nLatch
 // registers (random init incl. X), nNode logic nodes over random fanins
 // drawn from everything defined so far, latch drivers and POs picked from
-// the logic nodes.
+// the logic nodes. Covers include the shapes Compile lowers specially:
+// empty covers, universal and void cubes, and cubes and covers of 5 to 8
+// terms.
 func randTestNetwork(r *rand.Rand, nPI, nLatch, nNode int) *network.Network {
 	n := network.New(fmt.Sprintf("rnd%d", r.Intn(1<<30)))
 	var sources []*network.Node
@@ -32,6 +35,9 @@ func randTestNetwork(r *rand.Rand, nPI, nLatch, nNode int) *network.Network {
 	var nodes []*network.Node
 	for i := 0; i < nNode; i++ {
 		k := 1 + r.Intn(3)
+		if r.Intn(4) == 0 {
+			k = 5 + r.Intn(4) // wide cubes: AND chains of 4 to 7 ops
+		}
 		if k > len(sources) {
 			k = len(sources)
 		}
@@ -45,17 +51,30 @@ func randTestNetwork(r *rand.Rand, nPI, nLatch, nNode int) *network.Network {
 			}
 		}
 		f := logic.NewCover(len(fanins))
-		for c := 0; c < 1+r.Intn(3); c++ {
+		nCubes := 1 + r.Intn(3)
+		switch r.Intn(6) {
+		case 0:
+			nCubes = 0 // the empty cover: constant 0
+		case 1:
+			nCubes = 5 + r.Intn(4)
+		}
+		for c := 0; c < nCubes; c++ {
 			cube := logic.NewCube(len(fanins))
-			for v := 0; v < len(fanins); v++ {
-				switch r.Intn(3) {
-				case 0:
-					cube.SetLit(v, logic.LitNeg)
-				case 1:
-					cube.SetLit(v, logic.LitPos)
+			kind := r.Intn(10)
+			if kind != 0 { // kind 0 leaves the universal cube: constant 1
+				for v := 0; v < len(fanins); v++ {
+					switch r.Intn(3) {
+					case 0:
+						cube.SetLit(v, logic.LitNeg)
+					case 1:
+						cube.SetLit(v, logic.LitPos)
+					}
 				}
 			}
-			f.Add(cube)
+			if kind == 1 {
+				cube.SetLit(r.Intn(len(fanins)), logic.LitNone) // a void cube
+			}
+			f.Cubes = append(f.Cubes, cube) // Add would drop a void cube
 		}
 		v := n.AddLogic(fmt.Sprintf("g%d", i), fanins, f)
 		nodes = append(nodes, v)
@@ -88,8 +107,8 @@ func valOf(one, zero uint64, lane int) network.Value {
 // every PO, every latch, every cycle.
 func TestPropertyBitsimMatchesScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 40; trial++ {
-		n := randTestNetwork(r, 1+r.Intn(4), r.Intn(4), 1+r.Intn(8))
+	for trial := 0; trial < 100; trial++ {
+		n := randTestNetwork(r, 1+r.Intn(8), r.Intn(4), 1+r.Intn(12))
 		bs, err := bitsim.Compile(n)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -277,71 +296,116 @@ func TestCrossWidthDeterminism(t *testing.T) {
 		}
 	}
 
-	// The toggle counter is XOR-based and never leaves all-X, so use an
-	// AND-gated register pair (clearable by r=0) for the sync search.
-	n := network.New("clearable")
-	r := n.AddPI("r")
-	i := n.AddPI("i")
-	l0 := n.AddLatch("s0", nil, network.VX)
-	l1 := n.AddLatch("s1", nil, network.VX)
-	g0 := n.AddLogic("g0", []*network.Node{r, i}, logic.MustParseCover(2, "11"))
-	g1 := n.AddLogic("g1", []*network.Node{r, l0.Output}, logic.MustParseCover(2, "11"))
-	l0.Driver = g0
-	l1.Driver = g1
-	n.AddPO("y", g1)
-	var seqs [][][]bool
-	for _, workers := range []int{1, 8} {
-		seq, ok := bitsim.SynchronizingSequence(n, 20, 5,
-			bitsim.Options{Streams: 100, Workers: workers})
-		if !ok {
-			t.Fatalf("workers %d: no synchronizing sequence found", workers)
+}
+
+// wideAndPair returns a machine whose PO is g OR its one-cycle-delayed
+// copy, where g is the AND of the PIs in sel, and a corrupted twin whose g
+// is constant 0. The two differ only on the rare vectors that set every
+// PI of sel, so the first mismatch usually falls on a stream other than 0.
+func wideAndPair(nPI int, sel []int) (*network.Network, *network.Network) {
+	build := func(name string, bad bool) *network.Network {
+		n := network.New(name)
+		pis := make([]*network.Node, nPI)
+		for i := range pis {
+			pis[i] = n.AddPI(fmt.Sprintf("i%d", i))
 		}
-		seqs = append(seqs, seq)
+		fan := make([]*network.Node, len(sel))
+		cube := make([]byte, len(sel))
+		for k, i := range sel {
+			fan[k] = pis[i]
+			cube[k] = '1'
+		}
+		f := logic.MustParseCover(len(sel), string(cube))
+		if bad {
+			f = logic.NewCover(len(sel))
+		}
+		l := n.AddLatch("s", nil, network.V0)
+		g := n.AddLogic("g", fan, f)
+		h := n.AddLogic("h", []*network.Node{g, l.Output}, logic.MustParseCover(2, "1-", "-1"))
+		l.Driver = g
+		n.AddPO("y", h)
+		return n
 	}
-	if !reflect.DeepEqual(seqs[0], seqs[1]) {
-		t.Fatalf("sync sequence differs across widths:\n%v\nvs\n%v", seqs[0], seqs[1])
+	return build("a", false), build("b", true)
+}
+
+// TestRandomEquivalentGolden pins the verdicts of corrupted pairs whose
+// first mismatch lies on streams above 0, including streams of the second
+// and third word block and PIs past the first 64. Every string was
+// recorded before the transpose packing replaced per-bit packing, so the
+// input vectors of every stream are pinned, not only stream 0's.
+func TestRandomEquivalentGolden(t *testing.T) {
+	const d = `sim: PO "y" differs at cycle %d on stream %d (after 1-cycle prefix)`
+	for _, tc := range []struct {
+		nPI, streams int
+		seed         int64
+		want         string
+	}{
+		{9, 64, 1, fmt.Sprintf(d, 2, 15)},
+		{9, 64, 2, fmt.Sprintf(d, 1, 7)},
+		{9, 64, 3, fmt.Sprintf(d, 6, 45)},
+		{9, 64, 4, fmt.Sprintf(d, 5, 13)},
+		{9, 130, 1, fmt.Sprintf(d, 2, 15)},
+		{9, 130, 2, fmt.Sprintf(d, 1, 7)},
+		{9, 130, 3, fmt.Sprintf(d, 3, 105)},
+		{9, 130, 4, fmt.Sprintf(d, 2, 125)},
+		{70, 64, 1, fmt.Sprintf(d, 1, 42)},
+		{70, 64, 2, fmt.Sprintf(d, 1, 1)},
+		{70, 64, 3, fmt.Sprintf(d, 3, 29)},
+		{70, 64, 4, fmt.Sprintf(d, 1, 40)},
+		{70, 130, 1, fmt.Sprintf(d, 1, 42)},
+		{70, 130, 2, fmt.Sprintf(d, 1, 1)},
+		{70, 130, 3, fmt.Sprintf(d, 3, 29)},
+		{70, 130, 4, fmt.Sprintf(d, 1, 40)},
+		{130, 64, 1, "<nil>"},
+		{130, 64, 2, "<nil>"},
+		{130, 64, 3, fmt.Sprintf(d, 3, 6)},
+		{130, 64, 4, fmt.Sprintf(d, 1, 54)},
+		{130, 130, 1, fmt.Sprintf(d, 5, 95)},
+		{130, 130, 2, "<nil>"},
+		{130, 130, 3, fmt.Sprintf(d, 3, 6)},
+		{130, 130, 4, fmt.Sprintf(d, 1, 54)},
+	} {
+		sel := map[int][]int{
+			9:   {0, 1, 2, 3, 4, 5, 6, 7},
+			70:  {60, 62, 63, 64, 65, 66, 68, 69},
+			130: {3, 64, 70, 100, 127, 128, 129, 1},
+		}[tc.nPI]
+		a, b := wideAndPair(tc.nPI, sel)
+		err := bitsim.RandomEquivalent(a, b, 1, 6, tc.seed, bitsim.Options{Streams: tc.streams})
+		if got := fmt.Sprint(err); got != tc.want {
+			t.Errorf("nPI %d streams %d seed %d: got %q, want %q", tc.nPI, tc.streams, tc.seed, got, tc.want)
+		}
 	}
 }
 
-// TestSynchronizingSequenceCertificateIsValid replays every returned
-// sequence on the scalar simulator: starting from all-X, the final state
-// must be fully defined. The bitsim search may pick a different sequence
-// than the scalar oracle, but it must always return a true certificate.
-func TestSynchronizingSequenceCertificateIsValid(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	found := 0
-	for trial := 0; trial < 30; trial++ {
-		n := randTestNetwork(r, 1+r.Intn(3), 1+r.Intn(3), 1+r.Intn(6))
-		seq, ok := bitsim.SynchronizingSequence(n, 15, int64(trial+1), bitsim.Options{Streams: 64})
-		if !ok {
-			continue
+// TestRandomEquivalentPairsPIsByName: a copy whose PIs are declared in
+// the other order is the same machine. PIs pair by name, as in
+// seqverify.Equivalent, in the batched check and in the scalar oracle.
+func TestRandomEquivalentPairsPIsByName(t *testing.T) {
+	build := func(names ...string) *network.Network {
+		n := network.New("p")
+		pis := map[string]*network.Node{}
+		for _, name := range names {
+			pis[name] = n.AddPI(name)
 		}
-		found++
-		s, err := sim.New(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := make([]network.Value, len(n.Latches))
-		for i := range x {
-			x[i] = network.VX
-		}
-		s.SetState(x)
-		for _, bits := range seq {
-			pi := map[*network.Node]network.Value{}
-			for i, p := range n.PIs {
-				if bits[i] {
-					pi[p] = network.V1
-				} else {
-					pi[p] = network.V0
-				}
-			}
-			s.Step3(pi)
-		}
-		if !s.AllDefined() {
-			t.Fatalf("trial %d: returned sequence does not synchronize", trial)
-		}
+		l := n.AddLatch("s", nil, network.V0)
+		g := n.AddLogic("g", []*network.Node{pis["x"], pis["y"]}, logic.MustParseCover(2, "10"))
+		h := n.AddLogic("h", []*network.Node{g, l.Output}, logic.MustParseCover(2, "10", "01"))
+		l.Driver = h
+		n.AddPO("o", h)
+		return n
 	}
-	if found == 0 {
-		t.Fatal("no trial produced a synchronizing sequence; test is vacuous")
+	a, b := build("x", "y"), build("y", "x")
+	if err := seqverify.Equivalent(context.Background(), a, b, seqverify.Options{}); err != nil {
+		t.Fatalf("seqverify: %v", err)
+	}
+	if err := sim.RandomEquivalentScalar(a, b, 0, 200, 1); err != nil {
+		t.Fatalf("scalar oracle: %v", err)
+	}
+	for _, streams := range []int{64, 130} {
+		if err := bitsim.RandomEquivalent(a, b, 0, 200, 1, bitsim.Options{Streams: streams}); err != nil {
+			t.Fatalf("streams %d: %v", streams, err)
+		}
 	}
 }

@@ -42,13 +42,13 @@ const xPanicMsg = "sim: X reached a PO under two-valued simulation"
 // laneRNG produces one lane's input bit stream. Global lane 0 replays the
 // exact math/rand stream of the scalar path (one Intn(2) draw per PI per
 // cycle from rand.NewSource(seed)), so first-divergence diagnostics remain
-// reproducible against the scalar oracle; every other lane draws from a
-// splitmix64 generator derived from (seed, lane).
+// reproducible against the scalar oracle; every other lane consumes the
+// words of a splitmix64 generator derived from (seed, lane), LSB first.
 type laneRNG struct {
 	std  *rand.Rand
 	s    uint64
-	buf  uint64
-	left int
+	buf  uint64 // the unconsumed high bits of the last word, shifted down
+	left int    // how many bits of buf are unconsumed
 }
 
 func newLaneRNG(seed int64, lane int, scalarParity bool) laneRNG {
@@ -67,18 +67,87 @@ func splitmix(s *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-func (g *laneRNG) bit() bool {
+// take returns the lane's next w bits (1 <= w <= 64), the first drawn in
+// bit 0.
+func (g *laneRNG) take(w int) uint64 {
 	if g.std != nil {
-		return g.std.Intn(2) == 1
+		var v uint64
+		for i := 0; i < w; i++ {
+			if g.std.Intn(2) == 1 {
+				v |= uint64(1) << uint(i)
+			}
+		}
+		return v
 	}
-	if g.left == 0 {
-		g.buf = splitmix(&g.s)
-		g.left = 64
+	v := g.buf
+	if g.left < w {
+		next := splitmix(&g.s)
+		v |= next << uint(g.left)
+		g.buf = next >> uint(w-g.left)
+		g.left += LanesPerWord - w
+	} else {
+		g.buf >>= uint(w)
+		g.left -= w
 	}
-	b := g.buf&1 == 1
-	g.buf >>= 1
-	g.left--
-	return b
+	return v & (^uint64(0) >> uint(LanesPerWord-w))
+}
+
+// blockRNGs returns the input streams of block blk's active lanes; block
+// 0's lane 0 is the scalar-parity lane.
+func blockRNGs(seed int64, blk, streams int) []laneRNG {
+	lo := blk * LanesPerWord
+	rngs := make([]laneRNG, min(streams-lo, LanesPerWord))
+	for l := range rngs {
+		rngs[l] = newLaneRNG(seed, lo+l, blk == 0)
+	}
+	return rngs
+}
+
+// packPIs draws one cycle of PI words for a block: each lane takes its
+// bits for 64 PIs at a time from its own stream, and a bit-matrix
+// transpose of those 64 lane words yields the 64 PI words. Lanes past
+// len(rngs) read 0. m is scratch.
+func packPIs(rngs []laneRNG, piOne []uint64, m *[LanesPerWord]uint64) {
+	for base := 0; base < len(piOne); base += LanesPerWord {
+		w := min(len(piOne)-base, LanesPerWord)
+		*m = [LanesPerWord]uint64{}
+		for l := range rngs {
+			m[l] = rngs[l].take(w)
+		}
+		transpose(m)
+		copy(piOne[base:base+w], m[:w])
+	}
+}
+
+// transpose transposes the 64×64 bit matrix m in place (bit c of m[r]
+// moves to bit r of m[c]) by swapping off-diagonal blocks of halving size.
+func transpose(m *[LanesPerWord]uint64) {
+	mask := uint64(0x00000000FFFFFFFF)
+	for j := 32; j != 0; j, mask = j>>1, mask^(mask<<uint(j>>1)) {
+		for k := 0; k < LanesPerWord; k = (k + j + 1) &^ j {
+			t := (m[k]>>uint(j) ^ m[k+j]) & mask
+			m[k] ^= t << uint(j)
+			m[k+j] ^= t
+		}
+	}
+}
+
+// matchPIs pairs PIs like aig.FromProduct: PI j of b is driven by the
+// same-named PI of a, falling back to position j.
+func matchPIs(a, b *network.Network) []int {
+	byName := make(map[string]int, len(a.PIs))
+	for i, p := range a.PIs {
+		byName[p.Name] = i
+	}
+	piOfA := make([]int, len(b.PIs))
+	for j, p := range b.PIs {
+		if i, ok := byName[p.Name]; ok {
+			piOfA[j] = i
+		} else {
+			piOfA[j] = j
+		}
+	}
+	return piOfA
 }
 
 // poPair matches one PO of a to the same-named PO of b.
@@ -118,7 +187,8 @@ type eqMismatch struct {
 // RandomEquivalent drives both networks with the same random input vectors
 // on opt.Streams independent streams for `cycles` cycles after a warm-up
 // prefix of `delay` cycles each (the paper's delayed replacement: machines
-// need only agree after k power-up cycles). POs are matched by name.
+// need only agree after k power-up cycles). POs are matched by name, PIs
+// by name with a positional fallback.
 //
 // Stream 0 replays the exact vector sequence of the scalar oracle
 // (sim.RandomEquivalentScalar) for the same seed, with the same failure
@@ -145,6 +215,7 @@ func RandomEquivalent(a, b *network.Network, delay, cycles int, seed int64, opt 
 	if err != nil {
 		return err
 	}
+	piOfA := matchPIs(a, b)
 	streams := opt.streams()
 	nBlocks := (streams + LanesPerWord - 1) / LanesPerWord
 	total := delay + cycles
@@ -163,7 +234,7 @@ func RandomEquivalent(a, b *network.Network, delay, cycles int, seed int64, opt 
 	}
 	results, _ := parexec.Map(context.Background(), opt.Workers, blockIdx,
 		func(_ context.Context, _ int, blk int) (eqMismatch, error) {
-			return runEquivBlock(sa, sb, pairs, blk, streams, delay, total, seed), nil
+			return runEquivBlock(sa, sb, pairs, piOfA, blk, streams, delay, total, seed), nil
 		})
 
 	// Merge in block order: the scalar-parity lane wins outright, then the
@@ -192,29 +263,19 @@ func RandomEquivalent(a, b *network.Network, delay, cycles int, seed int64, opt 
 // Block 0 additionally enforces the scalar semantics on lane 0: X at any
 // PO panics (before the cycle's comparison, like StepBits), and lane 0's
 // first post-prefix divergence returns immediately with the scalar error.
-func runEquivBlock(sa, sb *Sim, pairs []poPair, blk, streams, delay, total int, seed int64) eqMismatch {
+func runEquivBlock(sa, sb *Sim, pairs []poPair, piOfA []int, blk, streams, delay, total int, seed int64) eqMismatch {
 	lo := blk * LanesPerWord
-	active := streams - lo
-	if active > LanesPerWord {
-		active = LanesPerWord
-	}
-	activeMask := ^uint64(0)
-	if active < LanesPerWord {
-		activeMask = (uint64(1) << uint(active)) - 1
-	}
-	othersMask := activeMask
+	rngs := blockRNGs(seed, blk, streams)
+	othersMask := ^uint64(0) >> uint(LanesPerWord-len(rngs))
 	scalarLane := blk == 0
 	if scalarLane {
 		othersMask &^= 1
 	}
 
-	rngs := make([]laneRNG, active)
-	for l := range rngs {
-		rngs[l] = newLaneRNG(seed, lo+l, scalarLane)
-	}
 	nPI := sa.NumPIs()
-	piOne := make([]uint64, nPI)
-	piZero := make([]uint64, nPI)
+	aOne, aZero := make([]uint64, nPI), make([]uint64, nPI)
+	bOne, bZero := make([]uint64, nPI), make([]uint64, nPI)
+	var m [LanesPerWord]uint64
 	ba := sa.NewBlock()
 	bb := sb.NewBlock()
 	sa.Reset(ba)
@@ -222,21 +283,15 @@ func runEquivBlock(sa, sb *Sim, pairs []poPair, blk, streams, delay, total int, 
 
 	res := eqMismatch{}
 	for c := 0; c < total; c++ {
-		for i := range piOne {
-			piOne[i] = 0
+		packPIs(rngs, aOne, &m)
+		for i := range aOne {
+			aZero[i] = ^aOne[i]
 		}
-		for l := range rngs {
-			for i := 0; i < nPI; i++ {
-				if rngs[l].bit() {
-					piOne[i] |= uint64(1) << uint(l)
-				}
-			}
+		for j, i := range piOfA {
+			bOne[j], bZero[j] = aOne[i], aZero[i]
 		}
-		for i := range piOne {
-			piZero[i] = ^piOne[i]
-		}
-		sa.Step(ba, piOne, piZero)
-		sb.Step(bb, piOne, piZero)
+		sa.Step(ba, aOne, aZero)
+		sb.Step(bb, bOne, bZero)
 
 		if scalarLane {
 			// Scalar StepBits order: network a's POs first, then b's.
@@ -257,9 +312,9 @@ func runEquivBlock(sa, sb *Sim, pairs []poPair, blk, streams, delay, total int, 
 			continue
 		}
 		for pi, p := range pairs {
-			aOne, aZero := sa.PO(ba, p.ia)
-			bOne, bZero := sb.PO(bb, p.ib)
-			if scalarLane && (aOne^bOne)&1 != 0 {
+			oa1, oa0 := sa.PO(ba, p.ia)
+			ob1, ob0 := sb.PO(bb, p.ib)
+			if scalarLane && (oa1^ob1)&1 != 0 {
 				return eqMismatch{scalarErr: fmt.Errorf(
 					"sim: PO %q differs at cycle %d (after %d-cycle prefix)",
 					sa.net.POs[p.ia].Name, c, delay)}
@@ -267,7 +322,7 @@ func runEquivBlock(sa, sb *Sim, pairs []poPair, blk, streams, delay, total int, 
 			if !res.found {
 				// Conservative on the extra streams: a mismatch needs both
 				// sides defined with opposite values; X compares equal.
-				if mm := ((aOne & bZero) | (aZero & bOne)) & othersMask; mm != 0 {
+				if mm := ((oa1 & ob0) | (oa0 & ob1)) & othersMask; mm != 0 {
 					res = eqMismatch{found: true, cycle: c, lane: lo + bits.TrailingZeros64(mm), pair: pi}
 					if !scalarLane {
 						// Nothing else in this block can beat its own

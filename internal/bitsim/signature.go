@@ -19,27 +19,3 @@ func MixSig(acc, one, zero uint64) uint64 {
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
 }
-
-// Signature returns a fresh 64-bit fingerprint per signal of the block's
-// current dual-rail words. Two signals whose lanes currently agree (and
-// agree on definedness) get identical fingerprints.
-func (b *Block) Signature() []uint64 {
-	sig := make([]uint64, len(b.one))
-	for i := range sig {
-		sig[i] = MixSig(0, b.one[i], b.zero[i])
-	}
-	return sig
-}
-
-// UpdateSignature folds the block's current per-signal words into acc,
-// which must have NumSignals entries (as returned by Signature). Calling
-// it after every Step accumulates a stream fingerprint: signals with equal
-// histories keep equal accumulators.
-func (b *Block) UpdateSignature(acc []uint64) {
-	if len(acc) != len(b.one) {
-		panic("bitsim: UpdateSignature accumulator length mismatch")
-	}
-	for i := range acc {
-		acc[i] = MixSig(acc[i], b.one[i], b.zero[i])
-	}
-}

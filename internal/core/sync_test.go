@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/bitsim"
 	"repro/internal/logic"
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -18,41 +17,20 @@ import (
 // needs only a prefix of k arbitrary vectors before the original sequence
 // (delayed replacement, El-Maleh et al. / Singhal et al.).
 //
-// We build a resettable FSM, find a structural synchronizing sequence for
+// We build a resettable FSM whose one-vector sequence rst=1 synchronizes
 // the original, resynthesize, and check that (prefix of k arbitrary
 // vectors) + (the original sequence) drives the resynthesized machine to a
 // state from which both machines agree forever.
 func TestStructuralSyncSequenceSurvivesResynthesis(t *testing.T) {
 	orig := resettableFSM(t)
-	seq, ok := bitsim.SynchronizingSequence(orig, 8, 31, bitsim.Options{Streams: 100})
-	if !ok {
-		t.Fatal("original machine must have a structural synchronizing sequence")
-	}
-
-	res, err := Resynthesize(context.Background(), orig, Options{KeepHarm: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Applied {
-		t.Skipf("resynthesis declined on this machine: %s", res.Reason)
-	}
+	rst := make([]bool, len(orig.PIs))
+	rst[len(rst)-1] = true // resettableFSM adds rst as the last PI
+	seq := [][]bool{rst}
 
 	so, err := sim.New(orig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := sim.New(res.Network)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drive the resynthesized machine from the all-X state: k arbitrary
-	// vectors (zeros), then the original synchronizing sequence.
-	x := make([]network.Value, len(res.Network.Latches))
-	for i := range x {
-		x[i] = network.VX
-	}
-	sr.SetState(x)
-	arb := make([]bool, len(res.Network.PIs))
 	toPI := func(s *sim.Simulator, bits []bool) map[*network.Node]network.Value {
 		m := make(map[*network.Node]network.Value, len(bits))
 		for i, p := range s.N.PIs {
@@ -64,6 +42,37 @@ func TestStructuralSyncSequenceSurvivesResynthesis(t *testing.T) {
 		}
 		return m
 	}
+	allX := func(n int) []network.Value {
+		x := make([]network.Value, n)
+		for i := range x {
+			x[i] = network.VX
+		}
+		return x
+	}
+	so.SetState(allX(len(orig.Latches)))
+	for _, bits := range seq {
+		so.Step3(toPI(so, bits))
+	}
+	if !so.AllDefined() {
+		t.Fatal("rst=1 must structurally synchronize the original machine")
+	}
+
+	res, err := Resynthesize(context.Background(), orig, Options{KeepHarm: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Applied {
+		t.Skipf("resynthesis declined on this machine: %s", res.Reason)
+	}
+
+	sr, err := sim.New(res.Network)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Drive the resynthesized machine from the all-X state: k arbitrary
+	// vectors (zeros), then the original synchronizing sequence.
+	sr.SetState(allX(len(res.Network.Latches)))
+	arb := make([]bool, len(res.Network.PIs))
 	for k := 0; k < res.PrefixK; k++ {
 		sr.Step3(toPI(sr, arb))
 	}

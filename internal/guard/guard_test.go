@@ -237,22 +237,6 @@ func TestTxSmokeCheckCatchesMiscompare(t *testing.T) {
 	}
 }
 
-func TestTxSmokeCheckDisabled(t *testing.T) {
-	n := bufNet(t)
-	// With the smoke check disabled the inverted output commits (Check
-	// alone cannot see functional changes) — the knob exists for passes
-	// whose equivalence is checked elsewhere.
-	out, rep := Tx(context.Background(), "evil", n, TxOptions{SmokeCycles: -1},
-		func(_ context.Context, work *network.Network) (*network.Network, int, error) {
-			b := work.FindNode("b")
-			work.SetFunction(b, b.Fanins, logic.MustParseCover(1, "0"))
-			return work, 0, nil
-		})
-	if !rep.Committed || out == n {
-		t.Fatalf("disabled smoke check must commit: %+v", rep)
-	}
-}
-
 func TestTxRollbackEventEmitted(t *testing.T) {
 	n := bufNet(t)
 	var sb strings.Builder

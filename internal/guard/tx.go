@@ -27,9 +27,6 @@ type TxOptions struct {
 	Budget Budget
 	// Inject optionally injects faults per pass invocation (nil: none).
 	Inject Injector
-	// SmokeCycles is the length of the post-pass random-simulation smoke
-	// check against the pass input (0: smokeCycles; negative disables).
-	SmokeCycles int
 }
 
 // TxReport describes the outcome of one transactional pass.
@@ -144,20 +141,13 @@ func Tx(ctx context.Context, pass string, in *network.Network, opt TxOptions, fn
 // simulation on both machines) makes the check inconclusive, not a
 // violation — structural validity was already established by Check.
 func smokeCheck(in, out *network.Network, prefix int, opt TxOptions, sp *obs.Span) (err error) {
-	cycles := opt.SmokeCycles
-	if cycles == 0 {
-		cycles = smokeCycles
-	}
-	if cycles < 0 {
-		return nil
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			sp.Add("guard_smoke_inconclusive", 1)
 			err = nil
 		}
 	}()
-	return bitsim.RandomEquivalent(in, out, prefix, cycles, smokeSeed, bitsim.Options{Tracer: opt.Tracer})
+	return bitsim.RandomEquivalent(in, out, prefix, smokeCycles, smokeSeed, bitsim.Options{Tracer: opt.Tracer})
 }
 
 // corruptNetwork realizes FaultCorrupt: it breaks a structural invariant of

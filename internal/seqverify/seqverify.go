@@ -28,8 +28,6 @@ var ErrTooLarge = reach.ErrTooLarge
 type Options struct {
 	// Delay is the delayed-replacement prefix length k.
 	Delay int
-	// Limits bounds the BDD work; zero-valued fields take reach defaults.
-	Limits reach.Limits
 	// Sweep enables the SAT-based fallback: when the product machine is
 	// too large for exact reachability, Check proves equivalence by
 	// K-induction over simulation-refined equivalence classes instead of
@@ -98,14 +96,7 @@ type machine struct {
 // a typed guard budget error (errors.Is(err, guard.ErrBudget)) once the
 // deadline passes.
 func Equivalent(ctx context.Context, a, b *network.Network, opt Options) (err error) {
-	lim := opt.Limits
-	if lim.MaxLatches == 0 {
-		lim.MaxLatches = reach.DefaultLimits.MaxLatches
-	}
-	if lim.MaxBDDNodes == 0 {
-		lim.MaxBDDNodes = reach.DefaultLimits.MaxBDDNodes
-	}
-	if len(a.Latches)+len(b.Latches) > lim.MaxLatches {
+	if len(a.Latches)+len(b.Latches) > reach.DefaultLimits.MaxLatches {
 		return ErrTooLarge
 	}
 	if len(a.PIs) != len(b.PIs) {
@@ -145,7 +136,7 @@ func Equivalent(ctx context.Context, a, b *network.Network, opt Options) (err er
 	ni := len(a.PIs)
 	nv := ni + 2*la + 2*lb
 	m := bdd.New(nv)
-	m.MaxNodes = lim.MaxBDDNodes
+	m.MaxNodes = reach.DefaultLimits.MaxBDDNodes
 	defer func() {
 		if r := recover(); r != nil {
 			if r == bdd.ErrNodeLimit {

@@ -3,6 +3,7 @@ package seqverify
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/bench"
@@ -136,9 +137,15 @@ func TestPOMatchingByName(t *testing.T) {
 }
 
 func TestTooLarge(t *testing.T) {
-	n, _ := blif.ParseString(cnt2)
-	m := n.Clone()
-	if err := Equivalent(context.Background(), n, m, Options{Limits: reach.Limits{MaxLatches: 3}}); err != ErrTooLarge {
+	// A shift register one stage longer than half the latch limit: the
+	// product of it and its clone is past the limit.
+	n := network.New("shift")
+	d := n.AddPI("d")
+	for i := 0; i <= reach.DefaultLimits.MaxLatches/2; i++ {
+		d = n.AddLatch(fmt.Sprintf("r%d", i), d, network.V0).Output
+	}
+	n.AddPO("q", d)
+	if err := Equivalent(context.Background(), n, n.Clone(), Options{}); err != ErrTooLarge {
 		t.Fatalf("latch limit not applied: %v", err)
 	}
 }

@@ -50,21 +50,3 @@ func BenchmarkRandomEquivalent(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSynchronizingSequence times the 64-candidates-per-word bitsim
-// search for a synchronizing sequence.
-func BenchmarkSynchronizingSequence(b *testing.B) {
-	const (
-		maxLen = 40
-		tries  = 64
-	)
-	for _, name := range []string{"s298", "s344"} {
-		n := benchCircuit(b, name)
-		b.Run(name+"/bitsim", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				bitsim.SynchronizingSequence(n, maxLen, 1, bitsim.Options{Streams: tries})
-			}
-		})
-	}
-}

@@ -202,14 +202,31 @@ func RandomEquivalentScalar(a, b *network.Network, delay, cycles int, seed int64
 			return fmt.Errorf("sim: PO %q missing in %s", pa.Name, b.Name)
 		}
 	}
+	// PI j of b reads the same-named PI of a, falling back to position j.
+	aPI := make(map[string]int, len(a.PIs))
+	for i, p := range a.PIs {
+		aPI[p.Name] = i
+	}
+	piOfA := make([]int, len(b.PIs))
+	for j, p := range b.PIs {
+		if i, ok := aPI[p.Name]; ok {
+			piOfA[j] = i
+		} else {
+			piOfA[j] = j
+		}
+	}
 	r := rand.New(rand.NewSource(seed))
 	bits := make([]bool, len(a.PIs))
+	bitsB := make([]bool, len(b.PIs))
 	for c := 0; c < delay+cycles; c++ {
 		for i := range bits {
 			bits[i] = r.Intn(2) == 1
 		}
+		for j, i := range piOfA {
+			bitsB[j] = bits[i]
+		}
 		oa := sa.StepBits(bits)
-		ob := sb.StepBits(bits)
+		ob := sb.StepBits(bitsB)
 		if c < delay {
 			continue
 		}

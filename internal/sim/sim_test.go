@@ -144,44 +144,3 @@ func TestDelayedReplacementPrefixMasksStartup(t *testing.T) {
 		t.Fatalf("1-cycle prefix must mask the initial difference: %v", err)
 	}
 }
-
-func TestSynchronizingSequence(t *testing.T) {
-	// A shift register with a reset input: rst forces both stages to 0, so
-	// [rst=1, rst=1] synchronizes structurally.
-	n := network.New("sync")
-	d := n.AddPI("d")
-	rst := n.AddPI("rst")
-	// stage = d AND NOT rst
-	andn := logic.MustParseCover(2, "10")
-	l0 := n.AddLatch("q0", d, network.V0)
-	l1 := n.AddLatch("q1", d, network.V0)
-	s0 := n.AddLogic("s0d", []*network.Node{d, rst}, andn.Clone())
-	s1 := n.AddLogic("s1d", []*network.Node{l0.Output, rst}, andn.Clone())
-	l0.Driver = s0
-	l1.Driver = s1
-	n.AddPO("q", l1.Output)
-	seq, ok := bitsim.SynchronizingSequence(n, 8, 7, bitsim.Options{Streams: 50})
-	if !ok {
-		t.Fatal("no synchronizing sequence found for resettable shift register")
-	}
-	if len(seq) == 0 {
-		t.Fatal("empty sequence")
-	}
-}
-
-func TestSynchronizingSequenceImpossible(t *testing.T) {
-	// A free-running toggle with no inputs controlling it cannot be
-	// synchronized structurally from X.
-	n := network.New("tog")
-	_ = n.AddPI("dummy")
-	l := n.AddLatch("s", nil, network.V0)
-	inv := n.AddLogic("inv", []*network.Node{l.Output}, logic.MustParseCover(1, "0"))
-	l.Driver = inv
-	n.AddPO("y", l.Output)
-	if err := n.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := bitsim.SynchronizingSequence(n, 10, 9, bitsim.Options{Streams: 20}); ok {
-		t.Fatal("toggle flip-flop cannot have a structural synchronizing sequence")
-	}
-}
