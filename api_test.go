@@ -53,8 +53,9 @@ func TestSingleEntryPointPerOperation(t *testing.T) {
 
 // TestSingleVerifyLadder enforces one verification ladder: outside
 // internal/flows, no non-test code under cmd/, internal/ or examples/
-// calls seqverify.Check or bitsim.RandomEquivalent (except the guard's
-// post-pass smoke check), so every verdict goes through
+// calls an equivalence engine — seqverify.Equivalent,
+// sweep.ProveEquivalent or bitsim.RandomEquivalent (except the guard's
+// post-pass smoke check) — so every verdict goes through
 // flows.VerifyVerdict with its one spot-check budget. It also keeps the
 // scalar simulator internal/sim a test oracle, and rejects == / !=
 // against ErrTooLarge, which callers must match with errors.Is: the
@@ -62,10 +63,11 @@ func TestSingleEntryPointPerOperation(t *testing.T) {
 func TestSingleVerifyLadder(t *testing.T) {
 	const (
 		seqverifyPkg = "repro/internal/seqverify"
+		sweepPkg     = "repro/internal/sweep"
 		bitsimPkg    = "repro/internal/bitsim"
 		simPkg       = "repro/internal/sim"
 	)
-	ladder := map[string]string{seqverifyPkg: "Check", bitsimPkg: "RandomEquivalent"}
+	ladder := map[string]string{seqverifyPkg: "Equivalent", sweepPkg: "ProveEquivalent", bitsimPkg: "RandomEquivalent"}
 	fset := token.NewFileSet()
 	var bad []string
 	parseNonTestFiles(t, fset, []string{"cmd", "internal", "examples"}, func(path string, f *ast.File) {

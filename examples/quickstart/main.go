@@ -2,8 +2,9 @@
 //
 // Builds the reconstructed Fig. 4 circuit, shows its unit-delay cycle time
 // (3 gate delays), applies conventional min-period retiming (2), then the
-// paper's resynthesis (1 — the optimum), and verifies every step with the
-// product-machine equivalence checker under delayed replacement.
+// paper's resynthesis (1 — the optimum), and verifies every step through
+// the one verification ladder (flows.VerifyVerdict) under delayed
+// replacement.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -17,9 +18,9 @@ import (
 	"repro/internal/bench"
 	"repro/internal/blif"
 	"repro/internal/core"
+	"repro/internal/flows"
 	"repro/internal/network"
 	"repro/internal/retime"
-	"repro/internal/seqverify"
 	"repro/internal/timing"
 )
 
@@ -70,14 +71,15 @@ func main() {
 }
 
 // check verifies sequential equivalence under a k-cycle delayed-replacement
-// prefix and reports the result.
+// prefix and reports the result with its verdict.
 func check(a, b *network.Network, k int) {
-	if err := seqverify.Equivalent(context.Background(), a, b, seqverify.Options{Delay: k}); err != nil {
+	verdict, err := flows.VerifyVerdict(context.Background(), a, &flows.Result{Net: b, PrefixK: k}, flows.Config{})
+	if err != nil {
 		log.Fatalf("VERIFICATION FAILED: %v", err)
 	}
 	if k == 0 {
-		fmt.Println("  verified: exact sequential equivalence (safe replacement)")
+		fmt.Printf("  verified (%s): sequential equivalence (safe replacement)\n", verdict)
 	} else {
-		fmt.Printf("  verified: sequential equivalence after a %d-cycle power-up prefix (delayed replacement)\n", k)
+		fmt.Printf("  verified (%s): sequential equivalence after a %d-cycle power-up prefix (delayed replacement)\n", verdict, k)
 	}
 }

@@ -82,36 +82,27 @@ type ProductPO struct {
 }
 
 // FromProduct builds one structurally hashed AIG containing both machines
-// over shared primary inputs, matched by name with position as the
-// fallback — the same matching seqverify uses. a's latches come first,
-// then b's: graph latch index i < len(a.Latches) is a's latch i and index
-// len(a.Latches)+j is b's latch j. Every PO of a must have a name-matched
-// partner in b; each pair is returned as a literal pair and also added as
-// graph POs "a/<name>" and "b/<name>" so both cones stay alive.
+// over shared primary inputs, with the ports paired by network.Pair — the
+// pairing every equivalence engine uses. a's latches come first, then
+// b's: graph latch index i < len(a.Latches) is a's latch i and index
+// len(a.Latches)+j is b's latch j. Each PO pair is returned as a literal
+// pair and also added as graph POs "a/<name>" and "b/<name>" so both cones
+// stay alive.
 //
 // Strashing across the two halves is deliberate: structurally identical
 // cones collapse onto one node, which is exactly what makes the product
 // cheap to sweep when b is a resynthesized version of a.
 func FromProduct(a, b *network.Network) (*Graph, []ProductPO, error) {
-	if len(a.PIs) != len(b.PIs) {
-		return nil, nil, fmt.Errorf("aig: FromProduct: PI counts differ (%d vs %d)", len(a.PIs), len(b.PIs))
+	p, err := network.Pair(a, b)
+	if err != nil {
+		return nil, nil, fmt.Errorf("aig: FromProduct: %w", err)
 	}
 	g := New(a.Name + "*" + b.Name)
 	litsA := make(map[*network.Node]Lit, len(a.Nodes()))
 	litsB := make(map[*network.Node]Lit, len(b.Nodes()))
-	piLits := make([]Lit, len(a.PIs))
-	aPIByName := make(map[string]int, len(a.PIs))
 	for i, pi := range a.PIs {
-		piLits[i] = g.AddPI(pi.Name)
-		litsA[pi] = piLits[i]
-		aPIByName[pi.Name] = i
-	}
-	for i, pi := range b.PIs {
-		j, ok := aPIByName[pi.Name]
-		if !ok {
-			j = i
-		}
-		litsB[pi] = piLits[j]
+		litsA[pi] = g.AddPI(pi.Name)
+		litsB[b.PIs[p.PI[i]]] = litsA[pi]
 	}
 	for _, l := range a.Latches {
 		litsA[l.Output] = g.AddLatch("a/"+l.Name, l.Init)
@@ -140,17 +131,8 @@ func FromProduct(a, b *network.Network) (*Graph, []ProductPO, error) {
 		g.SetLatchNext(len(a.Latches)+j, l)
 	}
 	var pairs []ProductPO
-	for _, pa := range a.POs {
-		var pb *network.PO
-		for _, q := range b.POs {
-			if q.Name == pa.Name {
-				pb = q
-				break
-			}
-		}
-		if pb == nil {
-			return nil, nil, fmt.Errorf("aig: FromProduct: PO %q missing in %s", pa.Name, b.Name)
-		}
+	for i, pa := range a.POs {
+		pb := b.POs[p.PO[i]]
 		la, ok := litsA[pa.Driver]
 		if !ok {
 			return nil, nil, fmt.Errorf("aig: FromProduct: PO %s driver not built", pa.Name)

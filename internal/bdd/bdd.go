@@ -318,7 +318,7 @@ func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 	// than fresh inserts can refill, so the draining table is always empty
 	// well before this fires again (the grow() drain loop is a safety net,
 	// not the common path).
-	if ohash.ShouldGrow(m.tabEntries, 0, len(m.table)) {
+	if ohash.ShouldGrow(m.tabEntries, len(m.table)) {
 		m.grow()
 	}
 	return r

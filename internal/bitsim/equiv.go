@@ -132,47 +132,6 @@ func transpose(m *[LanesPerWord]uint64) {
 	}
 }
 
-// matchPIs pairs PIs like aig.FromProduct: PI j of b is driven by the
-// same-named PI of a, falling back to position j.
-func matchPIs(a, b *network.Network) []int {
-	byName := make(map[string]int, len(a.PIs))
-	for i, p := range a.PIs {
-		byName[p.Name] = i
-	}
-	piOfA := make([]int, len(b.PIs))
-	for j, p := range b.PIs {
-		if i, ok := byName[p.Name]; ok {
-			piOfA[j] = i
-		} else {
-			piOfA[j] = j
-		}
-	}
-	return piOfA
-}
-
-// poPair matches one PO of a to the same-named PO of b.
-type poPair struct{ ia, ib int }
-
-// matchPOs reproduces the scalar pairing (and its error messages): every
-// PO of a must exist in b by name.
-func matchPOs(a, b *network.Network) ([]poPair, error) {
-	var pairs []poPair
-	for ia, pa := range a.POs {
-		found := false
-		for ib, pb := range b.POs {
-			if pa.Name == pb.Name {
-				pairs = append(pairs, poPair{ia, ib})
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("sim: PO %q missing in %s", pa.Name, b.Name)
-		}
-	}
-	return pairs, nil
-}
-
 // eqMismatch is one block's verdict.
 type eqMismatch struct {
 	// scalarErr is the exact scalar-parity failure observed on global lane
@@ -187,8 +146,8 @@ type eqMismatch struct {
 // RandomEquivalent drives both networks with the same random input vectors
 // on opt.Streams independent streams for `cycles` cycles after a warm-up
 // prefix of `delay` cycles each (the paper's delayed replacement: machines
-// need only agree after k power-up cycles). POs are matched by name, PIs
-// by name with a positional fallback.
+// need only agree after k power-up cycles). Ports are paired by
+// network.Pair.
 //
 // Stream 0 replays the exact vector sequence of the scalar oracle
 // (sim.RandomEquivalentScalar) for the same seed, with the same failure
@@ -200,8 +159,9 @@ type eqMismatch struct {
 // stream index unless stream 0 already failed. Returns nil if no mismatch
 // was observed on any stream.
 func RandomEquivalent(a, b *network.Network, delay, cycles int, seed int64, opt Options) error {
-	if len(a.PIs) != len(b.PIs) {
-		return fmt.Errorf("sim: PI count differs: %d vs %d", len(a.PIs), len(b.PIs))
+	p, err := network.Pair(a, b)
+	if err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	sa, err := Compile(a)
 	if err != nil {
@@ -211,11 +171,6 @@ func RandomEquivalent(a, b *network.Network, delay, cycles int, seed int64, opt 
 	if err != nil {
 		return err
 	}
-	pairs, err := matchPOs(a, b)
-	if err != nil {
-		return err
-	}
-	piOfA := matchPIs(a, b)
 	streams := opt.streams()
 	nBlocks := (streams + LanesPerWord - 1) / LanesPerWord
 	total := delay + cycles
@@ -234,7 +189,7 @@ func RandomEquivalent(a, b *network.Network, delay, cycles int, seed int64, opt 
 	}
 	results, _ := parexec.Map(context.Background(), opt.Workers, blockIdx,
 		func(_ context.Context, _ int, blk int) (eqMismatch, error) {
-			return runEquivBlock(sa, sb, pairs, piOfA, blk, streams, delay, total, seed), nil
+			return runEquivBlock(sa, sb, p, blk, streams, delay, total, seed), nil
 		})
 
 	// Merge in block order: the scalar-parity lane wins outright, then the
@@ -254,7 +209,7 @@ func RandomEquivalent(a, b *network.Network, delay, cycles int, seed int64, opt 
 	}
 	if best.found {
 		return fmt.Errorf("sim: PO %q differs at cycle %d on stream %d (after %d-cycle prefix)",
-			a.POs[pairs[best.pair].ia].Name, best.cycle, best.lane, delay)
+			a.POs[best.pair].Name, best.cycle, best.lane, delay)
 	}
 	return nil
 }
@@ -263,7 +218,7 @@ func RandomEquivalent(a, b *network.Network, delay, cycles int, seed int64, opt 
 // Block 0 additionally enforces the scalar semantics on lane 0: X at any
 // PO panics (before the cycle's comparison, like StepBits), and lane 0's
 // first post-prefix divergence returns immediately with the scalar error.
-func runEquivBlock(sa, sb *Sim, pairs []poPair, piOfA []int, blk, streams, delay, total int, seed int64) eqMismatch {
+func runEquivBlock(sa, sb *Sim, p *network.Pairing, blk, streams, delay, total int, seed int64) eqMismatch {
 	lo := blk * LanesPerWord
 	rngs := blockRNGs(seed, blk, streams)
 	othersMask := ^uint64(0) >> uint(LanesPerWord-len(rngs))
@@ -287,7 +242,7 @@ func runEquivBlock(sa, sb *Sim, pairs []poPair, piOfA []int, blk, streams, delay
 		for i := range aOne {
 			aZero[i] = ^aOne[i]
 		}
-		for j, i := range piOfA {
+		for i, j := range p.PI {
 			bOne[j], bZero[j] = aOne[i], aZero[i]
 		}
 		sa.Step(ba, aOne, aZero)
@@ -311,19 +266,19 @@ func runEquivBlock(sa, sb *Sim, pairs []poPair, piOfA []int, blk, streams, delay
 		if c < delay {
 			continue
 		}
-		for pi, p := range pairs {
-			oa1, oa0 := sa.PO(ba, p.ia)
-			ob1, ob0 := sb.PO(bb, p.ib)
+		for ia, ib := range p.PO {
+			oa1, oa0 := sa.PO(ba, ia)
+			ob1, ob0 := sb.PO(bb, ib)
 			if scalarLane && (oa1^ob1)&1 != 0 {
 				return eqMismatch{scalarErr: fmt.Errorf(
 					"sim: PO %q differs at cycle %d (after %d-cycle prefix)",
-					sa.net.POs[p.ia].Name, c, delay)}
+					sa.net.POs[ia].Name, c, delay)}
 			}
 			if !res.found {
 				// Conservative on the extra streams: a mismatch needs both
 				// sides defined with opposite values; X compares equal.
 				if mm := ((oa1 & ob0) | (oa0 & ob1)) & othersMask; mm != 0 {
-					res = eqMismatch{found: true, cycle: c, lane: lo + bits.TrailingZeros64(mm), pair: pi}
+					res = eqMismatch{found: true, cycle: c, lane: lo + bits.TrailingZeros64(mm), pair: ia}
 					if !scalarLane {
 						// Nothing else in this block can beat its own
 						// earliest mismatch; block 0 must keep simulating

@@ -608,21 +608,28 @@ const (
 // of the traversal, so a budget exhausted mid-proof surfaces as
 // errors.Is(err, guard.ErrBudget), not as a verification failure.
 func VerifyVerdict(ctx context.Context, src *network.Network, r *Result, cfg Config) (string, error) {
-	v, err := seqverify.Check(ctx, src, r.Net, seqverify.Options{
-		Delay:      r.PrefixK,
-		Sweep:      cfg.Sweep,
-		InductionK: cfg.InductionK,
-		Workers:    cfg.Workers,
-		Tracer:     cfg.Tracer,
-	})
+	err := seqverify.Equivalent(ctx, src, r.Net, seqverify.Options{Delay: r.PrefixK})
 	if err == nil {
-		return string(v), nil
+		return string(seqverify.VerdictExact), nil
 	}
-	if errors.Is(err, seqverify.ErrTooLarge) {
-		return VerdictSpotChecked, bitsim.RandomEquivalent(src, r.Net, r.PrefixK, verifyCycles, verifySeed,
-			bitsim.Options{Tracer: cfg.Tracer})
+	if !errors.Is(err, reach.ErrTooLarge) {
+		return "", err
 	}
-	return "", err
+	if cfg.Sweep {
+		_, err := sweep.ProveEquivalent(ctx, src, r.Net, r.PrefixK, sweep.Options{
+			K:       cfg.InductionK,
+			Workers: cfg.Workers,
+			Tracer:  cfg.Tracer,
+		})
+		if err == nil {
+			return string(seqverify.VerdictInduction), nil
+		}
+		if !errors.Is(err, sweep.ErrUnknown) {
+			return "", err
+		}
+	}
+	return VerdictSpotChecked, bitsim.RandomEquivalent(src, r.Net, r.PrefixK, verifyCycles, verifySeed,
+		bitsim.Options{Tracer: cfg.Tracer})
 }
 
 // VerdictSpotChecked marks a result vouched for only by bounded random

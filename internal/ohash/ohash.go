@@ -8,10 +8,10 @@
 //
 // Two layers are exported. The primitive layer (Mix3, Probe, ShouldGrow)
 // is for tables with bespoke lifecycles — the BDD unique table keeps its
-// incremental old-table migration and tombstones and composes these
-// directly. The Table layer is a complete ref table for callers with
-// simple lifecycles, such as the AIG strash: inserts, tombstoned deletes
-// with slot reuse, and wholesale Reset.
+// incremental old-table migration and composes these directly. The Table
+// layer is a complete ref table for callers with simple lifecycles, such
+// as the AIG strash: inserts, lookups and wholesale Reset. Neither layer
+// deletes single entries, so there are no tombstones.
 package ohash
 
 // Mix3 hashes three 32-bit fields: distinct multiplicative mixes per
@@ -46,42 +46,31 @@ func (p *Probe) Slot() uint32 { return p.i }
 func (p *Probe) Advance() { p.i = (p.i + 1) & p.mask }
 
 // ShouldGrow reports whether a power-of-two open-addressed table holding
-// entries live slots plus tombstones deleted slots should double.
-// Tombstones count toward load: they lengthen probe chains just like live
-// entries. The threshold is 3/4 — past it, linear-probe clustering makes
-// chains grow sharply.
-func ShouldGrow(entries, tombstones, buckets int) bool {
-	return (entries+tombstones)*4 >= buckets*3
+// entries occupied slots should double. The threshold is 3/4 — past it,
+// linear-probe clustering makes chains grow sharply.
+func ShouldGrow(entries, buckets int) bool {
+	return entries*4 >= buckets*3
 }
 
 // Table is a complete open-addressed table of non-negative int32 refs,
 // keyed by caller-supplied hashes. The caller keeps the keyed data (a ref
 // is typically an index into its own node pool) and supplies hashOf so the
-// table can rehash itself on growth. Delete leaves a tombstone so probe
-// chains stay intact; Insert reuses the first tombstone on its probe path,
-// so a churn-heavy workload (delete one, insert one, forever) stays at a
-// bounded load factor instead of growing monotonically until rehash.
-// Callers that invalidate refs wholesale (an AIG sweep renumbering nodes)
-// Reset and reinsert.
+// table can rehash itself on growth. Callers that invalidate refs
+// wholesale (an AIG sweep renumbering nodes) Reset and reinsert.
 type Table struct {
-	slots      []int32 // empty slots hold -1, tombstones -2
-	entries    int
-	tombstones int
-	hashOf     func(ref int32) uint32
+	slots   []int32 // empty slots hold emptySlot
+	entries int
+	hashOf  func(ref int32) uint32
 }
 
-// emptySlot marks a never-occupied bucket; deadSlot marks a tombstone left
-// by Delete. Refs are non-negative.
-const (
-	emptySlot = int32(-1)
-	deadSlot  = int32(-2)
-)
+// emptySlot marks an unoccupied bucket. Refs are non-negative.
+const emptySlot = int32(-1)
 
 // NewTable creates a table sized for at least capHint entries (minimum 1<<8
 // buckets). hashOf must return the same hash Insert was given for the ref.
 func NewTable(capHint int, hashOf func(ref int32) uint32) *Table {
 	buckets := 1 << 8
-	for ShouldGrow(capHint, 0, buckets) {
+	for ShouldGrow(capHint, buckets) {
 		buckets *= 2
 	}
 	t := &Table{slots: make([]int32, buckets), hashOf: hashOf}
@@ -92,85 +81,43 @@ func NewTable(capHint int, hashOf func(ref int32) uint32) *Table {
 }
 
 // Lookup probes for a ref whose key matches, per the caller's eq predicate,
-// among refs stored under hash h. Tombstones are skipped — the chain only
-// terminates at a never-occupied slot.
+// among refs stored under hash h. The chain terminates at an empty slot.
 func (t *Table) Lookup(h uint32, eq func(ref int32) bool) (int32, bool) {
 	for p := NewProbe(h, len(t.slots)); ; p.Advance() {
 		r := t.slots[p.Slot()]
 		if r == emptySlot {
 			return 0, false
 		}
-		if r != deadSlot && eq(r) {
+		if eq(r) {
 			return r, true
 		}
 	}
 }
 
 // Insert stores ref under hash h. The caller guarantees the ref is not
-// already present (Lookup first). The first tombstone on the probe path is
-// reused; otherwise the ref lands in the terminating empty slot. The table
-// grows per ShouldGrow (tombstones count toward load), rehashing every
-// live entry through hashOf.
+// already present (Lookup first). The table doubles per ShouldGrow,
+// rehashing every entry through hashOf.
 func (t *Table) Insert(h uint32, ref int32) {
-	if ShouldGrow(t.entries+1, t.tombstones, len(t.slots)) {
+	if ShouldGrow(t.entries+1, len(t.slots)) {
 		t.grow()
 	}
-	if t.place(h, ref) {
-		t.tombstones--
-	}
+	t.place(h, ref)
 	t.entries++
 }
 
-// Delete removes the ref matching eq under hash h, leaving a tombstone so
-// longer probe chains passing through the slot still resolve. It reports
-// whether a matching ref was found.
-func (t *Table) Delete(h uint32, eq func(ref int32) bool) bool {
-	for p := NewProbe(h, len(t.slots)); ; p.Advance() {
-		r := t.slots[p.Slot()]
-		if r == emptySlot {
-			return false
-		}
-		if r != deadSlot && eq(r) {
-			t.slots[p.Slot()] = deadSlot
-			t.entries--
-			t.tombstones++
-			return true
-		}
+// place stores ref in the first empty slot of its probe path.
+func (t *Table) place(h uint32, ref int32) {
+	p := NewProbe(h, len(t.slots))
+	for t.slots[p.Slot()] != emptySlot {
+		p.Advance()
 	}
+	t.slots[p.Slot()] = ref
 }
 
-// place probes to the first tombstone, or failing that the first empty
-// slot, and stores ref there. It reports whether a tombstone was consumed.
-func (t *Table) place(h uint32, ref int32) bool {
-	dead := -1
-	for p := NewProbe(h, len(t.slots)); ; p.Advance() {
-		switch t.slots[p.Slot()] {
-		case deadSlot:
-			if dead < 0 {
-				dead = int(p.Slot())
-			}
-		case emptySlot:
-			if dead >= 0 {
-				t.slots[dead] = ref
-				return true
-			}
-			t.slots[p.Slot()] = ref
-			return false
-		}
-	}
-}
-
-// grow rebuilds the bucket array and reinserts every live ref, dropping
-// all tombstones. It only doubles when the live entries alone justify it;
-// when tombstones pushed the table over the load threshold, a same-size
-// rebuild (compaction) restores headroom without doubling memory.
+// grow doubles the bucket array and reinserts every ref.
 func (t *Table) grow() {
 	old := t.slots
-	buckets := len(old)
-	if ShouldGrow(t.entries+1, 0, buckets) {
-		buckets *= 2
-	}
-	t.slots = make([]int32, buckets)
+	t.slots = make([]int32, 2*len(old))
 	for i := range t.slots {
 		t.slots[i] = emptySlot
 	}
@@ -179,7 +126,6 @@ func (t *Table) grow() {
 			t.place(t.hashOf(r), r)
 		}
 	}
-	t.tombstones = 0
 }
 
 // Len returns the number of stored refs.
@@ -196,14 +142,10 @@ func (t *Table) Load() float64 {
 	return float64(t.entries) / float64(len(t.slots))
 }
 
-// Tombstones returns the number of deleted slots awaiting reuse.
-func (t *Table) Tombstones() int { return t.tombstones }
-
 // Reset empties the table, keeping the bucket array.
 func (t *Table) Reset() {
 	for i := range t.slots {
 		t.slots[i] = emptySlot
 	}
 	t.entries = 0
-	t.tombstones = 0
 }

@@ -179,14 +179,14 @@ func (t *TransRel) ScheduleLen() int { return t.schedSteps }
 // PeakClusterNodes returns the largest cluster BDD, in internal nodes.
 func (t *TransRel) PeakClusterNodes() int { return t.peakClusterNodes }
 
-// TopoLeafRanks assigns discovery ranks to latches and PIs from a
+// topoLeafRanks assigns discovery ranks to latches and PIs from a
 // depth-first traversal of the combinational fanin cones of the latch
 // drivers (in latch order) and then the primary outputs: sources discovered
 // together end up with adjacent ranks, so state variables that interact in
 // some next-state function sit close in the BDD order. Latches or PIs not
 // reachable from any driver or output keep rank -1; found is the number of
 // ranked sources.
-func TopoLeafRanks(n *network.Network) (latchRank, piRank []int, found int) {
+func topoLeafRanks(n *network.Network) (latchRank, piRank []int, found int) {
 	latchRank = make([]int, len(n.Latches))
 	piRank = make([]int, len(n.PIs))
 	latchIdx := make(map[*network.Node]int, len(n.Latches))
@@ -228,42 +228,65 @@ func TopoLeafRanks(n *network.Network) (latchRank, piRank []int, found int) {
 	return latchRank, piRank, found
 }
 
-// topoLevelOrder derives the static variable order for one network: sources
-// sorted by their TopoLeafRanks discovery rank (unseen sources after all
-// seen ones, in declaration order), each latch contributing its
-// current/next pair adjacently. The manager variable *indices* are
-// untouched — only their level placement changes.
-func topoLevelOrder(n *network.Network, curVar, nextVar, inVar []int, nv int) []int {
-	latchRank, piRank, found := TopoLeafRanks(n)
-	type ent struct{ rank, kind, idx int } // kind: 0 latch, 1 PI
-	ents := make([]ent, 0, len(latchRank)+len(piRank))
-	for i, r := range latchRank {
-		if r < 0 {
-			r = found + i
-		}
-		ents = append(ents, ent{r, 0, i})
+// levelOrder derives the static variable order of one machine or of a
+// product of two. Each machine's latches and PIs are keyed by their
+// topoLeafRanks discovery rank, normalized by the machine's source count
+// (unseen sources after all seen ones, in declaration order); a shared PI
+// takes the earlier of its two keys (piOfB pairs PI i of the first machine
+// with PI piOfB[i] of the second). Sorting by key interleaves corresponding
+// state variables of structurally similar machines, and each latch's
+// cur/next pair stays adjacent. On one machine the ranks are distinct
+// integers, so the order is plain rank order. The manager variable
+// *indices* are untouched — only their level placement changes.
+func levelOrder(ms []*Machine, piOfB []int, nv int) []int {
+	type ent struct {
+		key  float64
+		kind int // 0 PI, 1+k latch of machine k
+		idx  int
 	}
-	for j, r := range piRank {
-		if r < 0 {
-			r = found + len(latchRank) + j
+	var ents []ent
+	piKey := make([]float64, len(ms[0].N.PIs))
+	for k, mc := range ms {
+		lr, pr, found := topoLeafRanks(mc.N)
+		denom := float64(found + len(lr) + len(pr) + 1)
+		norm := func(r, fallback int) float64 {
+			if r < 0 {
+				r = fallback
+			}
+			return float64(r) / denom
 		}
-		ents = append(ents, ent{r, 1, j})
+		for i := range lr {
+			ents = append(ents, ent{norm(lr[i], found+i), 1 + k, i})
+		}
+		for i := range piKey {
+			j := i
+			if k > 0 {
+				j = piOfB[i]
+			}
+			if key := norm(pr[j], found+len(lr)+j); k == 0 || key < piKey[i] {
+				piKey[i] = key
+			}
+		}
 	}
-	sort.Slice(ents, func(a, b int) bool {
-		if ents[a].rank != ents[b].rank {
-			return ents[a].rank < ents[b].rank
+	for i, key := range piKey {
+		ents = append(ents, ent{key, 0, i})
+	}
+	sort.Slice(ents, func(x, y int) bool {
+		if ents[x].key != ents[y].key {
+			return ents[x].key < ents[y].key
 		}
-		if ents[a].kind != ents[b].kind {
-			return ents[a].kind < ents[b].kind
+		if ents[x].kind != ents[y].kind {
+			return ents[x].kind < ents[y].kind
 		}
-		return ents[a].idx < ents[b].idx
+		return ents[x].idx < ents[y].idx
 	})
 	order := make([]int, 0, nv)
 	for _, e := range ents {
 		if e.kind == 0 {
-			order = append(order, curVar[e.idx], nextVar[e.idx])
+			order = append(order, ms[0].InVar[e.idx])
 		} else {
-			order = append(order, inVar[e.idx])
+			mc := ms[e.kind-1]
+			order = append(order, mc.CurVar[e.idx], mc.NextVar[e.idx])
 		}
 	}
 	return order

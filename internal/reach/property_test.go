@@ -84,14 +84,14 @@ func explicitReach(t *testing.T, n *network.Network) (reached map[int]bool, dept
 	}
 }
 
-// stateSet builds the BDD over a's current-state variables holding exactly
-// the given bitmask states.
+// stateSet builds the BDD over the current-state variables of a (a
+// one-network analysis) holding exactly the given bitmask states.
 func stateSet(a *reach.Analysis, states map[int]bool) bdd.Ref {
 	m := a.M
 	set := bdd.False
 	for st := range states {
 		cube := bdd.True
-		for i, v := range a.CurVar {
+		for i, v := range a.Machines[0].CurVar {
 			if st>>i&1 == 1 {
 				cube = m.And(cube, m.Var(v))
 			} else {
@@ -131,9 +131,10 @@ func TestPropertyAnalyzeMatchesExplicitState(t *testing.T) {
 		if got := a.NumReachable(); got != float64(len(reached)) {
 			t.Errorf("seed %d: %v reachable states, explicit BFS %d", seed, got, len(reached))
 		}
+		mc := a.Machines[0]
 		env := make([]bool, a.M.NumVars())
 		for st := 0; st < 1<<L; st++ {
-			for i, v := range a.CurVar {
+			for i, v := range mc.CurVar {
 				env[v] = st>>i&1 == 1
 			}
 			if a.M.Eval(a.Reachable, env) != reached[st] {
@@ -147,18 +148,18 @@ func TestPropertyAnalyzeMatchesExplicitState(t *testing.T) {
 		m := a.M
 		parts := make([]bdd.Ref, L)
 		for i, l := range src.Latches {
-			parts[i] = m.Xnor(m.Var(a.NextVar[i]), a.NodeFn[l.Driver])
+			parts[i] = m.Xnor(m.Var(mc.NextVar[i]), mc.NodeFn[l.Driver])
 		}
 		quant := make([]bool, m.NumVars())
 		perm := make([]int, m.NumVars())
 		for v := range perm {
 			perm[v] = v
 		}
-		for i := range a.CurVar {
-			quant[a.CurVar[i]] = true
-			perm[a.CurVar[i]], perm[a.NextVar[i]] = a.NextVar[i], a.CurVar[i]
+		for i := range mc.CurVar {
+			quant[mc.CurVar[i]] = true
+			perm[mc.CurVar[i]], perm[mc.NextVar[i]] = mc.NextVar[i], mc.CurVar[i]
 		}
-		for _, v := range a.InVar {
+		for _, v := range mc.InVar {
 			quant[v] = true
 		}
 		mono := bdd.True

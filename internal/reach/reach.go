@@ -19,34 +19,42 @@ import (
 	"repro/internal/obs"
 )
 
-// Analysis is the result of reachability on one network.
+// Analysis is the result of reachability on one network, or on the
+// product machine of two.
 //
-// Variable layout in the manager: latch i owns current-state var 2i and
-// next-state var 2i+1 (interleaved for compact transition relations);
-// primary input j owns var 2L+j. Variable *indices* are fixed; their level
-// placement is topology-driven (topoLevelOrder), with each cur/next pair kept
-// adjacent.
+// Variable layout in the manager: the latches of every machine, in
+// machine order, own interleaved cur/next pairs (the i-th latch overall
+// owns var 2i and var 2i+1, for compact transition relations); PI j of the
+// first machine owns var 2L+j, and the second machine's PIs share those
+// variables through the port pairing. Variable *indices* are fixed; their
+// level placement is topology-driven (levelOrder), with each cur/next pair
+// kept adjacent.
 type Analysis struct {
 	M *bdd.Manager
-	N *network.Network
-	// CurVar / NextVar index by latch position.
-	CurVar, NextVar []int
-	// InVar indexes by PI position.
-	InVar []int
-	// NodeFn maps every node in the cone of influence of a latch data input
-	// or a primary output to its BDD over current-state and input vars.
-	NodeFn map[*network.Node]bdd.Ref
-	// Init and Reachable are state sets over current-state vars.
+	// Machines holds the analysed network, or the two sides of a product
+	// machine in argument order.
+	Machines []*Machine
+	// Init and Reachable are state sets over current-state vars. For a
+	// product analysed with a delayed-replacement prefix, Reachable holds
+	// the states reachable after the prefix.
 	Init      bdd.Ref
 	Reachable bdd.Ref
-	// Depth is the number of image steps until the fixpoint.
+	// Depth is the number of image steps until the fixpoint, after the
+	// prefix.
 	Depth int
 	// Stats snapshots the BDD manager accounting (node counts, unique
 	// table, compute-cache hits/misses) at the fixpoint.
 	Stats bdd.Stats
-	// FrontierPeakNodes is the largest frontier BDD (in internal nodes)
-	// seen during the fixpoint iteration.
-	FrontierPeakNodes int
+}
+
+// Machine is one network's share of an Analysis.
+type Machine struct {
+	N *network.Network
+	// CurVar / NextVar index by latch position, InVar by PI position.
+	CurVar, NextVar, InVar []int
+	// NodeFn maps every node in the cone of influence of a latch data input
+	// or a primary output to its BDD over current-state and input vars.
+	NodeFn map[*network.Node]bdd.Ref
 }
 
 // Limits bounds the analysis; a zero field means "no limit".
@@ -73,13 +81,31 @@ var ErrTooLarge = fmt.Errorf("reach: circuit exceeds implicit-enumeration limits
 // image step of the fixpoint iteration check ctx, returning a typed guard
 // budget error (errors.Is(err, guard.ErrBudget)) wrapping the cause when
 // the deadline passes or the context is cancelled.
-func Analyze(ctx context.Context, n *network.Network, lim Limits, tr *obs.Tracer) (a *Analysis, err error) {
-	L := len(n.Latches)
+func Analyze(ctx context.Context, n *network.Network, lim Limits, tr *obs.Tracer) (*Analysis, error) {
+	return analyze(ctx, []*network.Network{n}, nil, 0, lim, tr)
+}
+
+// AnalyzeProduct runs the same analysis on the product machine of a and b,
+// whose inputs are shared as p pairs them: PI i of a and PI p.PI[i] of b
+// read one variable. Reachable is the closure of the states reached after
+// delay image steps from the joint initial state — the states on which
+// delayed replacement with prefix delay requires equal outputs. The
+// latch limit applies to both machines together. It records no trace: its
+// caller is verification, timed by its own spans.
+func AnalyzeProduct(ctx context.Context, a, b *network.Network, p *network.Pairing, delay int, lim Limits) (*Analysis, error) {
+	return analyze(ctx, []*network.Network{a, b}, p.PI, delay, lim, nil)
+}
+
+func analyze(ctx context.Context, nets []*network.Network, piOfB []int, delay int, lim Limits, tr *obs.Tracer) (a *Analysis, err error) {
+	L := 0
+	for _, n := range nets {
+		L += len(n.Latches)
+	}
 	if lim.MaxLatches > 0 && L > lim.MaxLatches {
 		return nil, fmt.Errorf("reach: %d latches exceed the %d-latch limit (enable -sweep for SAT-based induction instead of exact reachability): %w",
 			L, lim.MaxLatches, ErrTooLarge)
 	}
-	nv := 2*L + len(n.PIs)
+	nv := 2*L + len(nets[0].PIs)
 	m := bdd.New(nv)
 	m.MaxNodes = lim.MaxBDDNodes
 	sp := tr.Begin("reach.analyze")
@@ -102,75 +128,95 @@ func Analyze(ctx context.Context, n *network.Network, lim Limits, tr *obs.Tracer
 		}
 	}()
 
-	a = &Analysis{
-		M: m, N: n,
-		CurVar:  make([]int, L),
-		NextVar: make([]int, L),
-		InVar:   make([]int, len(n.PIs)),
-		NodeFn:  make(map[*network.Node]bdd.Ref),
+	a = &Analysis{M: m}
+	first := 0 // overall index of the machine's first latch
+	for _, n := range nets {
+		mc := &Machine{
+			N:       n,
+			CurVar:  make([]int, len(n.Latches)),
+			NextVar: make([]int, len(n.Latches)),
+			InVar:   make([]int, len(n.PIs)),
+			NodeFn:  make(map[*network.Node]bdd.Ref),
+		}
+		for i := range n.Latches {
+			mc.CurVar[i] = 2 * (first + i)
+			mc.NextVar[i] = 2*(first+i) + 1
+		}
+		first += len(n.Latches)
+		a.Machines = append(a.Machines, mc)
 	}
-	for i := 0; i < L; i++ {
-		a.CurVar[i] = 2 * i
-		a.NextVar[i] = 2*i + 1
+	for j := range nets[0].PIs {
+		a.Machines[0].InVar[j] = 2*L + j
+		if piOfB != nil {
+			a.Machines[1].InVar[piOfB[j]] = 2*L + j
+		}
 	}
-	for j := range n.PIs {
-		a.InVar[j] = 2*L + j
-	}
-	m.SetOrder(topoLevelOrder(n, a.CurVar, a.NextVar, a.InVar, nv))
-	if err := a.buildNodeFns(ctx); err != nil {
-		return nil, err
+	m.SetOrder(levelOrder(a.Machines, piOfB, nv))
+	for _, mc := range a.Machines {
+		if err := mc.buildNodeFns(ctx, m); err != nil {
+			return nil, err
+		}
 	}
 
-	// Initial state: conjunction of defined latch values (X unconstrained).
+	// Initial state: conjunction of defined latch values (X unconstrained),
+	// one machine at a time.
 	init := bdd.True
-	for i, l := range n.Latches {
-		switch l.Init {
-		case network.V0:
-			init = m.And(init, m.NVar(a.CurVar[i]))
-		case network.V1:
-			init = m.And(init, m.Var(a.CurVar[i]))
+	for _, mc := range a.Machines {
+		s := bdd.True
+		for i, l := range mc.N.Latches {
+			switch l.Init {
+			case network.V0:
+				s = m.And(s, m.NVar(mc.CurVar[i]))
+			case network.V1:
+				s = m.And(s, m.Var(mc.CurVar[i]))
+			}
 		}
+		init = m.And(init, s)
 	}
 	a.Init = init
 
 	// Per-latch relations next_i ↔ δ_i, clustered with an early-
-	// quantification schedule.
-	parts := make([]bdd.Ref, L)
-	for i, l := range n.Latches {
-		parts[i] = m.Xnor(m.Var(a.NextVar[i]), a.NodeFn[l.Driver])
-	}
+	// quantification schedule; current-state and input vars are
+	// quantified, next-state vars renamed to current.
+	parts := make([]bdd.Ref, 0, L)
 	quant := make([]bool, nv)
-	for _, v := range a.CurVar {
-		quant[v] = true
-	}
-	for _, v := range a.InVar {
-		quant[v] = true
-	}
-	// Rename next -> current.
 	perm := make([]int, nv)
 	for i := range perm {
 		perm[i] = i
 	}
-	for i := 0; i < L; i++ {
-		perm[a.NextVar[i]] = a.CurVar[i]
-		perm[a.CurVar[i]] = a.NextVar[i]
+	for _, mc := range a.Machines {
+		for i, l := range mc.N.Latches {
+			parts = append(parts, m.Xnor(m.Var(mc.NextVar[i]), mc.NodeFn[l.Driver]))
+			quant[mc.CurVar[i]] = true
+			perm[mc.NextVar[i]], perm[mc.CurVar[i]] = mc.CurVar[i], mc.NextVar[i]
+		}
+		for _, v := range mc.InVar {
+			quant[v] = true
+		}
 	}
 	trel := BuildTransRel(m, parts, quant, perm, DefaultClusterNodes)
 	sp.Add("reach_clusters", int64(trel.NumClusters()))
 	sp.Add("reach_quant_schedule_len", int64(trel.ScheduleLen()))
 	sp.Max("reach_cluster_peak_nodes", int64(trel.PeakClusterNodes()))
 
-	reached := init
 	frontier := init
+	for k := 0; k < delay; k++ {
+		if cerr := guard.Check(ctx, "reach.analyze"); cerr != nil {
+			return nil, fmt.Errorf("reach: prefix traversal interrupted at cycle %d: %w", k, cerr)
+		}
+		frontier = trel.Image(m, frontier)
+	}
+	reached := frontier
+	peak := 0 // largest frontier, in internal nodes
 	for ; ; depth++ {
 		if cerr := guard.Check(ctx, "reach.analyze"); cerr != nil {
 			return nil, fmt.Errorf("reach: fixpoint interrupted after %d image steps: %w", depth, cerr)
 		}
-		fn := m.NodeCount(frontier)
-		if fn > a.FrontierPeakNodes {
-			a.FrontierPeakNodes = fn
-		}
+		// Frontier sizes are trace output only: an untraced analysis
+		// skips the walk over every frontier.
 		if tr != nil {
+			fn := m.NodeCount(frontier)
+			peak = max(peak, fn)
 			tr.Event("reach_iter", map[string]any{
 				"depth": depth, "frontier_nodes": fn, "bdd_nodes": m.Size(),
 			})
@@ -186,27 +232,27 @@ func Analyze(ctx context.Context, n *network.Network, lim Limits, tr *obs.Tracer
 	}
 	a.Reachable = reached
 	a.Stats = m.Stats()
-	sp.Max("reach_frontier_peak_nodes", int64(a.FrontierPeakNodes))
+	sp.Max("reach_frontier_peak_nodes", int64(peak))
 	return a, nil
 }
 
 // buildNodeFns computes the BDD over current-state and input vars for every
 // node in the cone of influence of a latch data input or a primary output;
 // logic feeding neither (dead cones left behind by other passes) never
-// reaches the BDD manager.
-func (a *Analysis) buildNodeFns(ctx context.Context) error {
-	m := a.M
-	for j, p := range a.N.PIs {
-		a.NodeFn[p] = m.Var(a.InVar[j])
+// reaches the BDD manager. A malformed network (a combinational cycle) is
+// an error, not a panic.
+func (mc *Machine) buildNodeFns(ctx context.Context, m *bdd.Manager) error {
+	for j, p := range mc.N.PIs {
+		mc.NodeFn[p] = m.Var(mc.InVar[j])
 	}
-	for i, l := range a.N.Latches {
-		a.NodeFn[l.Output] = m.Var(a.CurVar[i])
+	for i, l := range mc.N.Latches {
+		mc.NodeFn[l.Output] = m.Var(mc.CurVar[i])
 	}
-	order, err := a.N.TopoOrder()
+	order, err := mc.N.TopoOrder()
 	if err != nil {
-		return err
+		return fmt.Errorf("reach: %s: %w", mc.N.Name, err)
 	}
-	need := coneOfInfluence(a.N)
+	need := coneOfInfluence(mc.N)
 	for _, v := range order {
 		if !need[v] {
 			continue
@@ -218,7 +264,7 @@ func (a *Analysis) buildNodeFns(ctx context.Context) error {
 		for _, c := range v.Func.Cubes {
 			cube := bdd.True
 			for pin := 0; pin < c.N; pin++ {
-				fiRef := a.NodeFn[v.Fanins[pin]]
+				fiRef := mc.NodeFn[v.Fanins[pin]]
 				switch c.Lit(pin) {
 				case logic.LitPos:
 					cube = m.And(cube, fiRef)
@@ -233,7 +279,7 @@ func (a *Analysis) buildNodeFns(ctx context.Context) error {
 			}
 			f = m.Or(f, cube)
 		}
-		a.NodeFn[v] = f
+		mc.NodeFn[v] = f
 	}
 	return nil
 }
@@ -266,26 +312,30 @@ func (a *Analysis) NumReachable() float64 {
 	// SatCount counts over all manager variables; divide out next-state
 	// and input vars, which Reachable does not depend on.
 	total := a.M.SatCount(a.Reachable)
-	free := len(a.NextVar) + len(a.InVar)
+	free := a.M.NumVars()
+	for _, mc := range a.Machines {
+		free -= len(mc.CurVar)
+	}
 	for i := 0; i < free; i++ {
 		total /= 2
 	}
 	return total
 }
 
-// UnreachableDC projects the reachable set onto the given latch positions
-// and returns the complement as a SOP cover over len(latchIdx) variables:
-// cover variable k corresponds to latchIdx[k]. A partial state assignment
-// is a don't care only if every completion of it is unreachable, so the
-// projection quantifies the other latches existentially before
-// complementing.
+// UnreachableDC projects the reachable set of a one-network analysis onto
+// the given latch positions and returns the complement as a SOP cover over
+// len(latchIdx) variables: cover variable k corresponds to latchIdx[k]. A
+// partial state assignment is a don't care only if every completion of it
+// is unreachable, so the projection quantifies the other latches
+// existentially before complementing.
 func (a *Analysis) UnreachableDC(latchIdx []int) *logic.Cover {
 	keep := make(map[int]bool, len(latchIdx))
 	for _, i := range latchIdx {
 		keep[i] = true
 	}
+	cur := a.Machines[0].CurVar
 	quant := make([]bool, a.M.NumVars())
-	for i, v := range a.CurVar {
+	for i, v := range cur {
 		if !keep[i] {
 			quant[v] = true
 		}
@@ -299,7 +349,7 @@ func (a *Analysis) UnreachableDC(latchIdx []int) *logic.Cover {
 		varMap[i] = -1
 	}
 	for k, i := range latchIdx {
-		varMap[a.CurVar[i]] = k
+		varMap[cur[i]] = k
 	}
 	out := logic.NewCover(len(latchIdx))
 	for _, c := range full.Cubes {

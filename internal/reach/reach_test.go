@@ -174,12 +174,12 @@ func TestAnalysisStatsAndTrace(t *testing.T) {
 	if a.Stats.Nodes == 0 || a.Stats.UniqueSize == 0 || a.Stats.CacheMisses == 0 {
 		t.Fatalf("BDD stats not populated: %+v", a.Stats)
 	}
-	if a.FrontierPeakNodes <= 0 {
-		t.Fatal("frontier peak not recorded")
-	}
 	sp := tr.Root().Find("reach.analyze")
 	if sp == nil {
 		t.Fatal("reach.analyze span missing")
+	}
+	if sp.Counter("reach_frontier_peak_nodes") <= 0 {
+		t.Fatal("frontier peak not recorded")
 	}
 	if sp.Counter("reach_iterations") != int64(a.Depth) {
 		t.Fatalf("span iterations %d != depth %d", sp.Counter("reach_iterations"), a.Depth)

@@ -2,12 +2,14 @@ package retime
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/bitsim"
 	"repro/internal/network"
+	"repro/internal/reach"
 	"repro/internal/seqverify"
 )
 
@@ -55,7 +57,7 @@ func TestPropertyRandomAtomicMoves(t *testing.T) {
 			continue
 		}
 		err := seqverify.Equivalent(context.Background(), orig, work, seqverify.Options{})
-		if err == seqverify.ErrTooLarge {
+		if errors.Is(err, reach.ErrTooLarge) {
 			err = bitsim.RandomEquivalent(orig, work, 0, 500, seed, bitsim.Options{})
 		}
 		if err != nil {
@@ -91,7 +93,7 @@ func TestPropertyStemSplitAlwaysDelayedEquivalent(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		err := seqverify.Equivalent(context.Background(), orig, work, seqverify.Options{Delay: k})
-		if err == seqverify.ErrTooLarge {
+		if errors.Is(err, reach.ErrTooLarge) {
 			err = bitsim.RandomEquivalent(orig, work, k, 500, seed, bitsim.Options{})
 		}
 		if err != nil {
@@ -101,7 +103,7 @@ func TestPropertyStemSplitAlwaysDelayedEquivalent(t *testing.T) {
 		// preservation of initial states makes the new states invalid but
 		// unreachable).
 		err = seqverify.Equivalent(context.Background(), orig, work, seqverify.Options{})
-		if err != nil && err != seqverify.ErrTooLarge {
+		if err != nil && !errors.Is(err, reach.ErrTooLarge) {
 			t.Fatalf("seed %d: init-preserving split must be safe: %v", seed, err)
 		}
 	}
@@ -125,7 +127,7 @@ func TestPropertyMinPeriodNeverWorse(t *testing.T) {
 			t.Fatalf("seed %d: realized period %v does not match claim %v", seed, p, info.PeriodAfter)
 		}
 		verr := seqverify.Equivalent(context.Background(), orig, ret, seqverify.Options{})
-		if verr == seqverify.ErrTooLarge {
+		if errors.Is(verr, reach.ErrTooLarge) {
 			verr = bitsim.RandomEquivalent(orig, ret, 0, 500, seed, bitsim.Options{})
 		}
 		if verr != nil {
@@ -156,7 +158,7 @@ func TestPropertyMinAreaKeepsPeriodAndEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: period constraint violated: %v", seed, q)
 		}
 		verr := seqverify.Equivalent(context.Background(), orig, ret, seqverify.Options{})
-		if verr == seqverify.ErrTooLarge {
+		if errors.Is(verr, reach.ErrTooLarge) {
 			verr = bitsim.RandomEquivalent(orig, ret, 0, 500, seed, bitsim.Options{})
 		}
 		if verr != nil {

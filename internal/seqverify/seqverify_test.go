@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/blif"
 	"repro/internal/logic"
 	"repro/internal/network"
@@ -145,68 +144,7 @@ func TestTooLarge(t *testing.T) {
 		d = n.AddLatch(fmt.Sprintf("r%d", i), d, network.V0).Output
 	}
 	n.AddPO("q", d)
-	if err := Equivalent(context.Background(), n, n.Clone(), Options{}); err != ErrTooLarge {
+	if err := Equivalent(context.Background(), n, n.Clone(), Options{}); !errors.Is(err, reach.ErrTooLarge) {
 		t.Fatalf("latch limit not applied: %v", err)
-	}
-}
-
-// TestCheckProvedByInduction proves registry circuits against their
-// clones. Rows whose product machine fits the exact engine keep its
-// verdict; rows past the latch limit must first fail without Sweep and
-// then be proved by K-induction with it. -short skips s5378 (~4 s).
-func TestCheckProvedByInduction(t *testing.T) {
-	for _, tc := range []struct {
-		circuit string
-		want    Verdict
-	}{
-		{"s27", VerdictExact},
-		{"s298", VerdictExact},
-		{"s382", VerdictInduction},
-		{"s400", VerdictInduction},
-		{"s526", VerdictInduction},
-		{"s641", VerdictInduction},
-		{"s5378", VerdictInduction},
-	} {
-		t.Run(tc.circuit, func(t *testing.T) {
-			if tc.circuit == "s5378" && testing.Short() {
-				t.Skip("large row skipped under -short")
-			}
-			c, ok := bench.ByName(tc.circuit)
-			if !ok {
-				t.Fatalf("%s not in registry", tc.circuit)
-			}
-			n, err := c.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.want == VerdictInduction {
-				if _, err := Check(context.Background(), n, n.Clone(), Options{}); !errors.Is(err, ErrTooLarge) {
-					t.Fatalf("without Sweep: err = %v, want ErrTooLarge", err)
-				}
-			}
-			v, err := Check(context.Background(), n, n.Clone(), Options{Sweep: true})
-			if err != nil {
-				t.Fatalf("with Sweep: %v", err)
-			}
-			if v != tc.want {
-				t.Fatalf("verdict = %q, want %q", v, tc.want)
-			}
-		})
-	}
-}
-
-// TestCheckExactVerdict: small machines keep the exact engine and its
-// verdict.
-func TestCheckExactVerdict(t *testing.T) {
-	n, err := blif.ParseString(cnt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := Check(context.Background(), n, n.Clone(), Options{Sweep: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != VerdictExact {
-		t.Fatalf("verdict = %q, want %q", v, VerdictExact)
 	}
 }

@@ -8,9 +8,9 @@
 // The package is the glue between the existing layers, not a new engine:
 // jobs execute flows.RunFlow under guard.Budget deadlines on a
 // parexec.Pool, trace through a private obs.Tracer bridged into the shared
-// obs.Registry, and verify with seqverify (falling back to random
-// simulation when the product machine is too large) — exactly the cmd/resyn
-// pipeline, behind HTTP.
+// obs.Registry, and verify through flows.VerifyVerdict (falling back to
+// random simulation when the product machine is too large) — exactly the
+// cmd/resyn pipeline, behind HTTP.
 //
 // With Config.DataDir set the server is crash-safe: every job transition is
 // a CRC-checked record in an append-only log (wal.go), group-committed so a

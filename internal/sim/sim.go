@@ -175,8 +175,9 @@ func (s *Simulator) AllDefined() bool {
 // bitsim property suite pins against; callers should prefer
 // bitsim.RandomEquivalent.
 func RandomEquivalentScalar(a, b *network.Network, delay, cycles int, seed int64) error {
-	if len(a.PIs) != len(b.PIs) {
-		return fmt.Errorf("sim: PI count differs: %d vs %d", len(a.PIs), len(b.PIs))
+	p, err := network.Pair(a, b)
+	if err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	sa, err := New(a)
 	if err != nil {
@@ -186,35 +187,6 @@ func RandomEquivalentScalar(a, b *network.Network, delay, cycles int, seed int64
 	if err != nil {
 		return err
 	}
-	// Match POs by name.
-	type pair struct{ ia, ib int }
-	var pairs []pair
-	for ia, pa := range a.POs {
-		found := false
-		for ib, pb := range b.POs {
-			if pa.Name == pb.Name {
-				pairs = append(pairs, pair{ia, ib})
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("sim: PO %q missing in %s", pa.Name, b.Name)
-		}
-	}
-	// PI j of b reads the same-named PI of a, falling back to position j.
-	aPI := make(map[string]int, len(a.PIs))
-	for i, p := range a.PIs {
-		aPI[p.Name] = i
-	}
-	piOfA := make([]int, len(b.PIs))
-	for j, p := range b.PIs {
-		if i, ok := aPI[p.Name]; ok {
-			piOfA[j] = i
-		} else {
-			piOfA[j] = j
-		}
-	}
 	r := rand.New(rand.NewSource(seed))
 	bits := make([]bool, len(a.PIs))
 	bitsB := make([]bool, len(b.PIs))
@@ -222,7 +194,7 @@ func RandomEquivalentScalar(a, b *network.Network, delay, cycles int, seed int64
 		for i := range bits {
 			bits[i] = r.Intn(2) == 1
 		}
-		for j, i := range piOfA {
+		for i, j := range p.PI {
 			bitsB[j] = bits[i]
 		}
 		oa := sa.StepBits(bits)
@@ -230,10 +202,10 @@ func RandomEquivalentScalar(a, b *network.Network, delay, cycles int, seed int64
 		if c < delay {
 			continue
 		}
-		for _, p := range pairs {
-			if oa[p.ia] != ob[p.ib] {
+		for ia, ib := range p.PO {
+			if oa[ia] != ob[ib] {
 				return fmt.Errorf("sim: PO %q differs at cycle %d (after %d-cycle prefix)",
-					a.POs[p.ia].Name, c, delay)
+					a.POs[ia].Name, c, delay)
 			}
 		}
 	}

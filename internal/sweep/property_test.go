@@ -18,7 +18,8 @@ import (
 // Reachable ∧ (xi ⊕ xj) is empty. Returned in the same canonical form as
 // sweep.Result.Classes (members ascending, classes by first member).
 func reachPartition(a *reach.Analysis) [][]int {
-	L := len(a.N.Latches)
+	cur := a.Machines[0].CurVar
+	L := len(cur)
 	parent := make([]int, L)
 	for i := range parent {
 		parent[i] = i
@@ -32,7 +33,7 @@ func reachPartition(a *reach.Analysis) [][]int {
 	}
 	for i := 0; i < L; i++ {
 		for j := i + 1; j < L; j++ {
-			diff := a.M.Xor(a.M.Var(a.CurVar[i]), a.M.Var(a.CurVar[j]))
+			diff := a.M.Xor(a.M.Var(cur[i]), a.M.Var(cur[j]))
 			if a.M.And(a.Reachable, diff) == bdd.False {
 				parent[find(j)] = find(i)
 			}
@@ -94,7 +95,7 @@ func TestPropertySweepMatchesReach(t *testing.T) {
 			t.Errorf("%s: sweep classes %v, reach classes %v", c.Name, got, want)
 		}
 		for _, li := range res.Const {
-			if a.M.And(a.Reachable, a.M.Var(a.CurVar[li])) != bdd.False {
+			if a.M.And(a.Reachable, a.M.Var(a.Machines[0].CurVar[li])) != bdd.False {
 				t.Errorf("%s: latch %d reported constant 0 but reachable with value 1", c.Name, li)
 			}
 		}
