@@ -278,7 +278,7 @@ func BenchmarkSTA(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := timing.Analyze(sd.Net, timing.MappedDelay{N: sd.Net}); err != nil {
+		if _, err := timing.Analyze(sd.Net, timing.MappedDelay{}); err != nil {
 			b.Fatal(err)
 		}
 	}

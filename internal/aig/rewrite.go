@@ -37,8 +37,8 @@ import (
 // match the NPN library (uint16 truth tables, 222 classes).
 const rewriteCutInputs = 4
 
-// DefaultRewriteCuts is the default priority-cut budget C per node.
-const DefaultRewriteCuts = 8
+// rewriteCuts is the priority-cut budget C per node.
+const rewriteCuts = 8
 
 // pcut is one priority cut: sorted leaf node ids, the root's function
 // over them (4-var table, vacuous above n), the depth of its deepest
@@ -106,15 +106,11 @@ type rwDecision struct {
 	kind   uint8
 }
 
-// RewriteOptions tunes the pass; the zero value is the default
-// configuration (GOMAXPROCS workers, C=8 cuts).
+// RewriteOptions tunes the pass; the zero value runs GOMAXPROCS workers.
 type RewriteOptions struct {
 	// Workers is the parallel width; <= 0 selects GOMAXPROCS. The result
 	// is byte-identical at any width.
 	Workers int
-	// MaxCuts is the priority-cut budget per node; <= 0 selects
-	// DefaultRewriteCuts.
-	MaxCuts int
 }
 
 // RewriteStats reports what one pass did.
@@ -154,8 +150,7 @@ type rwEngine struct {
 	lib    *npnLib
 	refs   []int32 // global fanout counts
 	req    []int32 // required times (reqInf: dead)
-	c      int     // cuts per node
-	cuts   []pcut  // flat: node id*c .. id*c+cutLen[id]
+	cuts   []pcut  // flat: node id*rewriteCuts .. +cutLen[id]
 	cutLen []uint8
 	afBest []float32 // best cut area-flow per AND node (CIs: 0)
 	dec    []rwDecision
@@ -168,18 +163,13 @@ type rwEngine struct {
 func (g *Graph) Rewrite(ctx context.Context, opt RewriteOptions) (*Graph, RewriteStats, error) {
 	var stats RewriteStats
 	workers := parexec.Workers(opt.Workers)
-	c := opt.MaxCuts
-	if c <= 0 {
-		c = DefaultRewriteCuts
-	}
 	n := len(g.nodes)
 	e := &rwEngine{
 		g:      g,
 		lib:    getNPNLib(),
 		refs:   g.FanoutCounts(),
 		req:    g.requiredTimes(),
-		c:      c,
-		cuts:   make([]pcut, n*c),
+		cuts:   make([]pcut, n*rewriteCuts),
 		cutLen: make([]uint8, n),
 		afBest: make([]float32, n),
 		dec:    make([]rwDecision, n),
@@ -257,7 +247,7 @@ func (e *rwEngine) processNode(id int32, arena *rwArena) {
 }
 
 func (e *rwEngine) cutsOf(id int32) []pcut {
-	return e.cuts[int(id)*e.c : int(id)*e.c+int(e.cutLen[id])]
+	return e.cuts[int(id)*rewriteCuts : int(id)*rewriteCuts+int(e.cutLen[id])]
 }
 
 // leafAreaFlow is a leaf's contribution to a cut's area-flow score: the
@@ -288,7 +278,7 @@ func (e *rwEngine) enumerateCuts(id int32, f0, f1 Lit, arena *rwArena) {
 
 	cuts0 := e.cutsOf(n0)
 	cuts1 := e.cutsOf(n1)
-	base := int(id) * e.c
+	base := int(id) * rewriteCuts
 	e.cutLen[id] = 0
 
 	consider := func(c0, c1 *pcut) {
@@ -352,7 +342,7 @@ func (e *rwEngine) enumerateCuts(id int32, f0, f1 Lit, arena *rwArena) {
 // deduplicating by leaf set and evicting past the budget.
 func (e *rwEngine) insertCut(id int32, base int, cand *pcut, arena *rwArena) {
 	ln := int(e.cutLen[id])
-	slab := e.cuts[base : base+e.c]
+	slab := e.cuts[base : base+rewriteCuts]
 	for k := 0; k < ln; k++ {
 		if slab[k].sameLeaves(cand) {
 			return // identical leaves, identical function: a duplicate
@@ -362,7 +352,7 @@ func (e *rwEngine) insertCut(id int32, base int, cand *pcut, arena *rwArena) {
 	for pos > 0 && cand.better(&slab[pos-1]) {
 		pos--
 	}
-	if ln == e.c {
+	if ln == rewriteCuts {
 		if pos == ln {
 			arena.pruned++ // worse than the whole kept front
 			return

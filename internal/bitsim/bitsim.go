@@ -24,9 +24,8 @@
 //
 // One Block holds one word (64 lanes) of simulation state with all buffers
 // preallocated, so steady-state stepping performs zero allocations.
-// Independent blocks shard across internal/parexec with index-ordered
-// merging, so every exported search in this package returns byte-identical
-// results at any worker width.
+// RandomEquivalent, the spot check of the verification ladder, runs one
+// Block per network inline, each lane on its own random input stream.
 package bitsim
 
 import (
@@ -58,7 +57,6 @@ type op struct{ d, a, b int32 }
 // immutable after Compile and safe for concurrent use; all mutable state
 // lives in Blocks.
 type Sim struct {
-	net  *network.Network
 	nSig int
 
 	// Codes (2·slot) of the PIs, PO drivers, latch outputs and latch
@@ -80,7 +78,7 @@ func Compile(n *network.Network) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Sim{net: n}
+	s := &Sim{}
 	code := make(map[*network.Node]int32, len(n.PIs)+len(n.Latches)+len(order))
 	add := func(v *network.Node) int32 {
 		if c, ok := code[v]; ok {
@@ -191,9 +189,6 @@ func (s *Sim) conj(lits []int32, dst int32) int32 {
 // NumPIs returns the primary input count (PI word order).
 func (s *Sim) NumPIs() int { return len(s.piCode) }
 
-// NumPOs returns the primary output count (PO word order).
-func (s *Sim) NumPOs() int { return len(s.poCode) }
-
 // NumSignals returns the number of simulated signals (PIs, latch outputs
 // and logic nodes); each costs two words per Block.
 func (s *Sim) NumSignals() int { return s.nSig }
@@ -232,22 +227,6 @@ func (s *Sim) Reset(b *Block) {
 	}
 }
 
-// SetLatch overrides latch i's dual-rail words directly (per-lane state
-// injection for the property suite). one&zero must be 0.
-func (s *Sim) SetLatch(b *Block, i int, one, zero uint64) {
-	if one&zero != 0 {
-		panic("bitsim: lane holds both 0 and 1")
-	}
-	g := s.latchOutCode[i]
-	b.rail[g], b.rail[g+1] = one, zero
-}
-
-// Latch returns latch i's current dual-rail words.
-func (s *Sim) Latch(b *Block, i int) (one, zero uint64) {
-	g := s.latchOutCode[i]
-	return b.rail[g], b.rail[g+1]
-}
-
 // PO returns primary output i's dual-rail words as observed during the
 // last Step — i.e. before the register update, so a PO driven directly by
 // a latch output reports the cycle's current state like the scalar path.
@@ -256,13 +235,10 @@ func (s *Sim) PO(b *Block, i int) (one, zero uint64) {
 }
 
 // Step applies one clock cycle: it latches the PI words (dual-rail, one
-// pair per PI in declaration order), runs the AND program, and advances
-// the registers. 64 lanes advance per call; the caller reads POs and
-// latches afterwards.
+// pair per PI in declaration order, NumPIs of each), runs the AND program,
+// and advances the registers. 64 lanes advance per call; the caller reads
+// POs afterwards.
 func (s *Sim) Step(b *Block, piOne, piZero []uint64) {
-	if len(piOne) != len(s.piCode) || len(piZero) != len(s.piCode) {
-		panic(fmt.Sprintf("bitsim: %d/%d PI words for %d PIs", len(piOne), len(piZero), len(s.piCode)))
-	}
 	r := b.rail
 	for i, g := range s.piCode {
 		r[g], r[g+1] = piOne[i], piZero[i]

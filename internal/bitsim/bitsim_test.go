@@ -218,21 +218,47 @@ func buildToggle(corrupt bool) (*network.Network, *network.Network) {
 	return build("a", false), build("b", corrupt)
 }
 
-// TestRandomEquivalentMatchesScalarFirstDivergence pins lane-0 parity: the
-// batched check must report the exact same first-divergence cycle and
-// signal (same error string) as the scalar oracle, for a range of seeds
-// and delayed-replacement prefixes.
+// oracleVerdict is RandomEquivalent's expected result, assembled from the
+// scalar oracle run once per lane on that lane's input bits: the earliest
+// divergence in (cycle, PO, stream) order, or "<nil>".
+func oracleVerdict(t *testing.T, a, b *network.Network, delay, cycles int, seed int64) string {
+	t.Helper()
+	best, bestPO, bestLane := -1, 0, 0
+	for l := 0; l < bitsim.LanesPerWord; l++ {
+		c, po, err := sim.FirstDivergence(a, b, delay, cycles, bitsim.LaneBits(seed, l))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c >= 0 && (best < 0 || c < best || (c == best && po < bestPO)) {
+			best, bestPO, bestLane = c, po, l
+		}
+	}
+	if best < 0 {
+		return "<nil>"
+	}
+	return fmt.Sprintf("sim: PO %q differs at cycle %d on stream %d (after %d-cycle prefix)",
+		a.POs[bestPO].Name, best, bestLane, delay)
+}
+
+// TestRandomEquivalentMatchesScalarFirstDivergence pins the batched check
+// against the scalar oracle fed each lane's input bits: the same first
+// (cycle, stream, PO), for a corrupted counter over a range of seeds and
+// delayed-replacement prefixes, and for random networks with X initial
+// states against a copy with one node complemented.
 func TestRandomEquivalentMatchesScalarFirstDivergence(t *testing.T) {
+	check := func(name string, a, b *network.Network, delay, cycles int, seed int64) string {
+		want := oracleVerdict(t, a, b, delay, cycles, seed)
+		got := fmt.Sprint(bitsim.RandomEquivalent(a, b, delay, cycles, seed, bitsim.Options{}))
+		if got != want {
+			t.Fatalf("%s seed %d delay %d: bitsim %s, oracle %s", name, seed, delay, got, want)
+		}
+		return got
+	}
 	a, b := buildToggle(true)
 	for _, delay := range []int{0, 3} {
 		for seed := int64(1); seed <= 5; seed++ {
-			want := sim.RandomEquivalentScalar(a, b, delay, 200, seed)
-			got := bitsim.RandomEquivalent(a, b, delay, 200, seed, bitsim.Options{})
-			if want == nil {
-				t.Fatalf("seed %d: scalar oracle unexpectedly passed", seed)
-			}
-			if got == nil || got.Error() != want.Error() {
-				t.Fatalf("seed %d delay %d: bitsim %v, scalar %v", seed, delay, got, want)
+			if check("toggle", a, b, delay, 200, seed) == "<nil>" {
+				t.Fatalf("seed %d delay %d: corrupted pair passed", seed, delay)
 			}
 		}
 	}
@@ -242,60 +268,76 @@ func TestRandomEquivalentMatchesScalarFirstDivergence(t *testing.T) {
 			t.Fatalf("equivalent pair rejected: %v", err)
 		}
 	}
-}
-
-// TestRandomEquivalentXPanicParity: an X initial state reaching a PO must
-// panic with the scalar's exact message (guard.Tx maps that panic to an
-// inconclusive smoke check, so the classification must not drift).
-func TestRandomEquivalentXPanicParity(t *testing.T) {
-	build := func() *network.Network {
-		n := network.New("x")
-		pi := n.AddPI("i")
-		l := n.AddLatch("s", nil, network.VX)
-		g := n.AddLogic("g", []*network.Node{pi, l.Output}, logic.MustParseCover(2, "11"))
-		l.Driver = g
-		n.AddPO("y", g)
-		return n
-	}
-	a, b := build(), build()
-	catch := func(f func()) (msg string) {
-		defer func() {
-			if r := recover(); r != nil {
-				msg = fmt.Sprint(r)
+	r := rand.New(rand.NewSource(29))
+	differ := 0
+	for trial := 0; trial < 30; trial++ {
+		a := randTestNetwork(r, 1+r.Intn(6), 1+r.Intn(4), 2+r.Intn(10))
+		b := a.Clone()
+		var logicNodes []*network.Node
+		for _, v := range b.Nodes() {
+			if v.Kind == network.KindLogic {
+				logicNodes = append(logicNodes, v)
 			}
-		}()
-		f()
-		return ""
+		}
+		v := logicNodes[r.Intn(len(logicNodes))]
+		b.SetFunction(v, v.Fanins, v.Func.Complement())
+		if check(fmt.Sprintf("trial %d", trial), a, b, trial%3, 12, int64(trial)) != "<nil>" {
+			differ++
+		}
 	}
-	want := catch(func() { _ = sim.RandomEquivalentScalar(a, b, 0, 50, 1) })
-	got := catch(func() { _ = bitsim.RandomEquivalent(a, b, 0, 50, 1, bitsim.Options{}) })
-	if want == "" {
-		t.Fatal("scalar oracle did not panic on X at PO")
-	}
-	if got != want {
-		t.Fatalf("panic mismatch: bitsim %q, scalar %q", got, want)
+	if differ == 0 {
+		t.Fatal("no random pair diverged: the comparison is vacuous")
 	}
 }
 
-// TestCrossWidthDeterminism: results are byte-identical for -workers 1 vs
-// N, with stream counts not divisible by 64 (masked tail words).
-func TestCrossWidthDeterminism(t *testing.T) {
-	a, b := buildToggle(true)
-	for _, streams := range []int{7, 64, 100, 130} {
-		var errs []string
-		for _, workers := range []int{1, 8} {
-			err := bitsim.RandomEquivalent(a, b, 2, 100, 3,
-				bitsim.Options{Streams: streams, Workers: workers})
-			if err == nil {
-				t.Fatalf("streams %d workers %d: corrupted pair passed", streams, workers)
+// xMachine returns a machine whose PO is g = i AND s, or NOT g when
+// invert is set, with s fed back from g and powering up at init. With an
+// unknown init, a lane whose first input bit is 1 sees X at the PO in
+// cycle 0 and keeps it while its input stays 1; a lane whose first bit is
+// 0 is defined from cycle 0 on.
+func xMachine(init network.Value, invert bool) *network.Network {
+	n := network.New("x")
+	pi := n.AddPI("i")
+	l := n.AddLatch("s", nil, init)
+	g := n.AddLogic("g", []*network.Node{pi, l.Output}, logic.MustParseCover(2, "11"))
+	l.Driver = g
+	out := logic.MustParseCover(1, "1")
+	if invert {
+		out = logic.MustParseCover(1, "0")
+	}
+	n.AddPO("y", n.AddLogic("y", []*network.Node{g}, out))
+	return n
+}
+
+// TestRandomEquivalentXIsNeverAMismatch: an X reaching a PO neither
+// panics nor counts as a mismatch on any lane, against an X or against a
+// defined value, while a defined difference on the same machines is still
+// caught, on the first lane that has one.
+func TestRandomEquivalentXIsNeverAMismatch(t *testing.T) {
+	a := xMachine(network.VX, false)
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, b := range []*network.Network{a.Clone(), xMachine(network.V0, false)} {
+			if err := bitsim.RandomEquivalent(a, b, 0, 50, seed, bitsim.Options{}); err != nil {
+				t.Fatalf("seed %d: X at a PO counted as a mismatch: %v", seed, err)
 			}
-			errs = append(errs, err.Error())
 		}
-		if errs[0] != errs[1] {
-			t.Fatalf("streams %d: workers 1 vs 8 disagree: %q vs %q", streams, errs[0], errs[1])
+		lane, xLanes := -1, 0
+		for l := 0; l < bitsim.LanesPerWord; l++ {
+			if bitsim.LaneBits(seed, l)() {
+				xLanes++
+			} else if lane < 0 {
+				lane = l
+			}
+		}
+		if xLanes == 0 || lane < 0 {
+			t.Fatalf("seed %d: want lanes of both kinds, got %d X lanes", seed, xLanes)
+		}
+		want := fmt.Sprintf(`sim: PO "y" differs at cycle 0 on stream %d (after 0-cycle prefix)`, lane)
+		err := bitsim.RandomEquivalent(a, xMachine(network.VX, true), 0, 50, seed, bitsim.Options{})
+		if got := fmt.Sprint(err); got != want {
+			t.Fatalf("seed %d: got %s, want %s", seed, got, want)
 		}
 	}
-
 }
 
 // wideAndPair returns a machine whose PO is g OR its one-cycle-delayed
@@ -330,41 +372,28 @@ func wideAndPair(nPI int, sel []int) (*network.Network, *network.Network) {
 }
 
 // TestRandomEquivalentGolden pins the verdicts of corrupted pairs whose
-// first mismatch lies on streams above 0, including streams of the second
-// and third word block and PIs past the first 64. Every string was
-// recorded before the transpose packing replaced per-bit packing, so the
-// input vectors of every stream are pinned, not only stream 0's.
+// first mismatch lies on streams above 0, including PIs past the first 64.
+// Every string was recorded before the transpose packing replaced per-bit
+// packing, so the input vectors of every stream are pinned.
 func TestRandomEquivalentGolden(t *testing.T) {
 	const d = `sim: PO "y" differs at cycle %d on stream %d (after 1-cycle prefix)`
 	for _, tc := range []struct {
-		nPI, streams int
-		seed         int64
-		want         string
+		nPI  int
+		seed int64
+		want string
 	}{
-		{9, 64, 1, fmt.Sprintf(d, 2, 15)},
-		{9, 64, 2, fmt.Sprintf(d, 1, 7)},
-		{9, 64, 3, fmt.Sprintf(d, 6, 45)},
-		{9, 64, 4, fmt.Sprintf(d, 5, 13)},
-		{9, 130, 1, fmt.Sprintf(d, 2, 15)},
-		{9, 130, 2, fmt.Sprintf(d, 1, 7)},
-		{9, 130, 3, fmt.Sprintf(d, 3, 105)},
-		{9, 130, 4, fmt.Sprintf(d, 2, 125)},
-		{70, 64, 1, fmt.Sprintf(d, 1, 42)},
-		{70, 64, 2, fmt.Sprintf(d, 1, 1)},
-		{70, 64, 3, fmt.Sprintf(d, 3, 29)},
-		{70, 64, 4, fmt.Sprintf(d, 1, 40)},
-		{70, 130, 1, fmt.Sprintf(d, 1, 42)},
-		{70, 130, 2, fmt.Sprintf(d, 1, 1)},
-		{70, 130, 3, fmt.Sprintf(d, 3, 29)},
-		{70, 130, 4, fmt.Sprintf(d, 1, 40)},
-		{130, 64, 1, "<nil>"},
-		{130, 64, 2, "<nil>"},
-		{130, 64, 3, fmt.Sprintf(d, 3, 6)},
-		{130, 64, 4, fmt.Sprintf(d, 1, 54)},
-		{130, 130, 1, fmt.Sprintf(d, 5, 95)},
-		{130, 130, 2, "<nil>"},
-		{130, 130, 3, fmt.Sprintf(d, 3, 6)},
-		{130, 130, 4, fmt.Sprintf(d, 1, 54)},
+		{9, 1, fmt.Sprintf(d, 2, 15)},
+		{9, 2, fmt.Sprintf(d, 1, 7)},
+		{9, 3, fmt.Sprintf(d, 6, 45)},
+		{9, 4, fmt.Sprintf(d, 5, 13)},
+		{70, 1, fmt.Sprintf(d, 1, 42)},
+		{70, 2, fmt.Sprintf(d, 1, 1)},
+		{70, 3, fmt.Sprintf(d, 3, 29)},
+		{70, 4, fmt.Sprintf(d, 1, 40)},
+		{130, 1, "<nil>"},
+		{130, 2, "<nil>"},
+		{130, 3, fmt.Sprintf(d, 3, 6)},
+		{130, 4, fmt.Sprintf(d, 1, 54)},
 	} {
 		sel := map[int][]int{
 			9:   {0, 1, 2, 3, 4, 5, 6, 7},
@@ -372,9 +401,9 @@ func TestRandomEquivalentGolden(t *testing.T) {
 			130: {3, 64, 70, 100, 127, 128, 129, 1},
 		}[tc.nPI]
 		a, b := wideAndPair(tc.nPI, sel)
-		err := bitsim.RandomEquivalent(a, b, 1, 6, tc.seed, bitsim.Options{Streams: tc.streams})
+		err := bitsim.RandomEquivalent(a, b, 1, 6, tc.seed, bitsim.Options{})
 		if got := fmt.Sprint(err); got != tc.want {
-			t.Errorf("nPI %d streams %d seed %d: got %q, want %q", tc.nPI, tc.streams, tc.seed, got, tc.want)
+			t.Errorf("nPI %d seed %d: got %q, want %q", tc.nPI, tc.seed, got, tc.want)
 		}
 	}
 }
@@ -400,12 +429,10 @@ func TestRandomEquivalentPairsPIsByName(t *testing.T) {
 	if err := seqverify.Equivalent(context.Background(), a, b, seqverify.Options{}); err != nil {
 		t.Fatalf("seqverify: %v", err)
 	}
-	if err := sim.RandomEquivalentScalar(a, b, 0, 200, 1); err != nil {
-		t.Fatalf("scalar oracle: %v", err)
+	if c, po, err := sim.FirstDivergence(a, b, 0, 200, bitsim.LaneBits(1, 0)); err != nil || c >= 0 {
+		t.Fatalf("scalar oracle: PO %d differs at cycle %d, err %v", po, c, err)
 	}
-	for _, streams := range []int{64, 130} {
-		if err := bitsim.RandomEquivalent(a, b, 0, 200, 1, bitsim.Options{Streams: streams}); err != nil {
-			t.Fatalf("streams %d: %v", streams, err)
-		}
+	if err := bitsim.RandomEquivalent(a, b, 0, 200, 1, bitsim.Options{}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/dontcare"
 	"repro/internal/logic"
 	"repro/internal/network"
 )
@@ -14,8 +16,6 @@ import (
 // must agree with node-by-node evaluation of the network on every support
 // assignment, across random circuits.
 func TestCollapseConeMatchesNetworkSemantics(t *testing.T) {
-	opt := Options{}
-	opt.defaults()
 	for seed := int64(1); seed <= 15; seed++ {
 		n := bench.Synthetic(bench.Profile{
 			Name: "c", PIs: 3, POs: 2, FFs: 3, Gates: 10, Seed: seed,
@@ -25,7 +25,7 @@ func TestCollapseConeMatchesNetworkSemantics(t *testing.T) {
 			if root.Kind != network.KindLogic {
 				continue
 			}
-			support, f, ok := collapseCone(n, root, opt)
+			support, f, ok := collapseCone(n, root)
 			if !ok {
 				continue
 			}
@@ -64,27 +64,58 @@ func evalNode(v *network.Node, val map[*network.Node]bool) bool {
 	return b
 }
 
-// TestCollapseConeRespectsBounds: tight limits must produce a clean
-// refusal, never a wrong cover.
-func TestCollapseConeRespectsBounds(t *testing.T) {
-	n := bench.Synthetic(bench.Profile{
-		Name: "b", PIs: 6, POs: 1, FFs: 6, Gates: 40, Seed: 5,
-	})
-	tight := Options{MaxConeSupport: 2, MaxConeCubes: 4}
-	tight.defaults()
-	tight.MaxConeSupport = 2
-	tight.MaxConeCubes = 4
-	refused := 0
-	for _, po := range n.POs {
-		if po.Driver.Kind != network.KindLogic {
-			continue
-		}
-		if _, _, ok := collapseCone(n, po.Driver, tight); !ok {
-			refused++
-		}
+// equivCone returns a network whose PO is h = g AND p0 … p(k-1), with
+// g = r1 XOR r2 over two registers loaded from the same PI, and the class
+// {r1, r2}. The cone of h has k+2 sources.
+func equivCone(k int) (*network.Network, *dontcare.Classes) {
+	n := network.New("cone")
+	pis := make([]*network.Node, k)
+	for i := range pis {
+		pis[i] = n.AddPI(fmt.Sprintf("p%d", i))
 	}
-	if refused == 0 {
-		t.Skip("no large cones in this profile (acceptable)")
+	r1 := n.AddLatch("r1", pis[0], network.V0)
+	r2 := n.AddLatch("r2", pis[0], network.V0)
+	g := n.AddLogic("g", []*network.Node{r1.Output, r2.Output}, logic.MustParseCover(2, "10", "01"))
+	and := logic.NewCover(k + 1)
+	cube := logic.NewCube(k + 1)
+	for i := 0; i <= k; i++ {
+		cube.SetLit(i, logic.LitPos)
+	}
+	and.Add(cube)
+	n.AddPO("y", n.AddLogic("h", append([]*network.Node{g}, pis...), and))
+	classes := dontcare.New()
+	classes.AddClass([]*network.Latch{r1, r2})
+	return n, classes
+}
+
+// TestCollapseConeRespectsBounds: a cone up to the 12-source bound is
+// collapsed and simplified whole; one source past it is refused, and
+// DCret simplification falls back to the per-node pass, which still
+// simplifies the node reading the equivalent registers.
+func TestCollapseConeRespectsBounds(t *testing.T) {
+	opt := Options{}
+	opt.defaults()
+
+	n, classes := equivCone(maxConeSupport - 2)
+	if _, _, ok := collapseCone(n, n.FindNode("h")); !ok {
+		t.Fatalf("cone of %d sources refused", maxConeSupport)
+	}
+	if simplifyWithDCRet(n, classes, nil, opt) == 0 || n.FindNode("h_rs") == nil {
+		t.Fatalf("cone of %d sources not simplified whole", maxConeSupport)
+	}
+
+	n, classes = equivCone(maxConeSupport - 1)
+	if _, _, ok := collapseCone(n, n.FindNode("h")); ok {
+		t.Fatalf("cone of %d sources collapsed past the bound", maxConeSupport+1)
+	}
+	if simplifyWithDCRet(n, classes, nil, opt) == 0 {
+		t.Fatal("per-node fallback simplified nothing")
+	}
+	if n.FindNode("h_rs") != nil {
+		t.Fatal("cone past the bound was replaced whole")
+	}
+	if g := n.FindNode("g"); g == nil || g.Func.NumLits() != 0 {
+		t.Fatal("g = r1 XOR r2 not simplified to a constant under r1 ≡ r2")
 	}
 }
 

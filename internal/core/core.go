@@ -29,14 +29,6 @@ type Options struct {
 	// Delay is the timing model for critical-path extraction (unit delay
 	// when nil).
 	Delay timing.DelayModel
-	// VertexDelay is the matching retiming-graph delay (unit when nil).
-	VertexDelay retime.VertexDelay
-	// MaxConeSupport bounds the support of a collapsed next-state cone
-	// during DCret simplification (default 12).
-	MaxConeSupport int
-	// MaxConeCubes bounds intermediate cover sizes during cone collapsing
-	// (default 512).
-	MaxConeCubes int
 	// KeepHarm keeps the resynthesized circuit even when its cycle time
 	// regressed (the paper's reported behaviour on two benchmarks). When
 	// false the original network is returned instead.
@@ -55,15 +47,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.Delay == nil {
 		o.Delay = timing.UnitDelay{}
-	}
-	if o.VertexDelay == nil {
-		o.VertexDelay = retime.UnitVertexDelay
-	}
-	if o.MaxConeSupport == 0 {
-		o.MaxConeSupport = 12
-	}
-	if o.MaxConeCubes == 0 {
-		o.MaxConeCubes = 512
 	}
 }
 
@@ -274,7 +257,7 @@ func resynthesize(ctx context.Context, n *network.Network, opt Options) (*Result
 		return nil, cerr
 	}
 	if !opt.SkipMinArea {
-		if ma, _, err := retime.MinAreaUnderPeriod(ctx, work, opt.VertexDelay, p, tr); err == nil {
+		if ma, _, err := retime.MinAreaUnderPeriod(ctx, work, opt.Delay, p, tr); err == nil {
 			if q, err2 := timing.Period(ma, opt.Delay); err2 == nil && q <= p+1e-9 {
 				work = ma
 			}
@@ -348,7 +331,7 @@ func simplifyWithDCRet(work *network.Network, classes *dontcare.Classes, engineR
 		if work.FindNode(root.Name) != root {
 			continue // replaced during an earlier iteration
 		}
-		support, f, ok := collapseCone(work, root, opt)
+		support, f, ok := collapseCone(work, root)
 		if !ok {
 			continue
 		}
@@ -396,10 +379,18 @@ func coneCost(work *network.Network, root *network.Node) int {
 	return total
 }
 
+// The bounds of cone collapsing in DCret simplification: a cone whose
+// source support exceeds maxConeSupport, or whose intermediate covers
+// exceed maxConeCubes cubes, is left to the per-node pass.
+const (
+	maxConeSupport = 12
+	maxConeCubes   = 512
+)
+
 // collapseCone flattens the combinational cone of root into a single cover
 // over its source support (register outputs and PIs), within the
-// configured bounds.
-func collapseCone(work *network.Network, root *network.Node, opt Options) ([]*network.Node, *logic.Cover, bool) {
+// collapsing bounds.
+func collapseCone(work *network.Network, root *network.Node) ([]*network.Node, *logic.Cover, bool) {
 	// Gather cone and support.
 	var support []*network.Node
 	supIdx := make(map[*network.Node]int)
@@ -414,7 +405,7 @@ func collapseCone(work *network.Network, root *network.Node, opt Options) ([]*ne
 		if v.IsSource() {
 			supIdx[v] = len(support)
 			support = append(support, v)
-			return len(support) <= opt.MaxConeSupport
+			return len(support) <= maxConeSupport
 		}
 		for _, fi := range v.Fanins {
 			if !walk(fi) {
@@ -460,7 +451,7 @@ func collapseCone(work *network.Network, root *network.Node, opt Options) ([]*ne
 					continue
 				}
 				cur = logic.And(cur, t)
-				if len(cur.Cubes) > opt.MaxConeCubes {
+				if len(cur.Cubes) > maxConeCubes {
 					return nil, nil, false
 				}
 				if len(cur.Cubes) == 0 {
@@ -468,7 +459,7 @@ func collapseCone(work *network.Network, root *network.Node, opt Options) ([]*ne
 				}
 			}
 			f = logic.Or(f, cur)
-			if len(f.Cubes) > opt.MaxConeCubes {
+			if len(f.Cubes) > maxConeCubes {
 				return nil, nil, false
 			}
 		}

@@ -131,7 +131,7 @@ func rollCause(rep guard.TxReport) error {
 }
 
 func measure(n *network.Network, lib *genlib.Library) (Metrics, error) {
-	clk, err := timing.Period(n, timing.MappedDelay{N: n})
+	clk, err := timing.Period(n, timing.MappedDelay{})
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -229,7 +229,7 @@ func RetimeCombOpt(ctx context.Context, mappedIn *network.Network, lib *genlib.L
 	note := ""
 	ret, rep := guard.Tx(fctx, "retime.min_period", mappedIn, cfg.tx(cfg.fault("retime.min_period")),
 		func(ctx context.Context, work *network.Network) (*network.Network, int, error) {
-			r, _, err := retime.MinPeriod(ctx, work, retime.GateVertexDelay, tr)
+			r, _, err := retime.MinPeriod(ctx, work, timing.MappedDelay{}, tr)
 			return r, 0, err
 		})
 	if !rep.Committed {
@@ -530,13 +530,11 @@ func Resynthesis(ctx context.Context, mappedIn *network.Network, lib *genlib.Lib
 		func(ctx context.Context, work *network.Network) (*network.Network, int, error) {
 			opt := core.Options{
 				// The same mapped delay model measure() uses: gate pin
-				// delays from the bound-gate annotations, no fanout load
-				// (LoadFactor 0). The clone preserves the input's bindings,
-				// so both paths stay consistent (regression-tested in
-				// flows_test.go).
-				Delay:       timing.MappedDelay{N: work},
-				VertexDelay: retime.GateVertexDelay,
-				Tracer:      tr,
+				// delays from the bound-gate annotations. The clone
+				// preserves the input's bindings, so both paths stay
+				// consistent (regression-tested in flows_test.go).
+				Delay:  timing.MappedDelay{},
+				Tracer: tr,
 			}
 			res, err := core.ResynthesizeIterate(ctx, work, opt, 3)
 			if err != nil {
@@ -559,7 +557,7 @@ func Resynthesis(ctx context.Context, mappedIn *network.Network, lib *genlib.Lib
 	// It is kept only when it helps and the initial states work out.
 	g, grep := guard.Tx(fctx, "retime.guide", w, cfg.tx(cfg.fault("retime.guide")),
 		func(ctx context.Context, work *network.Network) (*network.Network, int, error) {
-			ret, info, rerr := retime.MinPeriod(ctx, work, retime.GateVertexDelay, tr)
+			ret, info, rerr := retime.MinPeriod(ctx, work, timing.MappedDelay{}, tr)
 			if rerr != nil {
 				return nil, 0, rerr
 			}

@@ -2,6 +2,8 @@ package flows
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -149,5 +151,49 @@ func TestPairingRefutedByEveryEngine(t *testing.T) {
 		if v, err := VerifyVerdict(ctx, a, &Result{Net: b}, cfg); err == nil {
 			t.Errorf("VerifyVerdict (Sweep %v) returned %q without error", cfg.Sweep, v)
 		}
+	}
+}
+
+// shiftRegister returns the BLIF of a → q0 … q33 → o, a 34-stage shift
+// register whose last stage powers up unknown (init 2), with o the
+// complement of q33 when invert is set. Two copies are 68 registers, past
+// the exact engine's latch limit, so the ladder ends in the spot check.
+func shiftRegister(invert bool) string {
+	var sb strings.Builder
+	sb.WriteString(".model shift\n.inputs a\n.outputs o\n.latch a q0 0\n")
+	for i := 1; i < 34; i++ {
+		init := 0
+		if i == 33 {
+			init = 2
+		}
+		fmt.Fprintf(&sb, ".latch q%d q%d %d\n", i-1, i, init)
+	}
+	out := "1 1"
+	if invert {
+		out = "0 1"
+	}
+	fmt.Fprintf(&sb, ".names q33 o\n%s\n.end\n", out)
+	return sb.String()
+}
+
+// TestVerifyVerdictXInitPastBDDWall: an unknown power-up state reaching a
+// PO is no mismatch in the spot check, and it does not panic; a defined
+// difference on the same machines is still refuted.
+func TestVerifyVerdictXInitPastBDDWall(t *testing.T) {
+	src, err := blif.ParseString(shiftRegister(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := VerifyVerdict(context.Background(), src, &Result{Net: src.Clone()}, Config{})
+	if err != nil || v != VerdictSpotChecked {
+		t.Fatalf("clone: verdict %q, err %v; want %q, nil", v, err, VerdictSpotChecked)
+	}
+	inv, err := blif.ParseString(shiftRegister(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := VerifyVerdict(context.Background(), src, &Result{Net: inv}, Config{}); err == nil ||
+		!strings.Contains(err.Error(), "differs") {
+		t.Fatalf("inverted output: verdict %q, err %v; want a refutation", v, err)
 	}
 }

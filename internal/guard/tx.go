@@ -11,7 +11,9 @@ import (
 )
 
 // The post-pass smoke check's budget: a short random simulation against
-// the pass input, cheap enough to run after every pass.
+// the pass input after the pass's delayed-replacement prefix, cheap enough
+// to run after every pass. An unknown power-up state reaching a PO is no
+// mismatch.
 const (
 	smokeCycles = 64
 	smokeSeed   = 1
@@ -128,26 +130,12 @@ func Tx(ctx context.Context, pass string, in *network.Network, opt TxOptions, fn
 	if cerr := out.Check(); cerr != nil {
 		return rollback("guard_check_failed", "invariant violation: "+cerr.Error(), cerr)
 	}
-	if serr := smokeCheck(in, out, prefix, opt, sp); serr != nil {
+	serr := bitsim.RandomEquivalent(in, out, prefix, smokeCycles, smokeSeed, bitsim.Options{Tracer: opt.Tracer})
+	if serr != nil {
 		return rollback("guard_smoke_failed", "smoke check failed: "+serr.Error(), serr)
 	}
 	sp.Add("pass_committed", 1)
 	return out, TxReport{Pass: pass, Committed: true}
-}
-
-// smokeCheck drives input and output with the same short random input
-// sequence and compares POs after the pass's delayed-replacement prefix. A
-// panic inside the simulator (e.g. an X initial state escaping two-valued
-// simulation on both machines) makes the check inconclusive, not a
-// violation — structural validity was already established by Check.
-func smokeCheck(in, out *network.Network, prefix int, opt TxOptions, sp *obs.Span) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			sp.Add("guard_smoke_inconclusive", 1)
-			err = nil
-		}
-	}()
-	return bitsim.RandomEquivalent(in, out, prefix, smokeCycles, smokeSeed, bitsim.Options{Tracer: opt.Tracer})
 }
 
 // corruptNetwork realizes FaultCorrupt: it breaks a structural invariant of

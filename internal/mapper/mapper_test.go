@@ -140,7 +140,7 @@ func TestMappedDelayReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := timing.Period(m, timing.MappedDelay{N: m})
+	p, err := timing.Period(m, timing.MappedDelay{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func checkFEASAgainstReference(t *testing.T, g *Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := g.newTiming()
+	tm := g.newKernel()
 	for k := 1; k <= 20; k++ {
 		c := p0 * float64(k) / 20
 		r, ok, err := tm.feas(context.Background(), c)
@@ -188,7 +188,7 @@ func TestFEASRegisterBoundEdgeCases(t *testing.T) {
 			if got := g.registerBounds(); !slices.Equal(got, tc.bound) {
 				t.Fatalf("bounds %v, want %v", got, tc.bound)
 			}
-			r, ok, err := g.newTiming().feas(context.Background(), tc.c)
+			r, ok, err := g.newKernel().feas(context.Background(), tc.c)
 			if err != nil || ok != tc.ok {
 				t.Fatalf("feas = %v, %v, %v; want ok=%v", r, ok, err, tc.ok)
 			}

@@ -11,31 +11,21 @@ import (
 	"fmt"
 
 	"repro/internal/network"
+	"repro/internal/timing"
 )
 
-// VertexDelay supplies the propagation delay of a logic node in the
-// retiming graph. Unit delay is the default.
-type VertexDelay func(*network.Node) float64
-
-// UnitVertexDelay charges one unit per gate.
-func UnitVertexDelay(*network.Node) float64 { return 1 }
-
-// GateVertexDelay uses mapped-gate annotations when present (max pin
-// delay), one unit otherwise.
-func GateVertexDelay(v *network.Node) float64 {
-	if v.Gate == nil {
+// vertexDelay is the propagation delay of logic node v as one retiming
+// vertex: its largest pin delay under d, or 1 when that is 0 (a constant
+// node, or a gate without delay data).
+func vertexDelay(d timing.DelayModel, v *network.Node) float64 {
+	m := 0.0
+	for i := range v.Fanins {
+		m = max(m, d.PinDelay(v, i))
+	}
+	if m == 0 {
 		return 1
 	}
-	d := 0.0
-	for i := range v.Fanins {
-		if pd := v.Gate.PinDelay(i); pd > d {
-			d = pd
-		}
-	}
-	if d == 0 {
-		d = 1
-	}
-	return d
+	return m
 }
 
 // Edge is a retiming-graph arc carrying W registers.
@@ -61,9 +51,9 @@ const Host = 0
 // into a single weighted edge. Primary inputs and outputs attach to the
 // host vertex. Constant nodes get a zero-weight host edge, pinning their
 // lag to keep degenerate register creation out of the solution space.
-func BuildGraph(n *network.Network, d VertexDelay) (*Graph, error) {
+func BuildGraph(n *network.Network, d timing.DelayModel) (*Graph, error) {
 	if d == nil {
-		d = UnitVertexDelay
+		d = timing.UnitDelay{}
 	}
 	g := &Graph{Index: make(map[*network.Node]int)}
 	for _, v := range n.Nodes() {
@@ -74,7 +64,7 @@ func BuildGraph(n *network.Network, d VertexDelay) (*Graph, error) {
 	}
 	g.Delay = make([]float64, len(g.Nodes)+1)
 	for i, v := range g.Nodes {
-		g.Delay[i+1] = d(v)
+		g.Delay[i+1] = vertexDelay(d, v)
 	}
 
 	// traceSource walks backwards through register chains from a fanin
@@ -163,5 +153,5 @@ func (g *Graph) Retimed(r []int) ([]int, error) {
 // vertex-delay path through zero-weight edges. An error signals a
 // zero-weight cycle (combinational loop ⇒ infeasible).
 func (g *Graph) Period(r []int) (float64, error) {
-	return g.newTiming().period(r)
+	return g.newKernel().period(r)
 }

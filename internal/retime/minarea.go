@@ -8,6 +8,7 @@ import (
 	"repro/internal/guard"
 	"repro/internal/network"
 	"repro/internal/obs"
+	"repro/internal/timing"
 )
 
 // This file implements constrained min-area retiming: minimize the number
@@ -179,7 +180,7 @@ func (g *Graph) components() []int {
 // span on tr carrying applied/reverted move counters. The exact lag
 // realization and the greedy peephole sweep check ctx and return a typed
 // guard budget error once the deadline passes.
-func MinAreaUnderPeriod(ctx context.Context, n *network.Network, d VertexDelay, c float64, tr *obs.Tracer) (*network.Network, Info, error) {
+func MinAreaUnderPeriod(ctx context.Context, n *network.Network, d timing.DelayModel, c float64, tr *obs.Tracer) (*network.Network, Info, error) {
 	sp := tr.Begin("retime.min_area")
 	defer sp.End()
 	net, info, err := minAreaUnderPeriod(ctx, n, d, c)
@@ -190,7 +191,7 @@ func MinAreaUnderPeriod(ctx context.Context, n *network.Network, d VertexDelay, 
 	return net, info, err
 }
 
-func minAreaUnderPeriod(ctx context.Context, n *network.Network, d VertexDelay, c float64) (*network.Network, Info, error) {
+func minAreaUnderPeriod(ctx context.Context, n *network.Network, d timing.DelayModel, c float64) (*network.Network, Info, error) {
 	var info Info
 	work := n.Clone()
 	g, err := BuildGraph(work, d)
@@ -245,7 +246,7 @@ func minAreaUnderPeriod(ctx context.Context, n *network.Network, d VertexDelay, 
 	return work, info, nil
 }
 
-func periodOf(n *network.Network, d VertexDelay) (float64, error) {
+func periodOf(n *network.Network, d timing.DelayModel) (float64, error) {
 	g, err := BuildGraph(n, d)
 	if err != nil {
 		return 0, err
@@ -257,7 +258,7 @@ func periodOf(n *network.Network, d VertexDelay) (float64, error) {
 // count, keeping each only if the clock period stays within c. On budget
 // exhaustion it stops and reports the typed error (moves already committed
 // are behaviour-preserving, but the caller treats the pass as failed).
-func greedyMinArea(ctx context.Context, n *network.Network, d VertexDelay, c float64, info *Info) error {
+func greedyMinArea(ctx context.Context, n *network.Network, d timing.DelayModel, c float64, info *Info) error {
 	const eps = 1e-9
 	for pass := 0; pass < 8; pass++ {
 		improved := false

@@ -8,6 +8,7 @@ import (
 	"repro/internal/guard"
 	"repro/internal/network"
 	"repro/internal/obs"
+	"repro/internal/timing"
 )
 
 // Info summarizes a retiming run.
@@ -37,11 +38,11 @@ func (i Info) record(sp *obs.Span) {
 	}
 }
 
-// timing is the arrival-time workspace of one graph, built once and reused
+// kernel is the arrival-time workspace of one graph, built once and reused
 // by every FEAS iteration: the internal (host-free) edges in CSR form,
 // grouped by source in edge order and carrying their base weights, plus the
 // Kahn buffers. An arrival pass allocates nothing.
-type timing struct {
+type kernel struct {
 	g     *Graph
 	start []int // out-edges of u are to[start[u]:start[u+1]]
 	to, w []int
@@ -51,9 +52,9 @@ type timing struct {
 	bound []int // register distance to the host; built by the first feas
 }
 
-func (g *Graph) newTiming() *timing {
+func (g *Graph) newKernel() *kernel {
 	nv := len(g.Nodes) + 1
-	t := &timing{
+	t := &kernel{
 		g:     g,
 		start: make([]int, nv+1),
 		indeg: make([]int, nv),
@@ -83,7 +84,7 @@ func (g *Graph) newTiming() *timing {
 // ending at each vertex under lags r. The host contributes delay 0 and
 // cannot sit on a zero-weight internal path. Each Δ(v) is a max of path
 // sums, so it does not depend on the order Kahn's algorithm visits vertices.
-func (t *timing) arrivals(r []int) error {
+func (t *kernel) arrivals(r []int) error {
 	nv := len(t.arr)
 	clear(t.indeg)
 	for u := 1; u < nv; u++ {
@@ -126,7 +127,7 @@ func (t *timing) arrivals(r []int) error {
 
 // period is the clock period under lags r (nil = current weights): the
 // largest arrival.
-func (t *timing) period(r []int) (float64, error) {
+func (t *kernel) period(r []int) (float64, error) {
 	if r == nil {
 		r = make([]int, len(t.arr))
 	}
@@ -186,7 +187,7 @@ func (g *Graph) registerBounds() []int {
 // some edge of P stays negative at every later iterate, the final Retimed
 // check cannot pass, and the full-length probe would return false too.
 // ctx is checked once per iteration.
-func (t *timing) feas(ctx context.Context, c float64) (r []int, ok bool, err error) {
+func (t *kernel) feas(ctx context.Context, c float64) (r []int, ok bool, err error) {
 	if t.bound == nil {
 		t.bound = t.g.registerBounds()
 	}
@@ -250,7 +251,7 @@ func (g *Graph) MinPeriodLags(ctx context.Context) ([]int, float64, error) {
 
 // minPeriodLagsFEAS is the heuristic binary search over FEAS.
 func (g *Graph) minPeriodLagsFEAS(ctx context.Context) ([]int, float64, error) {
-	t := g.newTiming()
+	t := g.newKernel()
 	cur, err := t.period(nil)
 	if err != nil {
 		return nil, 0, err
@@ -351,7 +352,7 @@ func Apply(ctx context.Context, n *network.Network, g *Graph, r []int) (fwd, bwd
 // counters, and a "retime_failed" counter on error. The lag search and the
 // move realization check ctx and return a typed guard budget error once
 // the deadline passes.
-func MinPeriod(ctx context.Context, n *network.Network, d VertexDelay, tr *obs.Tracer) (*network.Network, Info, error) {
+func MinPeriod(ctx context.Context, n *network.Network, d timing.DelayModel, tr *obs.Tracer) (*network.Network, Info, error) {
 	sp := tr.Begin("retime.min_period")
 	defer sp.End()
 	net, info, err := minPeriod(ctx, n, d)
@@ -367,7 +368,7 @@ func MinPeriod(ctx context.Context, n *network.Network, d VertexDelay, tr *obs.T
 	return net, info, err
 }
 
-func minPeriod(ctx context.Context, n *network.Network, d VertexDelay) (*network.Network, Info, error) {
+func minPeriod(ctx context.Context, n *network.Network, d timing.DelayModel) (*network.Network, Info, error) {
 	var info Info
 	work := n.Clone()
 	g, err := BuildGraph(work, d)

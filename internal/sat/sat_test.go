@@ -3,8 +3,6 @@ package sat
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/aig"
 )
 
 func TestBasics(t *testing.T) {
@@ -256,75 +254,6 @@ func TestPropertyIncrementalAssumptions(t *testing.T) {
 			}
 			if got == Sat && !modelSatisfies(inc, aug) {
 				t.Fatalf("iter %d probe %d: model violates formula+assumptions", iter, probe)
-			}
-		}
-	}
-}
-
-// TestTseitinFrame checks the AIG→CNF emission on a full adder: the CNF
-// must agree with direct evaluation of the graph on all 8 input vectors.
-func TestTseitinFrame(t *testing.T) {
-	g := aig.New("fa")
-	a := g.AddPI("a")
-	b := g.AddPI("b")
-	cin := g.AddPI("cin")
-	sum := g.Xor(g.Xor(a, b), cin)
-	cout := g.Or(g.And(a, b), g.And(cin, g.Xor(a, b)))
-	g.AddPO("sum", sum)
-	g.AddPO("cout", cout)
-
-	s := New()
-	f := FalseLit(s)
-	ciVars := map[int32]Lit{}
-	for _, pi := range g.PIs() {
-		ciVars[pi] = Pos(s.NewVar())
-	}
-	lits := Frame(s, g, f, func(n int32) Lit { return ciVars[n] })
-
-	eval := func(node aig.Lit, in [3]bool) bool {
-		var rec func(id int32) bool
-		memo := map[int32]bool{}
-		rec = func(id int32) bool {
-			if v, ok := memo[id]; ok {
-				return v
-			}
-			var v bool
-			switch {
-			case id == 0:
-				v = false
-			case g.IsCI(id):
-				for i, pi := range g.PIs() {
-					if pi == id {
-						v = in[i]
-					}
-				}
-			default:
-				f0, f1 := g.Fanins(id)
-				v = (rec(f0.Node()) != f0.Compl()) && (rec(f1.Node()) != f1.Compl())
-			}
-			memo[id] = v
-			return v
-		}
-		return rec(node.Node()) != node.Compl()
-	}
-
-	for m := 0; m < 8; m++ {
-		in := [3]bool{m&1 == 1, m&2 == 2, m&4 == 4}
-		assumps := make([]Lit, 0, 3)
-		for i, pi := range g.PIs() {
-			l := ciVars[pi]
-			if !in[i] {
-				l = l.Not()
-			}
-			assumps = append(assumps, l)
-		}
-		if got := s.Solve(assumps...); got != Sat {
-			t.Fatalf("input %03b: Solve = %v, want Sat", m, got)
-		}
-		for _, po := range g.POs() {
-			want := eval(po.Lit, in)
-			if got := s.ValueLit(LitOf(lits, po.Lit)); got != want {
-				t.Fatalf("input %03b: PO %s = %v, want %v", m, po.Name, got, want)
 			}
 		}
 	}

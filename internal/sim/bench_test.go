@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/bench"
@@ -33,8 +34,10 @@ func BenchmarkRandomEquivalent(b *testing.B) {
 		b.Run(name+"/scalar", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := sim.RandomEquivalentScalar(n, n, 0, cycles, 1); err != nil {
-					b.Fatal(err)
+				r := rand.New(rand.NewSource(1))
+				next := func() bool { return r.Intn(2) == 1 }
+				if c, _, err := sim.FirstDivergence(n, n, 0, cycles, next); err != nil || c >= 0 {
+					b.Fatalf("self-check diverged at cycle %d: %v", c, err)
 				}
 			}
 			b.ReportMetric(float64(b.N)*cycles/b.Elapsed().Seconds(), "vectors/s")

@@ -1,14 +1,14 @@
 // Package sim provides two-valued and three-valued (0/1/X) simulation of
-// sequential networks, one vector per pass, and the scalar random-vector
-// equivalence spot-check with the paper's delayed-replacement semantics.
-// It is a test oracle: no production code imports it. The tests of the
-// bit-parallel engine (internal/bitsim), the flows, the substrates and the
-// parsers check their results against this simulator.
+// sequential networks, one vector per pass, and FirstDivergence, the
+// one-stream reference of the bit-parallel spot check with the paper's
+// delayed-replacement semantics. It is a test oracle: no production code
+// imports it. The tests of the bit-parallel engine (internal/bitsim), the
+// flows, the substrates and the parsers check their results against this
+// simulator.
 package sim
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/logic"
 	"repro/internal/network"
@@ -170,44 +170,47 @@ func (s *Simulator) AllDefined() bool {
 	return true
 }
 
-// RandomEquivalentScalar is the scalar (one vector per pass) reference
-// implementation of bitsim.RandomEquivalent. It is kept as the oracle the
-// bitsim property suite pins against; callers should prefer
-// bitsim.RandomEquivalent.
-func RandomEquivalentScalar(a, b *network.Network, delay, cycles int, seed int64) error {
+// FirstDivergence is the one-stream reference of bitsim.RandomEquivalent.
+// It drives a and b with the same PI bits for delay+cycles cycles, drawing
+// each cycle's bits from next in a's PI declaration order, under
+// three-valued simulation from the declared initial states; ports are
+// paired by network.Pair. It returns the first post-prefix cycle and the
+// index in a.POs of the first paired PO that is defined on both sides with
+// different values, or cycle -1 when none differs.
+func FirstDivergence(a, b *network.Network, delay, cycles int, next func() bool) (cycle, po int, err error) {
 	p, err := network.Pair(a, b)
 	if err != nil {
-		return fmt.Errorf("sim: %w", err)
+		return -1, -1, fmt.Errorf("sim: %w", err)
 	}
 	sa, err := New(a)
 	if err != nil {
-		return err
+		return -1, -1, err
 	}
 	sb, err := New(b)
 	if err != nil {
-		return err
+		return -1, -1, err
 	}
-	r := rand.New(rand.NewSource(seed))
-	bits := make([]bool, len(a.PIs))
-	bitsB := make([]bool, len(b.PIs))
+	inA := make(map[*network.Node]network.Value, len(a.PIs))
+	inB := make(map[*network.Node]network.Value, len(b.PIs))
 	for c := 0; c < delay+cycles; c++ {
-		for i := range bits {
-			bits[i] = r.Intn(2) == 1
+		for i, pi := range a.PIs {
+			v := network.V0
+			if next() {
+				v = network.V1
+			}
+			inA[pi] = v
+			inB[b.PIs[p.PI[i]]] = v
 		}
-		for i, j := range p.PI {
-			bitsB[j] = bits[i]
-		}
-		oa := sa.StepBits(bits)
-		ob := sb.StepBits(bitsB)
+		oa, ob := sa.Step3(inA), sb.Step3(inB)
 		if c < delay {
 			continue
 		}
 		for ia, ib := range p.PO {
-			if oa[ia] != ob[ib] {
-				return fmt.Errorf("sim: PO %q differs at cycle %d (after %d-cycle prefix)",
-					a.POs[ia].Name, c, delay)
+			va, vb := oa[a.POs[ia].Name], ob[b.POs[ib].Name]
+			if va != network.VX && vb != network.VX && va != vb {
+				return c, ia, nil
 			}
 		}
 	}
-	return nil
+	return -1, -1, nil
 }

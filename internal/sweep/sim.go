@@ -61,7 +61,7 @@ func splitmix(x *uint64) uint64 {
 }
 
 // candidates partitions the object nodes into initial equivalence classes
-// by their simulation digest: SimWords blocks of 64 random trajectories
+// by their simulation digest: simWords blocks of 64 random trajectories
 // from the initial states, digesting every step at or past the
 // delayed-replacement prefix.
 func (e *engine) candidates() {
@@ -70,8 +70,8 @@ func (e *engine) candidates() {
 	digest := make([]uint64, nn)
 	vals := make([]uint64, nn)
 	nxt := make([]uint64, len(g.Latches()))
-	for w := 0; w < e.opt.SimWords; w++ {
-		st := mix64(uint64(e.opt.Seed), 0xC4D1F00D+uint64(w))
+	for w := 0; w < simWords; w++ {
+		st := mix64(simSeed, 0xC4D1F00D+uint64(w))
 		for _, la := range g.Latches() {
 			switch la.Init {
 			case network.V0:
@@ -82,7 +82,7 @@ func (e *engine) candidates() {
 				vals[la.Out] = splitmix(&st)
 			}
 		}
-		for step := 0; step < e.opt.Delay+e.opt.SimSteps; step++ {
+		for step := 0; step < e.opt.Delay+simSteps; step++ {
 			for _, pi := range g.PIs() {
 				vals[pi] = splitmix(&st)
 			}

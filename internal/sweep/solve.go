@@ -89,7 +89,7 @@ type inst struct {
 
 func (e *engine) newInst(nFrames int, init bool, hypoFrames int) *inst {
 	s := sat.New()
-	s.MaxConflicts = e.opt.MaxConflicts
+	s.MaxConflicts = maxConflicts
 	in := &inst{e: e, s: s, falseL: sat.FalseLit(s), init: init}
 	in.frames = make([][]sat.Lit, nFrames)
 	for t := range in.frames {

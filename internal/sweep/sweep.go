@@ -40,7 +40,7 @@ import (
 // ErrUnknown reports that induction was inconclusive: nothing was
 // disproved, but the candidate invariant is too weak (or the conflict
 // budget too small) to finish the proof.
-var ErrUnknown = errors.New("sweep: induction inconclusive (raise -induction-k or the conflict budget)")
+var ErrUnknown = errors.New("sweep: induction inconclusive (raise -induction-k)")
 
 // NotEquivalentError is a genuine disproof: a concrete input sequence
 // from the initial states on which a primary output pair differs at or
@@ -54,6 +54,23 @@ func (e *NotEquivalentError) Error() string {
 	return fmt.Sprintf("sweep: PO %q differs at cycle %d (bounded counterexample from the initial states)", e.PO, e.Cycle)
 }
 
+// The fixed effort of every sweep.
+const (
+	// simWords is the number of 64-lane random simulation blocks used for
+	// candidate discovery.
+	simWords = 4
+	// simSteps is the number of clocked steps per simulation block.
+	simSteps = 64
+	// maxConflicts is the per-obligation CDCL conflict budget; an
+	// obligation that exhausts it is abandoned and its member leaves the
+	// class.
+	maxConflicts = 16384
+	// maxFrames refuses instances whose unrolling Delay+K exceeds it.
+	maxFrames = 96
+	// simSeed drives every random choice.
+	simSeed = 1
+)
+
 // Options configures a sweep.
 type Options struct {
 	// K is the induction depth (default 1).
@@ -61,23 +78,8 @@ type Options struct {
 	// Delay is the delayed-replacement prefix: class and output equalities
 	// are required to hold from cycle Delay on only.
 	Delay int
-	// SimWords is the number of 64-lane random simulation blocks used for
-	// candidate discovery (default 4).
-	SimWords int
-	// SimSteps is the number of clocked steps per simulation block
-	// (default 64).
-	SimSteps int
 	// Workers bounds the parallel proof shards (default: all cores).
 	Workers int
-	// MaxConflicts is the per-obligation CDCL conflict budget; an
-	// obligation that exhausts it is abandoned and its member leaves the
-	// class (default 16384).
-	MaxConflicts int64
-	// MaxFrames refuses instances whose unrolling Delay+K exceeds it
-	// (default 96).
-	MaxFrames int
-	// Seed drives every random choice (default 1).
-	Seed int64
 	// Tracer receives sweep.* spans and solver counters; nil is valid.
 	Tracer *obs.Tracer
 }
@@ -85,21 +87,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.K <= 0 {
 		o.K = 1
-	}
-	if o.SimWords <= 0 {
-		o.SimWords = 4
-	}
-	if o.SimSteps <= 0 {
-		o.SimSteps = 64
-	}
-	if o.MaxConflicts <= 0 {
-		o.MaxConflicts = 16384
-	}
-	if o.MaxFrames <= 0 {
-		o.MaxFrames = 96
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -225,9 +212,9 @@ func newEngine(g *aig.Graph, pos []aig.ProductPO, opt Options) *engine {
 func (e *engine) run(ctx context.Context) error {
 	start := time.Now()
 	defer func() { e.res.Wall = time.Since(start) }()
-	if e.opt.Delay+e.opt.K > e.opt.MaxFrames {
-		return fmt.Errorf("sweep: unrolling depth %d exceeds MaxFrames %d: %w",
-			e.opt.Delay+e.opt.K, e.opt.MaxFrames, ErrUnknown)
+	if e.opt.Delay+e.opt.K > maxFrames {
+		return fmt.Errorf("sweep: unrolling depth %d exceeds %d frames: %w",
+			e.opt.Delay+e.opt.K, maxFrames, ErrUnknown)
 	}
 	e.candidates()
 	for _, cls := range e.classes {
@@ -297,8 +284,7 @@ func (e *engine) run(ctx context.Context) error {
 		e.dirty = make(map[int32]bool)
 		progress := false
 		for i, c := range cexes {
-			seed := mix64(uint64(e.opt.Seed), uint64(e.res.Rounds)<<20|uint64(i))
-			if e.replay(c, seed) {
+			if e.replay(c, mix64(simSeed, uint64(e.res.Rounds)<<20|uint64(i))) {
 				progress = true
 			}
 		}

@@ -1,6 +1,6 @@
 // Package timing performs static timing analysis of a sequential network
-// under pluggable delay models (unit delay, or mapped gate delays with
-// fanout load). The clock period of a circuit is the longest combinational
+// under pluggable delay models (unit delay, or the pin delays of mapped
+// library gates). The clock period of a circuit is the longest combinational
 // delay between any source (PI, register output) and any sink (PO, register
 // data input) — the quantity Table I of the paper reports as "Clk.".
 package timing
@@ -26,28 +26,16 @@ type UnitDelay struct{}
 // PinDelay implements DelayModel.
 func (UnitDelay) PinDelay(v *network.Node, pin int) float64 { return 1 }
 
-// MappedDelay uses bound-gate annotations when present (area-delay data
-// from the technology library, with a per-fanout load penalty), and one
-// unit otherwise.
-type MappedDelay struct {
-	N *network.Network
-	// LoadFactor is the extra delay per fanout beyond the first.
-	LoadFactor float64
-}
+// MappedDelay uses the pin delays of the bound library gate when a node
+// has one, and one unit otherwise.
+type MappedDelay struct{}
 
 // PinDelay implements DelayModel.
-func (m MappedDelay) PinDelay(v *network.Node, pin int) float64 {
-	d := 1.0
+func (MappedDelay) PinDelay(v *network.Node, pin int) float64 {
 	if v.Gate != nil {
-		d = v.Gate.PinDelay(pin)
+		return v.Gate.PinDelay(pin)
 	}
-	if m.LoadFactor > 0 && m.N != nil {
-		extra := m.N.NumFanouts(v) - 1
-		if extra > 0 {
-			d += m.LoadFactor * float64(extra)
-		}
-	}
-	return d
+	return 1
 }
 
 // Result holds arrival/required times and the critical path.

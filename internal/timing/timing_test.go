@@ -1,7 +1,6 @@
 package timing
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/logic"
@@ -144,32 +143,12 @@ func TestMappedDelayUsesGateAnnotations(t *testing.T) {
 	g := n.AddLogic("g", []*network.Node{a, b}, and)
 	g.Gate = fakeGate{"and2", 2, []float64{1.5, 2.5}}
 	n.AddPO("y", g)
-	p, err := Period(n, MappedDelay{N: n})
+	p, err := Period(n, MappedDelay{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p != 2.5 {
 		t.Fatalf("mapped period = %v, want 2.5", p)
-	}
-}
-
-func TestMappedDelayLoadFactor(t *testing.T) {
-	n := network.New("lf")
-	a := n.AddPI("a")
-	buf := logic.MustParseCover(1, "1")
-	g := n.AddLogic("g", []*network.Node{a}, buf.Clone())
-	// Three consumers -> 2 extra fanouts.
-	n.AddLogic("c1", []*network.Node{g}, buf.Clone())
-	c2 := n.AddLogic("c2", []*network.Node{g}, buf.Clone())
-	n.AddPO("y", c2)
-	n.AddPO("z", g)
-	res, err := Analyze(n, MappedDelay{N: n, LoadFactor: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// g has fanouts: c1, c2, PO z => 3 consumers => +0.4.
-	if got := res.Arrival[g]; math.Abs(got-1.4) > 1e-9 {
-		t.Fatalf("arrival(g) = %v, want 1.4", got)
 	}
 }
 
