@@ -92,6 +92,7 @@ func TestServeSweepVerification(t *testing.T) {
 		`resyn_counter_total{counter="sat_conflicts"}`,
 		`resyn_counter_total{counter="sat_learned_clauses"}`,
 		`resyn_counter_total{counter="sat_calls"}`,
+		`resyn_counter_total{counter="sweep_structural"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)

@@ -3,12 +3,14 @@ package sweep_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/bdd"
 	"repro/internal/bench"
+	"repro/internal/network"
 	"repro/internal/reach"
 	"repro/internal/sweep"
 )
@@ -59,11 +61,19 @@ func reachPartition(a *reach.Analysis) [][]int {
 // reachability on every registry circuit the BDD engine can still handle:
 // the sweep-proven register partition must match the reachable-state
 // equivalence classes exactly — no unsound merge (soundness) and no pair
-// lost to a spurious induction counterexample (precision at K=1 on this
-// suite). Constant latches are additionally checked to be genuinely stuck
-// on all reachable states.
+// lost to a spurious induction counterexample (precision on this suite).
+// Constant latches are additionally checked to be genuinely stuck on all
+// reachable states. K = 2 runs the reduced step instance with a
+// hypothesis frame past frame 0, where a latch member's own function is
+// the previous frame's next-state literal.
 func TestPropertySweepMatchesReach(t *testing.T) {
-	tested := 0
+	type row struct {
+		name string
+		n    *network.Network
+		a    *reach.Analysis
+		want [][]int
+	}
+	var rows []row
 	for _, c := range bench.TableI() {
 		n, err := c.Build()
 		if err != nil {
@@ -80,28 +90,34 @@ func TestPropertySweepMatchesReach(t *testing.T) {
 			t.Fatalf("%s: reach: %v", c.Name, err)
 		}
 		want := reachPartition(a)
-		res, err := sweep.Registers(context.Background(), n, sweep.Options{})
-		if err != nil {
-			t.Fatalf("%s: sweep: %v", c.Name, err)
-		}
-		got := res.Classes
-		if got == nil {
-			got = [][]int{}
-		}
 		if want == nil {
 			want = [][]int{}
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: sweep classes %v, reach classes %v", c.Name, got, want)
-		}
-		for _, li := range res.Const {
-			if a.M.And(a.Reachable, a.M.Var(a.Machines[0].CurVar[li])) != bdd.False {
-				t.Errorf("%s: latch %d reported constant 0 but reachable with value 1", c.Name, li)
-			}
-		}
-		tested++
+		rows = append(rows, row{c.Name, n, a, want})
 	}
-	if tested < 5 {
-		t.Fatalf("only %d circuits exercised — registry or limits changed?", tested)
+	if len(rows) < 5 {
+		t.Fatalf("only %d circuits exercised — registry or limits changed?", len(rows))
+	}
+	for _, k := range []int{1, 2} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			for _, r := range rows {
+				res, err := sweep.Registers(context.Background(), r.n, sweep.Options{K: k})
+				if err != nil {
+					t.Fatalf("%s: sweep: %v", r.name, err)
+				}
+				got := res.Classes
+				if got == nil {
+					got = [][]int{}
+				}
+				if !reflect.DeepEqual(got, r.want) {
+					t.Errorf("%s: sweep classes %v, reach classes %v", r.name, got, r.want)
+				}
+				for _, li := range res.Const {
+					if r.a.M.And(r.a.Reachable, r.a.M.Var(r.a.Machines[0].CurVar[li])) != bdd.False {
+						t.Errorf("%s: latch %d reported constant 0 but reachable with value 1", r.name, li)
+					}
+				}
+			}
+		})
 	}
 }

@@ -192,6 +192,17 @@ func (e *engine) replay(c *cex, seed uint64) bool {
 	return changed
 }
 
+// holds reports whether every member of cls carries its
+// representative's word.
+func holds(vals []uint64, cls []int32) bool {
+	for _, m := range cls[1:] {
+		if vals[m] != vals[cls[0]] {
+			return false
+		}
+	}
+	return true
+}
+
 // refineAt splits every class whose members disagree on the current
 // words. Splitting is stable: members keep their ascending order, groups
 // appear in first-member order, singletons vanish.
@@ -199,15 +210,7 @@ func (e *engine) refineAt(vals []uint64) bool {
 	changed := false
 	var next [][]int32
 	for _, cls := range e.classes {
-		w0 := vals[cls[0]]
-		same := true
-		for _, m := range cls[1:] {
-			if vals[m] != w0 {
-				same = false
-				break
-			}
-		}
-		if same {
+		if holds(vals, cls) {
 			next = append(next, cls)
 			continue
 		}

@@ -8,10 +8,12 @@
 //     registers and internal AIG nodes into candidate equivalence
 //     classes by packed-word digest (bitsim.MixSig).
 //  2. Each candidate pair becomes two proof obligations on an
-//     incremental CDCL solver (internal/sat): a K-induction step over
-//     the class constraints, and a bounded base check from the initial
-//     states. Counterexamples are re-simulated 64 lanes wide, so one
-//     SAT model refines every class at once, not just the failing pair.
+//     incremental CDCL solver (internal/sat): a K-induction step on the
+//     speculatively reduced model (every member reads its
+//     representative's literal), and a bounded base check from the
+//     initial states. Counterexamples are re-simulated 64 lanes wide, so
+//     one SAT model refines every class at once, not just the failing
+//     pair.
 //  3. The loop converges when a whole round of obligations is UNSAT:
 //     the surviving partition is then a proven inductive invariant —
 //     every class equality holds in all reachable states from cycle
@@ -28,7 +30,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/aig"
 	"repro/internal/guard"
@@ -108,13 +109,12 @@ type Result struct {
 	// Cexes counts SAT counterexamples that refined the partition.
 	Cexes int
 	// Unknowns counts obligations abandoned on the conflict budget.
-	Unknowns     int
-	SatCalls     int64
-	Conflicts    int64
-	Learned      int64
-	Restarts     int64
-	Propagations int64
-	Wall         time.Duration
+	Unknowns  int
+	SatCalls  int64
+	Conflicts int64
+	Learned   int64
+	// Structural counts step obligations whose literals coincided.
+	Structural int64
 }
 
 // Registers proves register equivalence classes of one network by
@@ -171,6 +171,7 @@ func record(sp *obs.Span, res *Result) {
 	sp.Add("sat_conflicts", res.Conflicts)
 	sp.Add("sat_learned_clauses", res.Learned)
 	sp.Add("sat_calls", res.SatCalls)
+	sp.Add("sweep_structural", res.Structural)
 }
 
 // engine is one sweep run over one AIG.
@@ -182,6 +183,7 @@ type engine struct {
 	objs       []int32       // candidate object nodes: const 0, latch outputs, ANDs
 	latchIdxOf map[int32]int // latch output node -> latch index
 	classes    [][]int32     // current partition; members ascending, rep = first
+	rep        []int32       // per node: its class representative this round, else itself
 	// dirty marks members of classes changed by the latest refinement;
 	// incremental rounds re-prove only classes holding a dirty member.
 	dirty map[int32]bool
@@ -190,7 +192,8 @@ type engine struct {
 }
 
 func newEngine(g *aig.Graph, pos []aig.ProductPO, opt Options) *engine {
-	e := &engine{g: g, pos: pos, opt: opt, dirty: make(map[int32]bool)}
+	e := &engine{g: g, pos: pos, opt: opt, dirty: make(map[int32]bool),
+		rep: make([]int32, g.NumNodes())}
 	e.latchIdxOf = make(map[int32]int, len(g.Latches()))
 	for i, la := range g.Latches() {
 		e.latchIdxOf[la.Out] = i
@@ -210,8 +213,6 @@ func newEngine(g *aig.Graph, pos []aig.ProductPO, opt Options) *engine {
 
 // run drives candidate discovery and the refinement loop to convergence.
 func (e *engine) run(ctx context.Context) error {
-	start := time.Now()
-	defer func() { e.res.Wall = time.Since(start) }()
 	if e.opt.Delay+e.opt.K > maxFrames {
 		return fmt.Errorf("sweep: unrolling depth %d exceeds %d frames: %w",
 			e.opt.Delay+e.opt.K, maxFrames, ErrUnknown)
@@ -242,6 +243,14 @@ func (e *engine) run(ctx context.Context) error {
 			active = append(active, i)
 		}
 		e.res.Rounds++
+		for i := range e.rep {
+			e.rep[i] = int32(i)
+		}
+		for _, cls := range e.classes {
+			for _, m := range cls[1:] {
+				e.rep[m] = cls[0]
+			}
+		}
 		chunks := e.makeChunks(active)
 		results, err := parexec.Map(ctx, e.opt.Workers, chunks,
 			func(ctx context.Context, _ int, ch chunk) (chunkResult, error) {
@@ -264,11 +273,10 @@ func (e *engine) run(ctx context.Context) error {
 			}
 			e.res.Cexes += len(cr.cexes)
 			e.res.Unknowns += len(cr.unknowns) + cr.poUnknown
-			e.res.SatCalls += cr.stats.Solves
-			e.res.Conflicts += cr.stats.Conflicts
-			e.res.Learned += cr.stats.Learned
-			e.res.Restarts += cr.stats.Restarts
-			e.res.Propagations += cr.stats.Propagations
+			e.res.SatCalls += cr.solves
+			e.res.Conflicts += cr.conflicts
+			e.res.Learned += cr.learned
+			e.res.Structural += cr.structural
 		}
 		if poFail != nil {
 			return poFail

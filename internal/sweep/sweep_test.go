@@ -3,7 +3,9 @@ package sweep_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -150,6 +152,107 @@ func TestDelayedDisproofHonoursPrefix(t *testing.T) {
 	}
 }
 
+// lateFlag is an 8-bit counter from 0 that counts while en is high, plus
+// a flag register f driving the only output. With sticky set, f becomes 1
+// once the counter reads 200 and stays 1; otherwise f holds 0 forever.
+func lateFlag(sticky bool) string {
+	var b strings.Builder
+	b.WriteString(".model lateflag\n.inputs en\n.outputs o\n.names en t0\n1 1\n")
+	for i := 0; i < 8; i++ {
+		fmt.Fprintf(&b, ".latch n%d c%d 0\n.names t%d c%d n%d\n10 1\n01 1\n", i, i, i, i, i)
+		fmt.Fprintf(&b, ".names t%d c%d t%d\n11 1\n", i, i, i+1)
+	}
+	// 200 = 0b11001000, listed c0 first.
+	b.WriteString(".names c0 c1 c2 c3 c4 c5 c6 c7 hit\n00010011 1\n.latch nf f 0\n")
+	if sticky {
+		b.WriteString(".names f hit nf\n1- 1\n-1 1\n")
+	} else {
+		b.WriteString(".names f nf\n1 1\n")
+	}
+	b.WriteString(".names f o\n1 1\n.end\n")
+	return b.String()
+}
+
+// TestInductionStepRefutesLateDivergence: the sticky flag first rises at
+// cycle 201, past every simulated step and every base frame, so the
+// candidate "flag ≡ 0" survives simulation and the bounded check, and
+// only the induction step can refute it: a state with the counter at 200
+// satisfies every class equality and sets the flag one cycle later. An
+// engine that discharged a step obligation on the member's substituted
+// literal instead of its own function, or skipped the step solve, would
+// call the flag constant and the two circuits equivalent.
+func TestInductionStepRefutesLateDivergence(t *testing.T) {
+	a, err := blif.ParseString(lateFlag(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := blif.ParseString(lateFlag(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sweep.ProveEquivalent(context.Background(), a, b, 0, sweep.Options{}); err == nil {
+		t.Fatal("circuits whose outputs differ from cycle 201 on were proved equivalent")
+	}
+	res, err := sweep.Registers(context.Background(), b, sweep.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flag := -1
+	for i, la := range b.Latches {
+		if la.Output.Name == "f" {
+			flag = i
+		}
+	}
+	if flag < 0 {
+		t.Fatal("flag latch not found")
+	}
+	for _, li := range res.Const {
+		if li == flag {
+			t.Fatalf("sticky flag (latch %d) reported constant 0: Const = %v", flag, res.Const)
+		}
+	}
+}
+
+// heldOnes has two registers q1, q2 that hold their initial 1 forever,
+// so they form one class, and a register r that is 1 only in the
+// initial state. The 26-input AND n of r, q2 and 24 inputs is 0 on every
+// simulated vector and from cycle 1 on, so the induction step holds for
+// the candidate n ≡ 0 and only the base frame refutes it.
+func heldOnes() string {
+	var b strings.Builder
+	b.WriteString(".model heldones\n.inputs")
+	for i := 0; i < 24; i++ {
+		fmt.Fprintf(&b, " x%d", i)
+	}
+	b.WriteString("\n.outputs o p\n.latch q1 q1 1\n.latch q2 q2 1\n.latch zero r 1\n.names zero\n.names r q2")
+	for i := 0; i < 24; i++ {
+		fmt.Fprintf(&b, " x%d", i)
+	}
+	b.WriteString(" n\n" + strings.Repeat("1", 26) + " 1\n.names n o\n1 1\n.names q1 q2 p\n11 1\n.end\n")
+	return b.String()
+}
+
+// TestBaseCexStartsFromDeclaredInit: the base counterexample to n ≡ 0
+// has a cone that reaches q2 and not q1. Replaying it must start q1 at
+// its declared 1, not at the 0 an unencoded literal reads as, or the
+// replay splits the true class {q1, q2}.
+func TestBaseCexStartsFromDeclaredInit(t *testing.T) {
+	n, err := blif.ParseString(heldOnes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sweep.Registers(context.Background(), n, sweep.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cexes == 0 {
+		t.Fatal("no counterexample: n ≡ 0 was not refuted")
+	}
+	if !reflect.DeepEqual(res.Classes, [][]int{{0, 1}}) {
+		t.Fatalf("Classes = %v, want [[0 1]]", res.Classes)
+	}
+}
+
 // TestSweepDeterminism demands byte-identical results at any worker
 // width: the fixed chunking must make the counterexample stream — and
 // through it every derived number — independent of scheduling. It covers
@@ -164,7 +267,6 @@ func TestSweepDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
-			res.Wall = 0
 			got = append(got, res)
 		}
 		if !reflect.DeepEqual(got[0], got[1]) {
@@ -177,10 +279,13 @@ func TestSweepDeterminism(t *testing.T) {
 			return sweep.Registers(context.Background(), n, sweep.Options{Workers: workers})
 		})
 	}
-	for _, name := range []string{"s382", "s641"} {
-		n := build(t, name)
-		check(name+" vs clone", func(workers int) (*sweep.Result, error) {
-			return sweep.ProveEquivalent(context.Background(), n, n.Clone(), 0, sweep.Options{Workers: workers})
+	for _, tc := range []struct {
+		name string
+		k    int
+	}{{"s382", 1}, {"s641", 1}, {"s641", 2}} {
+		n := build(t, tc.name)
+		check(fmt.Sprintf("%s vs clone K=%d", tc.name, tc.k), func(workers int) (*sweep.Result, error) {
+			return sweep.ProveEquivalent(context.Background(), n, n.Clone(), 0, sweep.Options{K: tc.k, Workers: workers})
 		})
 	}
 }
