@@ -6,7 +6,7 @@
 //
 //	resyn -in circuit.blif [-kiss] [-flow script|retime|resyn|core] [-out out.blif] [-verify]
 //	      [-substrate sop|aig] [-workers N] [-timeout 30s] [-pass-timeout 5s] [-trace] [-stats-json events.jsonl]
-//	      [-sweep] [-induction-k K]
+//	      [-sweep]
 package main
 
 import (
@@ -38,7 +38,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per flow; exceeding it degrades or fails with a typed error (0 = unbounded)")
 	passTimeout := flag.Duration("pass-timeout", 0, "wall-clock budget per pass within a flow (0 = unbounded)")
 	sweepOn := flag.Bool("sweep", false, "SAT-based sequential sweeping: prove register equivalences by K-induction when the state space exceeds the exact-reachability limit, both for don't-care extraction and for -verify")
-	inductionK := flag.Int("induction-k", 1, "induction depth for -sweep proofs (1 = simple induction)")
 	metricsOut := flag.String("metrics", "", "write a Prometheus text dump of run metrics to this file")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -94,12 +93,11 @@ func main() {
 	lib := genlib.Lib2()
 	ctx := context.Background()
 	cfg := flows.Config{
-		Tracer:     tr,
-		Budget:     guard.Budget{Flow: *timeout, Pass: *passTimeout},
-		Substrate:  *substrate,
-		Workers:    *workers,
-		Sweep:      *sweepOn,
-		InductionK: *inductionK,
+		Tracer:    tr,
+		Budget:    guard.Budget{Flow: *timeout, Pass: *passTimeout},
+		Substrate: *substrate,
+		Workers:   *workers,
+		Sweep:     *sweepOn,
 	}
 	result, err := flows.RunFlow(ctx, *flow, src, lib, cfg)
 	if err != nil {

@@ -15,7 +15,7 @@
 //	resynd [-addr :8080] [-workers N] [-queue N] [-job-timeout 5m]
 //	       [-timeout 1m] [-pass-timeout 30s] [-debug]
 //	       [-data-dir DIR] [-drain-timeout 30s] [-max-jobs N] [-job-ttl D] [-retries N]
-//	       [-sweep] [-induction-k K]
+//	       [-sweep]
 //
 //	resynd -loadgen [-target http://host:8080] [-qps 2] [-duration 10s]
 //	       [-circuits bbtas,s27,ex6] [-flow resyn] [-loadgen-verify] [-out BENCH_serve.json]
@@ -62,7 +62,6 @@ func main() {
 	jobTTL := flag.Duration("job-ttl", 0, "evict finished jobs this long after completion (0 = keep)")
 	retries := flag.Int("retries", serve.DefaultRetryPolicy.Max, "retries for transiently failed jobs (deadline, contained panic)")
 	sweepOn := flag.Bool("sweep", false, "default every request to SAT-based sequential sweeping (folded into the job content address)")
-	inductionK := flag.Int("induction-k", 0, "default induction depth for requests that leave induction_k unset (0 = engine default)")
 	version := flag.Bool("version", false, "print version and exit")
 
 	loadgen := flag.Bool("loadgen", false, "run the load generator instead of serving")
@@ -81,16 +80,15 @@ func main() {
 		return
 	}
 	cfg := serve.Config{
-		Workers:    *workers,
-		Queue:      *queue,
-		Budget:     guard.Budget{Job: *jobTimeout, Flow: *timeout, Pass: *passTimeout},
-		Sweep:      *sweepOn,
-		InductionK: *inductionK,
-		Version:    buildinfo.Version(),
-		DataDir:    *dataDir,
-		MaxJobs:    *maxJobs,
-		JobTTL:     *jobTTL,
-		Retry:      serve.RetryPolicy{Max: *retries},
+		Workers: *workers,
+		Queue:   *queue,
+		Budget:  guard.Budget{Job: *jobTimeout, Flow: *timeout, Pass: *passTimeout},
+		Sweep:   *sweepOn,
+		Version: buildinfo.Version(),
+		DataDir: *dataDir,
+		MaxJobs: *maxJobs,
+		JobTTL:  *jobTTL,
+		Retry:   serve.RetryPolicy{Max: *retries},
 	}
 
 	if *loadgen {

@@ -13,7 +13,7 @@
 //	tablegen [-circuits ex2,bbtas,...] [-verify] [-skip-large] [-workers N]
 //	         [-times] [-timeout 60s] [-pass-timeout 10s] [-trace]
 //	         [-substrate sop|aig] [-stats-json events.jsonl]
-//	         [-sweep] [-induction-k K]
+//	         [-sweep]
 package main
 
 import (
@@ -41,7 +41,6 @@ func main() {
 	passTimeout := flag.Duration("pass-timeout", 0, "wall-clock budget per pass within a flow (0 = unbounded)")
 	substrate := flag.String("substrate", "sop", "technology-independent substrate for the flows: sop | aig")
 	sweepOn := flag.Bool("sweep", false, "SAT-based sequential sweeping: prove register equivalences by K-induction past the exact-reachability limit, for don't-cares and verification")
-	inductionK := flag.Int("induction-k", 1, "induction depth for -sweep proofs (1 = simple induction)")
 	metricsOut := flag.String("metrics", "", "write a Prometheus text dump of run metrics to this file")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -51,14 +50,13 @@ func main() {
 	}
 
 	opt := table.Options{
-		Verify:     *verify,
-		SkipLarge:  *skipLarge,
-		Workers:    *workers,
-		ShowTimes:  *times,
-		Budget:     guard.Budget{Flow: *timeout, Pass: *passTimeout},
-		Substrate:  *substrate,
-		Sweep:      *sweepOn,
-		InductionK: *inductionK,
+		Verify:    *verify,
+		SkipLarge: *skipLarge,
+		Workers:   *workers,
+		ShowTimes: *times,
+		Budget:    guard.Budget{Flow: *timeout, Pass: *passTimeout},
+		Substrate: *substrate,
+		Sweep:     *sweepOn,
 	}
 	if *circuitsFlag != "" {
 		opt.Circuits = strings.Split(*circuitsFlag, ",")

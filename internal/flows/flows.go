@@ -30,7 +30,6 @@ import (
 	"repro/internal/algebraic"
 	"repro/internal/bitsim"
 	"repro/internal/core"
-	"repro/internal/dontcare"
 	"repro/internal/genlib"
 	"repro/internal/guard"
 	"repro/internal/logic"
@@ -98,8 +97,6 @@ type Config struct {
 	// and DC extraction falls back to proven register equivalence
 	// classes applied as DCret (see internal/sweep).
 	Sweep bool
-	// InductionK is the sweeping induction depth (0 means 1).
-	InductionK int
 }
 
 // fault consults the injector once for a pass invocation.
@@ -390,40 +387,21 @@ func bestRemap(ctx context.Context, n *network.Network, lib *genlib.Library, cfg
 }
 
 // applySweepDCs is the DC extraction beyond the exact-reachability wall:
-// register equivalence classes proven by k-induction (internal/sweep) are
-// installed as DCret classes — the same bookkeeping retiming-induced
-// equivalences use, with the invariant proven instead of known by
-// construction. Every node is first simplified against the (xi ⊕ xj)
-// don't cares of same-class register fanins; remaining fanout of
-// non-representative members is then rewritten onto the class
-// representative, and registers proven stuck at constant 0 are replaced
-// by a constant source, letting Sweep retire the dead registers.
+// register equivalence classes proven by induction (internal/sweep) stand
+// in for retiming-induced ones. Every non-representative member's fanout
+// is rewritten onto its class representative — the substitution xj := xi
+// that the (xi ⊕ xj) don't care allows — and registers proven stuck at
+// constant 0 are replaced by a constant source, letting Sweep retire the
+// dead registers.
 func applySweepDCs(ctx context.Context, work *network.Network, tr *obs.Tracer, cfg Config) error {
 	st := tr.Begin("sweep.dc_extract")
 	defer st.End()
 	res, err := sweep.Registers(ctx, work, sweep.Options{
-		K:       cfg.InductionK,
 		Workers: cfg.Workers,
 		Tracer:  tr,
 	})
 	if err != nil {
 		return fmt.Errorf("flows: sweep DC extraction: %w", err)
-	}
-	dc := dontcare.New()
-	for _, cls := range res.Classes {
-		lats := make([]*network.Latch, len(cls))
-		for i, li := range cls {
-			lats[i] = work.Latches[li]
-		}
-		dc.AddClass(lats)
-	}
-	improved := 0
-	if dc.NumClasses() > 0 {
-		for _, v := range work.Nodes() {
-			if v.Kind == network.KindLogic && dc.SimplifyNodeLocal(work, v) {
-				improved++
-			}
-		}
 	}
 	dead := map[*network.Latch]bool{}
 	for _, cls := range res.Classes {
@@ -459,7 +437,6 @@ func applySweepDCs(ctx context.Context, work *network.Network, tr *obs.Tracer, c
 	if merged > 0 {
 		work.Sweep()
 	}
-	st.Add("dc_nodes_simplified", int64(improved))
 	st.Add("sweep_regs_merged", int64(merged))
 	return nil
 }
@@ -615,7 +592,6 @@ func VerifyVerdict(ctx context.Context, src *network.Network, r *Result, cfg Con
 	}
 	if cfg.Sweep {
 		_, err := sweep.ProveEquivalent(ctx, src, r.Net, r.PrefixK, sweep.Options{
-			K:       cfg.InductionK,
 			Workers: cfg.Workers,
 			Tracer:  cfg.Tracer,
 		})

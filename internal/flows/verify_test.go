@@ -9,40 +9,39 @@ import (
 	"repro/internal/bench"
 	"repro/internal/bitsim"
 	"repro/internal/blif"
+	"repro/internal/genlib"
+	"repro/internal/network"
 	"repro/internal/seqverify"
 	"repro/internal/sweep"
 )
 
 // TestVerifyVerdictProvedByInduction verifies registry circuits against
-// their clones. Rows whose product machine fits the exact engine keep its
-// verdict; rows past the latch limit are only spot-checked without Sweep
-// and proved by K-induction with it. -short skips s5378 (~4 s).
+// their clones or, for rows naming a flow, against that flow's output.
+// Rows whose product machine fits the exact engine keep its verdict; rows
+// past the latch limit are only spot-checked without Sweep and proved by
+// induction with it. The s382 and s400 retime outputs need induction
+// depths 4 and 2. -short skips s5378 (~4 s).
 func TestVerifyVerdictProvedByInduction(t *testing.T) {
 	for _, tc := range []struct {
 		circuit string
+		flow    string // "" verifies a clone
 		want    seqverify.Verdict
 	}{
-		{"s27", seqverify.VerdictExact},
-		{"s298", seqverify.VerdictExact},
-		{"s382", seqverify.VerdictInduction},
-		{"s400", seqverify.VerdictInduction},
-		{"s526", seqverify.VerdictInduction},
-		{"s641", seqverify.VerdictInduction},
-		{"s5378", seqverify.VerdictInduction},
+		{"s27", "", seqverify.VerdictExact},
+		{"s298", "", seqverify.VerdictExact},
+		{"s382", "", seqverify.VerdictInduction},
+		{"s400", "", seqverify.VerdictInduction},
+		{"s526", "", seqverify.VerdictInduction},
+		{"s641", "", seqverify.VerdictInduction},
+		{"s5378", "", seqverify.VerdictInduction},
+		{"s382", "retime", seqverify.VerdictInduction},
+		{"s400", "retime", seqverify.VerdictInduction},
 	} {
-		t.Run(tc.circuit, func(t *testing.T) {
+		t.Run(strings.TrimSpace(tc.circuit+" "+tc.flow), func(t *testing.T) {
 			if tc.circuit == "s5378" && testing.Short() {
 				t.Skip("large row skipped under -short")
 			}
-			c, ok := bench.ByName(tc.circuit)
-			if !ok {
-				t.Fatalf("%s not in registry", tc.circuit)
-			}
-			n, err := c.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := &Result{Net: n.Clone()}
+			n, r := flowOutput(t, tc.circuit, tc.flow)
 			if tc.want == seqverify.VerdictInduction {
 				v, err := VerifyVerdict(context.Background(), n, r, Config{})
 				if err != nil || v != VerdictSpotChecked {
@@ -57,6 +56,51 @@ func TestVerifyVerdictProvedByInduction(t *testing.T) {
 				t.Fatalf("verdict = %q, want %q", v, tc.want)
 			}
 		})
+	}
+}
+
+// flowOutput builds a registry circuit and the result to verify against
+// it: a clone when flow is "", else the output of that flow on lib2.
+func flowOutput(t *testing.T, circuit, flow string) (*network.Network, *Result) {
+	t.Helper()
+	c, ok := bench.ByName(circuit)
+	if !ok {
+		t.Fatalf("%s not in registry", circuit)
+	}
+	n, err := c.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flow == "" {
+		return n, &Result{Net: n.Clone()}
+	}
+	r, err := RunFlow(context.Background(), flow, n, genlib.Lib2(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n, r
+}
+
+// TestVerifyVerdictFlippedInitNotProved: the s400 retime output with its
+// first register's initial value flipped differs from the source at cycle
+// 1. Deepening the induction must not turn that into a proof; both
+// ladders refute it.
+func TestVerifyVerdictFlippedInitNotProved(t *testing.T) {
+	n, r := flowOutput(t, "s400", "retime")
+	l := r.Net.Latches[0]
+	if l.Init != network.V0 && l.Init != network.V1 {
+		t.Fatalf("latch %s has no defined initial value", l.Name)
+	}
+	if l.Init == network.V0 {
+		l.Init = network.V1
+	} else {
+		l.Init = network.V0
+	}
+	for _, cfg := range []Config{{}, {Sweep: true}} {
+		v, err := VerifyVerdict(context.Background(), n, r, cfg)
+		if v == string(seqverify.VerdictInduction) || err == nil {
+			t.Errorf("Sweep %v: verdict %q, err %v; want a refutation", cfg.Sweep, v, err)
+		}
 	}
 }
 

@@ -1,43 +1,12 @@
 package obs
 
-import "sync/atomic"
-
 // This file is the tracer's live event bus: N consumers can tail a
 // Tracer's event stream while it runs. The JSON-lines writer (SetJSON) is
 // conceptually subscriber zero — it receives the same events in the same
-// order, just synchronously under the tracer lock so the file stays
-// byte-deterministic. Channel subscriptions decouple slow consumers: an
-// event that does not fit the subscriber's buffer is dropped and counted
-// instead of stalling the traced pipeline, so a wedged SSE client can
-// never block a pass. Consumers that must not miss events (the serving
-// layer's per-job recorder) use SubscribeFunc, which is synchronous.
-
-// Subscription is one live tail of a tracer's event stream. Receive from
-// Events(); call Close when done.
-type Subscription struct {
-	tracer  *Tracer
-	ch      chan Event
-	dropped atomic.Int64
-	closed  bool
-}
-
-// Subscribe registers a new live subscriber with the given channel buffer
-// (minimum 1). Events emitted from now on are delivered in order; an event
-// arriving while the buffer is full is dropped and counted (Dropped), never
-// blocking the emitting pass. Returns nil on a nil tracer.
-func (t *Tracer) Subscribe(buf int) *Subscription {
-	if t == nil {
-		return nil
-	}
-	if buf < 1 {
-		buf = 1
-	}
-	sub := &Subscription{tracer: t, ch: make(chan Event, buf)}
-	t.mu.Lock()
-	t.subs = append(t.subs, sub)
-	t.mu.Unlock()
-	return sub
-}
+// order, synchronously under the tracer lock so the file stays
+// byte-deterministic. SubscribeFunc consumers (the serving layer's
+// per-job recorder) are called the same way, so they never miss or
+// reorder an event.
 
 // SubscribeFunc registers fn as a synchronous subscriber: it is invoked
 // inline for every event, under the tracer lock, so it must return quickly
@@ -62,58 +31,5 @@ func (t *Tracer) SubscribeFunc(fn func(Event)) (cancel func()) {
 		t.mu.Lock()
 		delete(t.fns, id)
 		t.mu.Unlock()
-	}
-}
-
-// Events is the subscription's receive channel. It is closed by Close (and
-// only by Close: a tracer has no terminal state, consumers decide when the
-// tail ends — internal/serve closes when its job reaches a terminal state).
-func (s *Subscription) Events() <-chan Event {
-	if s == nil {
-		return nil
-	}
-	return s.ch
-}
-
-// Dropped reports how many events were discarded because the subscriber's
-// buffer was full.
-func (s *Subscription) Dropped() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.dropped.Load()
-}
-
-// Close unregisters the subscription and closes its channel. Pending
-// buffered events remain receivable until the channel is drained. Safe to
-// call more than once.
-func (s *Subscription) Close() {
-	if s == nil {
-		return
-	}
-	t := s.tracer
-	t.mu.Lock()
-	if s.closed {
-		t.mu.Unlock()
-		return
-	}
-	s.closed = true
-	for i, sub := range t.subs {
-		if sub == s {
-			t.subs = append(t.subs[:i], t.subs[i+1:]...)
-			break
-		}
-	}
-	close(s.ch)
-	t.mu.Unlock()
-}
-
-// deliver hands one event to the subscription without ever blocking.
-// Caller holds the tracer lock, which also serializes against Close.
-func (s *Subscription) deliver(e Event) {
-	select {
-	case s.ch <- e:
-	default:
-		s.dropped.Add(1)
 	}
 }

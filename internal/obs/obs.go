@@ -38,14 +38,13 @@ import (
 // Concurrency: every method may be called from any goroutine. The JSON-
 // lines sink is the tracer's first subscriber and is written synchronously
 // under the tracer lock, so its line order matches event order exactly;
-// channel subscriptions (Subscribe) observe the same order.
+// SubscribeFunc callbacks observe the same order.
 type Tracer struct {
 	mu    sync.Mutex
 	root  *Span
 	cur   *Span
 	start time.Time
 	json  io.Writer
-	subs  []*Subscription
 	fns   map[int]func(Event)
 	fnSeq int
 	reg   *Registry
@@ -454,10 +453,9 @@ func (t *Tracer) sinceStart(at time.Time) float64 {
 }
 
 // emit delivers one event to every sink: the synchronous JSON-lines
-// writer, every registered callback, and every channel subscription
-// (non-blocking; see Subscription.Dropped). Caller holds t.mu.
+// writer and every registered callback. Caller holds t.mu.
 func (t *Tracer) emit(e Event) {
-	if t.json == nil && len(t.subs) == 0 && len(t.fns) == 0 {
+	if t.json == nil && len(t.fns) == 0 {
 		return
 	}
 	e.Seq = t.seq.Add(1)
@@ -468,9 +466,6 @@ func (t *Tracer) emit(e Event) {
 	}
 	for _, fn := range t.fns {
 		fn(e)
-	}
-	for _, sub := range t.subs {
-		sub.deliver(e)
 	}
 }
 
@@ -486,7 +481,7 @@ func copyCounters(c map[string]int64) map[string]int64 {
 }
 
 // Event is one line of the JSON-lines stream (and the unit delivered to
-// bus subscribers).
+// SubscribeFunc callbacks).
 //
 //	{"ev":"span_start","span":"flow.resynthesis/core.resynthesize","seq":1,"t_ms":1.2}
 //	{"ev":"span_end","span":"...","seq":4,"t_ms":4.8,"dur_ms":3.6,"counters":{"dcret_pairs":2}}

@@ -73,15 +73,7 @@ type Request struct {
 	// and verification reports "proved-by-induction" instead of degrading
 	// to "simulated".
 	Sweep bool `json:"sweep,omitempty"`
-	// InductionK is the sweeping induction depth (0 means 1, at most
-	// maxInductionK).
-	InductionK int `json:"induction_k,omitempty"`
 }
-
-// maxInductionK caps the k-induction depth: each step unrolls K+1 frames
-// of the transition relation, so a hostile request must not pick the
-// unrolling depth freely.
-const maxInductionK = 8
 
 // maxRequestWorkers caps the per-request worker width: wider than any
 // plausible host, small enough that a hostile request cannot make one job
@@ -107,7 +99,7 @@ func (r *Request) normalize() {
 // lands on the cached job.
 func (r Request) Key() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%v\x00%d\x00%v\x00%d\x00", r.Format, r.Flow, r.Substrate, r.Verify, r.Workers, r.Sweep, r.InductionK)
+	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%v\x00%d\x00%v\x00", r.Format, r.Flow, r.Substrate, r.Verify, r.Workers, r.Sweep)
 	h.Write([]byte(r.Netlist))
 	return hex.EncodeToString(h.Sum(nil))[:32]
 }
@@ -148,9 +140,6 @@ func (r Request) validate() error {
 	if r.Workers < 0 || r.Workers > maxRequestWorkers {
 		return guard.WithClass(fmt.Errorf("serve: workers %d out of range 0..%d", r.Workers, maxRequestWorkers), guard.ErrClassPermanent)
 	}
-	if r.InductionK < 0 || r.InductionK > maxInductionK {
-		return guard.WithClass(fmt.Errorf("serve: induction_k %d out of range 0..%d", r.InductionK, maxInductionK), guard.ErrClassPermanent)
-	}
 	if _, err := r.parse(); err != nil {
 		return guard.WithClass(err, guard.ErrClassPermanent)
 	}
@@ -173,10 +162,6 @@ type Config struct {
 	// did not ask for it itself. Applied before content addressing, so the
 	// effective value is what the job key answers for.
 	Sweep bool
-	// InductionK is the sweeping induction depth applied to requests that
-	// left induction_k unset (0 keeps the engine default of 1; capped at
-	// maxInductionK).
-	InductionK int
 	// Version is reported from /healthz.
 	Version string
 
@@ -264,9 +249,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CompactEvery == 0 {
 		cfg.CompactEvery = 4096
 	}
-	if cfg.InductionK < 0 || cfg.InductionK > maxInductionK {
-		return nil, fmt.Errorf("serve: config induction depth %d out of range 0..%d", cfg.InductionK, maxInductionK)
-	}
 	cfg.Retry = cfg.Retry.withDefaults()
 	reg := cfg.Registry
 	if reg == nil {
@@ -350,9 +332,6 @@ func (s *Server) Submit(req Request) (*Job, bool, error) {
 	// same job.
 	if s.cfg.Sweep {
 		req.Sweep = true
-	}
-	if req.InductionK == 0 {
-		req.InductionK = s.cfg.InductionK
 	}
 	req.normalize()
 	if err := req.validate(); err != nil {
@@ -512,12 +491,11 @@ func (s *Server) execute(ctx context.Context, j *Job, tr *obs.Tracer) (*JobResul
 		return nil, "", guard.WithClass(err, guard.ErrClassPermanent)
 	}
 	cfg := flows.Config{
-		Tracer:     tr,
-		Budget:     s.cfg.Budget,
-		Substrate:  j.req.Substrate,
-		Workers:    j.req.Workers,
-		Sweep:      j.req.Sweep,
-		InductionK: j.req.InductionK,
+		Tracer:    tr,
+		Budget:    s.cfg.Budget,
+		Substrate: j.req.Substrate,
+		Workers:   j.req.Workers,
+		Sweep:     j.req.Sweep,
 	}
 	result, err := flows.RunFlow(ctx, j.req.Flow, src, s.lib, cfg)
 	if err != nil {

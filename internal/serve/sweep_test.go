@@ -1,8 +1,14 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -27,13 +33,15 @@ func sweepTwinsBLIF() string {
 	return b.String()
 }
 
-// TestServeSweepVerification drives the sweep knobs end to end: the flags
-// participate in the content address and validation, a >32-latch job
-// verifies as proved-by-induction instead of degrading to simulation, and
-// the solver counters cross the tracer bridge onto /metrics. It also pins
-// the three verdicts of flows.VerifyVerdict on the wire: "exact" for a
-// small circuit, "proved-by-induction" with sweep past the exact limits,
-// and "simulated" (flows.VerdictSpotChecked) without.
+// TestServeSweepVerification drives the sweep flag end to end: it
+// participates in the content address, a >32-latch job verifies as
+// proved-by-induction instead of degrading to simulation, and the solver
+// counters cross the tracer bridge onto /metrics. It also pins the three
+// verdicts of flows.VerifyVerdict on the wire: "exact" for a small
+// circuit, "proved-by-induction" with sweep past the exact limits, and
+// "simulated" (flows.VerdictSpotChecked) without. The induction depth is
+// the engine's: an "induction_k" field left over from older clients is
+// ignored and addresses the same job.
 func TestServeSweepVerification(t *testing.T) {
 	_, ts := startServer(t, Config{Workers: 2})
 	src := sweepTwinsBLIF()
@@ -43,18 +51,26 @@ func TestServeSweepVerification(t *testing.T) {
 	if plain.normalized().Key() == swept.normalized().Key() {
 		t.Fatal("sweep must participate in the job content hash")
 	}
-	deep := Request{Netlist: src, Flow: "retime", Verify: true, Sweep: true, InductionK: 2}
-	if deep.normalized().Key() == swept.normalized().Key() {
-		t.Fatal("induction_k must participate in the job content hash")
-	}
-	bad := Request{Netlist: src, Flow: "retime", Sweep: true, InductionK: 99}
-	if _, status := postJob(t, ts.URL, bad); status != http.StatusBadRequest {
-		t.Fatalf("induction_k out of range status = %d, want 400", status)
-	}
 
-	info, status := postJob(t, ts.URL, swept)
-	if status != http.StatusAccepted {
-		t.Fatalf("submission status = %d, want 202", status)
+	// A body from an older client that still carries induction_k is
+	// accepted as a fresh job and addresses the same job as one without.
+	body, err := json.Marshal(swept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := strings.Replace(string(body), "{", `{"induction_k":2,`, 1)
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info JobInfo
+	err = json.NewDecoder(resp.Body).Decode(&info)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("body with induction_k: status %d, err %v; want 202", resp.StatusCode, err)
+	}
+	if again, _ := postJob(t, ts.URL, swept); again.ID != info.ID {
+		t.Fatalf("body without induction_k: id %q, want %q", again.ID, info.ID)
 	}
 	final := waitDone(t, ts.URL, info.ID)
 	if final.State != StateDone {
@@ -78,11 +94,11 @@ func TestServeSweepVerification(t *testing.T) {
 		t.Fatalf("s27 job verify = %+v, want exact", final.Result)
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := readAll(resp)
+	metrics, err := readAll(resp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +110,43 @@ func TestServeSweepVerification(t *testing.T) {
 		`resyn_counter_total{counter="sat_calls"}`,
 		`resyn_counter_total{counter="sweep_structural"}`,
 	} {
-		if !strings.Contains(body, want) {
+		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestServeReplaysInductionKRecord boots on a log written before the
+// induction depth left the wire format: its submitted record carries
+// "induction_k" and an id hashed with it. Replay keeps the stored id and
+// runs the job to the same proof.
+func TestServeReplaysInductionKRecord(t *testing.T) {
+	dir := t.TempDir()
+	src := sweepTwinsBLIF()
+	h := sha256.New()
+	fmt.Fprintf(h, "blif\x00retime\x00sop\x00true\x000\x00true\x002\x00%s", src)
+	id := hex.EncodeToString(h.Sum(nil))[:32]
+	netlist, err := json.Marshal(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := fmt.Sprintf(`{"type":"submitted","id":%q,"time":"2026-01-02T03:04:05Z","req":{"netlist":%s,`+
+		`"format":"blif","flow":"retime","substrate":"sop","verify":true,"sweep":true,"induction_k":2}}`, id, netlist)
+	line := fmt.Sprintf("%08x %s\n", crc32.Checksum([]byte(rec), crcTable), rec)
+	if err := os.WriteFile(filepath.Join(dir, walFileName), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(Config{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if rs := s.Recovery(); rs.Requeued != 1 {
+		t.Fatalf("recovery stats: %+v, want one requeued job", rs)
+	}
+	final := waitTerminal(t, s, id)
+	if final.State != StateDone || final.Result == nil || final.Result.Verify != "proved-by-induction" {
+		t.Fatalf("replayed job: %+v, want done and proved-by-induction", final)
 	}
 }

@@ -101,7 +101,7 @@ func TestPropertySweepMatchesReach(t *testing.T) {
 	for _, k := range []int{1, 2} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
 			for _, r := range rows {
-				res, err := sweep.Registers(context.Background(), r.n, sweep.Options{K: k})
+				res, err := sweep.RegistersAtDepth(context.Background(), r.n, k, sweep.Options{})
 				if err != nil {
 					t.Fatalf("%s: sweep: %v", r.name, err)
 				}

@@ -82,12 +82,12 @@ func (e *engine) candidates() {
 				vals[la.Out] = splitmix(&st)
 			}
 		}
-		for step := 0; step < e.opt.Delay+simSteps; step++ {
+		for step := 0; step < e.delay+simSteps; step++ {
 			for _, pi := range g.PIs() {
 				vals[pi] = splitmix(&st)
 			}
 			e.evalFrame(vals)
-			if step >= e.opt.Delay {
+			if step >= e.delay {
 				for _, id := range e.objs {
 					digest[id] = bitsim.MixSig(digest[id], vals[id], ^vals[id])
 				}
@@ -180,7 +180,7 @@ func (e *engine) replay(c *cex, seed uint64) bool {
 		e.evalFrame(vals)
 		refine := false
 		if c.base {
-			refine = t >= e.opt.Delay
+			refine = t >= e.delay
 		} else {
 			refine = t == frames-1
 		}

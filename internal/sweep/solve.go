@@ -324,8 +324,8 @@ func (e *engine) stepSolve(step *inst, d sat.Lit, nFrames, K int, po bool) (sat.
 // partition holds at frames 0..K-1: the partition is inductive.
 func (e *engine) runChunk(ctx context.Context, ch chunk) (chunkResult, error) {
 	var cr chunkResult
-	K := e.opt.K
-	delay := e.opt.Delay
+	K := e.k
+	delay := e.delay
 	step := e.newInst(K+1, false)
 	base := e.newInst(delay+K, true)
 

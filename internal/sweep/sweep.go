@@ -16,8 +16,12 @@
 //     pair.
 //  3. The loop converges when a whole round of obligations is UNSAT:
 //     the surviving partition is then a proven inductive invariant —
-//     every class equality holds in all reachable states from cycle
-//     Delay on.
+//     every class equality holds in all reachable states from the
+//     delayed-replacement prefix on.
+//
+// ProveEquivalent deepens the induction itself (K = 1, 2, …,
+// maxInductionDepth, a fresh engine per depth) until the proof closes, so
+// no caller picks K.
 //
 // Refinement only ever splits classes, so the result is sound even when
 // the conflict budget abandons an obligation (the member just leaves its
@@ -41,7 +45,7 @@ import (
 // ErrUnknown reports that induction was inconclusive: nothing was
 // disproved, but the candidate invariant is too weak (or the conflict
 // budget too small) to finish the proof.
-var ErrUnknown = errors.New("sweep: induction inconclusive (raise -induction-k)")
+var ErrUnknown = errors.New("sweep: induction inconclusive")
 
 // NotEquivalentError is a genuine disproof: a concrete input sequence
 // from the initial states on which a primary output pair differs at or
@@ -66,37 +70,30 @@ const (
 	// obligation that exhausts it is abandoned and its member leaves the
 	// class.
 	maxConflicts = 16384
-	// maxFrames refuses instances whose unrolling Delay+K exceeds it.
+	// maxFrames refuses instances whose unrolling delay+K exceeds it.
 	maxFrames = 96
+	// maxInductionDepth is the deepest induction ProveEquivalent tries: the
+	// depth the s382 retime output of Table I needs, the deepest of any
+	// cell.
+	maxInductionDepth = 4
 	// simSeed drives every random choice.
 	simSeed = 1
 )
 
 // Options configures a sweep.
 type Options struct {
-	// K is the induction depth (default 1).
-	K int
-	// Delay is the delayed-replacement prefix: class and output equalities
-	// are required to hold from cycle Delay on only.
-	Delay int
 	// Workers bounds the parallel proof shards (default: all cores).
 	Workers int
 	// Tracer receives sweep.* spans and solver counters; nil is valid.
 	Tracer *obs.Tracer
 }
 
-func (o Options) withDefaults() Options {
-	if o.K <= 0 {
-		o.K = 1
-	}
-	return o
-}
-
 // Result carries the proven partition and the solver effort behind it.
 type Result struct {
 	// Classes are the proven register equivalence classes as latch
 	// indices (ascending; classes ordered by first member). Every pair in
-	// a class is equal in all reachable states from cycle Delay on.
+	// a class is equal in all reachable states from the delayed-replacement
+	// prefix on.
 	Classes [][]int
 	// Const lists latches proven stuck at constant 0.
 	Const []int
@@ -115,22 +112,38 @@ type Result struct {
 	Learned   int64
 	// Structural counts step obligations whose literals coincided.
 	Structural int64
+	// K is the induction depth of the run that decided the outcome.
+	K int
 }
 
-// Registers proves register equivalence classes of one network by
-// K-induction. The classes are valid in every reachable state (from cycle
-// opt.Delay on) and can be fed to dontcare.Classes as DCret exactly like
-// retiming-induced ones. Abandoned obligations shrink classes instead of
-// failing the call.
+// addEffort folds the solver effort of o, an inconclusive shallower run,
+// into r.
+func (r *Result) addEffort(o *Result) {
+	r.Rounds += o.Rounds
+	r.Cexes += o.Cexes
+	r.Unknowns += o.Unknowns
+	r.SatCalls += o.SatCalls
+	r.Conflicts += o.Conflicts
+	r.Learned += o.Learned
+	r.Structural += o.Structural
+}
+
+// Registers proves register equivalence classes of one network by simple
+// induction (K = 1). The classes are valid in every reachable state, so
+// they serve the flows exactly like retiming-induced ones. Abandoned
+// obligations shrink classes instead of failing the call.
 func Registers(ctx context.Context, n *network.Network, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
+	return registers(ctx, n, 1, opt)
+}
+
+func registers(ctx context.Context, n *network.Network, k int, opt Options) (*Result, error) {
 	sp := opt.Tracer.Begin("sweep.registers")
 	defer sp.End()
 	g, err := aig.FromNetwork(n)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: %w", err)
 	}
-	e := newEngine(g, nil, opt)
+	e := newEngine(g, nil, 0, k, opt)
 	if err := e.run(ctx); err != nil {
 		return nil, err
 	}
@@ -144,25 +157,43 @@ func Registers(ctx context.Context, n *network.Network, opt Options) (*Result, e
 // both latch sets, and every name-matched PO pair as an extra proof
 // obligation. A nil error is a proof ("proved-by-induction"); a
 // *NotEquivalentError is a genuine bounded disproof; ErrUnknown means the
-// invariant was too weak to decide. The Result carries solver statistics
-// in every outcome that ran the engine.
+// invariant was too weak to decide at every depth up to maxInductionDepth,
+// or the unrolling would pass maxFrames. The Result carries solver
+// statistics in every outcome that ran the engine.
 func ProveEquivalent(ctx context.Context, a, b *network.Network, delay int, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	opt.Delay = delay
+	return proveEquivalent(ctx, a, b, delay, 1, opt)
+}
+
+// proveEquivalent tries K = minK, …, maxInductionDepth and stops at the first
+// outcome that is not ErrUnknown. Each depth starts on a fresh engine: a
+// class split by a K-step counterexample may hold at K+1, so the K
+// partition is no start for the deeper proof.
+func proveEquivalent(ctx context.Context, a, b *network.Network, delay, minK int, opt Options) (*Result, error) {
 	sp := opt.Tracer.Begin("sweep.prove")
 	defer sp.End()
 	g, pos, err := aig.FromProduct(a, b)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: %w", err)
 	}
-	e := newEngine(g, pos, opt)
-	err = e.run(ctx)
-	res := e.result()
-	record(sp, res)
-	if err != nil {
-		return res, err
+	res := &Result{}
+	for k := minK; k <= maxInductionDepth; k++ {
+		if delay+k > maxFrames {
+			err = fmt.Errorf("sweep: unrolling depth %d exceeds %d frames: %w", delay+k, maxFrames, ErrUnknown)
+			break
+		}
+		e := newEngine(g, pos, delay, k, opt)
+		err = e.run(ctx)
+		r := e.result()
+		r.K = k
+		r.addEffort(res)
+		res = r
+		if !errors.Is(err, ErrUnknown) {
+			break
+		}
 	}
-	return res, nil
+	record(sp, res)
+	sp.Add("sweep_induction_k", int64(res.K))
+	return res, err
 }
 
 func record(sp *obs.Span, res *Result) {
@@ -174,11 +205,15 @@ func record(sp *obs.Span, res *Result) {
 	sp.Add("sweep_structural", res.Structural)
 }
 
-// engine is one sweep run over one AIG.
+// engine is one sweep run over one AIG at one induction depth.
 type engine struct {
 	g   *aig.Graph
 	pos []aig.ProductPO
 	opt Options
+	// delay is the delayed-replacement prefix: class and output equalities
+	// are required to hold from cycle delay on only.
+	delay int
+	k     int // induction depth
 
 	objs       []int32       // candidate object nodes: const 0, latch outputs, ANDs
 	latchIdxOf map[int32]int // latch output node -> latch index
@@ -191,8 +226,8 @@ type engine struct {
 	res Result
 }
 
-func newEngine(g *aig.Graph, pos []aig.ProductPO, opt Options) *engine {
-	e := &engine{g: g, pos: pos, opt: opt, dirty: make(map[int32]bool),
+func newEngine(g *aig.Graph, pos []aig.ProductPO, delay, k int, opt Options) *engine {
+	e := &engine{g: g, pos: pos, opt: opt, delay: delay, k: k, dirty: make(map[int32]bool),
 		rep: make([]int32, g.NumNodes())}
 	e.latchIdxOf = make(map[int32]int, len(g.Latches()))
 	for i, la := range g.Latches() {
@@ -213,10 +248,6 @@ func newEngine(g *aig.Graph, pos []aig.ProductPO, opt Options) *engine {
 
 // run drives candidate discovery and the refinement loop to convergence.
 func (e *engine) run(ctx context.Context) error {
-	if e.opt.Delay+e.opt.K > maxFrames {
-		return fmt.Errorf("sweep: unrolling depth %d exceeds %d frames: %w",
-			e.opt.Delay+e.opt.K, maxFrames, ErrUnknown)
-	}
 	e.candidates()
 	for _, cls := range e.classes {
 		e.res.Candidates += len(cls) - 1

@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/blif"
+	"repro/internal/flows"
+	"repro/internal/genlib"
 	"repro/internal/network"
 	"repro/internal/sweep"
 )
@@ -253,6 +255,30 @@ func TestBaseCexStartsFromDeclaredInit(t *testing.T) {
 	}
 }
 
+// TestProveEquivalentDeepens: simple induction is inconclusive on the
+// retime outputs of s400 and s382 against their sources, and the engine
+// deepens K until the proof closes, at K = 2 and K = 4.
+func TestProveEquivalentDeepens(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		k    int
+	}{{"s400", 2}, {"s382", 4}} {
+		src := build(t, tc.name)
+		r, err := flows.RunFlow(ctx, "retime", src, genlib.Lib2(), flows.Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		res, err := sweep.ProveEquivalent(ctx, src, r.Net, r.PrefixK, sweep.Options{})
+		if err != nil {
+			t.Fatalf("%s retime: %v", tc.name, err)
+		}
+		if res.K != tc.k {
+			t.Errorf("%s retime proved at K = %d, want %d", tc.name, res.K, tc.k)
+		}
+	}
+}
+
 // TestSweepDeterminism demands byte-identical results at any worker
 // width: the fixed chunking must make the counterexample stream — and
 // through it every derived number — independent of scheduling. It covers
@@ -285,7 +311,7 @@ func TestSweepDeterminism(t *testing.T) {
 	}{{"s382", 1}, {"s641", 1}, {"s641", 2}} {
 		n := build(t, tc.name)
 		check(fmt.Sprintf("%s vs clone K=%d", tc.name, tc.k), func(workers int) (*sweep.Result, error) {
-			return sweep.ProveEquivalent(context.Background(), n, n.Clone(), 0, sweep.Options{K: tc.k, Workers: workers})
+			return sweep.ProveEquivalentFrom(context.Background(), n, n.Clone(), 0, tc.k, sweep.Options{Workers: workers})
 		})
 	}
 }

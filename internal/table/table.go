@@ -67,8 +67,6 @@ type Options struct {
 	// verification: circuits past the exact-reachability limit are proved
 	// by K-induction instead of being spot-checked.
 	Sweep bool
-	// InductionK is the sweeping induction depth (0 = 1).
-	InductionK int
 }
 
 // Summary reports the aggregate line at the bottom of the table.
@@ -198,12 +196,11 @@ func runCircuit(ctx context.Context, c bench.Circuit, lib *genlib.Library, opt O
 	start := time.Now()
 	csp := tr.Begin(c.Name)
 	cfg := flows.Config{
-		Tracer:     tr,
-		Budget:     opt.Budget,
-		Substrate:  opt.Substrate,
-		Workers:    opt.Workers,
-		Sweep:      opt.Sweep,
-		InductionK: opt.InductionK,
+		Tracer:    tr,
+		Budget:    opt.Budget,
+		Substrate: opt.Substrate,
+		Workers:   opt.Workers,
+		Sweep:     opt.Sweep,
 	}
 	sd, ret, rsyn, err := flows.RunAll(ctx, src, lib, cfg)
 	csp.End()
