@@ -33,7 +33,38 @@ func SimplifyNodes(n *network.Network) int {
 // nodes eliminated. ctx is checked once per candidate node, before the
 // node is touched: a typed guard budget error is returned together with
 // the count so far, and the network is left valid.
+//
+// Passes repeat until one eliminates nothing, and a rejected candidate is
+// evaluated again on every later pass, so most compositions recur with
+// unchanged operands. They are memoised for the call, keyed on
+// (consumer, g, version of g): a node's version counts the rewrites this
+// call made to it, and rewriting a consumer drops its entries. Nothing
+// else writes the network while Eliminate runs, so a hit returns what
+// composing afresh would. A memo rather than a worklist, because the
+// output depends on the visit order: the loop ranges over n.Nodes() while
+// RemoveDeadNode shifts that slice in place, which skips the node after
+// each removed one until the next pass.
 func Eliminate(ctx context.Context, n *network.Network, threshold int) (int, error) {
+	type composition struct {
+		gVersion int
+		fanins   []*network.Node
+		cover    *logic.Cover
+	}
+	memo := make(map[*network.Node]map[*network.Node]composition)
+	version := make(map[*network.Node]int)
+	compose := func(c, g *network.Node) ([]*network.Node, *logic.Cover) {
+		byG := memo[c]
+		if e, ok := byG[g]; ok && e.gVersion == version[g] {
+			return e.fanins, e.cover
+		}
+		nf, nc := composedFunction(c, g)
+		if byG == nil {
+			byG = make(map[*network.Node]composition)
+			memo[c] = byG
+		}
+		byG[g] = composition{version[g], nf, nc}
+		return nf, nc
+	}
 	count := 0
 	for {
 		progress := false
@@ -56,28 +87,26 @@ func Eliminate(ctx context.Context, n *network.Network, threshold int) (int, err
 			}
 			// Estimate the literal delta of collapsing g everywhere.
 			delta := -g.Func.NumLits()
-			ok := true
 			newCovers := make(map[*network.Node]*logic.Cover, len(consumers))
 			newFanins := make(map[*network.Node][]*network.Node, len(consumers))
 			for _, c := range consumers {
-				nf, nc := composedFunction(c, g)
-				if nc == nil {
-					ok = false
-					break
-				}
+				nf, nc := compose(c, g)
 				newCovers[c] = nc
 				newFanins[c] = nf
 				delta += nc.NumLits() - c.Func.NumLits()
 			}
-			if !ok || delta > threshold {
+			if delta > threshold {
 				continue
 			}
 			for _, c := range consumers {
 				n.SetFunction(c, newFanins[c], newCovers[c])
 				n.TrimFanins(c)
+				version[c]++
+				delete(memo, c)
 			}
 			if n.NumFanouts(g) == 0 {
 				n.RemoveDeadNode(g)
+				delete(memo, g)
 			}
 			count++
 			progress = true
@@ -88,44 +117,11 @@ func Eliminate(ctx context.Context, n *network.Network, threshold int) (int, err
 	}
 }
 
-// composedFunction returns consumer's fanins and cover after substituting g
-// (Shannon composition), without touching the network. Returns nil cover
-// when g is not a fanin.
+// composedFunction returns consumer f's fanins and minimized cover with g
+// substituted, without touching the network.
 func composedFunction(f, g *network.Node) ([]*network.Node, *logic.Cover) {
-	idx := f.FaninIndex(g)
-	if idx < 0 {
-		return nil, nil
-	}
-	var fanins []*network.Node
-	mapOld := make([]int, len(f.Fanins))
-	for i, fi := range f.Fanins {
-		if i == idx {
-			mapOld[i] = -1
-			continue
-		}
-		mapOld[i] = len(fanins)
-		fanins = append(fanins, fi)
-	}
-	base := len(fanins)
-	mapG := make([]int, len(g.Fanins))
-	for i, gi := range g.Fanins {
-		mapG[i] = base + i
-		fanins = append(fanins, gi)
-	}
-	m := len(fanins)
-	remap := func(c *logic.Cover) *logic.Cover {
-		vm := make([]int, len(mapOld))
-		copy(vm, mapOld)
-		vm[idx] = 0
-		return c.Remap(m, vm)
-	}
-	hi := remap(f.Func.CofactorVar(idx, true))
-	lo := remap(f.Func.CofactorVar(idx, false))
-	gOn := g.Func.Remap(m, mapG)
-	gOff := g.Func.Complement().Remap(m, mapG)
-	combined := logic.Or(logic.And(gOn, hi), logic.And(gOff, lo))
-	combined = logic.Minimize(combined)
-	return fanins, combined
+	fanins, cover := network.Compose(f, g)
+	return fanins, logic.Minimize(cover)
 }
 
 // divisorOcc records a node containing a candidate divisor.

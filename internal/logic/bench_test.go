@@ -61,6 +61,9 @@ func BenchmarkSimplify(b *testing.B) {
 		{"n6", 6, 8, 4, 0.6, 0.5},
 		{"n8", 8, 12, 6, 0.5, 0.4},
 		{"n10", 10, 16, 8, 0.4, 0.35},
+		// Either side of the 32-variable word boundary of a cube.
+		{"n33", 33, 10, 5, 0.1, 0.08},
+		{"n40", 40, 12, 6, 0.1, 0.08},
 	} {
 		b.Run(sz.name, func(b *testing.B) {
 			r := rand.New(rand.NewSource(41))

@@ -94,6 +94,7 @@ func (f *Cover) Eval(assign []bool) bool {
 // Cofactor returns the cofactor f|c (Shannon cofactor with respect to a cube).
 func (f *Cover) Cofactor(c Cube) *Cover {
 	g := NewCover(f.N)
+	g.Cubes = make([]Cube, 0, len(f.Cubes))
 	for _, d := range f.Cubes {
 		if r, ok := d.Cofactor(c); ok {
 			g.Cubes = append(g.Cubes, r)
@@ -115,37 +116,20 @@ func (f *Cover) CofactorVar(v int, phase bool) *Cover {
 
 // mostBinate selects the splitting variable for the unate recursive
 // paradigm: the variable appearing in both phases in the largest number of
-// cubes; ties broken by total appearance count. Returns -1 if the cover is
-// unate in every variable it depends on.
+// cubes; ties broken by total appearance count, then by the lowest index.
+// Returns -1 if the cover is unate in every variable it depends on. It is
+// the tautology kernel's rule, run on a copy of the cubes.
 func (f *Cover) mostBinate() int {
-	if f.N == 0 {
+	if len(f.Cubes) == 0 {
 		return -1
 	}
-	pos := make([]int, f.N)
-	neg := make([]int, f.N)
+	s := getStack(len(f.Cubes[0].w))
 	for _, c := range f.Cubes {
-		for v := 0; v < f.N; v++ {
-			switch c.Lit(v) {
-			case LitPos:
-				pos[v]++
-			case LitNeg:
-				neg[v]++
-			}
-		}
+		s.buf = append(s.buf, c.w...)
 	}
-	best, bestKey := -1, -1
-	for v := 0; v < f.N; v++ {
-		if pos[v] > 0 && neg[v] > 0 {
-			key := (min(pos[v], neg[v]) << 16) + pos[v] + neg[v]
-			if key > bestKey {
-				best, bestKey = v, key
-			}
-		}
-	}
-	if best >= 0 {
-		return best
-	}
-	return -1
+	v := s.mostBinate(0, len(s.buf))
+	putStack(s)
+	return v
 }
 
 // IsUnate reports whether the cover is unate in every variable, i.e. no
@@ -185,36 +169,6 @@ func (f *Cover) anyBoundVar() int {
 		}
 	}
 	return -1
-}
-
-// IsTautology reports whether the cover is the constant-1 function, using
-// the unate recursive paradigm.
-func (f *Cover) IsTautology() bool {
-	if len(f.Cubes) == 0 {
-		return false
-	}
-	if f.HasFullCube() {
-		return true
-	}
-	v := f.mostBinate()
-	if v < 0 {
-		// Unate cover: tautology iff it contains the full cube, which we
-		// already checked — except the pure don't-care positions trick:
-		// a unate cover is a tautology iff some cube is full.
-		return false
-	}
-	if !f.CofactorVar(v, true).IsTautology() {
-		return false
-	}
-	return f.CofactorVar(v, false).IsTautology()
-}
-
-// CoversCube reports whether f ⊇ c, i.e. the cofactor f|c is a tautology.
-func (f *Cover) CoversCube(c Cube) bool {
-	if c.IsEmpty() {
-		return true
-	}
-	return f.Cofactor(c).IsTautology()
 }
 
 // Covers reports whether f ⊇ g for covers (every cube of g is covered).

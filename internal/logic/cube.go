@@ -10,6 +10,7 @@ package logic
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -82,10 +83,11 @@ func (c Cube) WithLit(v int, l Lit) Cube {
 }
 
 // IsEmpty reports whether the cube denotes the empty set (some variable has
-// the contradictory literal 00).
+// the contradictory literal 00). The unused high bits are "11", so a zero
+// pair can only be a variable's.
 func (c Cube) IsEmpty() bool {
-	for v := 0; v < c.N; v++ {
-		if c.Lit(v) == LitNone {
+	for _, x := range c.w {
+		if ^(x|x>>1)&oddBits != 0 {
 			return true
 		}
 	}
@@ -108,25 +110,10 @@ func (a Cube) And(b Cube) (Cube, bool) {
 		panic("logic: cube size mismatch")
 	}
 	r := Cube{N: a.N, w: make([]uint64, len(a.w))}
-	empty := false
 	for i := range a.w {
 		r.w[i] = a.w[i] & b.w[i]
-		// A variable became 00 iff both bit pairs lost all bits.
-		x := r.w[i]
-		// pairs where both bits are zero:
-		pairZero := ^(x | x>>1) & 0x5555555555555555
-		if pairZero != 0 {
-			empty = true
-		}
 	}
-	if empty {
-		// Confirm the zero pair is within range (unused bits are 11, so
-		// they never produce zero pairs; still be defensive).
-		if r.IsEmpty() {
-			return r, false
-		}
-	}
-	return r, true
+	return r, !r.IsEmpty()
 }
 
 // ContainsCube reports whether a ⊇ b as sets of minterms (b's bits are a
@@ -160,22 +147,17 @@ func (a Cube) Distance(b Cube) int {
 	d := 0
 	for i := range a.w {
 		x := a.w[i] & b.w[i]
-		pairZero := ^(x | x>>1) & 0x5555555555555555
-		for pairZero != 0 {
-			d++
-			pairZero &= pairZero - 1
-		}
+		d += bits.OnesCount64(^(x | x>>1) & oddBits)
 	}
 	return d
 }
 
-// CountLits returns the number of variables bound to a single phase.
+// CountLits returns the number of variables bound to a single phase: the
+// two-bit fields reading 01 or 10. The unused high bits ("11") count none.
 func (c Cube) CountLits() int {
 	n := 0
-	for v := 0; v < c.N; v++ {
-		if l := c.Lit(v); l == LitNeg || l == LitPos {
-			n++
-		}
+	for _, x := range c.w {
+		n += bits.OnesCount64((x ^ x>>1) & oddBits)
 	}
 	return n
 }
@@ -192,15 +174,17 @@ func (a Cube) Supercube(b Cube) Cube {
 // Cofactor returns the cofactor of cube a with respect to cube c, and whether
 // it is non-empty. Variables bound in c become don't-care in the result;
 // if a and c conflict the cofactor is empty.
+//
+// Once the cubes intersect, a shares the one bit of every field c binds
+// and ^c holds the other, so a | ^c raises exactly those fields to "11";
+// where c is "11", ^c is 0 and a is kept.
 func (a Cube) Cofactor(c Cube) (Cube, bool) {
 	if a.Distance(c) > 0 {
 		return Cube{}, false
 	}
-	r := a.Clone()
-	for v := 0; v < a.N; v++ {
-		if c.Lit(v) != LitBoth {
-			r.SetLit(v, LitBoth)
-		}
+	r := Cube{N: a.N, w: make([]uint64, len(a.w))}
+	for i := range a.w {
+		r.w[i] = a.w[i] | ^c.w[i]
 	}
 	return r, true
 }

@@ -101,19 +101,20 @@ func (n *Network) Duplicate(node *Node) *Node {
 	return n.AddLogic(node.Name+"_dup", fanins, node.Func.Clone())
 }
 
-// Collapse substitutes the function of fanin g into consumer f (SIS
-// "eliminate" of one edge): f loses g as a fanin and gains g's fanins.
-// Uses the Shannon identity f = g·f|g=1 + g'·f|g=0.
-func (n *Network) Collapse(f, g *Node) {
+// Compose returns consumer f's fanins and cover with the function of its
+// fanin g substituted (SIS "eliminate" of one edge), leaving the network
+// as it is: f loses g as a fanin and gains g's fanins, by the Shannon
+// identity f = g·f|g=1 + g'·f|g=0. The fanin list may repeat a node;
+// SetFunction merges duplicates.
+func Compose(f, g *Node) ([]*Node, *logic.Cover) {
 	if g.Kind != KindLogic {
-		panic("network: Collapse requires a logic fanin")
+		panic("network: Compose requires a logic fanin")
 	}
 	idx := f.FaninIndex(g)
 	if idx < 0 {
 		panic(fmt.Sprintf("network: %s is not a fanin of %s", g.Name, f.Name))
 	}
-	// Build the combined fanin list: f's fanins minus g, then g's fanins
-	// appended (duplicates are merged by SetFunction).
+	// The combined fanin list: f's fanins minus g, then g's fanins.
 	var newFanins []*Node
 	mapOld := make([]int, len(f.Fanins)) // old f var -> new var (or -1 for g)
 	for i, fi := range f.Fanins {
@@ -131,21 +132,14 @@ func (n *Network) Collapse(f, g *Node) {
 		newFanins = append(newFanins, gi)
 	}
 	m := len(newFanins)
-
-	remapF := func(c *logic.Cover) *logic.Cover {
-		vm := make([]int, len(mapOld))
-		copy(vm, mapOld)
-		// Cofactored covers no longer depend on var idx; give it a junk
-		// valid slot to satisfy Remap's bound-variable rule (it is unused).
-		vm[idx] = 0
-		return c.Remap(m, vm)
-	}
-	hi := remapF(f.Func.CofactorVar(idx, true))
-	lo := remapF(f.Func.CofactorVar(idx, false))
+	// Cofactored covers no longer depend on var idx; give it a junk valid
+	// slot to satisfy Remap's bound-variable rule (it is unused).
+	mapOld[idx] = 0
+	hi := f.Func.CofactorVar(idx, true).Remap(m, mapOld)
+	lo := f.Func.CofactorVar(idx, false).Remap(m, mapOld)
 	gOn := g.Func.Remap(m, mapG)
 	gOff := g.Func.Complement().Remap(m, mapG)
-	combined := logic.Or(logic.And(gOn, hi), logic.And(gOff, lo))
-	n.SetFunction(f, newFanins, combined)
+	return newFanins, logic.Or(logic.And(gOn, hi), logic.And(gOff, lo))
 }
 
 // TrimFanins drops fanins the node's function does not syntactically

@@ -138,7 +138,8 @@ func TestCollapse(t *testing.T) {
 	xor := logic.MustParseCover(2, "10", "01")
 	f := n.AddLogic("f", []*Node{g, c}, xor)
 	n.AddPO("y", f)
-	n.Collapse(f, g)
+	fanins, cover := Compose(f, g)
+	n.SetFunction(f, fanins, cover)
 	if f.FaninIndex(g) >= 0 {
 		t.Fatal("g still a fanin after collapse")
 	}

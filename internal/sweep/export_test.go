@@ -1,5 +1,12 @@
 package sweep
 
+import (
+	"context"
+
+	"repro/internal/aig"
+	"repro/internal/network"
+)
+
 // Depth hooks: production runs Registers at K = 1 and deepens
 // ProveEquivalent from K = 1, so a pair that proves at K = 1 never reaches
 // a deeper unrolling. These run the engine at a chosen depth.
@@ -9,3 +16,25 @@ var (
 	// ProveEquivalentFrom is ProveEquivalent deepening from K = minK.
 	ProveEquivalentFrom = proveEquivalent
 )
+
+// FirstRoundChunks sets up the first proof round of ProveEquivalent(a, b,
+// delay) at K = 1 and returns its chunk count and a runner that discharges
+// chunk i under ctx on fresh solvers, reporting its SAT calls and error.
+func FirstRoundChunks(a, b *network.Network, delay int) (int, func(ctx context.Context, i int) (int64, error), error) {
+	g, pos, err := aig.FromProduct(a, b)
+	if err != nil {
+		return 0, nil, err
+	}
+	e := newEngine(g, pos, delay, 1, Options{Workers: 1})
+	e.candidates()
+	e.assignReps()
+	active := make([]int, len(e.classes))
+	for i := range active {
+		active[i] = i
+	}
+	chunks := e.makeChunks(active)
+	return len(chunks), func(ctx context.Context, i int) (int64, error) {
+		cr, err := e.runChunk(ctx, chunks[i])
+		return cr.solves, err
+	}, nil
+}

@@ -294,18 +294,28 @@ func (in *inst) hypoRepair(c *cex, K int) bool {
 	return repaired
 }
 
+// solve probes d on in's solver once ctx allows it. Every SAT call of a
+// chunk goes through here, so an expired budget stops the chunk before
+// the next call starts and the overrun is at most the call in flight.
+func solve(ctx context.Context, in *inst, d sat.Lit) (sat.Status, error) {
+	if err := guard.Check(ctx, "sweep.chunk"); err != nil {
+		return sat.Unknown, err
+	}
+	return in.s.Solve(d), nil
+}
+
 // stepSolve discharges one induction-step obligation under hypothesis
 // CEGAR: spurious models strengthen the encoded hypothesis and re-solve;
 // only hypothesis-consistent counterexamples escape.
-func (e *engine) stepSolve(step *inst, d sat.Lit, nFrames, K int, po bool) (sat.Status, *cex) {
+func (e *engine) stepSolve(ctx context.Context, step *inst, d sat.Lit, nFrames, K int, po bool) (sat.Status, *cex, error) {
 	for {
-		st := step.s.Solve(d)
-		if st != sat.Sat {
-			return st, nil
+		st, err := solve(ctx, step, d)
+		if err != nil || st != sat.Sat {
+			return st, nil, err
 		}
 		c := e.extract(step, false, po, nFrames)
 		if !step.hypoRepair(c, K) {
-			return st, c
+			return st, c, nil
 		}
 	}
 }
@@ -322,18 +332,17 @@ func (e *engine) stepSolve(step *inst, d sat.Lit, nFrames, K int, po bool) (sat.
 // obligation in one reduced model, so by induction in topological order
 // every member equals its representative at frame K whenever the
 // partition holds at frames 0..K-1: the partition is inductive.
-func (e *engine) runChunk(ctx context.Context, ch chunk) (chunkResult, error) {
-	var cr chunkResult
+func (e *engine) runChunk(ctx context.Context, ch chunk) (cr chunkResult, err error) {
 	K := e.k
 	delay := e.delay
 	step := e.newInst(K+1, false)
 	base := e.newInst(delay+K, true)
 
-	collect := func() {
+	defer func() {
 		cr.solves = step.s.Stats.Solves + base.s.Stats.Solves
 		cr.conflicts = step.s.Stats.Conflicts + base.s.Stats.Conflicts
 		cr.learned = step.s.Stats.Learned + base.s.Stats.Learned
-	}
+	}()
 
 	for _, ci := range ch.classIdx {
 		cls := e.classes[ci]
@@ -346,14 +355,14 @@ func (e *engine) runChunk(ctx context.Context, ch chunk) (chunkResult, error) {
 				// refinement and retried next round.
 				break
 			}
-			if cerr := guard.Check(ctx, "sweep.chunk"); cerr != nil {
-				collect()
-				return cr, cerr
-			}
 			if la, lb := step.nodeLit(K, rep), step.ownLit(K, m); la == lb {
 				cr.structural++
 			} else {
-				switch st, c := e.stepSolve(step, sat.XorGate(step.s, la, lb), K+1, K, false); st {
+				st, c, err := e.stepSolve(ctx, step, sat.XorGate(step.s, la, lb), K+1, K, false)
+				if err != nil {
+					return cr, err
+				}
+				switch st {
 				case sat.Sat:
 					cr.cexes = append(cr.cexes, c)
 					continue
@@ -363,8 +372,11 @@ func (e *engine) runChunk(ctx context.Context, ch chunk) (chunkResult, error) {
 				}
 			}
 			for t := delay; t < delay+K && !broke; t++ {
-				d := sat.XorGate(base.s, base.nodeLit(t, rep), base.nodeLit(t, m))
-				switch base.s.Solve(d) {
+				st, err := solve(ctx, base, sat.XorGate(base.s, base.nodeLit(t, rep), base.nodeLit(t, m)))
+				if err != nil {
+					return cr, err
+				}
+				switch st {
 				case sat.Sat:
 					cr.cexes = append(cr.cexes, e.extract(base, true, false, delay+K))
 					broke = true
@@ -378,18 +390,16 @@ func (e *engine) runChunk(ctx context.Context, ch chunk) (chunkResult, error) {
 
 	if ch.pos {
 		for _, pp := range e.pos {
-			if cerr := guard.Check(ctx, "sweep.chunk"); cerr != nil {
-				collect()
-				return cr, cerr
-			}
 			// Base cycles delay..delay+K-1: a model here is a concrete
 			// input sequence from the initial states — a real disproof.
 			for t := delay; t < delay+K; t++ {
-				d := sat.XorGate(base.s, base.aigLit(t, pp.A), base.aigLit(t, pp.B))
-				switch base.s.Solve(d) {
+				st, err := solve(ctx, base, sat.XorGate(base.s, base.aigLit(t, pp.A), base.aigLit(t, pp.B)))
+				if err != nil {
+					return cr, err
+				}
+				switch st {
 				case sat.Sat:
 					cr.poFail = &NotEquivalentError{PO: pp.Name, Cycle: t}
-					collect()
 					return cr, nil
 				case sat.Unknown:
 					cr.poUnknown++
@@ -402,7 +412,11 @@ func (e *engine) runChunk(ctx context.Context, ch chunk) (chunkResult, error) {
 				cr.structural++
 				continue
 			}
-			switch st, c := e.stepSolve(step, sat.XorGate(step.s, la, lb), K, K, true); st {
+			st, c, err := e.stepSolve(ctx, step, sat.XorGate(step.s, la, lb), K, K, true)
+			if err != nil {
+				return cr, err
+			}
+			switch st {
 			case sat.Sat:
 				cr.cexes = append(cr.cexes, c)
 			case sat.Unknown:
@@ -410,7 +424,6 @@ func (e *engine) runChunk(ctx context.Context, ch chunk) (chunkResult, error) {
 			}
 		}
 	}
-	collect()
 	return cr, nil
 }
 

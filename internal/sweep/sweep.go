@@ -274,14 +274,7 @@ func (e *engine) run(ctx context.Context) error {
 			active = append(active, i)
 		}
 		e.res.Rounds++
-		for i := range e.rep {
-			e.rep[i] = int32(i)
-		}
-		for _, cls := range e.classes {
-			for _, m := range cls[1:] {
-				e.rep[m] = cls[0]
-			}
-		}
+		e.assignReps()
 		chunks := e.makeChunks(active)
 		results, err := parexec.Map(ctx, e.opt.Workers, chunks,
 			func(ctx context.Context, _ int, ch chunk) (chunkResult, error) {
@@ -336,6 +329,19 @@ func (e *engine) run(ctx context.Context) error {
 			// Only output obligations are failing and the invariant
 			// language (node equivalences) cannot be strengthened further.
 			return ErrUnknown
+		}
+	}
+}
+
+// assignReps points every class member at its representative for the
+// round's reduced step instances; every other node reads itself.
+func (e *engine) assignReps() {
+	for i := range e.rep {
+		e.rep[i] = int32(i)
+	}
+	for _, cls := range e.classes {
+		for _, m := range cls[1:] {
+			e.rep[m] = cls[0]
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/blif"
 	"repro/internal/flows"
 	"repro/internal/genlib"
+	"repro/internal/guard"
 	"repro/internal/network"
 	"repro/internal/sweep"
 )
@@ -324,5 +325,79 @@ func TestCancellation(t *testing.T) {
 	cancel()
 	if _, err := sweep.Registers(ctx, n, sweep.Options{}); err == nil {
 		t.Fatal("cancelled sweep returned nil error")
+	}
+}
+
+// pollCtx reports expiry from its expireAt-th Done poll on (never when
+// expireAt is 0) and counts every poll.
+type pollCtx struct {
+	context.Context
+	polls, expireAt int
+}
+
+var closedDone = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
+func (c *pollCtx) Done() <-chan struct{} {
+	c.polls++
+	if c.expired() {
+		return closedDone
+	}
+	return nil
+}
+
+func (c *pollCtx) expired() bool { return c.expireAt > 0 && c.polls >= c.expireAt }
+
+func (c *pollCtx) Err() error {
+	if c.expired() {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestChunkChecksBudgetBeforeEverySolve: a proof chunk polls its context
+// once before every SAT call, including each re-solve of the hypothesis
+// repair loop and each base frame, and nowhere else. So a chunk whose
+// context expires at its n-th poll has made exactly n-1 SAT calls when it
+// returns the budget error: no call starts after expiry. The s400 and
+// s382 retime outputs (delayed-replacement prefix from the flow) are
+// inconclusive at K = 1, so their first round refutes, repairs and
+// re-solves.
+func TestChunkChecksBudgetBeforeEverySolve(t *testing.T) {
+	for _, name := range []string{"s400", "s382"} {
+		src := build(t, name)
+		r, err := flows.RunFlow(context.Background(), "retime", src, genlib.Lib2(), flows.Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		chunks, run, err := sweep.FirstRoundChunks(src, r.Net, r.PrefixK)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for i := 0; i < chunks; i++ {
+			free := &pollCtx{Context: context.Background()}
+			solves, err := run(free, i)
+			if err != nil {
+				t.Fatalf("%s chunk %d: %v", name, i, err)
+			}
+			if int64(free.polls) != solves {
+				t.Fatalf("%s chunk %d: %d polls for %d SAT calls", name, i, free.polls, solves)
+			}
+			total += free.polls
+			for n := 1; n <= free.polls; n++ {
+				cut := &pollCtx{Context: context.Background(), expireAt: n}
+				solves, err := run(cut, i)
+				if !errors.Is(err, guard.ErrBudget) {
+					t.Fatalf("%s chunk %d expiring at poll %d: err = %v, want a budget error", name, i, n, err)
+				}
+				if cut.polls != n || solves != int64(n-1) {
+					t.Fatalf("%s chunk %d expiring at poll %d: %d polls, %d SAT calls, want %d and %d",
+						name, i, n, cut.polls, solves, n, n-1)
+				}
+			}
+		}
+		if total < 100 {
+			t.Fatalf("%s: only %d SAT calls in the first round", name, total)
+		}
 	}
 }
