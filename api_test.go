@@ -175,3 +175,201 @@ func recvName(fn *ast.FuncDecl) string {
 	}
 	return ""
 }
+
+// TestEveryOptionHasACaller keeps options honest: every exported field of
+// an exported *Options or *Config struct under internal/ must be set — as
+// a composite-literal key or an assignment — by some file outside its
+// declaring package, tests included. An option nothing sets is a constant
+// in disguise. Fields of interface type are test seams (fault injectors)
+// and exempt.
+func TestEveryOptionHasACaller(t *testing.T) {
+	fset := token.NewFileSet()
+	var files []*ast.File
+	var dirs []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir // build caches, not sources
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, f)
+		dirs = append(dirs, filepath.ToSlash(filepath.Dir(path)))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Interface types, and the option structs' checked fields, by
+	// "dir.Name".
+	ifaces := map[string]bool{}
+	for i, f := range files {
+		for _, spec := range typeSpecs(f) {
+			if _, ok := spec.Type.(*ast.InterfaceType); ok {
+				ifaces[dirs[i]+"."+spec.Name.Name] = true
+			}
+		}
+	}
+	opts := map[string][]string{}
+	for i, f := range files {
+		if !strings.HasPrefix(dirs[i], "internal/") || strings.HasSuffix(fset.File(f.Pos()).Name(), "_test.go") {
+			continue
+		}
+		imports := importDirs(f)
+		for _, spec := range typeSpecs(f) {
+			name := spec.Name.Name
+			st, ok := spec.Type.(*ast.StructType)
+			if !ok || !spec.Name.IsExported() || !(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config")) {
+				continue
+			}
+			key := dirs[i] + "." + name
+			for _, fl := range st.Fields.List {
+				if isInterface(fl.Type, dirs[i], imports, ifaces) {
+					continue
+				}
+				for _, id := range fl.Names {
+					if id.IsExported() {
+						opts[key] = append(opts[key], id.Name)
+					}
+				}
+			}
+		}
+	}
+	if len(opts) == 0 {
+		t.Fatal("no option structs found under internal/")
+	}
+	set := map[string]bool{} // "dir.Type.Field"
+	for i, f := range files {
+		// Option types this file can name: local "pkg.Name" -> "dir.Name".
+		local := map[string]string{}
+		for name, ip := range importDirs(f) {
+			dir := strings.TrimPrefix(ip, "repro/")
+			for key := range opts {
+				if typ, ok := strings.CutPrefix(key, dir+"."); ok && dir != dirs[i] {
+					local[name+"."+typ] = key
+				}
+			}
+		}
+		keys := func(lit *ast.CompositeLit, key string) {
+			for _, el := range lit.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						set[key+"."+id.Name] = true
+					}
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if key, ok := local[typeName(n.Type)]; ok {
+					keys(n, key)
+					return true
+				}
+				// Elided element types: []pkg.T{{...}}, map[K]pkg.T{k: {...}}.
+				var elt ast.Expr
+				switch lt := n.Type.(type) {
+				case *ast.ArrayType:
+					elt = lt.Elt
+				case *ast.MapType:
+					elt = lt.Value
+				}
+				if key, ok := local[typeName(elt)]; ok {
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							el = kv.Value
+						}
+						if cl, ok := el.(*ast.CompositeLit); ok && cl.Type == nil {
+							keys(cl, key)
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				// x.F = v: x's type is unknown syntactically, so F counts
+				// as set on every option type this file imports.
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						for _, key := range local {
+							set[key+"."+sel.Sel.Name] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	var bad []string
+	for key, fields := range opts {
+		for _, name := range fields {
+			if !set[key+"."+name] {
+				bad = append(bad, strings.TrimPrefix(key, "internal/")+"."+name+
+					" is set by nothing outside its package; make it a constant or delete it")
+			}
+		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
+	}
+}
+
+// typeSpecs returns every type declaration of f.
+func typeSpecs(f *ast.File) []*ast.TypeSpec {
+	var out []*ast.TypeSpec
+	for _, d := range f.Decls {
+		if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.TYPE {
+			for _, s := range gd.Specs {
+				out = append(out, s.(*ast.TypeSpec))
+			}
+		}
+	}
+	return out
+}
+
+// importDirs maps each local import name of f to its import path.
+func importDirs(f *ast.File) map[string]string {
+	m := map[string]string{}
+	for _, im := range f.Imports {
+		ip, _ := strconv.Unquote(im.Path.Value)
+		name := ip[strings.LastIndex(ip, "/")+1:]
+		if im.Name != nil {
+			name = im.Name.Name
+		}
+		m[name] = ip
+	}
+	return m
+}
+
+// isInterface reports whether a field type declared in dir names an
+// interface type (a literal, a local type or an imported repro one).
+func isInterface(e ast.Expr, dir string, imports map[string]string, ifaces map[string]bool) bool {
+	switch e := e.(type) {
+	case *ast.InterfaceType:
+		return true
+	case *ast.Ident:
+		return ifaces[dir+"."+e.Name]
+	case *ast.SelectorExpr:
+		if pkg, ok := e.X.(*ast.Ident); ok {
+			return ifaces[strings.TrimPrefix(imports[pkg.Name], "repro/")+"."+e.Sel.Name]
+		}
+	}
+	return false
+}
+
+// typeName renders a type expression of the form "pkg.Name", optionally
+// behind a pointer; anything else renders as "".
+func typeName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.StarExpr:
+		return typeName(e.X)
+	case *ast.SelectorExpr:
+		if pkg, ok := e.X.(*ast.Ident); ok {
+			return pkg.Name + "." + e.Sel.Name
+		}
+	}
+	return ""
+}

@@ -315,3 +315,31 @@ func TestDecomposeRandomNetworks(t *testing.T) {
 		}
 	}
 }
+
+// TestDivideQuotientOrderIsStable pins the quotient's cube order: it
+// follows f's cubes, so repeated calls build the same cover.
+func TestDivideQuotientOrderIsStable(t *testing.T) {
+	// f = (a + b)·(x1 + … + x8): vars a, b = 0, 1 and x_i = i + 1.
+	const nv = 10
+	f := logic.NewCover(nv)
+	for _, ab := range []int{0, 1} {
+		for i := 2; i < nv; i++ {
+			c := logic.NewCube(nv)
+			c.SetLit(ab, logic.LitPos)
+			c.SetLit(i, logic.LitPos)
+			f.Add(c)
+		}
+	}
+	d := logic.MustParseCover(nv, "1---------", "-1--------")
+	for run := 0; run < 50; run++ {
+		q, r := Divide(f, d)
+		if len(q.Cubes) != nv-2 || len(r.Cubes) != 0 {
+			t.Fatalf("run %d: quotient %d cubes, remainder %d", run, len(q.Cubes), len(r.Cubes))
+		}
+		for i, c := range q.Cubes {
+			if c.Lit(i+2) != logic.LitPos || c.CountLits() != 1 {
+				t.Fatalf("run %d: quotient cube %d is %v, want x%d", run, i, c, i+1)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package retime
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -14,9 +15,10 @@ import (
 // This file implements constrained min-area retiming: minimize the number
 // of registers subject to the clock period not exceeding a target c — the
 // post-processing step of the paper's Algorithm 1 ("Retime to minimize
-// registers under the same delay constraints"). Small instances are solved
-// exactly via the LP dual (min-cost flow); large instances fall back to a
-// greedy peephole optimizer built from the same atomic moves.
+// registers under the same delay constraints"). Up to
+// MaxExactMinAreaVertices the LP is solved exactly through its dual
+// (min-cost flow), counting the registers on a multi-fanout stem once;
+// above it min-area is sibling merging plus constant-register removal.
 
 // MaxExactMinAreaVertices bounds the O(V³) W/D matrix computation of the
 // exact formulation.
@@ -79,7 +81,8 @@ func (g *Graph) wdMatrices() ([][]int, [][]float64) {
 }
 
 // MinAreaLags solves constrained min-area retiming exactly, returning lags
-// minimizing the total edge register count subject to period ≤ c.
+// minimizing the register count subject to period ≤ c, where the registers
+// on a logic vertex's fanout edges are shared.
 func (g *Graph) MinAreaLags(c float64) ([]int, error) {
 	nv := len(g.Nodes) + 1
 	if nv > MaxExactMinAreaVertices {
@@ -107,12 +110,36 @@ func (g *Graph) MinAreaLags(c float64) ([]int, error) {
 			cons = append(cons, constraint{u: u, v: v, bound: b})
 		}
 	}
-	coef := make([]int64, nv)
+	// Registers on a logic vertex's fanout edges are one shared chain of
+	// max_i w_r(e_i) registers (Leiserson–Saxe mirror vertex). A vertex
+	// with k > 1 fanout edges gets a variable m_u with
+	// r(v_i) − m_u ≤ wmax(u) − w(e_i), so m_u − r(u) + wmax(u) is that
+	// maximum. The host keeps per-edge costs: its edges carry distinct PIs.
+	fanout := make([][]Edge, nv)
 	for _, e := range g.Edges {
-		coef[e.To]++   // indegree
-		coef[e.From]-- // outdegree
+		fanout[e.From] = append(fanout[e.From], e)
 	}
-	r64, ok := solveDifferenceLP(nv, coef, cons)
+	coef := make([]int64, nv)
+	for u, es := range fanout {
+		if u == Host || len(es) < 2 {
+			for _, e := range es {
+				coef[e.To]++
+				coef[e.From]--
+			}
+			continue
+		}
+		wmax := 0
+		for _, e := range es {
+			wmax = max(wmax, e.W)
+		}
+		m := len(coef)
+		coef = append(coef, 1)
+		coef[u]--
+		for _, e := range es {
+			cons = append(cons, constraint{u: e.To, v: m, bound: int64(wmax - e.W)})
+		}
+	}
+	r64, ok := solveDifferenceLP(len(coef), coef, cons)
 	if !ok {
 		return nil, fmt.Errorf("retime: min-area LP infeasible")
 	}
@@ -174,12 +201,12 @@ func (g *Graph) components() []int {
 }
 
 // MinAreaUnderPeriod retimes a copy of the network to minimize registers
-// without exceeding clock period c. Exact (flow-based) below the size
-// limit, greedy peephole otherwise or when the exact lags cannot be
-// realized with consistent initial states. It records a "retime.min_area"
-// span on tr carrying applied/reverted move counters. The exact lag
-// realization and the greedy peephole sweep check ctx and return a typed
-// guard budget error once the deadline passes.
+// without exceeding clock period c: the exact lags when the graph is within
+// MaxExactMinAreaVertices and their realization lowers the physical
+// register count, then sibling merging and constant-register removal. It
+// records a "retime.min_area" span on tr carrying the move counters. The
+// lag realization checks ctx and returns a typed guard budget error once
+// the deadline passes.
 func MinAreaUnderPeriod(ctx context.Context, n *network.Network, d timing.DelayModel, c float64, tr *obs.Tracer) (*network.Network, Info, error) {
 	sp := tr.Begin("retime.min_area")
 	defer sp.End()
@@ -206,34 +233,24 @@ func minAreaUnderPeriod(ctx context.Context, n *network.Network, d timing.DelayM
 	if info.PeriodBefore > c+1e-9 {
 		return nil, info, fmt.Errorf("retime: network already misses the period target")
 	}
-	exactOK := false
-	if len(g.Nodes)+1 <= MaxExactMinAreaVertices {
-		if r, err := g.MinAreaLags(c); err == nil {
-			attempt := work.Clone()
-			ag, aerr := BuildGraph(attempt, d)
-			if aerr == nil {
-				if fwd, bwd, aerr := Apply(ctx, attempt, ag, r); aerr == nil {
-					MergeSiblingRegisters(attempt)
-					// The LP minimizes per-edge register counts (no
-					// fanout sharing in the basic Leiserson–Saxe model);
-					// adopt its solution only when the physical register
-					// count actually improved.
-					if len(attempt.Latches) < len(work.Latches) {
-						info.ForwardMoves, info.BackwardMoves = fwd, bwd
-						work = attempt
-						exactOK = true
-					}
-				}
-			}
+	// MinAreaLags refuses graphs above MaxExactMinAreaVertices.
+	if r, err := g.MinAreaLags(c); err == nil {
+		attempt := work.Clone()
+		ag, err := BuildGraph(attempt, d)
+		if err != nil {
+			return nil, info, err
 		}
-	}
-	MergeSiblingRegisters(work)
-	RemoveConstantRegisters(work)
-	// Greedy fallback is quadratic in the worst case (tentative clones);
-	// very large circuits rely on sibling merging alone.
-	if !exactOK && work.NumLogicNodes() <= 1200 {
-		if gerr := greedyMinArea(ctx, work, d, c, &info); gerr != nil {
-			return nil, info, gerr
+		fwd, bwd, err := Apply(ctx, attempt, ag, r)
+		if errors.Is(err, guard.ErrBudget) {
+			return nil, info, err
+		}
+		MergeSiblingRegisters(attempt)
+		// Initial values can keep apart registers the LP counts as one
+		// chain; adopt the solution only when the physical register count
+		// actually improved.
+		if err == nil && len(attempt.Latches) < len(work.Latches) {
+			info.ForwardMoves, info.BackwardMoves = fwd, bwd
+			work = attempt
 		}
 	}
 	MergeSiblingRegisters(work)
@@ -252,80 +269,4 @@ func periodOf(n *network.Network, d timing.DelayModel) (float64, error) {
 		return 0, err
 	}
 	return g.Period(nil)
-}
-
-// greedyMinArea performs tentative atomic moves that reduce the register
-// count, keeping each only if the clock period stays within c. On budget
-// exhaustion it stops and reports the typed error (moves already committed
-// are behaviour-preserving, but the caller treats the pass as failed).
-func greedyMinArea(ctx context.Context, n *network.Network, d timing.DelayModel, c float64, info *Info) error {
-	const eps = 1e-9
-	for pass := 0; pass < 8; pass++ {
-		improved := false
-		for _, v := range append([]*network.Node(nil), n.Nodes()...) {
-			if cerr := guard.Check(ctx, "retime.min_area"); cerr != nil {
-				return fmt.Errorf("retime: greedy min-area interrupted: %w", cerr)
-			}
-			if v.Kind != network.KindLogic {
-				continue
-			}
-			if n.FindNode(v.Name) != v {
-				continue // removed during this pass
-			}
-			// Candidate backward move: wins when the node drives more
-			// registers than it has fanins.
-			if len(n.LatchesDrivenBy(v)) > len(v.Fanins) && BackwardRetimable(n, v) {
-				before := len(n.Latches)
-				snapshot := n.Clone()
-				if _, err := Backward(n, v); err == nil {
-					MergeSiblingRegisters(n)
-					p, perr := periodOf(n, d)
-					if perr == nil && p <= c+eps && len(n.Latches) < before {
-						improved = true
-						info.BackwardMoves++
-						continue
-					}
-				}
-				restore(n, snapshot)
-				info.RevertedMoves++
-				continue
-			}
-			// Candidate forward move: wins when it frees more fanin
-			// registers than the single register it creates.
-			if ForwardRetimable(n, v) {
-				frees := 0
-				for _, fi := range v.Fanins {
-					if n.NumFanouts(fi) == 1 {
-						frees++
-					}
-				}
-				if frees < 2 {
-					continue
-				}
-				before := len(n.Latches)
-				snapshot := n.Clone()
-				if _, err := Forward(n, v); err == nil {
-					MergeSiblingRegisters(n)
-					p, perr := periodOf(n, d)
-					if perr == nil && p <= c+eps && len(n.Latches) < before {
-						improved = true
-						info.ForwardMoves++
-						continue
-					}
-				}
-				restore(n, snapshot)
-				info.RevertedMoves++
-			}
-		}
-		if !improved {
-			return nil
-		}
-	}
-	return nil
-}
-
-// restore copies the snapshot's contents back into n (n's identity is
-// preserved for callers holding the pointer).
-func restore(n *network.Network, snapshot *network.Network) {
-	*n = *snapshot
 }

@@ -19,9 +19,6 @@ type Info struct {
 	RegsAfter     int
 	ForwardMoves  int
 	BackwardMoves int
-	// RevertedMoves counts tentative moves undone because they missed the
-	// period target or failed to reduce registers (greedy min-area only).
-	RevertedMoves int
 }
 
 func (i Info) String() string {
@@ -33,9 +30,6 @@ func (i Info) String() string {
 func (i Info) record(sp *obs.Span) {
 	sp.Add("retime_moves_applied", int64(i.ForwardMoves+i.BackwardMoves))
 	sp.Add("regs_forward_moved", int64(i.ForwardMoves))
-	if i.RevertedMoves > 0 {
-		sp.Add("retime_moves_reverted", int64(i.RevertedMoves))
-	}
 }
 
 // kernel is the arrival-time workspace of one graph, built once and reused

@@ -2,8 +2,10 @@ package retime
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/bitsim"
 	"repro/internal/logic"
 	"repro/internal/network"
@@ -344,7 +346,28 @@ func TestWDMatrices(t *testing.T) {
 	}
 }
 
-// bruteMinArea enumerates small lag vectors to verify the LP solver.
+// sharedRegisters counts the registers of retimed edge weights ws as a
+// netlist holds them: a logic vertex's fanout edges share one chain as
+// long as the heaviest of them; the host's edges carry distinct PIs and
+// count one by one.
+func sharedRegisters(g *Graph, ws []int) int {
+	chain := make([]int, len(g.Nodes)+1)
+	tot := 0
+	for i, e := range g.Edges {
+		if e.From == Host {
+			tot += ws[i]
+		} else {
+			chain[e.From] = max(chain[e.From], ws[i])
+		}
+	}
+	for _, c := range chain {
+		tot += c
+	}
+	return tot
+}
+
+// bruteMinArea enumerates lag vectors in [-bound, bound] to verify the LP
+// solver against the shared register count.
 func bruteMinArea(g *Graph, c float64, bound int) (best int, ok bool) {
 	nv := len(g.Nodes) + 1
 	r := make([]int, nv)
@@ -356,16 +379,10 @@ func bruteMinArea(g *Graph, c float64, bound int) (best int, ok bool) {
 			if err != nil {
 				return
 			}
-			if p, err := g.Period(r); err != nil || p > c+1e-9 {
-				return
-			}
-			tot := 0
-			for _, w := range ws {
-				tot += w
-			}
-			if tot < best {
-				best = tot
-				ok = true
+			if tot := sharedRegisters(g, ws); tot < best {
+				if p, err := g.Period(r); err == nil && p <= c+1e-9 {
+					best, ok = tot, true
+				}
 			}
 			return
 		}
@@ -375,36 +392,109 @@ func bruteMinArea(g *Graph, c float64, bound int) (best int, ok bool) {
 		}
 		r[v] = 0
 	}
-	r[Host] = 0
 	rec(1)
 	return best, ok
 }
 
+// splitStem is g = a·b driving one register read by two gates, with the
+// register split per consumer: the two copies are one shared chain.
+func splitStem(t *testing.T) *network.Network {
+	t.Helper()
+	n := network.New("stem")
+	a, b := n.AddPI("a"), n.AddPI("b")
+	g := n.AddLogic("g", []*network.Node{a, b}, and2())
+	l := n.AddLatch("r", g, network.V0)
+	n.AddPO("y1", n.AddLogic("g1", []*network.Node{l.Output}, buf()))
+	n.AddPO("y2", n.AddLogic("g2", []*network.Node{l.Output}, buf()))
+	if _, err := SplitFanoutStem(n, l); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestMinAreaLagsMatchBruteForce: at every feasible integer period, the
+// LP's lags reach the brute-force minimum of the shared register count,
+// on graphs with multi-fanout stems (the paper circuit, a split register,
+// random 4–6-vertex circuits) and on a stem-free pipeline.
 func TestMinAreaLagsMatchBruteForce(t *testing.T) {
-	n := pipeline3(t)
-	g, _ := BuildGraph(n, nil)
-	for _, c := range []float64{1, 2, 3} {
-		r, err := g.MinAreaLags(c)
+	nets := map[string]*network.Network{
+		"pipeline3": pipeline3(t),
+		"paper":     bench.BuildPaperExample(),
+		"splitstem": splitStem(t),
+	}
+	for seed := int64(1); len(nets) < 9 && seed < 100; seed++ {
+		n := bench.Synthetic(bench.Profile{Name: "r", PIs: 2, POs: 1, FFs: 2, Gates: 5, Seed: seed})
+		g, err := BuildGraph(n, nil)
+		if err != nil || len(g.Nodes) < 4 || len(g.Nodes) > 6 || !hasLogicStem(g) {
+			continue
+		}
+		nets[fmt.Sprintf("synthetic%d", seed)] = n
+	}
+	if len(nets) < 9 {
+		t.Fatalf("only %d graphs with a multi-fanout stem", len(nets)-3)
+	}
+	for name, n := range nets {
+		g, err := BuildGraph(n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p0, err := g.Period(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: %d vertices, %d edges, period %v", name, len(g.Nodes)+1, len(g.Edges), p0)
+		for c := 1.0; c <= p0; c++ {
+			want, ok := bruteMinArea(g, c, 3)
+			r, err := g.MinAreaLags(c)
+			if err != nil {
+				if ok {
+					t.Errorf("%s c=%v: %v, brute force found %d registers", name, c, err, want)
+				}
+				continue
+			}
+			ws, err := g.Retimed(r)
+			if err != nil {
+				t.Fatalf("%s c=%v: illegal lags", name, c)
+			}
+			if p, _ := g.Period(r); p > c+1e-9 {
+				t.Fatalf("%s c=%v: period %v violated", name, c, p)
+			}
+			if got := sharedRegisters(g, ws); !ok || got != want {
+				t.Errorf("%s c=%v: LP registers %d, brute force %d (found %v)", name, c, got, want, ok)
+			}
+		}
+	}
+}
+
+// hasLogicStem reports whether some logic vertex has two fanout edges.
+func hasLogicStem(g *Graph) bool {
+	out := make([]int, len(g.Nodes)+1)
+	for _, e := range g.Edges {
+		if out[e.From]++; e.From != Host && out[e.From] > 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestMinAreaTradeoffCurve pins the paper circuit's min-area points after
+// min-period retiming (examples/tradeoff): 2 registers at periods 2 and 3.
+// The two registers on the stem feeding both gates are one chain.
+func TestMinAreaTradeoffCurve(t *testing.T) {
+	fastest, _, err := MinPeriod(context.Background(), bench.BuildPaperExample(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []float64{2, 3} {
+		ret, info, err := MinAreaUnderPeriod(context.Background(), fastest, nil, c, nil)
 		if err != nil {
 			t.Fatalf("c=%v: %v", c, err)
 		}
-		ws, err := g.Retimed(r)
-		if err != nil {
-			t.Fatalf("c=%v: illegal lags", c)
+		if info.RegsAfter != 2 || len(ret.Latches) != 2 {
+			t.Errorf("c=%v: %d registers, want 2", c, info.RegsAfter)
 		}
-		got := 0
-		for _, w := range ws {
-			got += w
-		}
-		want, ok := bruteMinArea(g, c, 3)
-		if !ok {
-			t.Fatalf("c=%v: brute force found nothing", c)
-		}
-		if got != want {
-			t.Fatalf("c=%v: LP registers %d, brute force %d", c, got, want)
-		}
-		if p, _ := g.Period(r); p > c+1e-9 {
-			t.Fatalf("c=%v: period %v violated", c, p)
+		if p, _ := periodOf(ret, nil); p > c {
+			t.Errorf("c=%v: period %v", c, p)
 		}
 	}
 }

@@ -14,16 +14,19 @@
 //     conflict, minimized by recursive reason-side subsumption;
 //   - VSIDS variable activity with exponential decay and phase saving;
 //   - Luby-sequence restarts;
-//   - incremental solving under assumptions: Solve(assumps...) pushes the
-//     assumptions as pseudo-decisions, so thousands of per-candidate
-//     sweep queries reuse one solver instance and everything it has
-//     learned.
+//   - incremental solving under assumptions: Solve(ctx, assumps...)
+//     pushes the assumptions as pseudo-decisions, so thousands of
+//     per-candidate sweep queries reuse one solver instance and
+//     everything it has learned.
 //
 // Learned clauses are periodically reduced by activity (locked and binary
 // clauses are kept), bounding memory across long query streams.
 package sat
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // Var is a 0-based variable index.
 type Var int32
@@ -75,7 +78,8 @@ const (
 type Status int8
 
 const (
-	// Unknown means the conflict budget ran out before a verdict.
+	// Unknown means the conflict budget ran out, or Solve's context was
+	// done, before a verdict.
 	Unknown Status = iota
 	// Sat means a satisfying assignment was found (read it with Value).
 	Sat
@@ -531,11 +535,17 @@ func (s *Solver) pickBranchVar() Var {
 	return -1
 }
 
+// ctxCheckConflicts bounds the conflicts between two looks at Solve's
+// context when restarts are further apart.
+const ctxCheckConflicts = 1024
+
 // Solve determines satisfiability of the clause database under the given
 // assumptions. The assumptions are temporary: they hold for this call
 // only. On Sat, the model is available via Value/ValueLit until the next
-// Sat verdict overwrites it.
-func (s *Solver) Solve(assumptions ...Lit) Status {
+// Sat verdict overwrites it. Once ctx is done, Solve returns Unknown at
+// the next restart, looking at ctx at least every ctxCheckConflicts
+// conflicts.
+func (s *Solver) Solve(ctx context.Context, assumptions ...Lit) Status {
 	s.Stats.Solves++
 	if !s.ok {
 		return Unsat
@@ -566,6 +576,9 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			s.uncheckedEnqueue(learnt[0], cref)
 			s.decayActivities()
 			if s.MaxConflicts > 0 && conflicts >= s.MaxConflicts {
+				return Unknown
+			}
+			if (conflicts >= nextRestart || conflicts%ctxCheckConflicts == 0) && ctx.Err() != nil {
 				return Unknown
 			}
 			if conflicts >= nextRestart {

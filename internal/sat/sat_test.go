@@ -1,8 +1,10 @@
 package sat
 
 import (
+	"context"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 func TestBasics(t *testing.T) {
@@ -14,18 +16,18 @@ func TestBasics(t *testing.T) {
 	if !s.AddClause(Neg(a), Pos(b)) {
 		t.Fatal("clause rejected")
 	}
-	if got := s.Solve(); got != Sat {
+	if got := s.Solve(context.Background()); got != Sat {
 		t.Fatalf("Solve = %v, want Sat", got)
 	}
 	if !s.Value(b) {
 		t.Fatal("model: b must be true (a∨b, ¬a∨b)")
 	}
 	// Under the assumption ¬b the formula is unsatisfiable.
-	if got := s.Solve(Neg(b)); got != Unsat {
+	if got := s.Solve(context.Background(), Neg(b)); got != Unsat {
 		t.Fatalf("Solve(¬b) = %v, want Unsat", got)
 	}
 	// Assumptions are temporary: solving again without them succeeds.
-	if got := s.Solve(); got != Sat {
+	if got := s.Solve(context.Background()); got != Sat {
 		t.Fatalf("re-Solve = %v, want Sat", got)
 	}
 }
@@ -37,16 +39,13 @@ func TestEmptyClauseUnsat(t *testing.T) {
 	if s.AddClause(Neg(a)) {
 		t.Fatal("¬a after unit a should report top-level conflict")
 	}
-	if got := s.Solve(); got != Unsat {
+	if got := s.Solve(context.Background()); got != Unsat {
 		t.Fatalf("Solve = %v, want Unsat", got)
 	}
 }
 
-// TestPigeonhole checks a classic small UNSAT family: n+1 pigeons in n
-// holes. Hard enough to exercise learning and restarts, small enough to
-// stay instant.
-func TestPigeonhole(t *testing.T) {
-	const n = 6
+// pigeonhole builds the classic UNSAT family: n+1 pigeons in n holes.
+func pigeonhole(n int) *Solver {
 	s := New()
 	vars := make([][]Var, n+1)
 	for p := range vars {
@@ -69,7 +68,15 @@ func TestPigeonhole(t *testing.T) {
 			}
 		}
 	}
-	if got := s.Solve(); got != Unsat {
+	return s
+}
+
+// TestPigeonhole: hard enough to exercise learning and restarts, small
+// enough to stay instant.
+func TestPigeonhole(t *testing.T) {
+	const n = 6
+	s := pigeonhole(n)
+	if got := s.Solve(context.Background()); got != Unsat {
 		t.Fatalf("pigeonhole(%d) = %v, want Unsat", n, got)
 	}
 	if s.Stats.Conflicts == 0 {
@@ -79,36 +86,31 @@ func TestPigeonhole(t *testing.T) {
 
 func TestMaxConflictsUnknown(t *testing.T) {
 	const n = 8
-	s := New()
-	vars := make([][]Var, n+1)
-	for p := range vars {
-		vars[p] = make([]Var, n)
-		for h := range vars[p] {
-			vars[p][h] = s.NewVar()
-		}
-	}
-	for p := 0; p <= n; p++ {
-		lits := make([]Lit, n)
-		for h := 0; h < n; h++ {
-			lits[h] = Pos(vars[p][h])
-		}
-		s.AddClause(lits...)
-	}
-	for h := 0; h < n; h++ {
-		for p1 := 0; p1 <= n; p1++ {
-			for p2 := p1 + 1; p2 <= n; p2++ {
-				s.AddClause(Neg(vars[p1][h]), Neg(vars[p2][h]))
-			}
-		}
-	}
+	s := pigeonhole(n)
 	s.MaxConflicts = 10
-	if got := s.Solve(); got != Unknown {
+	if got := s.Solve(context.Background()); got != Unknown {
 		t.Fatalf("budgeted pigeonhole(%d) = %v, want Unknown", n, got)
 	}
 	// Raising the budget must recover the verdict on the same instance.
 	s.MaxConflicts = 0
-	if got := s.Solve(); got != Unsat {
+	if got := s.Solve(context.Background()); got != Unsat {
 		t.Fatalf("unbudgeted pigeonhole(%d) = %v, want Unsat", n, got)
+	}
+}
+
+// TestSolveHonoursDeadline: pigeonhole(11) takes seconds unbounded; under
+// a 20 ms deadline one Solve call gives up within 250 ms.
+func TestSolveHonoursDeadline(t *testing.T) {
+	s := pigeonhole(11)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	got := s.Solve(ctx)
+	if el := time.Since(start); el > 250*time.Millisecond {
+		t.Fatalf("Solve returned %v after %v, want within 250ms of a 20ms deadline", got, el)
+	}
+	if got != Unknown {
+		t.Fatalf("deadline-bounded pigeonhole(11) = %v, want Unknown", got)
 	}
 }
 
@@ -184,7 +186,7 @@ func TestPropertyCDCLMatchesBruteForce(t *testing.T) {
 				live = false
 			}
 		}
-		got := s.Solve()
+		got := s.Solve(context.Background())
 		if live == false && got != Unsat {
 			t.Fatalf("iter %d: AddClause reported top-level conflict but Solve = %v", iter, got)
 		}
@@ -247,7 +249,7 @@ func TestPropertyIncrementalAssumptions(t *testing.T) {
 				aug = append(aug, []Lit{a})
 			}
 			want := bruteForce(nv, aug)
-			got := inc.Solve(assumps...)
+			got := inc.Solve(context.Background(), assumps...)
 			if (got == Sat) != want {
 				t.Fatalf("iter %d probe %d: incremental = %v, brute force = %v (assumps %v)",
 					iter, probe, got, want, assumps)
@@ -265,17 +267,17 @@ func TestXorGateEqual(t *testing.T) {
 	a, b := Pos(s.NewVar()), Pos(s.NewVar())
 	d := XorGate(s, a, b)
 	// d assumed true forces a ≠ b.
-	if got := s.Solve(d, a, b); got != Unsat {
+	if got := s.Solve(context.Background(), d, a, b); got != Unsat {
 		t.Fatalf("d∧a∧b = %v, want Unsat", got)
 	}
-	if got := s.Solve(d, a, b.Not()); got != Sat {
+	if got := s.Solve(context.Background(), d, a, b.Not()); got != Sat {
 		t.Fatalf("d∧a∧¬b = %v, want Sat", got)
 	}
 	Equal(s, a, b)
-	if got := s.Solve(d); got != Unsat {
+	if got := s.Solve(context.Background(), d); got != Unsat {
 		t.Fatalf("a⇔b yet d = %v, want Unsat", got)
 	}
-	if got := s.Solve(d.Not()); got != Sat {
+	if got := s.Solve(context.Background(), d.Not()); got != Sat {
 		t.Fatalf("a⇔b with ¬d = %v, want Sat", got)
 	}
 }

@@ -162,13 +162,17 @@ func (s *Server) removeLocked(id string) {
 	}
 }
 
+// compactEvery is the number of log records that triggers a WAL
+// compaction into a snapshot.
+const compactEvery = 4096
+
 // maybeCompact folds the log into a snapshot once it has accumulated
-// CompactEvery records, bounding both replay time and disk growth. The
+// compactEvery records, bounding both replay time and disk growth. The
 // fold reads the sealed log segment — never the in-memory job map — so a
 // record that was acknowledged but whose effect has not reached memory yet
 // cannot be lost (see wal.Rotate / foldLog).
 func (s *Server) maybeCompact() {
-	if s.wal == nil || s.cfg.CompactEvery <= 0 {
+	if s.wal == nil {
 		return
 	}
 	sealed := filepath.Join(s.cfg.DataDir, walOldName)
@@ -179,7 +183,7 @@ func (s *Server) maybeCompact() {
 			return
 		}
 	}
-	if s.wal.Records() < s.cfg.CompactEvery {
+	if s.wal.Records() < compactEvery {
 		return
 	}
 	if err := s.wal.Rotate(); err != nil {

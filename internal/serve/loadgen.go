@@ -33,12 +33,6 @@ type LoadConfig struct {
 	Flow string
 	// Verify asks the service to verify each result.
 	Verify bool
-	// Retry shapes the client's reaction to 503s and transport errors: the
-	// same capped-exponential-with-jitter policy the server uses for job
-	// retries, so both sides of the connection back off in the same shape.
-	Retry RetryPolicy
-	// Client overrides the HTTP client (tests inject httptest clients).
-	Client *http.Client
 	// Log receives progress lines; nil discards them.
 	Log io.Writer
 }
@@ -100,9 +94,11 @@ var DefaultLoadCircuits = []string{"bbtas", "s27", "ex6"}
 // cfg.QPS for cfg.Duration, polls every job to completion, and reports
 // end-to-end latency percentiles, throughput and the cache hit rate.
 // Submissions that hit a 503 or a transport error are retried under
-// cfg.Retry, and jobs that complete after an observed outage are counted
-// as recovered, so a run spanning a server restart quantifies how much
-// work the durable log saved.
+// DefaultRetryPolicy — the policy the server uses for job retries, so both
+// sides of the connection back off in the same shape — and jobs that
+// complete after an observed outage are counted as recovered, so a run
+// spanning a server restart quantifies how much work the durable log
+// saved.
 func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	if cfg.QPS <= 0 {
 		cfg.QPS = 2
@@ -116,11 +112,8 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	if len(cfg.Circuits) == 0 {
 		cfg.Circuits = DefaultLoadCircuits
 	}
-	cfg.Retry = cfg.Retry.withDefaults()
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
+	retry := DefaultRetryPolicy.withDefaults()
+	client := &http.Client{Timeout: 30 * time.Second}
 	logf := func(format string, a ...any) {
 		if cfg.Log != nil {
 			fmt.Fprintf(cfg.Log, format+"\n", a...)
@@ -196,9 +189,9 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		go func() {
 			defer wg.Done()
 			// Per-submission deterministic jitter stream.
-			rng := rand.New(rand.NewSource(cfg.Retry.Seed + int64(seq)))
+			rng := rand.New(rand.NewSource(retry.Seed + int64(seq)))
 			t0 := time.Now()
-			info, cached, st, err := submitJob(client, cfg.Target, Request{Netlist: netlist, Flow: cfg.Flow, Verify: cfg.Verify}, cfg.Retry, rng)
+			info, cached, st, err := submitJob(client, cfg.Target, Request{Netlist: netlist, Flow: cfg.Flow, Verify: cfg.Verify}, retry, rng)
 			count(st.non2xx, st.retries)
 			if err != nil {
 				mu.Lock()
@@ -208,7 +201,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 				return
 			}
 			sawOutage := st.retries > 0
-			final, outage, err := pollJob(client, cfg.Target, info.ID, cfg.Retry, rng)
+			final, outage, err := pollJob(client, cfg.Target, info.ID, retry, rng)
 			sawOutage = sawOutage || outage
 			if err != nil || final.State != StateDone {
 				record(0, cached, true, false)

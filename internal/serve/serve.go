@@ -155,9 +155,6 @@ type Config struct {
 	Queue int
 	// Budget bounds each job (Job), its flows (Flow) and passes (Pass).
 	Budget guard.Budget
-	// Registry receives job/pass metrics; a fresh one is created when
-	// nil.
-	Registry *obs.Registry
 	// Sweep turns SAT-based sequential sweeping on for every request that
 	// did not ask for it itself. Applied before content addressing, so the
 	// effective value is what the job key answers for.
@@ -178,9 +175,6 @@ type Config struct {
 	JobTTL time.Duration
 	// Retry governs re-execution of transiently failed jobs.
 	Retry RetryPolicy
-	// CompactEvery triggers WAL compaction into a snapshot after this
-	// many log records (default 4096; <0 disables).
-	CompactEvery int
 	// Chaos injects deterministic service-level faults (tests only; see
 	// internal/faults.ServicePlan). Nil disables.
 	Chaos Chaos
@@ -240,20 +234,13 @@ type Server struct {
 
 // New builds a Server, replaying the durable job log when cfg.DataDir is
 // set: terminal jobs come back as cache entries, interrupted ones are
-// re-enqueued. The caller owns cfg.Registry (when set) and must Shutdown
-// (or Close) the server.
+// re-enqueued. The caller must Shutdown (or Close) the server.
 func New(cfg Config) (*Server, error) {
 	if cfg.Queue <= 0 {
 		cfg.Queue = 64
 	}
-	if cfg.CompactEvery == 0 {
-		cfg.CompactEvery = 4096
-	}
 	cfg.Retry = cfg.Retry.withDefaults()
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	s := &Server{
 		cfg:         cfg,
 		lib:         genlib.Lib2(),

@@ -295,13 +295,17 @@ func (in *inst) hypoRepair(c *cex, K int) bool {
 }
 
 // solve probes d on in's solver once ctx allows it. Every SAT call of a
-// chunk goes through here, so an expired budget stops the chunk before
-// the next call starts and the overrun is at most the call in flight.
+// chunk goes through here; the solver gives up at its next restart once
+// ctx is done, and that Unknown becomes the guard budget error.
 func solve(ctx context.Context, in *inst, d sat.Lit) (sat.Status, error) {
 	if err := guard.Check(ctx, "sweep.chunk"); err != nil {
 		return sat.Unknown, err
 	}
-	return in.s.Solve(d), nil
+	st := in.s.Solve(ctx, d)
+	if st == sat.Unknown {
+		return st, guard.Check(ctx, "sweep.chunk")
+	}
+	return st, nil
 }
 
 // stepSolve discharges one induction-step obligation under hypothesis
