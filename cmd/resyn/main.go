@@ -5,7 +5,7 @@
 // Usage:
 //
 //	resyn -in circuit.blif [-kiss] [-flow script|retime|resyn|core] [-out out.blif] [-verify]
-//	      [-substrate sop|aig] [-workers N] [-timeout 30s] [-pass-timeout 5s] [-trace] [-stats-json events.jsonl]
+//	      [-substrate sop|aig] [-timeout 30s] [-pass-timeout 5s] [-trace] [-stats-json events.jsonl]
 //	      [-sweep]
 package main
 
@@ -30,7 +30,6 @@ func main() {
 	isKiss := flag.Bool("kiss", false, "input is a KISS2 FSM (binary-encoded)")
 	flow := flag.String("flow", "resyn", "flow: script | retime | resyn | core")
 	substrate := flag.String("substrate", "sop", "technology-independent substrate: sop | aig")
-	workers := flag.Int("workers", 0, "worker pool width for parallel passes (the AIG rewriter); <=0 = GOMAXPROCS. Results are identical at any width")
 	out := flag.String("out", "", "output BLIF file (default: stdout summary only)")
 	verify := flag.Bool("verify", true, "verify the result against the input")
 	trace := flag.Bool("trace", false, "print the span tree with per-pass wall time and counters")
@@ -96,7 +95,6 @@ func main() {
 		Tracer:    tr,
 		Budget:    guard.Budget{Flow: *timeout, Pass: *passTimeout},
 		Substrate: *substrate,
-		Workers:   *workers,
 		Sweep:     *sweepOn,
 	}
 	result, err := flows.RunFlow(ctx, *flow, src, lib, cfg)

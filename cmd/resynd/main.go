@@ -1,7 +1,10 @@
 // Command resynd serves the resynthesis flows over HTTP: submit a netlist
 // and a flow name, follow per-pass progress live over SSE, and scrape
 // Prometheus metrics. Identical submissions are content-addressed, so
-// repeats are answered from the job cache.
+// repeats are answered from the job cache. -workers sets how many jobs run
+// at once; the parallel passes inside each job use every core, and a
+// request carries no width of its own (a "workers" field from older
+// clients is ignored).
 //
 // With -data-dir the service is crash-safe: every job transition is a
 // CRC-checked record in an append-only, fsync-batched log, and a restart

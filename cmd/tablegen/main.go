@@ -5,12 +5,14 @@
 // flow output against the source circuit.
 //
 // Circuits are evaluated in parallel (-workers); the table is byte-
-// identical for any worker count. Per-row wall times are opt-in (-times)
-// because they are the one non-deterministic ingredient.
+// identical for any worker count. -workers schedules whole circuits; the
+// parallel passes inside a flow always use every core. Per-row wall times
+// are opt-in (-times) because they are the one non-deterministic
+// ingredient. -circuits selects rows.
 //
 // Usage:
 //
-//	tablegen [-circuits ex2,bbtas,...] [-verify] [-skip-large] [-workers N]
+//	tablegen [-circuits ex2,bbtas,...] [-verify] [-workers N]
 //	         [-times] [-timeout 60s] [-pass-timeout 10s] [-trace]
 //	         [-substrate sop|aig] [-stats-json events.jsonl]
 //	         [-sweep]
@@ -32,7 +34,6 @@ import (
 func main() {
 	circuitsFlag := flag.String("circuits", "", "comma-separated circuit names (default: all of Table I)")
 	verify := flag.Bool("verify", true, "verify every flow output against the source circuit")
-	skipLarge := flag.Bool("skip-large", false, "skip circuits with more than 1000 gates")
 	workers := flag.Int("workers", 0, "parallel circuit evaluations (<=0 = GOMAXPROCS)")
 	times := flag.Bool("times", false, "append per-circuit wall time to each row (breaks byte-stable output)")
 	trace := flag.Bool("trace", false, "print the per-circuit span tree with wall time and counters")
@@ -51,7 +52,6 @@ func main() {
 
 	opt := table.Options{
 		Verify:    *verify,
-		SkipLarge: *skipLarge,
 		Workers:   *workers,
 		ShowTimes: *times,
 		Budget:    guard.Budget{Flow: *timeout, Pass: *passTimeout},

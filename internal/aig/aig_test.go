@@ -234,11 +234,11 @@ func TestBalanceReducesDepth(t *testing.T) {
 		t.Errorf("post-balance depth = %d, want 3", ng.Depth())
 	}
 	// Equivalence through the network converters.
-	na, err := g.ToNetwork()
+	na, err := g.ToSubjectNetwork()
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb, err := ng.ToNetwork()
+	nb, err := ng.ToSubjectNetwork()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestBalancePreservesSequential(t *testing.T) {
 	if ng.Depth() > g.Depth() {
 		t.Errorf("balance increased depth: %d -> %d", g.Depth(), ng.Depth())
 	}
-	back, err := ng.ToNetwork()
+	back, err := ng.ToSubjectNetwork()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,12 +11,12 @@ import (
 // This file implements the lossless converters between the SOP network
 // substrate and the AIG. FromNetwork factors every node's sum-of-products
 // cover into a balanced AND/OR tree (complemented edges absorb the
-// inversions, strash recovers sharing across cubes and nodes); ToNetwork
-// lowers every AND vertex to a two-input SOP node whose cube phases absorb
-// the complemented edges, inserting explicit inverter or constant nodes
-// only at complemented or constant outputs. Round-tripping preserves the
-// PI/PO/latch interface and the sequential behaviour exactly (fuzz-tested
-// against bitsim in convert_test.go).
+// inversions, strash recovers sharing across cubes and nodes);
+// ToSubjectNetwork lowers every AND vertex to a positive two-input SOP
+// node, with one shared inverter per complemented node and one constant
+// node per constant value. Round-tripping preserves the PI/PO/latch interface and
+// the sequential behaviour exactly (fuzz-tested against bitsim in
+// convert_test.go).
 
 // FromNetwork converts a Boolean network into a structurally hashed AIG.
 // PIs, POs and latches keep their names and order; every logic node's SOP
@@ -199,25 +199,12 @@ func (g *Graph) reduce(terms []Lit, op func(a, b Lit) Lit, identity Lit) Lit {
 	return work[0]
 }
 
-// ToNetwork lowers the AIG back to a Boolean network in the compact form:
-// one two-input AND node per AND vertex whose cube phases absorb
-// complemented fanin edges, plus an inverter node per complemented output
-// literal and a constant node per constant output. The PI/PO/latch
-// interface keeps names, order and initial values.
-func (g *Graph) ToNetwork() (*network.Network, error) {
-	return g.lower(false)
-}
-
 // ToSubjectNetwork lowers the AIG into a mapper-ready subject graph:
 // positive two-input AND nodes only, with every complemented edge
 // materialized as a shared inverter node — the node shapes the genlib
-// matcher and algebraic.DecomposeBalanced agree on. Functionally identical
-// to ToNetwork, just a different structural style.
+// matcher and algebraic.DecomposeBalanced agree on. The PI/PO/latch
+// interface keeps names, order and initial values.
 func (g *Graph) ToSubjectNetwork() (*network.Network, error) {
-	return g.lower(true)
-}
-
-func (g *Graph) lower(subject bool) (*network.Network, error) {
 	n := network.New(g.Name)
 	nodeOf := make([]*network.Node, len(g.nodes))
 	for i, id := range g.pis {
@@ -259,18 +246,10 @@ func (g *Graph) lower(subject bool) (*network.Network, error) {
 		}
 		f0, f1 := g.nodes[id].f0, g.nodes[id].f1
 		if nodeOf[f0.Node()] == nil || nodeOf[f1.Node()] == nil {
-			return nil, fmt.Errorf("aig: ToNetwork: node %d fanin not built", id)
+			return nil, fmt.Errorf("aig: ToSubjectNetwork: node %d fanin not built", id)
 		}
-		var fanins []*network.Node
-		var cover *logic.Cover
-		if subject {
-			fanins = []*network.Node{edge(f0), edge(f1)}
-			cover = logic.MustParseCover(2, "11")
-		} else {
-			fanins = []*network.Node{nodeOf[f0.Node()], nodeOf[f1.Node()]}
-			cover = logic.MustParseCover(2, fmt.Sprintf("%c%c", phaseChar(f0), phaseChar(f1)))
-		}
-		nodeOf[id] = n.AddLogic(fmt.Sprintf("a%d", id), fanins, cover)
+		nodeOf[id] = n.AddLogic(fmt.Sprintf("a%d", id),
+			[]*network.Node{edge(f0), edge(f1)}, logic.MustParseCover(2, "11"))
 	}
 	for _, po := range g.pos {
 		n.AddPO(po.Name, edge(po.Lit))
@@ -279,15 +258,7 @@ func (g *Graph) lower(subject bool) (*network.Network, error) {
 		lats[i].Driver = edge(la.Next)
 	}
 	if err := n.Check(); err != nil {
-		return nil, fmt.Errorf("aig: ToNetwork produced an invalid network: %w", err)
+		return nil, fmt.Errorf("aig: ToSubjectNetwork produced an invalid network: %w", err)
 	}
 	return n, nil
-}
-
-// phaseChar renders a fanin edge as its cube literal character.
-func phaseChar(l Lit) byte {
-	if l.Compl() {
-		return '0'
-	}
-	return '1'
 }

@@ -10,9 +10,9 @@ import (
 	"repro/internal/network"
 )
 
-// roundTrip pushes a network through FromNetwork ∘ ToNetwork and asserts
-// the losslessness contract: both representations check structurally and
-// the bitsim streams agree cycle for cycle.
+// roundTrip pushes a network through FromNetwork ∘ ToSubjectNetwork and
+// asserts the losslessness contract: both representations check
+// structurally and the bitsim streams agree cycle for cycle.
 func roundTrip(t *testing.T, src *network.Network, cycles int, seed int64) {
 	t.Helper()
 	g, err := FromNetwork(src)
@@ -22,9 +22,9 @@ func roundTrip(t *testing.T, src *network.Network, cycles int, seed int64) {
 	if err := g.Check(); err != nil {
 		t.Fatalf("graph invalid: %v", err)
 	}
-	back, err := g.ToNetwork()
+	back, err := g.ToSubjectNetwork()
 	if err != nil {
-		t.Fatalf("ToNetwork: %v", err)
+		t.Fatalf("ToSubjectNetwork: %v", err)
 	}
 	if len(back.PIs) != len(src.PIs) || len(back.POs) != len(src.POs) ||
 		len(back.Latches) != len(src.Latches) {
@@ -134,9 +134,10 @@ func TestRoundTripRegistry(t *testing.T) {
 }
 
 // FuzzRoundTrip feeds BLIF sources through the converters: everything the
-// parser accepts must survive FromNetwork ∘ ToNetwork with network.Check
-// passing and bitsim streams agreeing. Seeds cover the converter edge
-// cases: constant functions, latch-fed POs, duplicate-fanin cubes.
+// parser accepts must survive FromNetwork ∘ ToSubjectNetwork with
+// network.Check passing and bitsim streams agreeing. Seeds cover the
+// converter edge cases: constant functions, latch-fed POs, duplicate-fanin
+// cubes.
 func FuzzRoundTrip(f *testing.F) {
 	seeds := []string{
 		".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n",
@@ -163,9 +164,9 @@ func FuzzRoundTrip(f *testing.F) {
 		if cerr := g.Check(); cerr != nil {
 			t.Fatalf("graph invalid: %v\n%s", cerr, src)
 		}
-		back, berr := g.ToNetwork()
+		back, berr := g.ToSubjectNetwork()
 		if berr != nil {
-			t.Fatalf("ToNetwork: %v\n%s", berr, src)
+			t.Fatalf("ToSubjectNetwork: %v\n%s", berr, src)
 		}
 		if serr := bitsim.RandomEquivalent(n, back, 0, 32, 99, bitsim.Options{}); serr != nil {
 			t.Fatalf("round trip diverges: %v\n%s", serr, src)

@@ -19,7 +19,8 @@ package aig
 // depend only on the node itself and results of earlier waves — never on
 // which shard computed them or in what order. The apply phase is serial
 // and rebuilds a fresh graph in output order. Node numbering is therefore
-// byte-identical at any -workers width (see TestRewriteDeterministicAcross
+// byte-identical at any worker width, so Rewrite always runs GOMAXPROCS
+// wide and only tests vary the width (see TestRewriteDeterministicAcross
 // Workers).
 //
 // Allocation. Cut storage is one flat preallocated slab (C slots per
@@ -106,13 +107,6 @@ type rwDecision struct {
 	kind   uint8
 }
 
-// RewriteOptions tunes the pass; the zero value runs GOMAXPROCS workers.
-type RewriteOptions struct {
-	// Workers is the parallel width; <= 0 selects GOMAXPROCS. The result
-	// is byte-identical at any width.
-	Workers int
-}
-
 // RewriteStats reports what one pass did.
 type RewriteStats struct {
 	Applied    int64 // replacements materialized in the rebuilt graph
@@ -157,12 +151,17 @@ type rwEngine struct {
 	arenas []*rwArena
 }
 
-// Rewrite runs one wave-parallel rewriting pass and returns the rebuilt
-// graph (the receiver is unchanged, like Balance). The result is
-// deterministic at any worker width.
-func (g *Graph) Rewrite(ctx context.Context, opt RewriteOptions) (*Graph, RewriteStats, error) {
+// Rewrite runs one wave-parallel rewriting pass on GOMAXPROCS workers
+// and returns the rebuilt graph (the receiver is unchanged, like Balance).
+func (g *Graph) Rewrite(ctx context.Context) (*Graph, RewriteStats, error) {
+	return g.rewrite(ctx, 0)
+}
+
+// rewrite is Rewrite at an explicit width (<= 0 selects GOMAXPROCS); the
+// result is byte-identical at any width.
+func (g *Graph) rewrite(ctx context.Context, width int) (*Graph, RewriteStats, error) {
 	var stats RewriteStats
-	workers := parexec.Workers(opt.Workers)
+	workers := parexec.Workers(width)
 	n := len(g.nodes)
 	e := &rwEngine{
 		g:      g,

@@ -122,7 +122,7 @@ func TestRewritePreservesFunction(t *testing.T) {
 	for name, g := range rewriteSuite(t) {
 		g.Sweep()
 		before := g.NumAnds()
-		ng, stats, err := g.Rewrite(context.Background(), RewriteOptions{Workers: 3})
+		ng, stats, err := g.rewrite(context.Background(), 3)
 		if err != nil {
 			t.Fatalf("%s: Rewrite: %v", name, err)
 		}
@@ -151,7 +151,7 @@ func TestRewriteDeterministicAcrossWorkers(t *testing.T) {
 		var ref *Graph
 		var refStats RewriteStats
 		for _, w := range []int{1, 2, 3, 8} {
-			ng, stats, err := g.Rewrite(context.Background(), RewriteOptions{Workers: w})
+			ng, stats, err := g.rewrite(context.Background(), w)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, w, err)
 			}
@@ -198,7 +198,7 @@ func TestRewriteCollapsesRedundantCone(t *testing.T) {
 	// A second output keeps b referenced so the graph stays well-formed.
 	g.AddPO("keep_b", b)
 	before := g.NumAnds()
-	ng, stats, err := g.Rewrite(context.Background(), RewriteOptions{})
+	ng, stats, err := g.Rewrite(context.Background())
 	if err != nil {
 		t.Fatalf("Rewrite: %v", err)
 	}
@@ -224,7 +224,7 @@ func TestRewriteCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := g.Rewrite(ctx, RewriteOptions{Workers: 2}); err == nil {
+	if _, _, err := g.rewrite(ctx, 2); err == nil {
 		t.Fatal("cancelled rewrite returned no error")
 	}
 }
@@ -332,7 +332,7 @@ func BenchmarkRewrite(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := g.Rewrite(context.Background(), RewriteOptions{Workers: 1}); err != nil {
+		if _, _, err := g.rewrite(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}

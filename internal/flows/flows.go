@@ -86,11 +86,6 @@ type Config struct {
 	// flows restructure before mapping: SubstrateSOP (default, also for
 	// "") or SubstrateAIG. See substrate.go.
 	Substrate string
-	// Workers bounds the worker pool of parallel passes (currently the
-	// AIG substrate's levelized cut rewriter); 0 means GOMAXPROCS. Any
-	// width produces byte-identical results — it is purely a throughput
-	// knob.
-	Workers int
 	// Sweep enables SAT-based sequential sweeping wherever the state
 	// space exceeds the exact reach limits: verification falls back to
 	// k-induction over the product machine instead of random simulation,
@@ -167,7 +162,7 @@ func ScriptDelay(ctx context.Context, n *network.Network, lib *genlib.Library, c
 	if cfg.substrate() == SubstrateAIG {
 		optPass = "aig.restructure"
 		optFn = func(ctx context.Context, work *network.Network) (*network.Network, int, error) {
-			out, err := aigRestructure(ctx, work, tr, cfg)
+			out, err := aigRestructure(ctx, work, tr)
 			return out, 0, err
 		}
 	}
@@ -249,7 +244,7 @@ func RetimeCombOpt(ctx context.Context, mappedIn *network.Network, lib *genlib.L
 			a, rerr := reach.Analyze(ctx, work, lim, tr)
 			if rerr != nil {
 				if cfg.Sweep && errors.Is(rerr, reach.ErrTooLarge) {
-					return work, 0, applySweepDCs(ctx, work, tr, cfg)
+					return work, 0, applySweepDCs(ctx, work, tr)
 				}
 				return nil, 0, rerr
 			}
@@ -360,7 +355,7 @@ func bestRemap(ctx context.Context, n *network.Network, lib *genlib.Library, cfg
 	full := n.Clone()
 	var fullErr error
 	if cfg.substrate() == SubstrateAIG {
-		full, fullErr = aigRestructure(ctx, full, tr, cfg)
+		full, fullErr = aigRestructure(ctx, full, tr)
 	} else {
 		fullErr = algebraic.OptimizeDelay(ctx, full, tr)
 	}
@@ -393,13 +388,10 @@ func bestRemap(ctx context.Context, n *network.Network, lib *genlib.Library, cfg
 // that the (xi ⊕ xj) don't care allows — and registers proven stuck at
 // constant 0 are replaced by a constant source, letting Sweep retire the
 // dead registers.
-func applySweepDCs(ctx context.Context, work *network.Network, tr *obs.Tracer, cfg Config) error {
+func applySweepDCs(ctx context.Context, work *network.Network, tr *obs.Tracer) error {
 	st := tr.Begin("sweep.dc_extract")
 	defer st.End()
-	res, err := sweep.Registers(ctx, work, sweep.Options{
-		Workers: cfg.Workers,
-		Tracer:  tr,
-	})
+	res, err := sweep.Registers(ctx, work, sweep.Options{Tracer: tr})
 	if err != nil {
 		return fmt.Errorf("flows: sweep DC extraction: %w", err)
 	}
@@ -591,10 +583,7 @@ func VerifyVerdict(ctx context.Context, src *network.Network, r *Result, cfg Con
 		return "", err
 	}
 	if cfg.Sweep {
-		_, err := sweep.ProveEquivalent(ctx, src, r.Net, r.PrefixK, sweep.Options{
-			Workers: cfg.Workers,
-			Tracer:  cfg.Tracer,
-		})
+		_, err := sweep.ProveEquivalent(ctx, src, r.Net, r.PrefixK, sweep.Options{Tracer: cfg.Tracer})
 		if err == nil {
 			return string(seqverify.VerdictInduction), nil
 		}

@@ -55,7 +55,7 @@ const rewriteIters = 2
 // span carries the substrate counters (aig_nodes, aig_strash_hits,
 // aig_levels, aig_rewrite_gain, aig_cuts_pruned, aig_wave_count) that the
 // serving layer's Prometheus bridge exports.
-func aigRestructure(ctx context.Context, work *network.Network, tr *obs.Tracer, cfg Config) (*network.Network, error) {
+func aigRestructure(ctx context.Context, work *network.Network, tr *obs.Tracer) (*network.Network, error) {
 	sp := tr.Begin("aig.restructure")
 	defer sp.End()
 	g, err := aig.FromNetwork(work)
@@ -80,7 +80,7 @@ func aigRestructure(ctx context.Context, work *network.Network, tr *obs.Tracer, 
 	var gain, pruned, waves int64
 	cur := best
 	for i := 0; i < rewriteIters; i++ {
-		ng, stats, rerr := cur.Rewrite(ctx, aig.RewriteOptions{Workers: cfg.Workers})
+		ng, stats, rerr := cur.Rewrite(ctx)
 		if rerr != nil {
 			return nil, rerr
 		}

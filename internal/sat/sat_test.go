@@ -84,8 +84,11 @@ func TestPigeonhole(t *testing.T) {
 	}
 }
 
+// TestMaxConflictsUnknown: pigeonhole(4), the smallest instance that needs
+// more than 10 conflicts, gives up under that budget and is refuted once
+// the budget is lifted.
 func TestMaxConflictsUnknown(t *testing.T) {
-	const n = 8
+	const n = 4
 	s := pigeonhole(n)
 	s.MaxConflicts = 10
 	if got := s.Solve(context.Background()); got != Unknown {

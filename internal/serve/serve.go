@@ -2,8 +2,8 @@
 // POST a netlist and a flow name, get back a content-addressed job id, and
 // follow per-pass progress live over SSE while the job runs on a bounded
 // worker pool. Identical submissions (same netlist bytes, format, flow,
-// substrate and verify setting) hash to the same job, so repeats are
-// answered from the result cache without recomputation.
+// substrate, verify and sweep setting) hash to the same job, so repeats
+// are answered from the result cache without recomputation.
 //
 // The package is the glue between the existing layers, not a new engine:
 // jobs execute flows.RunFlow under guard.Budget deadlines on a
@@ -60,25 +60,12 @@ type Request struct {
 	// input through flows.VerifyVerdict (exact when feasible, random
 	// simulation otherwise).
 	Verify bool `json:"verify,omitempty"`
-	// Workers bounds the worker pool of parallel passes inside the flows
-	// (the AIG substrate's levelized rewriter, the sweep proof shards); 0
-	// defaults to GOMAXPROCS, and at most maxRequestWorkers is accepted.
-	// Results are byte-identical at any width, so Workers still
-	// participates in the content address — it changes what the job costs,
-	// not what it computes, and a cached result must answer for the exact
-	// request submitted.
-	Workers int `json:"workers,omitempty"`
 	// Sweep enables SAT-based sequential sweeping beyond the exact reach
 	// limits: induction-proven register classes feed the DC extraction,
 	// and verification reports "proved-by-induction" instead of degrading
 	// to "simulated".
 	Sweep bool `json:"sweep,omitempty"`
 }
-
-// maxRequestWorkers caps the per-request worker width: wider than any
-// plausible host, small enough that a hostile request cannot make one job
-// spawn absurd goroutine counts.
-const maxRequestWorkers = 64
 
 func (r *Request) normalize() {
 	if r.Format == "" {
@@ -96,10 +83,12 @@ func (r *Request) normalize() {
 
 // Key is the content address of the request: the sha256 of every field
 // that determines the result. It is the job id, so a repeated submission
-// lands on the cached job.
+// lands on the cached job. Fields older clients still send but the result
+// no longer depends on ("induction_k", "workers") are not decoded, so they
+// neither reach the hash nor split one result over two jobs.
 func (r Request) Key() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%v\x00%d\x00%v\x00", r.Format, r.Flow, r.Substrate, r.Verify, r.Workers, r.Sweep)
+	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%v\x00%v\x00", r.Format, r.Flow, r.Substrate, r.Verify, r.Sweep)
 	h.Write([]byte(r.Netlist))
 	return hex.EncodeToString(h.Sum(nil))[:32]
 }
@@ -136,9 +125,6 @@ func (r Request) validate() error {
 	}
 	if !flows.KnownSubstrate(r.Substrate) {
 		return guard.WithClass(fmt.Errorf("serve: unknown substrate %q (have %v)", r.Substrate, flows.SubstrateNames()), guard.ErrClassPermanent)
-	}
-	if r.Workers < 0 || r.Workers > maxRequestWorkers {
-		return guard.WithClass(fmt.Errorf("serve: workers %d out of range 0..%d", r.Workers, maxRequestWorkers), guard.ErrClassPermanent)
 	}
 	if _, err := r.parse(); err != nil {
 		return guard.WithClass(err, guard.ErrClassPermanent)
@@ -481,7 +467,6 @@ func (s *Server) execute(ctx context.Context, j *Job, tr *obs.Tracer) (*JobResul
 		Tracer:    tr,
 		Budget:    s.cfg.Budget,
 		Substrate: j.req.Substrate,
-		Workers:   j.req.Workers,
 		Sweep:     j.req.Sweep,
 	}
 	result, err := flows.RunFlow(ctx, j.req.Flow, src, s.lib, cfg)

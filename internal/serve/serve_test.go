@@ -3,9 +3,15 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -255,8 +261,6 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		{Netlist: circuitBLIF(t, "s27"), Flow: "nope"},
 		{Netlist: ".i 2\n.o 1\ngarbage", Format: "kiss2"},
 		{Netlist: circuitBLIF(t, "s27"), Format: "verilog"},
-		{Netlist: circuitBLIF(t, "s27"), Flow: "script", Workers: -1},
-		{Netlist: circuitBLIF(t, "s27"), Flow: "script", Workers: maxRequestWorkers + 1},
 	}
 	for i, req := range cases {
 		if _, status := postJob(t, ts.URL, req); status != http.StatusBadRequest {
@@ -270,6 +274,100 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing job status = %d, want 404", resp.StatusCode)
+	}
+}
+
+// postLegacy posts req with extra raw JSON fields spliced in front, as an
+// older client would send them, and returns the response.
+func postLegacy(t *testing.T, url string, req Request, fields string) (JobInfo, int) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := strings.Replace(string(body), "{", "{"+fields+",", 1)
+	resp, err := http.Post(url+"/jobs", "application/json", strings.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var info JobInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatalf("body with %s: %v", fields, err)
+	}
+	return info, resp.StatusCode
+}
+
+// TestServeIgnoresLegacyWorkers: the per-request worker width left the
+// wire format, since results are identical at any width. A body from an
+// older client that still carries "workers" — any value, even one the old
+// range check refused — is accepted and addresses the same job as the
+// body without it, so one result is computed and cached once.
+func TestServeIgnoresLegacyWorkers(t *testing.T) {
+	req := Request{Netlist: circuitBLIF(t, "s27"), Flow: "script"}
+	id := req.normalized().Key()
+	for _, w := range []int{4, -1, 1000} {
+		_, ts := startServer(t, Config{Workers: 1})
+		info, status := postLegacy(t, ts.URL, req, fmt.Sprintf(`"workers":%d`, w))
+		if status != http.StatusAccepted || info.ID != id {
+			t.Fatalf("workers=%d: status %d id %q, want 202 and %q", w, status, info.ID, id)
+		}
+		if again, _ := postJob(t, ts.URL, req); again.ID != id || !again.Cached {
+			t.Fatalf("workers=%d: body without the field got %+v, want the cached job %q", w, again, id)
+		}
+	}
+
+	s, ts := startServer(t, Config{Workers: 1})
+	postLegacy(t, ts.URL, req, `"workers":1`)
+	postLegacy(t, ts.URL, req, `"workers":8`)
+	if jobs := s.Jobs(); len(jobs) != 1 || jobs[0].ID != id {
+		t.Fatalf("two bodies differing only in workers made jobs %+v, want the one job %q", jobs, id)
+	}
+	if final := waitDone(t, ts.URL, id); final.State != StateDone {
+		t.Fatalf("job: %+v, want done", final)
+	}
+}
+
+// writeSubmittedRecord writes a WAL holding one "submitted" record into
+// dir, as an older server would have: the id is the sha256 of keyPrefix
+// followed by netlist (that server's Key layout), and the request is the
+// netlist plus the raw JSON fields. It returns the id.
+func writeSubmittedRecord(t *testing.T, dir, keyPrefix, netlist, fields string) string {
+	t.Helper()
+	h := sha256.New()
+	fmt.Fprintf(h, "%s%s", keyPrefix, netlist)
+	id := hex.EncodeToString(h.Sum(nil))[:32]
+	quoted, err := json.Marshal(netlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := fmt.Sprintf(`{"type":"submitted","id":%q,"time":"2026-01-02T03:04:05Z","req":{"netlist":%s,%s}}`, id, quoted, fields)
+	line := fmt.Sprintf("%08x %s\n", crc32.Checksum([]byte(rec), crcTable), rec)
+	if err := os.WriteFile(filepath.Join(dir, walFileName), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+// TestServeReplaysWorkersRecord boots on a log written while the worker
+// width was still part of the request: its submitted record carries
+// "workers" and an id hashed with it. Replay keeps the stored id and runs
+// the job to done.
+func TestServeReplaysWorkersRecord(t *testing.T) {
+	dir := t.TempDir()
+	id := writeSubmittedRecord(t, dir, "blif\x00script\x00sop\x00true\x004\x00false\x00", circuitBLIF(t, "s27"),
+		`"format":"blif","flow":"script","substrate":"sop","verify":true,"workers":4`)
+	s, err := New(Config{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if rs := s.Recovery(); rs.Requeued != 1 {
+		t.Fatalf("recovery stats: %+v, want one requeued job", rs)
+	}
+	final := waitTerminal(t, s, id)
+	if final.State != StateDone || final.Result == nil || final.Result.Verify != "exact" {
+		t.Fatalf("replayed job: %+v, want done and exact", final)
 	}
 }
 
@@ -346,10 +444,6 @@ func TestServeSubstrateAIG(t *testing.T) {
 	explicit := Request{Netlist: src, Flow: "script", Substrate: "sop", Verify: true}
 	if sop.normalized().Key() != explicit.normalized().Key() {
 		t.Fatal("explicit sop and the default must hash to the same job")
-	}
-	wide := Request{Netlist: src, Flow: "script", Substrate: "aig", Verify: true, Workers: 4}
-	if wide.normalized().Key() == aig.normalized().Key() {
-		t.Fatal("workers must participate in the job content hash")
 	}
 
 	info, status := postJob(t, ts.URL, aig)

@@ -1,14 +1,8 @@
 package serve
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -54,20 +48,9 @@ func TestServeSweepVerification(t *testing.T) {
 
 	// A body from an older client that still carries induction_k is
 	// accepted as a fresh job and addresses the same job as one without.
-	body, err := json.Marshal(swept)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := strings.Replace(string(body), "{", `{"induction_k":2,`, 1)
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var info JobInfo
-	err = json.NewDecoder(resp.Body).Decode(&info)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("body with induction_k: status %d, err %v; want 202", resp.StatusCode, err)
+	info, status := postLegacy(t, ts.URL, swept, `"induction_k":2`)
+	if status != http.StatusAccepted {
+		t.Fatalf("body with induction_k: status %d, want 202", status)
 	}
 	if again, _ := postJob(t, ts.URL, swept); again.ID != info.ID {
 		t.Fatalf("body without induction_k: id %q, want %q", again.ID, info.ID)
@@ -94,7 +77,7 @@ func TestServeSweepVerification(t *testing.T) {
 		t.Fatalf("s27 job verify = %+v, want exact", final.Result)
 	}
 
-	resp, err = http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,20 +105,8 @@ func TestServeSweepVerification(t *testing.T) {
 // runs the job to the same proof.
 func TestServeReplaysInductionKRecord(t *testing.T) {
 	dir := t.TempDir()
-	src := sweepTwinsBLIF()
-	h := sha256.New()
-	fmt.Fprintf(h, "blif\x00retime\x00sop\x00true\x000\x00true\x002\x00%s", src)
-	id := hex.EncodeToString(h.Sum(nil))[:32]
-	netlist, err := json.Marshal(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := fmt.Sprintf(`{"type":"submitted","id":%q,"time":"2026-01-02T03:04:05Z","req":{"netlist":%s,`+
-		`"format":"blif","flow":"retime","substrate":"sop","verify":true,"sweep":true,"induction_k":2}}`, id, netlist)
-	line := fmt.Sprintf("%08x %s\n", crc32.Checksum([]byte(rec), crcTable), rec)
-	if err := os.WriteFile(filepath.Join(dir, walFileName), []byte(line), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	id := writeSubmittedRecord(t, dir, "blif\x00retime\x00sop\x00true\x000\x00true\x002\x00", sweepTwinsBLIF(),
+		`"format":"blif","flow":"retime","substrate":"sop","verify":true,"sweep":true,"induction_k":2`)
 
 	s, err := New(Config{Workers: 1, DataDir: dir})
 	if err != nil {

@@ -7,13 +7,15 @@ import (
 	"repro/internal/network"
 )
 
-// Depth hooks: production runs Registers at K = 1 and deepens
+// Depth and width hooks: production runs Registers at K = 1 and deepens
 // ProveEquivalent from K = 1, so a pair that proves at K = 1 never reaches
-// a deeper unrolling. These run the engine at a chosen depth.
+// a deeper unrolling, and both always shard proofs GOMAXPROCS wide. These
+// run the engine at a chosen depth and width (<= 0 selects GOMAXPROCS).
 var (
-	// RegistersAtDepth is Registers at induction depth k.
+	// RegistersAtDepth is Registers at induction depth k and the given width.
 	RegistersAtDepth = registers
-	// ProveEquivalentFrom is ProveEquivalent deepening from K = minK.
+	// ProveEquivalentFrom is ProveEquivalent deepening from K = minK at the
+	// given width.
 	ProveEquivalentFrom = proveEquivalent
 )
 
@@ -25,7 +27,7 @@ func FirstRoundChunks(a, b *network.Network, delay int) (int, func(ctx context.C
 	if err != nil {
 		return 0, nil, err
 	}
-	e := newEngine(g, pos, delay, 1, Options{Workers: 1})
+	e := newEngine(g, pos, delay, 1, 1, Options{})
 	e.candidates()
 	e.assignReps()
 	active := make([]int, len(e.classes))

@@ -10,7 +10,7 @@ import (
 )
 
 // chunkCount is the fixed shard count of one proof round. It is a
-// constant — NOT derived from Options.Workers — so the chunk boundaries,
+// constant — NOT derived from the worker width — so the chunk boundaries,
 // the per-chunk solver state and therefore every counterexample are
 // identical at any worker width; parexec.Map then merges the results in
 // index order.

@@ -27,7 +27,8 @@
 // the conflict budget abandons an obligation (the member just leaves its
 // class). Chunked proof obligations are sharded across parexec with
 // index-ordered merging; the fixed chunking depends only on the class
-// structure, so results are byte-identical at any -workers width.
+// structure, so results are byte-identical at any worker width and the
+// engine always runs GOMAXPROCS wide (only tests vary the width).
 package sweep
 
 import (
@@ -82,8 +83,6 @@ const (
 
 // Options configures a sweep.
 type Options struct {
-	// Workers bounds the parallel proof shards (default: all cores).
-	Workers int
 	// Tracer receives sweep.* spans and solver counters; nil is valid.
 	Tracer *obs.Tracer
 }
@@ -133,17 +132,19 @@ func (r *Result) addEffort(o *Result) {
 // they serve the flows exactly like retiming-induced ones. Abandoned
 // obligations shrink classes instead of failing the call.
 func Registers(ctx context.Context, n *network.Network, opt Options) (*Result, error) {
-	return registers(ctx, n, 1, opt)
+	return registers(ctx, n, 1, 0, opt)
 }
 
-func registers(ctx context.Context, n *network.Network, k int, opt Options) (*Result, error) {
+// registers is Registers at induction depth k, with the proof shards run
+// width wide (<= 0 selects GOMAXPROCS).
+func registers(ctx context.Context, n *network.Network, k, width int, opt Options) (*Result, error) {
 	sp := opt.Tracer.Begin("sweep.registers")
 	defer sp.End()
 	g, err := aig.FromNetwork(n)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: %w", err)
 	}
-	e := newEngine(g, nil, 0, k, opt)
+	e := newEngine(g, nil, 0, k, width, opt)
 	if err := e.run(ctx); err != nil {
 		return nil, err
 	}
@@ -161,14 +162,15 @@ func registers(ctx context.Context, n *network.Network, k int, opt Options) (*Re
 // or the unrolling would pass maxFrames. The Result carries solver
 // statistics in every outcome that ran the engine.
 func ProveEquivalent(ctx context.Context, a, b *network.Network, delay int, opt Options) (*Result, error) {
-	return proveEquivalent(ctx, a, b, delay, 1, opt)
+	return proveEquivalent(ctx, a, b, delay, 1, 0, opt)
 }
 
 // proveEquivalent tries K = minK, …, maxInductionDepth and stops at the first
 // outcome that is not ErrUnknown. Each depth starts on a fresh engine: a
 // class split by a K-step counterexample may hold at K+1, so the K
-// partition is no start for the deeper proof.
-func proveEquivalent(ctx context.Context, a, b *network.Network, delay, minK int, opt Options) (*Result, error) {
+// partition is no start for the deeper proof. The proof shards run width
+// wide (<= 0 selects GOMAXPROCS).
+func proveEquivalent(ctx context.Context, a, b *network.Network, delay, minK, width int, opt Options) (*Result, error) {
 	sp := opt.Tracer.Begin("sweep.prove")
 	defer sp.End()
 	g, pos, err := aig.FromProduct(a, b)
@@ -181,7 +183,7 @@ func proveEquivalent(ctx context.Context, a, b *network.Network, delay, minK int
 			err = fmt.Errorf("sweep: unrolling depth %d exceeds %d frames: %w", delay+k, maxFrames, ErrUnknown)
 			break
 		}
-		e := newEngine(g, pos, delay, k, opt)
+		e := newEngine(g, pos, delay, k, width, opt)
 		err = e.run(ctx)
 		r := e.result()
 		r.K = k
@@ -214,6 +216,7 @@ type engine struct {
 	// are required to hold from cycle delay on only.
 	delay int
 	k     int // induction depth
+	width int // parallel proof shards; <= 0 selects GOMAXPROCS
 
 	objs       []int32       // candidate object nodes: const 0, latch outputs, ANDs
 	latchIdxOf map[int32]int // latch output node -> latch index
@@ -226,8 +229,8 @@ type engine struct {
 	res Result
 }
 
-func newEngine(g *aig.Graph, pos []aig.ProductPO, delay, k int, opt Options) *engine {
-	e := &engine{g: g, pos: pos, opt: opt, delay: delay, k: k, dirty: make(map[int32]bool),
+func newEngine(g *aig.Graph, pos []aig.ProductPO, delay, k, width int, opt Options) *engine {
+	e := &engine{g: g, pos: pos, opt: opt, delay: delay, k: k, width: width, dirty: make(map[int32]bool),
 		rep: make([]int32, g.NumNodes())}
 	e.latchIdxOf = make(map[int32]int, len(g.Latches()))
 	for i, la := range g.Latches() {
@@ -276,7 +279,7 @@ func (e *engine) run(ctx context.Context) error {
 		e.res.Rounds++
 		e.assignReps()
 		chunks := e.makeChunks(active)
-		results, err := parexec.Map(ctx, e.opt.Workers, chunks,
+		results, err := parexec.Map(ctx, e.width, chunks,
 			func(ctx context.Context, _ int, ch chunk) (chunkResult, error) {
 				return e.runChunk(ctx, ch)
 			})

@@ -303,7 +303,7 @@ func TestSweepDeterminism(t *testing.T) {
 	for _, name := range []string{"planet", "s510", "s820"} {
 		n := build(t, name)
 		check(name, func(workers int) (*sweep.Result, error) {
-			return sweep.Registers(context.Background(), n, sweep.Options{Workers: workers})
+			return sweep.RegistersAtDepth(context.Background(), n, 1, workers, sweep.Options{})
 		})
 	}
 	for _, tc := range []struct {
@@ -312,7 +312,7 @@ func TestSweepDeterminism(t *testing.T) {
 	}{{"s382", 1}, {"s641", 1}, {"s641", 2}} {
 		n := build(t, tc.name)
 		check(fmt.Sprintf("%s vs clone K=%d", tc.name, tc.k), func(workers int) (*sweep.Result, error) {
-			return sweep.ProveEquivalentFrom(context.Background(), n, n.Clone(), 0, tc.k, sweep.Options{Workers: workers})
+			return sweep.ProveEquivalentFrom(context.Background(), n, n.Clone(), 0, tc.k, workers, sweep.Options{})
 		})
 	}
 }

@@ -35,13 +35,10 @@ type Options struct {
 	Circuits []string
 	// Verify checks every flow output against its source circuit.
 	Verify bool
-	// SkipLarge skips circuits with more than 1000 gates.
-	SkipLarge bool
-	// Workers is the parallel evaluation width (<= 0 selects GOMAXPROCS).
-	// The same width is threaded into each circuit's flows.Config as the
-	// intra-pass worker count (the AIG substrate's levelized rewriter);
-	// since both layers produce output independent of width, the table
-	// stays byte-identical for any value.
+	// Workers is the number of circuits evaluated at once (<= 0 selects
+	// GOMAXPROCS). It schedules circuits only: the parallel passes inside
+	// each flow always run GOMAXPROCS wide. Output is independent of both
+	// widths, so the table stays byte-identical for any value.
 	Workers int
 	// ShowTimes appends per-circuit wall time to each row. Off by default:
 	// times break byte-for-byte output stability.
@@ -176,11 +173,6 @@ func runCircuit(ctx context.Context, c bench.Circuit, lib *genlib.Library, opt O
 		fmt.Fprintf(&errs, "%s: build failed: %v\n", c.Name, err)
 		return r
 	}
-	if opt.SkipLarge && src.NumLogicNodes() > 1000 {
-		fmt.Fprintf(&out, "%-8s | skipped (large)\n", c.Name)
-		return r
-	}
-
 	var tr *obs.Tracer
 	if opt.Tracer != nil || opt.JSON != nil || opt.Registry != nil {
 		tr = obs.New()
@@ -199,7 +191,6 @@ func runCircuit(ctx context.Context, c bench.Circuit, lib *genlib.Library, opt O
 		Tracer:    tr,
 		Budget:    opt.Budget,
 		Substrate: opt.Substrate,
-		Workers:   opt.Workers,
 		Sweep:     opt.Sweep,
 	}
 	sd, ret, rsyn, err := flows.RunAll(ctx, src, lib, cfg)
