@@ -7,11 +7,11 @@
 // clients is ignored).
 //
 // With -data-dir the service is crash-safe: every job transition is a
-// CRC-checked record in an append-only, fsync-batched log, and a restart
-// replays it — finished jobs come back as cache entries, interrupted ones
-// re-run. SIGTERM drains gracefully: new submissions get 503 + Retry-After,
-// in-flight jobs finish (up to -drain-timeout), the log is synced, and the
-// process exits 0.
+// CRC-checked record in an append-only log, fsynced on every append, and
+// a restart replays it — finished jobs come back as cache entries,
+// interrupted ones re-run. SIGTERM drains gracefully: new submissions get
+// 503 + Retry-After, in-flight jobs finish (up to -drain-timeout), the log
+// is synced, and the process exits 0.
 //
 // Usage:
 //

@@ -189,9 +189,6 @@ func (g *Graph) NumPIs() int { return len(g.pis) }
 // PIs returns the PI node indices in creation order. Do not mutate.
 func (g *Graph) PIs() []int32 { return g.pis }
 
-// PIName returns the i-th primary input's name.
-func (g *Graph) PIName(i int) string { return g.piNames[i] }
-
 // POs returns the primary outputs in creation order. Do not mutate.
 func (g *Graph) POs() []PO { return g.pos }
 

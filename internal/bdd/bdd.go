@@ -475,24 +475,6 @@ func (m *Manager) Xnor(f, g Ref) Ref { return m.Ite(f, g, m.Not(g)) }
 // Implies computes f → g.
 func (m *Manager) Implies(f, g Ref) Ref { return m.Ite(f, g, True) }
 
-// AndN folds And over refs (True for none).
-func (m *Manager) AndN(fs ...Ref) Ref {
-	r := True
-	for _, f := range fs {
-		r = m.And(r, f)
-	}
-	return r
-}
-
-// OrN folds Or over refs (False for none).
-func (m *Manager) OrN(fs ...Ref) Ref {
-	r := False
-	for _, f := range fs {
-		r = m.Or(r, f)
-	}
-	return r
-}
-
 // Exists existentially quantifies the variables marked true in vars.
 func (m *Manager) Exists(f Ref, vars []bool) Ref {
 	cube := m.varsCube(vars)

@@ -226,11 +226,6 @@ const SHIFTREG = `
 .e
 `
 
-// ParseEmbedded parses one of the embedded machines.
-func ParseEmbedded(src, name string) (*kiss.FSM, error) {
-	return kiss.ParseString(src, name)
-}
-
 // RandomFSM deterministically generates a strongly connected Mealy machine
 // with the given profile — used for MCNC machines whose exact tables are
 // unavailable (ex2, ex6, planet).

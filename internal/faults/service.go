@@ -74,8 +74,9 @@ func (p *ServicePlan) WithWALErrRate(rate float64) *ServicePlan {
 	return p
 }
 
-// WithSyncStall inserts a stall of up to max before a batched fsync with
-// probability rate, widening the window of unsynced bytes a crash loses.
+// WithSyncStall inserts a stall of up to max between a WAL append's write
+// and its fsync with probability rate, widening the window of unsynced
+// bytes a crash loses.
 func (p *ServicePlan) WithSyncStall(rate float64, max time.Duration) *ServicePlan {
 	p.mu.Lock()
 	defer p.mu.Unlock()

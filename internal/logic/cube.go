@@ -75,13 +75,6 @@ func (c Cube) SetLit(v int, l Lit) {
 	c.w[word] = (c.w[word] &^ (3 << off)) | (uint64(l) << off)
 }
 
-// WithLit returns a copy of c with variable v set to l.
-func (c Cube) WithLit(v int, l Lit) Cube {
-	d := c.Clone()
-	d.SetLit(v, l)
-	return d
-}
-
 // IsEmpty reports whether the cube denotes the empty set (some variable has
 // the contradictory literal 00). The unused high bits are "11", so a zero
 // pair can only be a variable's.

@@ -177,18 +177,6 @@ func New() *Solver {
 // NumVars returns the number of variables created so far.
 func (s *Solver) NumVars() int { return len(s.assign) }
 
-// NumClauses returns the number of live problem clauses plus learned
-// clauses.
-func (s *Solver) NumClauses() int {
-	n := 0
-	for i := range s.clauses {
-		if !s.clauses[i].deleted {
-			n++
-		}
-	}
-	return n
-}
-
 // NewVar creates a fresh variable and returns it.
 func (s *Solver) NewVar() Var {
 	v := Var(len(s.assign))

@@ -84,7 +84,9 @@ func (s *Server) backoff(attempt int) time.Duration {
 func (s *Server) runJob(j *Job) {
 	start := time.Now()
 	j.setRunning(start)
-	s.logAsync(walRecord{Type: "running", ID: j.ID, Time: start})
+	// The running marker is advisory: the submitted record already
+	// guarantees recovery, so a failed append does not fail the job.
+	s.logRecord(walRecord{Type: "running", ID: j.ID, Time: start})
 
 	var (
 		res     *JobResult
@@ -140,12 +142,6 @@ func (j *Job) eventCount() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.eventsBase + len(j.events)
-}
-
-// logAsync appends rec without failing the job on error (running markers
-// are advisory; the submitted record already guarantees recovery).
-func (s *Server) logAsync(rec walRecord) {
-	s.logRecord(rec)
 }
 
 // attempt runs one execution attempt under a fresh tracer and job context,

@@ -13,13 +13,13 @@
 // cmd/resyn pipeline, behind HTTP.
 //
 // With Config.DataDir set the server is crash-safe: every job transition is
-// a CRC-checked record in an append-only log (wal.go), group-committed so a
-// submission is only acknowledged once it is durable, and boot replays the
-// log (recover.go) — terminal jobs repopulate the result cache, interrupted
-// ones re-enqueue. Failures are classified (guard.Classify): transient ones
-// retry with capped backoff and are never answered from the cache,
-// permanent ones are. Lifecycle and retention (drain on SIGTERM, LRU/TTL
-// eviction) live in lifecycle.go.
+// a CRC-checked record in an append-only log (wal.go), fsynced on every
+// append so a submission is only acknowledged once it is durable, and boot
+// replays the log (recover.go) — terminal jobs repopulate the result cache,
+// interrupted ones re-enqueue. Failures are classified (guard.Classify):
+// transient ones retry with capped backoff and are never answered from the
+// cache, permanent ones are. Lifecycle and retention (drain on SIGTERM,
+// LRU/TTL eviction) live in lifecycle.go.
 package serve
 
 import (
@@ -149,8 +149,8 @@ type Config struct {
 	Version string
 
 	// DataDir enables the durable job log: job transitions are written to
-	// an fsync-batched WAL under this directory and replayed on boot.
-	// Empty keeps the legacy in-memory-only behaviour.
+	// a WAL under this directory, fsynced on every append, and replayed on
+	// boot. Empty keeps the legacy in-memory-only behaviour.
 	DataDir string
 	// MaxJobs bounds the job map: once exceeded, the least recently
 	// touched *terminal* jobs are evicted (running and queued jobs are

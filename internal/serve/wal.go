@@ -24,8 +24,8 @@ type Chaos interface {
 	// WALWriteErr, when non-nil, fails the current WAL append (the
 	// submission or terminal record is not made durable).
 	WALWriteErr() error
-	// WALSyncStall returns a delay to insert before the next batched
-	// fsync (0: none).
+	// WALSyncStall returns a delay to insert between an append's write
+	// and its fsync (0: none): a slow disk.
 	WALSyncStall() time.Duration
 	// JobFault is consulted once per job attempt: guard.FaultPanic makes
 	// the attempt panic (contained, classified transient, retried),
@@ -43,10 +43,9 @@ type Chaos interface {
 //
 // where the checksum covers the JSON bytes, so a torn tail (crash mid
 // write) or a flipped byte is detected and replay stops at the last intact
-// record. Appends are group-committed: each Append blocks until an fsync
-// covers its bytes, and one fsync serves every append that landed while
-// the previous one was in flight, so the fsync rate is bounded by disk
-// latency rather than submission rate.
+// record. Each Append writes its record and fsyncs it before returning, so
+// an acknowledged record is durable; Crash truncates to the last
+// successful fsync, as a kill -9 would.
 //
 // Compaction rotates the log (wal.log → wal.log.old), folds the rotated
 // segment into <dir>/snapshot.json with the same replay function recovery
@@ -123,13 +122,6 @@ type snapJob struct {
 	Events   int        `json:"events,omitempty"`
 }
 
-// syncBatch is one group-commit generation: everyone who appended since
-// the last fsync waits on done and shares err.
-type syncBatch struct {
-	done chan struct{}
-	err  error
-}
-
 type wal struct {
 	dir   string
 	chaos Chaos
@@ -139,22 +131,10 @@ type wal struct {
 	size    int64 // bytes written to the current segment
 	synced  int64 // bytes covered by the last successful fsync
 	records int   // records appended to the current segment
-	cur     *syncBatch
-	// inflight is the batch the flusher is currently syncing. Whoever nils
-	// a batch out of cur/inflight under mu owns releasing its waiters —
-	// Close/Rotate/Crash take inflight over when their own sync already
-	// settled its bytes, so the flusher's late Sync on a closed or swapped
-	// file cannot spuriously fail appends that are in fact durable.
-	inflight *syncBatch
-	closed   bool
-
-	kick chan struct{} // wakes the flusher, capacity 1
-	stop chan struct{} // terminates the flusher
-	wg   sync.WaitGroup
+	closed  bool
 }
 
-// openWAL opens (creating if needed) the job log under dir and starts the
-// group-commit flusher.
+// openWAL opens (creating if needed) the job log under dir.
 func openWAL(dir string, chaos Chaos) (*wal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: wal dir: %w", err)
@@ -174,11 +154,7 @@ func openWAL(dir string, chaos Chaos) (*wal, error) {
 		f:      f,
 		size:   size,
 		synced: size, // bytes read back from disk are durable by definition
-		kick:   make(chan struct{}, 1),
-		stop:   make(chan struct{}),
 	}
-	w.wg.Add(1)
-	go w.flusher()
 	return w, nil
 }
 
@@ -224,112 +200,49 @@ func truncateFor(s string) string {
 	return s
 }
 
-// Append durably logs rec: it returns once an fsync covers the record (or
-// with the write/sync error). Concurrent appends share fsyncs.
+// Append durably logs rec: it returns nil only once an fsync covers the
+// record, else the write or sync error.
 func (w *wal) Append(rec walRecord) error {
 	line, err := encodeRecord(rec)
 	if err != nil {
 		return err
 	}
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return errWALClosed
 	}
 	if w.chaos != nil {
 		if ferr := w.chaos.WALWriteErr(); ferr != nil {
-			w.mu.Unlock()
 			return ferr
 		}
 	}
 	if _, err := w.f.Write(line); err != nil {
-		w.mu.Unlock()
 		return fmt.Errorf("serve: wal append: %w", err)
 	}
 	w.size += int64(len(line))
 	w.records++
-	if w.cur == nil {
-		w.cur = &syncBatch{done: make(chan struct{})}
-	}
-	b := w.cur
-	w.mu.Unlock()
-	select {
-	case w.kick <- struct{}{}:
-	default: // flusher already signalled
-	}
-	<-b.done
-	return b.err
-}
-
-// flusher performs the batched fsyncs: each pass moves the current batch
-// to inflight, optionally stalls (chaos), syncs, and — if it still owns the
-// batch — releases every waiter in it. Close/Rotate/Crash may take the
-// inflight batch over mid-sync (their own fsync settles its bytes first),
-// in which case the flusher's result is discarded.
-func (w *wal) flusher() {
-	defer w.wg.Done()
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-w.kick:
-		}
-		w.mu.Lock()
-		b := w.cur
-		w.cur = nil
-		w.inflight = b
-		sz := w.size
-		f := w.f
-		w.mu.Unlock()
-		if b == nil {
-			continue
-		}
-		if w.chaos != nil {
-			if d := w.chaos.WALSyncStall(); d > 0 {
-				time.Sleep(d)
+	if w.chaos != nil {
+		if d := w.chaos.WALSyncStall(); d > 0 {
+			// A slow disk: the record sits written but unsynced, and
+			// Close, Rotate, Crash or another append may run meanwhile.
+			f, end := w.f, w.size
+			w.mu.Unlock()
+			time.Sleep(d)
+			w.mu.Lock()
+			switch {
+			case w.f != f || w.synced >= end:
+				return nil // Rotate, Close or a later append synced it
+			case w.closed:
+				return errWALClosed // Crash truncated it away
 			}
 		}
-		err := f.Sync()
-		w.mu.Lock()
-		if w.inflight != b {
-			// Close/Rotate/Crash released the batch with the outcome of
-			// their own sync; this Sync ran against a closed or swapped
-			// file and its result is meaningless.
-			w.mu.Unlock()
-			continue
-		}
-		w.inflight = nil
-		// Rotation swaps w.f; a sync of the old segment must not advance
-		// the new segment's watermark (Rotate synced the old one itself).
-		if err == nil && f == w.f && sz > w.synced && !w.closed {
-			w.synced = sz
-		}
-		w.mu.Unlock()
-		b.err = err
-		close(b.done)
 	}
-}
-
-// takeBatchesLocked detaches both the pending and the in-flight batch; the
-// caller (holding w.mu) owns releasing them with releaseBatches.
-func (w *wal) takeBatchesLocked() []*syncBatch {
-	var bs []*syncBatch
-	if w.cur != nil {
-		bs = append(bs, w.cur)
-		w.cur = nil
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("serve: wal sync: %w", err)
 	}
-	if w.inflight != nil {
-		bs = append(bs, w.inflight)
-		w.inflight = nil
-	}
-	return bs
-}
-
-func releaseBatches(bs []*syncBatch, err error) {
-	for _, b := range bs {
-		b.err = err
-		close(b.done)
-	}
+	w.synced = w.size
+	return nil
 }
 
 // Size reports bytes written to the current log segment.
@@ -346,14 +259,12 @@ func (w *wal) Records() int {
 	return w.records
 }
 
-// Close syncs outstanding bytes and closes the log. Idempotent. Pending
-// and in-flight appends are released with the outcome of Close's own sync,
-// which covers every written byte — so an append whose fsync Close raced
-// is acknowledged durable, not failed.
+// Close syncs outstanding bytes and closes the log. Idempotent. An append
+// stalled before its fsync is covered by Close's sync and acknowledged.
 func (w *wal) Close() error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return nil
 	}
 	w.closed = true
@@ -361,42 +272,28 @@ func (w *wal) Close() error {
 	if err == nil {
 		w.synced = w.size
 	}
-	cerr := w.f.Close()
-	bs := w.takeBatchesLocked()
-	w.mu.Unlock()
-	close(w.stop)
-	releaseBatches(bs, err)
-	w.wg.Wait()
-	if err != nil {
-		return err
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
 	}
-	return cerr
+	return err
 }
 
 // Crash simulates a process kill for the chaos harness: bytes past the
 // last successful fsync are discarded (truncated away), mirroring what the
 // OS guarantees after a real kill -9, and the log is closed without a
-// final sync. Appends in flight fail with errWALClosed.
+// final sync. An append stalled before its fsync fails with errWALClosed.
 func (w *wal) Crash() {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return
 	}
 	w.closed = true
 	w.f.Truncate(w.synced)
 	w.f.Close()
-	bs := w.takeBatchesLocked()
-	w.mu.Unlock()
-	close(w.stop)
-	// Both the pending and the in-flight batch fail: their bytes were past
-	// the last fsync and the truncate just discarded them, exactly as a
-	// real kill -9 would.
-	releaseBatches(bs, errWALClosed)
-	w.wg.Wait()
 }
 
-// Rotate seals the current segment: pending appends are synced and
+// Rotate seals the current segment: stalled appends are synced and
 // acknowledged, wal.log is renamed to wal.log.old, and a fresh wal.log
 // takes over. The caller folds the sealed segment into the snapshot and
 // then removes it (removeSealed).
@@ -410,9 +307,6 @@ func (w *wal) Rotate() error {
 		return err
 	}
 	w.synced = w.size
-	// nil err: pending and in-flight waiters' bytes are durable in the
-	// sealed segment.
-	releaseBatches(w.takeBatchesLocked(), nil)
 	oldPath := filepath.Join(w.dir, walOldName)
 	if err := os.Rename(filepath.Join(w.dir, walFileName), oldPath); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -138,7 +139,7 @@ func TestWALCrashDiscardsUnsyncedBytes(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// This append lands in the stalled batch; Crash interrupts it.
+		// This append stalls before its fsync; Crash interrupts it.
 		w.Append(walRec("submitted", "lost"))
 	}()
 	time.Sleep(10 * time.Millisecond) // let the append hit the file
@@ -271,11 +272,10 @@ func (c *stubChaos) WALSyncStall() time.Duration {
 func (c *stubChaos) JobFault(string) guard.Fault   { return guard.FaultNone }
 func (c *stubChaos) JobDelay(string) time.Duration { return 0 }
 
-// TestWALCloseReleasesInflightBatch closes the log while the flusher is
-// stalled mid-sync on an append's batch. Close fsyncs the append's bytes
-// itself, so the append must be acknowledged durable (nil error) rather
-// than failed when the flusher's late Sync hits the closed file.
-func TestWALCloseReleasesInflightBatch(t *testing.T) {
+// TestWALCloseAcksStalledAppend closes the log while an append is stalled
+// between its write and its fsync. Close fsyncs the append's bytes itself,
+// so the append must be acknowledged durable (nil error) and replay.
+func TestWALCloseAcksStalledAppend(t *testing.T) {
 	dir := t.TempDir()
 	chaos := &stubChaos{syncStall: 300 * time.Millisecond}
 	w, err := openWAL(dir, chaos)
@@ -284,7 +284,7 @@ func TestWALCloseReleasesInflightBatch(t *testing.T) {
 	}
 	appendErr := make(chan error, 1)
 	go func() { appendErr <- w.Append(walRec("submitted", "a")) }()
-	time.Sleep(50 * time.Millisecond) // let the flusher take the batch and stall
+	time.Sleep(50 * time.Millisecond) // let the append write and stall
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -297,6 +297,71 @@ func TestWALCloseReleasesInflightBatch(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].ID != "a" {
 		t.Fatalf("acked record must replay: %+v", recs)
+	}
+}
+
+// TestWALAckedAppendsAreDurable runs concurrent appends through a slow
+// disk and crashes the log mid-run: replay must return exactly the records
+// whose Append returned nil — every acknowledged record survives, and no
+// refused one does.
+func TestWALAckedAppendsAreDurable(t *testing.T) {
+	const goroutines, perG, crashAfter = 8, 50, 100
+	dir := t.TempDir()
+	w, err := openWAL(dir, &stubChaos{syncStall: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu      sync.Mutex
+		acked   = map[string]bool{}
+		refused int
+		wg      sync.WaitGroup
+	)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				id := fmt.Sprintf("g%d-%d", g, i)
+				err := w.Append(walRec("submitted", id))
+				mu.Lock()
+				if err == nil {
+					acked[id] = true
+				} else {
+					refused++
+				}
+				crash := err == nil && len(acked) == crashAfter
+				mu.Unlock()
+				if crash {
+					// Other appends are stalled between write and fsync.
+					w.Crash()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	if refused == 0 {
+		t.Fatal("Crash landed after the last append; the run proves nothing")
+	}
+	_, recs, _, err := loadLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := map[string]bool{}
+	for _, r := range recs {
+		if !acked[r.ID] {
+			t.Errorf("record %s replays but its Append failed", r.ID)
+		}
+		replayed[r.ID] = true
+	}
+	for id := range acked {
+		if !replayed[id] {
+			t.Errorf("acknowledged record %s lost by the crash", id)
+		}
+	}
+	if len(recs) != len(acked) {
+		t.Fatalf("replayed %d records, %d acknowledged", len(recs), len(acked))
 	}
 }
 

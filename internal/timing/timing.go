@@ -5,11 +5,7 @@
 // data input) — the quantity Table I of the paper reports as "Clk.".
 package timing
 
-import (
-	"math"
-
-	"repro/internal/network"
-)
+import "repro/internal/network"
 
 // DelayModel supplies the pin-to-output delay of each logic node.
 type DelayModel interface {
@@ -38,10 +34,9 @@ func (MappedDelay) PinDelay(v *network.Node, pin int) float64 {
 	return 1
 }
 
-// Result holds arrival/required times and the critical path.
+// Result holds arrival times and the critical path.
 type Result struct {
-	Arrival  map[*network.Node]float64
-	Required map[*network.Node]float64
+	Arrival map[*network.Node]float64
 	// Period is the maximum arrival time over all combinational sinks.
 	Period float64
 	// CritSink is the logic node driving the most critical sink.
@@ -59,7 +54,6 @@ func Analyze(n *network.Network, m DelayModel) (*Result, error) {
 	}
 	res := &Result{
 		Arrival:  make(map[*network.Node]float64, len(order)),
-		Required: make(map[*network.Node]float64, len(order)),
 		critPred: make(map[*network.Node]int, len(order)),
 	}
 	for _, p := range n.PIs {
@@ -83,51 +77,17 @@ func Analyze(n *network.Network, m DelayModel) (*Result, error) {
 		res.critPred[v] = bestPin
 	}
 	// Period = max arrival at sinks.
-	sinkArr := func(v *network.Node) float64 { return res.Arrival[v] }
 	for _, p := range n.POs {
-		if a := sinkArr(p.Driver); a > res.Period {
+		if a := res.Arrival[p.Driver]; a > res.Period {
 			res.Period, res.CritSink = a, p.Driver
 		}
 	}
 	for _, l := range n.Latches {
-		if a := sinkArr(l.Driver); a > res.Period {
+		if a := res.Arrival[l.Driver]; a > res.Period {
 			res.Period, res.CritSink = a, l.Driver
 		}
 	}
-	// Required times: sinks at Period, propagate backwards.
-	for _, v := range order {
-		res.Required[v] = math.Inf(1)
-	}
-	for _, p := range n.PIs {
-		res.Required[p] = math.Inf(1)
-	}
-	for _, l := range n.Latches {
-		res.Required[l.Output] = math.Inf(1)
-	}
-	setReq := func(v *network.Node, r float64) {
-		if r < res.Required[v] {
-			res.Required[v] = r
-		}
-	}
-	for _, p := range n.POs {
-		setReq(p.Driver, res.Period)
-	}
-	for _, l := range n.Latches {
-		setReq(l.Driver, res.Period)
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		r := res.Required[v]
-		for pin, fi := range v.Fanins {
-			setReq(fi, r-m.PinDelay(v, pin))
-		}
-	}
 	return res, nil
-}
-
-// Slack returns required - arrival for a node.
-func (r *Result) Slack(v *network.Node) float64 {
-	return r.Required[v] - r.Arrival[v]
 }
 
 // CriticalPath returns the logic nodes of one most-critical combinational

@@ -99,32 +99,6 @@ func TestLatchDriverIsSink(t *testing.T) {
 	}
 }
 
-func TestSlack(t *testing.T) {
-	n := network.New("slack")
-	a := n.AddPI("a")
-	b := n.AddPI("b")
-	buf := logic.MustParseCover(1, "1")
-	and := logic.MustParseCover(2, "11")
-	g1 := n.AddLogic("g1", []*network.Node{a}, buf.Clone())
-	g2 := n.AddLogic("g2", []*network.Node{g1}, buf.Clone())
-	gShort := n.AddLogic("gs", []*network.Node{b}, buf.Clone())
-	g3 := n.AddLogic("g3", []*network.Node{g2, gShort}, and)
-	n.AddPO("y", g3)
-	res, err := Analyze(n, UnitDelay{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := res.Slack(g3); s != 0 {
-		t.Fatalf("sink slack = %v", s)
-	}
-	if s := res.Slack(gShort); s != 1 {
-		t.Fatalf("short-branch slack = %v, want 1", s)
-	}
-	if s := res.Slack(g1); s != 0 {
-		t.Fatalf("critical node slack = %v", s)
-	}
-}
-
 type fakeGate struct {
 	name   string
 	area   float64
