@@ -235,7 +235,7 @@ func BenchmarkMinPeriodRetiming(b *testing.B) {
 			src := buildCircuit(b, name)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := retime.MinPeriod(context.Background(), src, nil, nil); err != nil {
+				if _, _, err := retime.MinPeriod(context.Background(), src, nil); err != nil {
 					b.Skipf("retiming failed (a legitimate Table I outcome): %v", err)
 				}
 			}
@@ -278,7 +278,7 @@ func BenchmarkSTA(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := timing.Analyze(sd.Net, timing.MappedDelay{}); err != nil {
+		if _, err := timing.Analyze(sd.Net); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -50,7 +50,7 @@ func main() {
 	if *minarea {
 		c := *period
 		if c == 0 {
-			g, err := retime.BuildGraph(src, nil)
+			g, err := retime.BuildGraph(src)
 			if err != nil {
 				fatal(err)
 			}
@@ -59,14 +59,14 @@ func main() {
 				fatal(err)
 			}
 		}
-		ret, info, err := retime.MinAreaUnderPeriod(ctx, src, nil, c, nil)
+		ret, info, err := retime.MinAreaUnderPeriod(ctx, src, c, nil)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("min-area @ %.2f: %v\n", c, info)
 		result = ret
 	} else {
-		ret, info, err := retime.MinPeriod(ctx, src, nil, nil)
+		ret, info, err := retime.MinPeriod(ctx, src, nil)
 		if err != nil {
 			fatal(fmt.Errorf("%w (the paper reports the same failure mode for several benchmarks)", err))
 		}

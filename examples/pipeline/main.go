@@ -30,7 +30,7 @@ func main() {
 	ctx := context.Background()
 	fmt.Println("== case 1: a feed-forward pipeline ==")
 	pipe := bench.BuildPipelineExample()
-	p0, err := timing.Period(pipe, timing.UnitDelay{})
+	p0, err := timing.Period(pipe)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,19 +46,19 @@ func main() {
 	fmt.Printf("resynthesis declined: %s\n", res.Reason)
 
 	// Retiming, in contrast, balances the pipeline to the optimum.
-	ret, info, err := retime.MinPeriod(ctx, pipe, nil, nil)
+	ret, info, err := retime.MinPeriod(ctx, pipe, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("plain retiming handles pipelines fine: %v\n", info)
-	if p, _ := timing.Period(ret, timing.UnitDelay{}); p != info.PeriodAfter {
+	if p, _ := timing.Period(ret); p != info.PeriodAfter {
 		log.Fatal("period mismatch")
 	}
 	fmt.Println()
 
 	fmt.Println("== case 2: feedback, but single-fanout registers ==")
 	sf := bench.BuildSingleFanoutExample()
-	p1, _ := timing.Period(sf, timing.UnitDelay{})
+	p1, _ := timing.Period(sf)
 	fmt.Printf("circuit: %v, cycle time %.0f\n", sf.Stat(), p1)
 	res2, err := core.Resynthesize(ctx, sf, core.Options{})
 	if err != nil {

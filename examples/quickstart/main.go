@@ -29,14 +29,14 @@ func main() {
 	orig := bench.BuildPaperExample()
 	fmt.Println("== Section III worked example (unit delay model) ==")
 	fmt.Printf("original circuit: %v\n", orig.Stat())
-	p0, err := timing.Period(orig, timing.UnitDelay{})
+	p0, err := timing.Period(orig)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("cycle time after delay optimization: %.0f gate delays\n\n", p0)
 
 	// Step 1: what conventional retiming can do (Fig. 4b).
-	ret, info, err := retime.MinPeriod(ctx, orig, nil, nil)
+	ret, info, err := retime.MinPeriod(ctx, orig, nil)
 	if err != nil {
 		log.Fatalf("retiming failed: %v", err)
 	}

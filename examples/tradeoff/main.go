@@ -46,7 +46,7 @@ func main() {
 	}
 	fmt.Printf("circuit %s: %v\n", name, src.Stat())
 
-	g, err := retime.BuildGraph(src, nil)
+	g, err := retime.BuildGraph(src)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// The fastest achievable implementation anchors the sweep.
-	fastest, info, err := retime.MinPeriod(ctx, src, nil, nil)
+	fastest, info, err := retime.MinPeriod(ctx, src, nil)
 	if err != nil {
 		log.Fatalf("min-period retiming failed: %v (a legitimate Table I outcome)", err)
 	}
@@ -64,7 +64,7 @@ func main() {
 
 	fmt.Printf("%-18s %8s %12s\n", "period target", "regs", "verified")
 	for target := pMin; target <= p0+0.5; target++ {
-		ret, mInfo, err := retime.MinAreaUnderPeriod(ctx, fastest, nil, target, nil)
+		ret, mInfo, err := retime.MinAreaUnderPeriod(ctx, fastest, target, nil)
 		if err != nil {
 			fmt.Printf("%-18.0f %8s   (%v)\n", target, "-", err)
 			continue

@@ -261,7 +261,7 @@ func TestDecomposeBalanced(t *testing.T) {
 	}
 	// Balanced tree of a 3-literal AND plus OR chain: depth must be
 	// logarithmic-ish, not the SOP-literal count.
-	p, err := timing.Period(n, timing.UnitDelay{})
+	p, err := timing.Period(n)
 	if err != nil {
 		t.Fatal(err)
 	}

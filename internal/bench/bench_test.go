@@ -15,7 +15,7 @@ func TestPaperExampleShape(t *testing.T) {
 	if err := n.Check(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := timing.Period(n, timing.UnitDelay{})
+	p, err := timing.Period(n)
 	if err != nil || p != 3 {
 		t.Fatalf("period %v err %v, want 3", p, err)
 	}
@@ -255,7 +255,7 @@ func TestSingleFanoutExampleProperty(t *testing.T) {
 		}
 	}
 	// And it must still be a real FSM (retimable in principle).
-	if _, err := retime.BuildGraph(n, nil); err != nil {
+	if _, err := retime.BuildGraph(n); err != nil {
 		t.Fatal(err)
 	}
 	var _ *network.Network = n

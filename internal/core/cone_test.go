@@ -93,14 +93,11 @@ func equivCone(k int) (*network.Network, *dontcare.Classes) {
 // DCret simplification falls back to the per-node pass, which still
 // simplifies the node reading the equivalent registers.
 func TestCollapseConeRespectsBounds(t *testing.T) {
-	opt := Options{}
-	opt.defaults()
-
 	n, classes := equivCone(maxConeSupport - 2)
 	if _, _, ok := collapseCone(n, n.FindNode("h")); !ok {
 		t.Fatalf("cone of %d sources refused", maxConeSupport)
 	}
-	if simplifyWithDCRet(n, classes, nil, opt) == 0 || n.FindNode("h_rs") == nil {
+	if simplifyWithDCRet(n, classes, nil) == 0 || n.FindNode("h_rs") == nil {
 		t.Fatalf("cone of %d sources not simplified whole", maxConeSupport)
 	}
 
@@ -108,7 +105,7 @@ func TestCollapseConeRespectsBounds(t *testing.T) {
 	if _, _, ok := collapseCone(n, n.FindNode("h")); ok {
 		t.Fatalf("cone of %d sources collapsed past the bound", maxConeSupport+1)
 	}
-	if simplifyWithDCRet(n, classes, nil, opt) == 0 {
+	if simplifyWithDCRet(n, classes, nil) == 0 {
 		t.Fatal("per-node fallback simplified nothing")
 	}
 	if n.FindNode("h_rs") != nil {

@@ -7,7 +7,9 @@
 // DCret, (3) forward-retimes registers across the path gates, computing
 // initial states, (4) simplifies the relocated next-state logic using
 // DCret, and (5) recovers registers with constrained min-area retiming
-// under the achieved delay.
+// under the achieved delay. Delays follow timing.PinDelay: unit delay on an
+// unmapped network (the paper's worked example), library gate delay on a
+// mapped one (Table I).
 package core
 
 import (
@@ -26,9 +28,6 @@ import (
 
 // Options configures the resynthesis.
 type Options struct {
-	// Delay is the timing model for critical-path extraction (unit delay
-	// when nil).
-	Delay timing.DelayModel
 	// KeepHarm keeps the resynthesized circuit even when its cycle time
 	// regressed (the paper's reported behaviour on two benchmarks). When
 	// false the original network is returned instead.
@@ -42,12 +41,6 @@ type Options struct {
 	// Tracer receives per-pass spans and transformation counters (nil:
 	// no tracing, zero overhead).
 	Tracer *obs.Tracer
-}
-
-func (o *Options) defaults() {
-	if o.Delay == nil {
-		o.Delay = timing.UnitDelay{}
-	}
 }
 
 // Result reports what the resynthesis did.
@@ -84,7 +77,6 @@ type Result struct {
 // recovery) check ctx between phases and return a typed guard budget error
 // once the deadline passes.
 func Resynthesize(ctx context.Context, n *network.Network, opt Options) (*Result, error) {
-	opt.defaults()
 	sp := opt.Tracer.Begin("core.resynthesize")
 	defer sp.End()
 	res, err := resynthesize(ctx, n, opt)
@@ -118,7 +110,7 @@ func resynthesize(ctx context.Context, n *network.Network, opt Options) (*Result
 		return nil, cerr
 	}
 	st := tr.Begin("sta")
-	sta, err := timing.Analyze(n, opt.Delay)
+	sta, err := timing.Analyze(n)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +118,7 @@ func resynthesize(ctx context.Context, n *network.Network, opt Options) (*Result
 	res.PeriodAfter = sta.Period
 
 	work := n.Clone()
-	wsta, err := timing.Analyze(work, opt.Delay)
+	wsta, err := timing.Analyze(work)
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +230,7 @@ func resynthesize(ctx context.Context, n *network.Network, opt Options) (*Result
 	if !opt.DisableDCRet {
 		st = tr.Begin("dcret_simplify")
 		litsIn := work.NumLits()
-		res.Simplified = simplifyWithDCRet(work, classes, engineRegs, opt)
+		res.Simplified = simplifyWithDCRet(work, classes, engineRegs)
 		if d := litsIn - work.NumLits(); d > 0 {
 			res.LitsSaved = d
 		}
@@ -249,7 +241,7 @@ func resynthesize(ctx context.Context, n *network.Network, opt Options) (*Result
 	classes.Prune(work)
 
 	// Step 5: constrained min-area retiming under the achieved delay.
-	p, err := timing.Period(work, opt.Delay)
+	p, err := timing.Period(work)
 	if err != nil {
 		return nil, err
 	}
@@ -257,15 +249,15 @@ func resynthesize(ctx context.Context, n *network.Network, opt Options) (*Result
 		return nil, cerr
 	}
 	if !opt.SkipMinArea {
-		if ma, _, err := retime.MinAreaUnderPeriod(ctx, work, opt.Delay, p, tr); err == nil {
-			if q, err2 := timing.Period(ma, opt.Delay); err2 == nil && q <= p+1e-9 {
+		if ma, _, err := retime.MinAreaUnderPeriod(ctx, work, p, tr); err == nil {
+			if q, err2 := timing.Period(ma); err2 == nil && q <= p+1e-9 {
 				work = ma
 			}
 		}
 		retime.MergeSiblingRegisters(work)
 		sweepDanglingLatches(work)
 	}
-	p, err = timing.Period(work, opt.Delay)
+	p, err = timing.Period(work)
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +281,7 @@ func resynthesize(ctx context.Context, n *network.Network, opt Options) (*Result
 // simplifyWithDCRet collapses the next-state cones (and PO cones) whose
 // support contains equivalent registers and minimizes them against DCret;
 // nodes whose cones are too large fall back to per-node simplification.
-func simplifyWithDCRet(work *network.Network, classes *dontcare.Classes, engineRegs map[*network.Latch]bool, opt Options) int {
+func simplifyWithDCRet(work *network.Network, classes *dontcare.Classes, engineRegs map[*network.Latch]bool) int {
 	improved := 0
 	// Collect the distinct cone roots: latch drivers and PO drivers.
 	// Drivers of engine-created registers additionally qualify for
@@ -312,7 +304,7 @@ func simplifyWithDCRet(work *network.Network, classes *dontcare.Classes, engineR
 	// Deepest cones first: a deep cone still sees the equivalent register
 	// pairs in its support; once an enclosed shallow cone is rewritten
 	// with the equivalence, the pair may vanish from enclosing supports.
-	sta, err := timing.Analyze(work, opt.Delay)
+	sta, err := timing.Analyze(work)
 	if err != nil {
 		return 0
 	}
@@ -490,15 +482,14 @@ func sweepDanglingLatches(work *network.Network) int {
 	}
 }
 
+// maxPasses bounds the Algorithm 1 passes of ResynthesizeIterate.
+const maxPasses = 3
+
 // ResynthesizeIterate applies Resynthesize repeatedly (each pass attacks
 // the then-current critical path) until no further cycle-time improvement
-// or maxPasses is reached. PrefixK accumulates across passes. ctx is
-// checked before every pass and inside each pass's phases.
-func ResynthesizeIterate(ctx context.Context, n *network.Network, opt Options, maxPasses int) (*Result, error) {
-	opt.defaults()
-	if maxPasses < 1 {
-		maxPasses = 1
-	}
+// or maxPasses passes. PrefixK accumulates across passes. ctx is checked
+// before every pass and inside each pass's phases.
+func ResynthesizeIterate(ctx context.Context, n *network.Network, opt Options) (*Result, error) {
 	sp := opt.Tracer.Begin("core.resynthesize_iterate")
 	defer sp.End()
 	cur := n

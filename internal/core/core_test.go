@@ -20,7 +20,7 @@ func TestPaperWorkedExample(t *testing.T) {
 	if err := orig.Check(); err != nil {
 		t.Fatal(err)
 	}
-	p0, err := timing.Period(orig, timing.UnitDelay{})
+	p0, err := timing.Period(orig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestPaperWorkedExample(t *testing.T) {
 	}
 
 	// Conventional min-period retiming reaches 2 (Fig. 4b).
-	ret, info, err := retime.MinPeriod(context.Background(), orig, nil, nil)
+	ret, info, err := retime.MinPeriod(context.Background(), orig, nil)
 	if err != nil {
 		t.Fatalf("conventional retiming failed: %v", err)
 	}
@@ -150,7 +150,7 @@ func TestSingleFanoutNotApplicable(t *testing.T) {
 // prefix.
 func TestResynthesizeIterate(t *testing.T) {
 	orig := bench.BuildPaperExample()
-	res, err := ResynthesizeIterate(context.Background(), orig, Options{}, 4)
+	res, err := ResynthesizeIterate(context.Background(), orig, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestHarmReversion(t *testing.T) {
 		n := bench.Synthetic(bench.Profile{
 			Name: "h", PIs: 2, POs: 1, FFs: 3, Gates: 10, Seed: seed,
 		})
-		p0, err := timing.Period(n, timing.UnitDelay{})
+		p0, err := timing.Period(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestHarmReversion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p1, err := timing.Period(res.Network, timing.UnitDelay{})
+		p1, err := timing.Period(res.Network)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/reach"
 	"repro/internal/retime"
-	"repro/internal/timing"
 )
 
 // TestPlanetIsDeterministic: planet's script netlist, and the BDD node
@@ -31,7 +30,7 @@ func TestPlanetIsDeterministic(t *testing.T) {
 		if err := blif.Write(&b, sd.Net); err != nil {
 			t.Fatal(err)
 		}
-		ret, _, err := retime.MinPeriod(ctx, sd.Net, timing.MappedDelay{}, nil)
+		ret, _, err := retime.MinPeriod(ctx, sd.Net, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -108,7 +108,7 @@ func (c Config) tx(f guard.Fault) guard.TxOptions {
 	return guard.TxOptions{
 		Tracer: c.Tracer,
 		Budget: c.Budget,
-		Inject: guard.FixedInjector(f),
+		Fault:  f,
 	}
 }
 
@@ -123,7 +123,7 @@ func rollCause(rep guard.TxReport) error {
 }
 
 func measure(n *network.Network, lib *genlib.Library) (Metrics, error) {
-	clk, err := timing.Period(n, timing.MappedDelay{})
+	clk, err := timing.Period(n)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -221,7 +221,7 @@ func RetimeCombOpt(ctx context.Context, mappedIn *network.Network, lib *genlib.L
 	note := ""
 	ret, rep := guard.Tx(fctx, "retime.min_period", mappedIn, cfg.tx(cfg.fault("retime.min_period")),
 		func(ctx context.Context, work *network.Network) (*network.Network, int, error) {
-			r, _, err := retime.MinPeriod(ctx, work, timing.MappedDelay{}, tr)
+			r, _, err := retime.MinPeriod(ctx, work, tr)
 			return r, 0, err
 		})
 	if !rep.Committed {
@@ -497,15 +497,7 @@ func Resynthesis(ctx context.Context, mappedIn *network.Network, lib *genlib.Lib
 	declined := ""
 	w, rep := guard.Tx(fctx, "core.resynthesize", mappedIn, cfg.tx(cfg.fault("core.resynthesize")),
 		func(ctx context.Context, work *network.Network) (*network.Network, int, error) {
-			opt := core.Options{
-				// The same mapped delay model measure() uses: gate pin
-				// delays from the bound-gate annotations. The clone
-				// preserves the input's bindings, so both paths stay
-				// consistent (regression-tested in flows_test.go).
-				Delay:  timing.MappedDelay{},
-				Tracer: tr,
-			}
-			res, err := core.ResynthesizeIterate(ctx, work, opt, 3)
+			res, err := core.ResynthesizeIterate(ctx, work, core.Options{Tracer: tr})
 			if err != nil {
 				return nil, 0, err
 			}
@@ -526,7 +518,7 @@ func Resynthesis(ctx context.Context, mappedIn *network.Network, lib *genlib.Lib
 	// It is kept only when it helps and the initial states work out.
 	g, grep := guard.Tx(fctx, "retime.guide", w, cfg.tx(cfg.fault("retime.guide")),
 		func(ctx context.Context, work *network.Network) (*network.Network, int, error) {
-			ret, info, rerr := retime.MinPeriod(ctx, work, timing.MappedDelay{}, tr)
+			ret, info, rerr := retime.MinPeriod(ctx, work, tr)
 			if rerr != nil {
 				return nil, 0, rerr
 			}

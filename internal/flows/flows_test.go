@@ -7,11 +7,11 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/genlib"
 	"repro/internal/guard"
 	"repro/internal/network"
 	"repro/internal/obs"
-	"repro/internal/timing"
 )
 
 func runAll(t *testing.T, n *network.Network) (sd, ret, rsyn *Result) {
@@ -27,7 +27,7 @@ func runAll(t *testing.T, n *network.Network) (sd, ret, rsyn *Result) {
 func TestFlowsOnPaperExample(t *testing.T) {
 	src := bench.BuildPaperExample()
 	sd, ret, rsyn := runAll(t, src)
-	// Under the mapped (lib2) delay model both derived flows must improve
+	// In mapped (lib2) gate delay both derived flows must improve
 	// on plain script.delay. The exact 3 → 2 → 1 unit-delay story of
 	// Section III is asserted in internal/core (the mapped margin depends
 	// on library phase coverage: v·s'·a' needs input inverters in lib2,
@@ -133,11 +133,13 @@ func TestFlowsOnSyntheticISCASProfile(t *testing.T) {
 	}
 }
 
-// TestMappedDelayPeriodConsistency pins the satellite fix: the delay model
-// handed to core.ResynthesizeIterate and the one used by measure() must
-// compute the same clock period on a mapped circuit.
+// TestMappedDelayPeriodConsistency: core times a mapped circuit in the
+// same library delay as measure(), with no delay choice left to the
+// caller, so its PeriodBefore on ScriptDelay's output is exactly the
+// table's Clk.
 func TestMappedDelayPeriodConsistency(t *testing.T) {
-	for _, name := range []string{"bbtas", "s27"} {
+	ctx := context.Background()
+	for _, name := range []string{"bbtas", "s27", "s208"} {
 		c, ok := bench.ByName(name)
 		if !ok {
 			t.Fatalf("%s missing", name)
@@ -146,16 +148,16 @@ func TestMappedDelayPeriodConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sd, err := ScriptDelay(context.Background(), src, genlib.Lib2(), Config{})
+		sd, err := ScriptDelay(ctx, src, genlib.Lib2(), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := timing.Period(sd.Net, timing.MappedDelay{})
+		res, err := core.Resynthesize(ctx, sd.Net, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sd.Clk != p {
-			t.Fatalf("%s: measure() period %v != MappedDelay period %v", name, sd.Clk, p)
+		if res.PeriodBefore != sd.Clk {
+			t.Fatalf("%s: core PeriodBefore %v != table Clk %v", name, res.PeriodBefore, sd.Clk)
 		}
 	}
 }

@@ -40,8 +40,9 @@ func KnownFlow(name string) bool {
 //   - "retime": ScriptDelay then conventional retiming + comb. opt.;
 //   - "resyn":  ScriptDelay then the paper's resynthesis (Algorithm 1 with
 //     retiming-induced don't cares) on the mapped circuit;
-//   - "core":   raw iterated Algorithm 1 under the unit-delay model, no
-//     technology mapping (Metrics.Area is literal count, not mapped area).
+//   - "core":   raw iterated Algorithm 1 on src itself, with no technology
+//     mapping: src binds no gates, so Clk is in unit delay and Metrics.Area
+//     is literal count, not mapped area.
 //
 // An unknown name is reported as an error before any work starts.
 func RunFlow(ctx context.Context, name string, src *network.Network, lib *genlib.Library, cfg Config) (*Result, error) {
@@ -70,11 +71,11 @@ func RunFlow(ctx context.Context, name string, src *network.Network, lib *genlib
 		// per-pass transaction at this level (core guards internally).
 		cctx, cancel := cfg.Budget.FlowContext(ctx)
 		defer cancel()
-		res, err := core.ResynthesizeIterate(cctx, src, core.Options{Tracer: cfg.Tracer}, 4)
+		res, err := core.ResynthesizeIterate(cctx, src, core.Options{Tracer: cfg.Tracer})
 		if err != nil {
 			return nil, err
 		}
-		p, _ := timing.Period(res.Network, timing.UnitDelay{})
+		p, _ := timing.Period(res.Network)
 		r := &Result{
 			Net:     res.Network,
 			PrefixK: res.PrefixK,

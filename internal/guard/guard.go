@@ -198,16 +198,6 @@ type Injector interface {
 	Fault(pass string) Fault
 }
 
-// FixedInjector returns an Injector that reports f for every pass. Call
-// sites that must consult a stateful injector exactly once per pass
-// invocation (some faults are realized outside the transactional runner)
-// resolve the decision first and hand the fixed result to Tx.
-func FixedInjector(f Fault) Injector { return fixedInjector(f) }
-
-type fixedInjector Fault
-
-func (f fixedInjector) Fault(string) Fault { return Fault(f) }
-
 // Run executes fn under ctx with panic containment: a budget exhausted
 // before fn starts returns a typed budget error, and a panic inside fn is
 // converted into a *PassError carrying the pass name, the circuit stats of

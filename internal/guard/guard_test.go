@@ -156,7 +156,7 @@ func TestTxContainsInjectedPanic(t *testing.T) {
 	n := bufNet(t)
 	tr := obs.New()
 	out, rep := Tx(context.Background(), "p", n,
-		TxOptions{Tracer: tr, Inject: FixedInjector(FaultPanic)},
+		TxOptions{Tracer: tr, Fault: FaultPanic},
 		func(_ context.Context, work *network.Network) (*network.Network, int, error) {
 			return work, 0, nil
 		})
@@ -176,7 +176,7 @@ func TestTxRollsBackCorruptOutput(t *testing.T) {
 	n := bufNet(t)
 	tr := obs.New()
 	out, rep := Tx(context.Background(), "c", n,
-		TxOptions{Tracer: tr, Inject: FixedInjector(FaultCorrupt)},
+		TxOptions{Tracer: tr, Fault: FaultCorrupt},
 		func(_ context.Context, work *network.Network) (*network.Network, int, error) {
 			return work, 0, nil
 		})
@@ -199,7 +199,7 @@ func TestTxRollsBackOnInjectedDeadline(t *testing.T) {
 	tr := obs.New()
 	ran := false
 	out, rep := Tx(context.Background(), "d", n,
-		TxOptions{Tracer: tr, Inject: FixedInjector(FaultDeadline)},
+		TxOptions{Tracer: tr, Fault: FaultDeadline},
 		func(_ context.Context, work *network.Network) (*network.Network, int, error) {
 			ran = true
 			return work, 0, nil

@@ -27,8 +27,10 @@ type TxOptions struct {
 	// Budget supplies the per-pass deadline (Budget.Pass; the flow-level
 	// deadline is expected to already be on the incoming context).
 	Budget Budget
-	// Inject optionally injects faults per pass invocation (nil: none).
-	Inject Injector
+	// Fault is the fault to inject into this pass invocation (FaultNone,
+	// the zero value: none). Callers holding a stateful Injector consult it
+	// once per invocation and pass the decision here.
+	Fault Fault
 }
 
 // TxReport describes the outcome of one transactional pass.
@@ -76,13 +78,9 @@ func Tx(ctx context.Context, pass string, in *network.Network, opt TxOptions, fn
 		}
 	}
 
-	fault := FaultNone
-	if opt.Inject != nil {
-		fault = opt.Inject.Fault(pass)
-	}
 	pctx, cancel := opt.Budget.PassContext(ctx)
 	defer cancel()
-	if fault == FaultDeadline {
+	if opt.Fault == FaultDeadline {
 		// Hand the pass an already-exhausted context: the pre-check below
 		// (and any in-pass cancellation point) sees the injected cause.
 		dctx, dcancel := context.WithCancelCause(pctx)
@@ -99,7 +97,7 @@ func Tx(ctx context.Context, pass string, in *network.Network, opt TxOptions, fn
 	var prefix int
 	err := Run(pctx, pass, in, func(ctx context.Context) error {
 		work := in.Clone()
-		if fault == FaultPanic {
+		if opt.Fault == FaultPanic {
 			panic(fmt.Sprintf("guard: injected panic in %s", pass))
 		}
 		o, k, ferr := fn(ctx, work)
@@ -124,7 +122,7 @@ func Tx(ctx context.Context, pass string, in *network.Network, opt TxOptions, fn
 		}
 	}
 
-	if fault == FaultCorrupt {
+	if opt.Fault == FaultCorrupt {
 		corruptNetwork(out)
 	}
 	if cerr := out.Check(); cerr != nil {

@@ -3,7 +3,7 @@
 // 4-feasible cut enumeration and dynamic programming over arrival times
 // (the "mapped to produce minimum delay circuits" step of the paper's
 // experimental flows). The result is a new network whose logic nodes carry
-// bound-gate annotations consumed by timing.MappedDelay.
+// bound-gate annotations whose pin delays timing.PinDelay charges.
 package mapper
 
 import (

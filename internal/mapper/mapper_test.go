@@ -140,7 +140,7 @@ func TestMappedDelayReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := timing.Period(m, timing.MappedDelay{})
+	p, err := timing.Period(m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,7 +119,7 @@ func TestFEASMatchesReference(t *testing.T) {
 		for seed := int64(1); seed <= 25; seed++ {
 			g, err := BuildGraph(bench.Synthetic(bench.Profile{
 				Name: "x", PIs: 3, POs: 2, FFs: 4, Gates: 18, Seed: seed,
-			}), nil)
+			}))
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -146,7 +146,7 @@ func registryGraph(t *testing.T, name string) *Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := BuildGraph(n, nil)
+	g, err := BuildGraph(n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,9 @@
 // retiming via binary search + FEAS, and constrained min-area retiming via
 // the min-cost-flow dual of the retiming LP. It supplies both the
 // conventional-retiming baseline of Table I and the constrained min-area
-// post-pass of the paper's Algorithm 1.
+// post-pass of the paper's Algorithm 1. A logic node's vertex delay is its
+// largest timing.PinDelay, so a mapped network retimes in library delay and
+// an unmapped one in unit delay.
 package retime
 
 import (
@@ -15,12 +17,12 @@ import (
 )
 
 // vertexDelay is the propagation delay of logic node v as one retiming
-// vertex: its largest pin delay under d, or 1 when that is 0 (a constant
+// vertex: its largest timing.PinDelay, or 1 when that is 0 (a constant
 // node, or a gate without delay data).
-func vertexDelay(d timing.DelayModel, v *network.Node) float64 {
+func vertexDelay(v *network.Node) float64 {
 	m := 0.0
 	for i := range v.Fanins {
-		m = max(m, d.PinDelay(v, i))
+		m = max(m, timing.PinDelay(v, i))
 	}
 	if m == 0 {
 		return 1
@@ -51,10 +53,7 @@ const Host = 0
 // into a single weighted edge. Primary inputs and outputs attach to the
 // host vertex. Constant nodes get a zero-weight host edge, pinning their
 // lag to keep degenerate register creation out of the solution space.
-func BuildGraph(n *network.Network, d timing.DelayModel) (*Graph, error) {
-	if d == nil {
-		d = timing.UnitDelay{}
-	}
+func BuildGraph(n *network.Network) (*Graph, error) {
 	g := &Graph{Index: make(map[*network.Node]int)}
 	for _, v := range n.Nodes() {
 		if v.Kind == network.KindLogic {
@@ -64,7 +63,7 @@ func BuildGraph(n *network.Network, d timing.DelayModel) (*Graph, error) {
 	}
 	g.Delay = make([]float64, len(g.Nodes)+1)
 	for i, v := range g.Nodes {
-		g.Delay[i+1] = vertexDelay(d, v)
+		g.Delay[i+1] = vertexDelay(v)
 	}
 
 	// traceSource walks backwards through register chains from a fanin

@@ -9,7 +9,6 @@ import (
 	"repro/internal/guard"
 	"repro/internal/network"
 	"repro/internal/obs"
-	"repro/internal/timing"
 )
 
 // This file implements constrained min-area retiming: minimize the number
@@ -207,10 +206,10 @@ func (g *Graph) components() []int {
 // records a "retime.min_area" span on tr carrying the move counters. The
 // lag realization checks ctx and returns a typed guard budget error once
 // the deadline passes.
-func MinAreaUnderPeriod(ctx context.Context, n *network.Network, d timing.DelayModel, c float64, tr *obs.Tracer) (*network.Network, Info, error) {
+func MinAreaUnderPeriod(ctx context.Context, n *network.Network, c float64, tr *obs.Tracer) (*network.Network, Info, error) {
 	sp := tr.Begin("retime.min_area")
 	defer sp.End()
-	net, info, err := minAreaUnderPeriod(ctx, n, d, c)
+	net, info, err := minAreaUnderPeriod(ctx, n, c)
 	info.record(sp)
 	if err != nil {
 		sp.Add("retime_failed", 1)
@@ -218,10 +217,10 @@ func MinAreaUnderPeriod(ctx context.Context, n *network.Network, d timing.DelayM
 	return net, info, err
 }
 
-func minAreaUnderPeriod(ctx context.Context, n *network.Network, d timing.DelayModel, c float64) (*network.Network, Info, error) {
+func minAreaUnderPeriod(ctx context.Context, n *network.Network, c float64) (*network.Network, Info, error) {
 	var info Info
 	work := n.Clone()
-	g, err := BuildGraph(work, d)
+	g, err := BuildGraph(work)
 	if err != nil {
 		return nil, info, err
 	}
@@ -236,7 +235,7 @@ func minAreaUnderPeriod(ctx context.Context, n *network.Network, d timing.DelayM
 	// MinAreaLags refuses graphs above MaxExactMinAreaVertices.
 	if r, err := g.MinAreaLags(c); err == nil {
 		attempt := work.Clone()
-		ag, err := BuildGraph(attempt, d)
+		ag, err := BuildGraph(attempt)
 		if err != nil {
 			return nil, info, err
 		}
@@ -256,15 +255,15 @@ func minAreaUnderPeriod(ctx context.Context, n *network.Network, d timing.DelayM
 	MergeSiblingRegisters(work)
 	RemoveConstantRegisters(work)
 	info.RegsAfter = len(work.Latches)
-	info.PeriodAfter, _ = periodOf(work, d)
+	info.PeriodAfter, _ = periodOf(work)
 	if err := work.Check(); err != nil {
 		return nil, info, fmt.Errorf("retime: post-min-area network invalid: %w", err)
 	}
 	return work, info, nil
 }
 
-func periodOf(n *network.Network, d timing.DelayModel) (float64, error) {
-	g, err := BuildGraph(n, d)
+func periodOf(n *network.Network) (float64, error) {
+	g, err := BuildGraph(n)
 	if err != nil {
 		return 0, err
 	}

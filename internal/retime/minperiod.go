@@ -8,7 +8,6 @@ import (
 	"repro/internal/guard"
 	"repro/internal/network"
 	"repro/internal/obs"
-	"repro/internal/timing"
 )
 
 // Info summarizes a retiming run.
@@ -346,10 +345,10 @@ func Apply(ctx context.Context, n *network.Network, g *Graph, r []int) (fwd, bwd
 // counters, and a "retime_failed" counter on error. The lag search and the
 // move realization check ctx and return a typed guard budget error once
 // the deadline passes.
-func MinPeriod(ctx context.Context, n *network.Network, d timing.DelayModel, tr *obs.Tracer) (*network.Network, Info, error) {
+func MinPeriod(ctx context.Context, n *network.Network, tr *obs.Tracer) (*network.Network, Info, error) {
 	sp := tr.Begin("retime.min_period")
 	defer sp.End()
-	net, info, err := minPeriod(ctx, n, d)
+	net, info, err := minPeriod(ctx, n)
 	info.record(sp)
 	if err != nil {
 		sp.Add("retime_failed", 1)
@@ -362,10 +361,10 @@ func MinPeriod(ctx context.Context, n *network.Network, d timing.DelayModel, tr 
 	return net, info, err
 }
 
-func minPeriod(ctx context.Context, n *network.Network, d timing.DelayModel) (*network.Network, Info, error) {
+func minPeriod(ctx context.Context, n *network.Network) (*network.Network, Info, error) {
 	var info Info
 	work := n.Clone()
-	g, err := BuildGraph(work, d)
+	g, err := BuildGraph(work)
 	if err != nil {
 		return nil, info, err
 	}

@@ -11,7 +11,7 @@ import (
 
 func TestOPTAgreesWithFEASOnPipeline(t *testing.T) {
 	n := pipeline3(t)
-	g, err := BuildGraph(n, nil)
+	g, err := BuildGraph(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestOPTAgreesWithFEASOnPipeline(t *testing.T) {
 
 func TestOPTAgreesWithFEASOnPaperExample(t *testing.T) {
 	n := bench.BuildPaperExample()
-	g, err := BuildGraph(n, nil)
+	g, err := BuildGraph(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestOPTvsFEASOnRandomCircuits(t *testing.T) {
 		n := bench.Synthetic(bench.Profile{
 			Name: "x", PIs: 3, POs: 2, FFs: 4, Gates: 18, Seed: seed,
 		})
-		g, err := BuildGraph(n, nil)
+		g, err := BuildGraph(n)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -105,7 +105,7 @@ func TestOPTRespectsMatrixLimit(t *testing.T) {
 		prev = n.AddLogic("", []*network.Node{prev}, buf())
 	}
 	n.AddPO("y", prev)
-	g, err := BuildGraph(n, nil)
+	g, err := BuildGraph(n)
 	if err != nil {
 		t.Fatal(err)
 	}

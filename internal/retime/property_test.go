@@ -116,14 +116,14 @@ func TestPropertyMinPeriodNeverWorse(t *testing.T) {
 		orig := bench.Synthetic(bench.Profile{
 			Name: "p", PIs: 3, POs: 2, FFs: 5, Gates: 16, Seed: seed,
 		})
-		ret, info, err := MinPeriod(context.Background(), orig, nil, nil)
+		ret, info, err := MinPeriod(context.Background(), orig, nil)
 		if err != nil {
 			continue // initial-state realization failures are legitimate
 		}
 		if info.PeriodAfter > info.PeriodBefore+1e-9 {
 			t.Fatalf("seed %d: period regressed: %v", seed, info)
 		}
-		if p, err := periodOf(ret, nil); err != nil || p > info.PeriodAfter+1e-9 {
+		if p, err := periodOf(ret); err != nil || p > info.PeriodAfter+1e-9 {
 			t.Fatalf("seed %d: realized period %v does not match claim %v", seed, p, info.PeriodAfter)
 		}
 		verr := seqverify.Equivalent(context.Background(), orig, ret, seqverify.Options{})
@@ -142,11 +142,11 @@ func TestPropertyMinAreaKeepsPeriodAndEquivalence(t *testing.T) {
 		orig := bench.Synthetic(bench.Profile{
 			Name: "p", PIs: 3, POs: 2, FFs: 5, Gates: 14, Seed: seed,
 		})
-		p, err := periodOf(orig, nil)
+		p, err := periodOf(orig)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ret, info, err := MinAreaUnderPeriod(context.Background(), orig, nil, p, nil)
+		ret, info, err := MinAreaUnderPeriod(context.Background(), orig, p, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -154,7 +154,7 @@ func TestPropertyMinAreaKeepsPeriodAndEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: min-area increased registers %d -> %d",
 				seed, info.RegsBefore, info.RegsAfter)
 		}
-		if q, err := periodOf(ret, nil); err != nil || q > p+1e-9 {
+		if q, err := periodOf(ret); err != nil || q > p+1e-9 {
 			t.Fatalf("seed %d: period constraint violated: %v", seed, q)
 		}
 		verr := seqverify.Equivalent(context.Background(), orig, ret, seqverify.Options{})

@@ -38,7 +38,7 @@ func pipeline3(t *testing.T) *network.Network {
 
 func TestBuildGraphChainWeights(t *testing.T) {
 	n := pipeline3(t)
-	g, err := BuildGraph(n, nil)
+	g, err := BuildGraph(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,14 +255,14 @@ func TestMergeSiblingRegistersInvertsSplit(t *testing.T) {
 
 func TestMinPeriodPipeline(t *testing.T) {
 	n := pipeline3(t)
-	ret, info, err := MinPeriod(context.Background(), n, nil, nil)
+	ret, info, err := MinPeriod(context.Background(), n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.PeriodBefore != 3 || info.PeriodAfter != 1 {
 		t.Fatalf("period %v -> %v, want 3 -> 1", info.PeriodBefore, info.PeriodAfter)
 	}
-	p, err := periodOf(ret, nil)
+	p, err := periodOf(ret)
 	if err != nil || p != 1 {
 		t.Fatalf("realized period = %v err=%v", p, err)
 	}
@@ -289,7 +289,7 @@ func TestMinPeriodFSM(t *testing.T) {
 	if err := n.Check(); err != nil {
 		t.Fatal(err)
 	}
-	ret, info, err := MinPeriod(context.Background(), n, nil, nil)
+	ret, info, err := MinPeriod(context.Background(), n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestMinPeriodBalancesTwoSided(t *testing.T) {
 	g4 := n.AddLogic("g4", []*network.Node{g3}, buf())
 	l2 := n.AddLatch("q2", g4, network.V0)
 	n.AddPO("y", l2.Output)
-	ret, info, err := MinPeriod(context.Background(), n, nil, nil)
+	ret, info, err := MinPeriod(context.Background(), n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestMinPeriodBalancesTwoSided(t *testing.T) {
 
 func TestWDMatrices(t *testing.T) {
 	n := pipeline3(t)
-	g, _ := BuildGraph(n, nil)
+	g, _ := BuildGraph(n)
 	w, d := g.wdMatrices()
 	i1, i2, i3 := g.Index[n.FindNode("g1")], g.Index[n.FindNode("g2")], g.Index[n.FindNode("g3")]
 	if w[i1][i3] != 0 {
@@ -424,7 +424,7 @@ func TestMinAreaLagsMatchBruteForce(t *testing.T) {
 	}
 	for seed := int64(1); len(nets) < 9 && seed < 100; seed++ {
 		n := bench.Synthetic(bench.Profile{Name: "r", PIs: 2, POs: 1, FFs: 2, Gates: 5, Seed: seed})
-		g, err := BuildGraph(n, nil)
+		g, err := BuildGraph(n)
 		if err != nil || len(g.Nodes) < 4 || len(g.Nodes) > 6 || !hasLogicStem(g) {
 			continue
 		}
@@ -434,7 +434,7 @@ func TestMinAreaLagsMatchBruteForce(t *testing.T) {
 		t.Fatalf("only %d graphs with a multi-fanout stem", len(nets)-3)
 	}
 	for name, n := range nets {
-		g, err := BuildGraph(n, nil)
+		g, err := BuildGraph(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -481,19 +481,19 @@ func hasLogicStem(g *Graph) bool {
 // min-period retiming (examples/tradeoff): 2 registers at periods 2 and 3.
 // The two registers on the stem feeding both gates are one chain.
 func TestMinAreaTradeoffCurve(t *testing.T) {
-	fastest, _, err := MinPeriod(context.Background(), bench.BuildPaperExample(), nil, nil)
+	fastest, _, err := MinPeriod(context.Background(), bench.BuildPaperExample(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []float64{2, 3} {
-		ret, info, err := MinAreaUnderPeriod(context.Background(), fastest, nil, c, nil)
+		ret, info, err := MinAreaUnderPeriod(context.Background(), fastest, c, nil)
 		if err != nil {
 			t.Fatalf("c=%v: %v", c, err)
 		}
 		if info.RegsAfter != 2 || len(ret.Latches) != 2 {
 			t.Errorf("c=%v: %d registers, want 2", c, info.RegsAfter)
 		}
-		if p, _ := periodOf(ret, nil); p > c {
+		if p, _ := periodOf(ret); p > c {
 			t.Errorf("c=%v: period %v", c, p)
 		}
 	}
@@ -511,8 +511,8 @@ func TestMinAreaMergesSplitRegisters(t *testing.T) {
 	if _, err := SplitFanoutStem(n, l); err != nil {
 		t.Fatal(err)
 	}
-	p, _ := periodOf(n, nil)
-	ret, info, err := MinAreaUnderPeriod(context.Background(), n, nil, p, nil)
+	p, _ := periodOf(n)
+	ret, info, err := MinAreaUnderPeriod(context.Background(), n, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,14 +537,14 @@ func TestMinAreaRespectsPeriod(t *testing.T) {
 	g3 := n.AddLogic("g3", []*network.Node{l2.Output}, buf())
 	l3 := n.AddLatch("q3", g3, network.V0)
 	n.AddPO("y", l3.Output)
-	retTight, infoTight, err := MinAreaUnderPeriod(context.Background(), n, nil, 1, nil)
+	retTight, infoTight, err := MinAreaUnderPeriod(context.Background(), n, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, _ := periodOf(retTight, nil); p > 1 {
+	if p, _ := periodOf(retTight); p > 1 {
 		t.Fatalf("tight min-area period %v", p)
 	}
-	retLoose, infoLoose, err := MinAreaUnderPeriod(context.Background(), n, nil, 3, nil)
+	retLoose, infoLoose, err := MinAreaUnderPeriod(context.Background(), n, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +552,7 @@ func TestMinAreaRespectsPeriod(t *testing.T) {
 		t.Fatalf("looser budget must not need more registers: %d vs %d",
 			infoLoose.RegsAfter, infoTight.RegsAfter)
 	}
-	if p, _ := periodOf(retLoose, nil); p > 3 {
+	if p, _ := periodOf(retLoose); p > 3 {
 		t.Fatalf("loose min-area period %v", p)
 	}
 	if err := bitsim.RandomEquivalent(n, retLoose, 0, 200, 23, bitsim.Options{}); err != nil {

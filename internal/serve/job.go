@@ -164,26 +164,6 @@ func newRecoveredJob(sj snapJob, now time.Time) *Job {
 	return j
 }
 
-// snapshot serializes the job for the compaction snapshot.
-func (j *Job) snapshot() snapJob {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return snapJob{
-		ID:       j.ID,
-		Req:      j.req,
-		State:    j.state,
-		Created:  j.created,
-		Started:  j.started,
-		Finished: j.finished,
-		Result:   j.result,
-		Netlist:  j.netlist,
-		Error:    j.errMsg,
-		Class:    j.class,
-		Attempts: j.attempts,
-		Events:   j.eventsBase + len(j.events),
-	}
-}
-
 // wake must be called with j.mu held: it releases every waiter and arms a
 // fresh notify channel.
 func (j *Job) wake() {

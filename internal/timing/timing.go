@@ -1,33 +1,19 @@
 // Package timing performs static timing analysis of a sequential network
-// under pluggable delay models (unit delay, or the pin delays of mapped
-// library gates). The clock period of a circuit is the longest combinational
-// delay between any source (PI, register output) and any sink (PO, register
-// data input) — the quantity Table I of the paper reports as "Clk.".
+// under one delay rule, PinDelay: a bound gate's pin delay, else one unit.
+// The clock period of a circuit is the longest combinational delay between
+// any source (PI, register output) and any sink (PO, register data input) —
+// the quantity Table I of the paper reports as "Clk.".
 package timing
 
 import "repro/internal/network"
 
-// DelayModel supplies the pin-to-output delay of each logic node.
-type DelayModel interface {
-	// PinDelay returns the delay from fanin pin `pin` of node v to v's
-	// output.
-	PinDelay(v *network.Node, pin int) float64
-}
-
-// UnitDelay charges one unit per logic level — the model used in the
-// paper's worked example (Section III: "assume, for simplicity, the unit
-// delay model").
-type UnitDelay struct{}
-
-// PinDelay implements DelayModel.
-func (UnitDelay) PinDelay(v *network.Node, pin int) float64 { return 1 }
-
-// MappedDelay uses the pin delays of the bound library gate when a node
-// has one, and one unit otherwise.
-type MappedDelay struct{}
-
-// PinDelay implements DelayModel.
-func (MappedDelay) PinDelay(v *network.Node, pin int) float64 {
+// PinDelay returns the delay from fanin pin `pin` of node v to v's output:
+// the pin delay of v's bound library gate, or one unit when no gate is
+// bound. Only technology mapping binds gates, so an unmapped network is
+// timed in unit delay — the model of the paper's worked example (Section
+// III: "assume, for simplicity, the unit delay model") — and a mapped one in
+// library delay, the unit of Table I's Clk.
+func PinDelay(v *network.Node, pin int) float64 {
 	if v.Gate != nil {
 		return v.Gate.PinDelay(pin)
 	}
@@ -47,7 +33,7 @@ type Result struct {
 
 // Analyze runs STA. Sources have arrival 0; logic node arrival is the max
 // over fanins of (fanin arrival + pin delay).
-func Analyze(n *network.Network, m DelayModel) (*Result, error) {
+func Analyze(n *network.Network) (*Result, error) {
 	order, err := n.TopoOrder()
 	if err != nil {
 		return nil, err
@@ -65,7 +51,7 @@ func Analyze(n *network.Network, m DelayModel) (*Result, error) {
 	for _, v := range order {
 		best, bestPin := 0.0, -1
 		for i, fi := range v.Fanins {
-			a := res.Arrival[fi] + m.PinDelay(v, i)
+			a := res.Arrival[fi] + PinDelay(v, i)
 			if a > best || bestPin < 0 {
 				best, bestPin = a, i
 			}
@@ -116,8 +102,8 @@ func (r *Result) CriticalPath() (source *network.Node, path []*network.Node) {
 }
 
 // Period is a convenience wrapper returning just the clock period.
-func Period(n *network.Network, m DelayModel) (float64, error) {
-	r, err := Analyze(n, m)
+func Period(n *network.Network) (float64, error) {
+	r, err := Analyze(n)
 	if err != nil {
 		return 0, err
 	}

@@ -22,7 +22,7 @@ func chain(t *testing.T, k int) *network.Network {
 
 func TestChainPeriod(t *testing.T) {
 	n := chain(t, 5)
-	p, err := Period(n, UnitDelay{})
+	p, err := Period(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestCriticalPathExtraction(t *testing.T) {
 	g2b := n.AddLogic("g2b", []*network.Node{g2a}, buf.Clone())
 	g3 := n.AddLogic("g3", []*network.Node{g1, g2b}, and)
 	n.AddPO("y", g3)
-	res, err := Analyze(n, UnitDelay{})
+	res, err := Analyze(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestPeriodAcrossRegisters(t *testing.T) {
 	h2 := n.AddLogic("h2", []*network.Node{h1}, buf.Clone())
 	h3 := n.AddLogic("h3", []*network.Node{h2}, buf.Clone())
 	n.AddPO("y", h3)
-	p, err := Period(n, UnitDelay{})
+	p, err := Period(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestLatchDriverIsSink(t *testing.T) {
 	g3 := n.AddLogic("g3", []*network.Node{g2}, buf.Clone())
 	n.AddLatch("s", g3, network.V0)
 	n.AddPO("y", g1)
-	res, err := Analyze(n, UnitDelay{})
+	res, err := Analyze(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestMappedDelayUsesGateAnnotations(t *testing.T) {
 	g := n.AddLogic("g", []*network.Node{a, b}, and)
 	g.Gate = fakeGate{"and2", 2, []float64{1.5, 2.5}}
 	n.AddPO("y", g)
-	p, err := Period(n, MappedDelay{})
+	p, err := Period(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestMappedDelayUsesGateAnnotations(t *testing.T) {
 func TestEmptyNetwork(t *testing.T) {
 	n := network.New("empty")
 	n.AddPI("a")
-	p, err := Period(n, UnitDelay{})
+	p, err := Period(n)
 	if err != nil || p != 0 {
 		t.Fatalf("period=%v err=%v", p, err)
 	}
