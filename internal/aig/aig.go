@@ -8,9 +8,9 @@
 // exact by construction, which is precisely the depth model the paper's
 // critical-path machinery wants.
 //
-// The strash table is built on internal/ohash, the same open-addressed
-// power-of-two probe core as the BDD unique table (internal/bdd), so the
-// two engines cannot drift. Construction applies the one- and two-level
+// The strash table is built on internal/ohash, an open-addressed
+// power-of-two table hashed with the same mix as the BDD unique table
+// (internal/bdd). Construction applies the one- and two-level
 // rewriting rules (constant folding, idempotence, complement, containment,
 // contradiction, subsumption) before hashing, so the graph never stores a
 // node those rules can resolve to an existing literal.

@@ -290,7 +290,7 @@ func TestOptimizeDelayPreservesSequentialBehaviour(t *testing.T) {
 	if err := OptimizeDelay(context.Background(), n, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{}, nil); err != nil {
 		t.Fatalf("OptimizeDelay broke the FSM: %v", err)
 	}
 }

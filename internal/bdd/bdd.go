@@ -7,11 +7,11 @@
 //
 // Following the classic efficient-implementation literature (Brace/Rudell/
 // Bryant's ITE package, Somenzi's CUDD), the tables are engineered rather
-// than delegated to Go maps: the unique table is open-addressed with
-// power-of-two sizing, level-tagged hashing and incremental rehash on
-// growth, and the computed table is a bounded direct-mapped lossy cache.
-// DESIGN.md §8 records the measured speedup over the previous map-based
-// manager.
+// than delegated to Go maps and laid out so a lookup touches about one cache
+// line: the unique table chains through a link field in each 16-byte node
+// from a power-of-two array of bucket heads, and the computed table is a
+// bounded direct-mapped lossy cache of 16-byte entries. DESIGN.md §8
+// records the measurements.
 package bdd
 
 import (
@@ -31,9 +31,13 @@ const (
 	True Ref = 1
 )
 
+// node is one pool entry: the (level, lo, hi) triple plus next, the link to
+// the following node of its unique-table chain (0 ends the chain; terminals
+// are never chained). 16 bytes, four to a cache line.
 type node struct {
 	level  int32 // variable index; terminals use a sentinel level
 	lo, hi Ref
+	next   Ref
 }
 
 const (
@@ -45,25 +49,24 @@ const (
 
 // cacheEntry is one direct-mapped computed-table slot. The full key is
 // stored so a colliding probe never returns a wrong result — collisions
-// overwrite (lossy), they do not chain.
+// overwrite (lossy), they do not chain. The op lives in the key (see
+// cacheKey) and f == 0 marks an empty slot: no cached op has a terminal f.
+// 16 bytes, so an entry never straddles a cache line.
 type cacheEntry struct {
 	f, g, h Ref
 	r       Ref
-	op      byte
-	valid   bool
 }
 
 const (
-	// initialTableSize is the starting unique-table bucket count.
+	// initialTableSize is the starting unique-table bucket count, and
+	// initialPoolSize the starting node-pool capacity.
 	initialTableSize = 1 << 10
+	initialPoolSize  = 1 << 12
 	// initialCacheSize / maxCacheSize bound the computed table. The cache
 	// starts small so short-lived managers stay cheap and quadruples up to
 	// the cap as it fills; entries are carried over on growth.
 	initialCacheSize = 1 << 9
 	maxCacheSize     = 1 << 19
-	// migrateStep is how many old-table buckets each mk call drains during
-	// an incremental rehash.
-	migrateStep = 128
 )
 
 // Manager owns the node pool and caches. NumVars is fixed at construction.
@@ -78,20 +81,18 @@ type Manager struct {
 	var2level []int
 	level2var []int
 
-	// Unique table: open-addressed, power-of-two sized buckets holding node
-	// refs (0 = empty; terminals are never entered). Nodes are never
-	// deleted. During a rehash the previous table is drained incrementally:
-	// `old` stays read-only while mk migrates migrateStep buckets per call,
-	// so no single operation pays a full-table rehash stall.
-	table      []Ref
-	tabEntries int
-	old        []Ref
-	oldPos     int
-	rehashes   int
+	// Unique table: a power-of-two array of chain heads (0 = empty
+	// bucket), chained through node.next and kept at load ≤ 1. Nodes are
+	// never deleted; when the node count passes the bucket count the array
+	// doubles and every node is relinked in one sequential pass (rehash).
+	table    []Ref
+	rehashes int
 
-	// Computed table: direct-mapped lossy cache over (op, f, g, h).
+	// Computed table: direct-mapped lossy cache over (op, f, g, h),
+	// quadrupling up to cacheCap slots (maxCacheSize; tests shrink it).
 	cache     []cacheEntry
 	cacheUsed int
+	cacheCap  int
 
 	// perms holds the distinct permutations seen by Permute, content-
 	// addressed via permTags so cache entries tagged with a perm index can
@@ -118,9 +119,9 @@ type Stats struct {
 	Nodes       int // live node count, including the two terminals
 	PeakNodes   int
 	UniqueSize  int     // unique-table entries (internal nodes)
-	UniqueCap   int     // unique-table bucket count (current table)
-	UniqueLoad  float64 // entries / buckets of the current table
-	Rehashes    int     // unique-table growth events
+	UniqueCap   int     // unique-table bucket count
+	UniqueLoad  float64 // entries / buckets (at most 1)
+	Rehashes    int     // bucket-array doublings
 	CacheSize   int     // occupied computed-table slots
 	CacheCap    int     // computed-table slot count
 	CacheHits   int64
@@ -129,17 +130,13 @@ type Stats struct {
 
 // Stats returns the current table accounting.
 func (m *Manager) Stats() Stats {
-	load := 0.0
-	if len(m.table) > 0 {
-		load = float64(m.tabEntries) / float64(len(m.table))
-	}
 	return Stats{
 		NumVars:     m.numVars,
 		Nodes:       len(m.nodes),
 		PeakNodes:   len(m.nodes),
 		UniqueSize:  len(m.nodes) - 2,
 		UniqueCap:   len(m.table),
-		UniqueLoad:  load,
+		UniqueLoad:  float64(len(m.nodes)-2) / float64(len(m.table)),
 		Rehashes:    m.rehashes,
 		CacheSize:   m.cacheUsed,
 		CacheCap:    len(m.cache),
@@ -165,9 +162,10 @@ const terminalLevel = int32(1) << 30
 func New(n int) *Manager {
 	m := &Manager{
 		numVars:   n,
-		nodes:     make([]node, 2, 1<<12),
+		nodes:     make([]node, 2, initialPoolSize),
 		table:     make([]Ref, initialTableSize),
 		cache:     make([]cacheEntry, initialCacheSize),
+		cacheCap:  maxCacheSize,
 		var2level: make([]int, n),
 		level2var: make([]int, n),
 	}
@@ -215,113 +213,63 @@ func (m *Manager) NumVars() int { return m.numVars }
 // Size returns the number of live nodes (including terminals).
 func (m *Manager) Size() int { return len(m.nodes) }
 
-// hash3 is the level-tagged node hash. The mix itself lives in
-// internal/ohash so the BDD unique table and the AIG strash table share one
-// probe/hash core and cannot drift.
+// hash3 is the level-tagged node hash, the mix the AIG strash table
+// shares through internal/ohash.
 func hash3(level int32, lo, hi Ref) uint32 {
 	return ohash.Mix3(uint32(level), uint32(lo), uint32(hi))
-}
-
-// migrate drains up to migrateStep buckets of the old unique table into the
-// current one. Entries live in exactly one table, so reinsertion cannot
-// duplicate.
-func (m *Manager) migrate() {
-	if m.old == nil {
-		return
-	}
-	end := m.oldPos + migrateStep
-	if end > len(m.old) {
-		end = len(m.old)
-	}
-	for ; m.oldPos < end; m.oldPos++ {
-		if r := m.old[m.oldPos]; r > 1 {
-			m.insertRef(r)
-		}
-	}
-	if m.oldPos >= len(m.old) {
-		m.old = nil
-	}
-}
-
-// insertRef places an existing node into the current table at the first
-// empty slot on its probe path (no existence check: callers guarantee the
-// node is not already present).
-func (m *Manager) insertRef(r Ref) {
-	n := &m.nodes[r]
-	p := ohash.NewProbe(hash3(n.level, n.lo, n.hi), len(m.table))
-	for m.table[p.Slot()] != 0 {
-		p.Advance()
-	}
-	m.table[p.Slot()] = r
-	m.tabEntries++
-}
-
-// grow doubles the unique table. The full old table is kept read-only and
-// drained incrementally by subsequent mk calls.
-func (m *Manager) grow() {
-	if m.old != nil {
-		// A rehash is still draining; finish it before starting another.
-		for _, r := range m.old[m.oldPos:] {
-			if r > 1 {
-				m.insertRef(r)
-			}
-		}
-		m.old = nil
-	}
-	m.old = m.table
-	m.oldPos = 0
-	m.table = make([]Ref, 2*len(m.table))
-	m.tabEntries = 0
-	m.rehashes++
 }
 
 func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 	if lo == hi {
 		return lo
 	}
-	m.migrate()
-	h := hash3(level, lo, hi)
-	p := ohash.NewProbe(h, len(m.table))
-	i := p.Slot()
-	for {
-		r := m.table[i]
-		if r == 0 {
-			break
-		}
+	head := &m.table[hash3(level, lo, hi)&uint32(len(m.table)-1)]
+	for r := *head; r != 0; {
 		n := &m.nodes[r]
 		if n.level == level && n.lo == lo && n.hi == hi {
 			return r
 		}
-		p.Advance()
-		i = p.Slot()
-	}
-	if m.old != nil {
-		for q := ohash.NewProbe(h, len(m.old)); ; q.Advance() {
-			r := m.old[q.Slot()]
-			if r == 0 {
-				break
-			}
-			n := &m.nodes[r]
-			if n.level == level && n.lo == lo && n.hi == hi {
-				return r
-			}
-		}
+		r = n.next
 	}
 	if m.MaxNodes > 0 && len(m.nodes) >= m.MaxNodes {
 		panic(ErrNodeLimit)
 	}
+	if len(m.nodes) == cap(m.nodes) {
+		m.growPool()
+	}
 	r := Ref(len(m.nodes))
-	m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi})
-	m.table[i] = r
-	m.tabEntries++
-	// Grow at 3/4 load (ohash.ShouldGrow). Migration drains far faster
-	// than fresh inserts can refill, so the draining table is always empty
-	// well before this fires again (the grow() drain loop is a safety net,
-	// not the common path).
-	if ohash.ShouldGrow(m.tabEntries, len(m.table)) {
-		m.grow()
+	m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi, next: *head})
+	*head = r
+	if len(m.nodes)-2 > len(m.table) {
+		m.rehash()
 	}
 	return r
+}
+
+// growPool doubles the node pool's capacity, never past MaxNodes: the
+// limit check in mk runs first, so a pool at the limit never grows.
+func (m *Manager) growPool() {
+	c := 2 * cap(m.nodes)
+	if m.MaxNodes > 0 && c > m.MaxNodes {
+		c = m.MaxNodes
+	}
+	nodes := make([]node, len(m.nodes), c)
+	copy(nodes, m.nodes)
+	m.nodes = nodes
+}
+
+// rehash doubles the bucket array and relinks every node in one
+// sequential pass over the pool. Refs do not move, so no caller sees it.
+func (m *Manager) rehash() {
+	m.table = make([]Ref, 2*len(m.table))
+	mask := uint32(len(m.table) - 1)
+	for r := 2; r < len(m.nodes); r++ {
+		n := &m.nodes[r]
+		head := &m.table[hash3(n.level, n.lo, n.hi)&mask]
+		n.next = *head
+		*head = Ref(r)
+	}
+	m.rehashes++
 }
 
 // cacheIndex hashes a computed-table key into the direct-mapped cache.
@@ -333,10 +281,39 @@ func (m *Manager) cacheIndex(op byte, f, g, h Ref) uint32 {
 	return x & uint32(len(m.cache)-1)
 }
 
+// cacheKey folds the op into the three stored key fields by sign-tagging a
+// field the op leaves free, so no Ref range is given up: Ite stores
+// (f, g, h) with every field ≥ 0, Exists (f, cube, -1), Permute
+// (f, tag, -2) and AndExists (f, -g, cube) with g ≥ 2. opOf inverts it.
+func cacheKey(op byte, f, g, h Ref) (Ref, Ref, Ref) {
+	switch op {
+	case opExists:
+		return f, g, -1
+	case opPermute:
+		return f, g, -2
+	case opAndExists:
+		return f, -g, h
+	}
+	return f, g, h
+}
+
+// opOf recovers the op and operands of a stored entry.
+func opOf(e *cacheEntry) (op byte, f, g, h Ref) {
+	switch {
+	case e.h == -1:
+		return opExists, e.f, e.g, 0
+	case e.h == -2:
+		return opPermute, e.f, e.g, 0
+	case e.g < 0:
+		return opAndExists, e.f, -e.g, e.h
+	}
+	return opIte, e.f, e.g, e.h
+}
+
 // cacheGet probes the computed table, accounting hits and misses.
 func (m *Manager) cacheGet(op byte, f, g, h Ref) (Ref, bool) {
 	e := &m.cache[m.cacheIndex(op, f, g, h)]
-	if e.valid && e.op == op && e.f == f && e.g == g && e.h == h {
+	if kf, kg, kh := cacheKey(op, f, g, h); e.f == kf && e.g == kg && e.h == kh {
 		m.cacheHits++
 		return e.r, true
 	}
@@ -349,23 +326,24 @@ func (m *Manager) cacheGet(op byte, f, g, h Ref) (Ref, bool) {
 // cap it quadruples, carrying surviving entries over.
 func (m *Manager) cachePut(op byte, f, g, h, r Ref) {
 	e := &m.cache[m.cacheIndex(op, f, g, h)]
-	if !e.valid {
+	if e.f == 0 {
 		m.cacheUsed++
 	}
-	*e = cacheEntry{f: f, g: g, h: h, r: r, op: op, valid: true}
-	if m.cacheUsed*4 >= len(m.cache)*3 && len(m.cache) < maxCacheSize {
+	kf, kg, kh := cacheKey(op, f, g, h)
+	*e = cacheEntry{f: kf, g: kg, h: kh, r: r}
+	if m.cacheUsed*4 >= len(m.cache)*3 && len(m.cache) < m.cacheCap {
 		old := m.cache
 		m.cache = make([]cacheEntry, 4*len(old))
 		m.cacheUsed = 0
-		for _, oe := range old {
-			if !oe.valid {
+		for i := range old {
+			if old[i].f == 0 {
 				continue
 			}
-			ne := &m.cache[m.cacheIndex(oe.op, oe.f, oe.g, oe.h)]
-			if !ne.valid {
+			ne := &m.cache[m.cacheIndex(opOf(&old[i]))]
+			if ne.f == 0 {
 				m.cacheUsed++
 			}
-			*ne = oe
+			*ne = old[i]
 		}
 	}
 }

@@ -5,97 +5,50 @@ import (
 	"testing"
 )
 
-// TestIncrementalRehash forces the unique table through several growth
-// cycles and checks that canonicity survives the incremental migration:
-// rebuilding the same functions must return the same refs, and the table
-// accounting must stay consistent with the node pool.
-func TestIncrementalRehash(t *testing.T) {
+// TestRehashKeepsCanonicity forces the unique table through several
+// one-pass rehashes and checks that every triple in the pool still resolves
+// to its original ref, and that the table accounting matches the pool.
+func TestRehashKeepsCanonicity(t *testing.T) {
 	const nvars = 48
 	m := New(nvars)
-	build := func() Ref {
-		f := False
+	f := False
+	for v := 0; v < nvars; v++ {
+		f = m.Xor(f, m.Var(v))
+	}
+	r := rand.New(rand.NewSource(5))
+	for k := 0; k < 40; k++ {
+		c := True
 		for v := 0; v < nvars; v++ {
-			f = m.Xor(f, m.Var(v))
-		}
-		r := rand.New(rand.NewSource(5))
-		for k := 0; k < 40; k++ {
-			c := True
-			for v := 0; v < nvars; v++ {
-				switch r.Intn(4) {
-				case 0:
-					c = m.And(c, m.Var(v))
-				case 1:
-					c = m.And(c, m.NVar(v))
-				}
+			switch r.Intn(4) {
+			case 0:
+				c = m.And(c, m.Var(v))
+			case 1:
+				c = m.And(c, m.NVar(v))
 			}
-			f = m.Or(f, c)
 		}
-		return f
+		f = m.Or(f, c)
 	}
-	f := build()
 	st := m.Stats()
-	if st.Rehashes == 0 {
-		t.Fatalf("workload too small to trigger a rehash: %+v", st)
+	if st.Rehashes < 3 {
+		t.Fatalf("workload too small for several rehashes: %+v", st)
 	}
-	if st.UniqueCap <= initialTableSize {
-		t.Fatalf("table never grew: cap=%d", st.UniqueCap)
+	if st.UniqueCap != initialTableSize<<st.Rehashes {
+		t.Fatalf("bucket array must double per rehash: cap %d after %d rehashes", st.UniqueCap, st.Rehashes)
 	}
 	if st.UniqueSize != st.Nodes-2 {
 		t.Fatalf("unique entries (%d) must equal internal nodes (%d)", st.UniqueSize, st.Nodes-2)
 	}
-	if st.UniqueLoad <= 0 || st.UniqueLoad >= 1 {
-		t.Fatalf("implausible load %v", st.UniqueLoad)
+	if st.UniqueLoad <= 0.5 || st.UniqueLoad > 1 {
+		t.Fatalf("load %v outside (1/2, 1]", st.UniqueLoad)
 	}
-	// Rebuilding must find every node again (possibly mid-migration).
-	if g := build(); g != f {
-		t.Fatal("canonicity lost across rehash: rebuild produced a different ref")
-	}
-	if m.Stats().Nodes != st.Nodes {
-		t.Fatalf("rebuild created nodes: %d -> %d", st.Nodes, m.Stats().Nodes)
-	}
-	// The old table must eventually drain completely.
-	for i := 0; i < len(m.nodes); i++ {
-		m.migrate()
-	}
-	if m.old != nil {
-		t.Fatal("old table never drained")
-	}
-}
-
-// TestMidMigrationLookup pins the two-table lookup path: trigger a grow,
-// then immediately re-request nodes that still live in the draining table.
-func TestMidMigrationLookup(t *testing.T) {
-	const nvars = 40
-	m := New(nvars)
-	refs := make([]Ref, 0, nvars)
-	f := False
-	for v := 0; v < nvars; v++ {
-		f = m.Xor(f, m.Var(v))
-		refs = append(refs, f)
-	}
-	grew := false
-	for k := 0; k < 64 && !grew; k++ {
-		g := True
-		for v := 0; v < nvars; v++ {
-			if (k>>uint(v%6))&1 == 0 {
-				g = m.And(g, m.Var(v))
-			}
+	for ref := Ref(2); int(ref) < st.Nodes; ref++ {
+		n := m.nodes[ref]
+		if got := m.mk(n.level, n.lo, n.hi); got != ref {
+			t.Fatalf("triple of ref %d resolves to %d after %d rehashes", ref, got, st.Rehashes)
 		}
-		_ = g
-		grew = m.old != nil
 	}
-	// Whether or not a migration is in flight right now, every previously
-	// created ref must still be found, not recreated.
-	before := m.Size()
-	h := False
-	for v := 0; v < nvars; v++ {
-		h = m.Xor(h, m.Var(v))
-	}
-	if h != refs[nvars-1] {
-		t.Fatal("parity ref changed after growth")
-	}
-	if m.Size() != before {
-		t.Fatalf("lookup recreated nodes: %d -> %d", before, m.Size())
+	if m.Size() != st.Nodes {
+		t.Fatalf("lookups created nodes: %d -> %d", st.Nodes, m.Size())
 	}
 }
 
@@ -162,6 +115,56 @@ func TestExistsCubeNoAliasing(t *testing.T) {
 	}
 }
 
+// TestCacheKeysDoNotAlias pins the op encoding of computed-table keys. On
+// a one-slot table every entry lands in the same slot, so each op's lookup
+// meets the entry the previous op left: an Ite entry (f, g, c) against
+// AndExists(f, g, c), and an Exists entry over cube ref 2 against a
+// Permute whose tag is 2. Every result is checked against its truth table.
+func TestCacheKeysDoNotAlias(t *testing.T) {
+	const n = 4
+	m := New(n)
+	m.cache = make([]cacheEntry, 1)
+	m.cacheCap = 1
+	x0 := m.Var(0) // also the cube of {x0}
+	if x0 != 2 {
+		t.Fatalf("x0 is ref %d, want 2", x0)
+	}
+	f := m.Var(1)
+	g := m.Or(m.Xor(m.Var(2), x0), m.Var(3))
+	onlyX0 := []bool{true, false, false, false}
+	agree := func(what string, r Ref, want func(a []bool) bool) {
+		t.Helper()
+		for mt := 0; mt < 1<<n; mt++ {
+			a := []bool{mt&1 != 0, mt&2 != 0, mt&4 != 0, mt&8 != 0}
+			if m.Eval(r, a) != want(a) {
+				t.Fatalf("%s wrong at %04b", what, mt)
+			}
+		}
+	}
+	with := func(a []bool, v int, b bool) []bool {
+		c := append([]bool(nil), a...)
+		c[v] = b
+		return c
+	}
+
+	m.Ite(f, g, x0)
+	agree("AndExists after Ite", m.AndExists(f, g, onlyX0), func(a []bool) bool {
+		return m.Eval(m.And(f, g), with(a, 0, false)) || m.Eval(m.And(f, g), with(a, 0, true))
+	})
+
+	h := m.Xor(m.Var(1), m.And(m.Var(0), m.Var(2)))
+	rot := []int{1, 2, 3, 0}
+	m.Permute(h, []int{1, 0, 2, 3}) // tag 0
+	m.Permute(h, []int{0, 2, 1, 3}) // tag 1
+	m.Exists(h, onlyX0)
+	agree("Permute after Exists", m.Permute(h, rot), func(a []bool) bool {
+		return m.Eval(h, []bool{a[1], a[2], a[3], a[0]})
+	})
+	if len(m.perms) != 3 {
+		t.Fatalf("%d permutation tags, want 3 (the last one equal to the cube ref)", len(m.perms))
+	}
+}
+
 // TestCacheGrowth drives enough distinct operations through the computed
 // table to trigger growth and checks the accounting stays sane.
 func TestCacheGrowth(t *testing.T) {
@@ -185,32 +188,121 @@ func TestCacheGrowth(t *testing.T) {
 	}
 }
 
-// TestNodeLimitDuringMigration checks MaxNodes still fires (and leaves the
-// manager recoverable) when exceeded mid-rehash — the guard-layer contract
-// reach depends on.
-func TestNodeLimitDuringMigration(t *testing.T) {
-	m := New(24)
-	m.MaxNodes = 900 // below the node demand of full parity over 24 vars
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected ErrNodeLimit panic")
+// TestNodeLimitAtGrowth trips MaxNodes exactly where the pool would double
+// and exactly where the bucket array would double, one node either side.
+// After recovery the manager must stay consistent, and with the limit
+// lifted, rerunning the workload must give the refs and Size of a manager
+// that never had a limit: a trip leaves nothing half-built.
+func TestNodeLimitAtGrowth(t *testing.T) {
+	const nvars = 24
+	work := func(m *Manager) Ref {
+		f := False
+		for v := 0; v < nvars; v++ {
+			f = m.Xor(f, m.Var(v))
+			g := True
+			for w := 0; w <= v; w++ {
+				g = m.And(g, m.Var(w))
+			}
+			f = m.Or(f, m.Xor(f, g))
 		}
-		// The manager must still answer queries after the contained panic.
+		r := rand.New(rand.NewSource(3))
+		for k := 0; k < 60; k++ {
+			f = m.Xor(f, randBdd(m, r, nvars))
+		}
+		return f
+	}
+	free := New(nvars)
+	want := work(free)
+	if free.Size() <= initialPoolSize+1 {
+		t.Fatalf("workload builds %d nodes, too few to pass the first pool doubling", free.Size())
+	}
+	// The bucket array doubles when the node after the one that fills it
+	// (initialTableSize internal nodes plus the two terminals) is created.
+	fullTable := initialTableSize + 2
+	for _, limit := range []int{initialPoolSize, initialPoolSize + 1, fullTable, fullTable + 1} {
+		m := New(nvars)
+		m.MaxNodes = limit
+		func() {
+			defer func() {
+				if r := recover(); r != ErrNodeLimit {
+					t.Fatalf("limit %d: recovered %v, want ErrNodeLimit", limit, r)
+				}
+			}()
+			work(m)
+		}()
 		st := m.Stats()
-		if st.Nodes > m.MaxNodes {
-			t.Fatalf("node pool exceeded MaxNodes: %d", st.Nodes)
+		if st.Nodes != limit {
+			t.Fatalf("limit %d: tripped at %d nodes", limit, st.Nodes)
 		}
-		if st.UniqueSize != st.Nodes-2 {
-			t.Fatalf("accounting diverged after panic: %+v", st)
+		if cap(m.nodes) > max(limit, initialPoolSize) {
+			t.Fatalf("limit %d: pool capacity %d grew past the limit", limit, cap(m.nodes))
 		}
-	}()
-	f := False
-	for v := 0; v < 24; v++ {
-		f = m.Xor(f, m.Var(v))
-		g := True
-		for w := 0; w <= v; w++ {
-			g = m.And(g, m.Var(w))
+		if wantRehash := limit > fullTable; (st.Rehashes > 0) != wantRehash {
+			t.Fatalf("limit %d: %d rehashes", limit, st.Rehashes)
 		}
-		f = m.Or(f, g)
+		if st.UniqueSize != st.Nodes-2 || st.UniqueLoad > 1 {
+			t.Fatalf("limit %d: accounting diverged after the trip: %+v", limit, st)
+		}
+		m.MaxNodes = 0
+		if got := work(m); got != want || m.Size() != free.Size() {
+			t.Fatalf("limit %d: after recovery got ref %d with %d nodes, unlimited manager %d with %d",
+				limit, got, m.Size(), want, free.Size())
+		}
+	}
+}
+
+// TestRefsIndependentOfComputedTable pins the invariant the table layout
+// relies on: which nodes are created, and in what order, does not depend
+// on the computed table. A seeded random sequence of Ite, AndExists, Exists
+// and Permute must give identical refs and Size with a one-slot computed
+// table and with the default one.
+func TestRefsIndependentOfComputedTable(t *testing.T) {
+	const nvars = 12
+	tiny := New(nvars)
+	tiny.cache = make([]cacheEntry, 1)
+	tiny.cacheCap = 1
+	def := New(nvars)
+	r := rand.New(rand.NewSource(41))
+	pool := [2][]Ref{{True}, {True}}
+	for step := 0; step < 400; step++ {
+		op := r.Intn(5)
+		i, j, k := r.Intn(len(pool[0])), r.Intn(len(pool[0])), r.Intn(len(pool[0]))
+		v := r.Intn(nvars)
+		vars := make([]bool, nvars)
+		perm := r.Perm(nvars)
+		for x := range vars {
+			vars[x] = r.Intn(3) == 0
+		}
+		var out [2]Ref
+		for side, m := range []*Manager{tiny, def} {
+			p := pool[side]
+			switch op {
+			case 0:
+				out[side] = m.Ite(m.Var(v), p[i], m.Not(p[j]))
+			case 1:
+				out[side] = m.Ite(p[i], p[j], p[k])
+			case 2:
+				out[side] = m.AndExists(p[i], m.Or(p[j], m.NVar(v)), vars)
+			case 3:
+				out[side] = m.Exists(m.Xor(p[i], m.Var(v)), vars)
+			case 4:
+				out[side] = m.Permute(p[i], perm)
+			}
+			pool[side] = append(p, out[side])
+		}
+		if out[0] != out[1] || tiny.Size() != def.Size() {
+			t.Fatalf("step %d (op %d): one-slot table gave ref %d with %d nodes, default %d with %d",
+				step, op, out[0], tiny.Size(), out[1], def.Size())
+		}
+		if len(pool[0]) > 64 {
+			pool[0], pool[1] = pool[0][1:], pool[1][1:]
+		}
+	}
+	ts, ds := tiny.Stats(), def.Stats()
+	if ts.CacheCap != 1 || ds.CacheHits <= ts.CacheHits {
+		t.Fatalf("the two computed tables did not differ: one-slot %+v, default %+v", ts, ds)
+	}
+	if ds.Nodes < 1000 {
+		t.Fatalf("workload too small: %d nodes", ds.Nodes)
 	}
 }

@@ -426,7 +426,7 @@ func TestRandomEquivalentPairsPIsByName(t *testing.T) {
 		return n
 	}
 	a, b := build("x", "y"), build("y", "x")
-	if err := seqverify.Equivalent(context.Background(), a, b, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), a, b, seqverify.Options{}, nil); err != nil {
 		t.Fatalf("seqverify: %v", err)
 	}
 	if c, po, err := sim.FirstDivergence(a, b, 0, 200, bitsim.LaneBits(1, 0)); err != nil || c >= 0 {

@@ -36,7 +36,7 @@ func TestPaperWorkedExample(t *testing.T) {
 	if info.PeriodAfter != 2 {
 		t.Fatalf("conventional retiming period = %v, want 2", info.PeriodAfter)
 	}
-	if err := seqverify.Equivalent(context.Background(), orig, ret, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), orig, ret, seqverify.Options{}, nil); err != nil {
 		t.Fatalf("conventional retiming not equivalent: %v", err)
 	}
 
@@ -58,7 +58,7 @@ func TestPaperWorkedExample(t *testing.T) {
 		t.Fatal("DCret simplification must fire on the worked example")
 	}
 	// Delayed replacement with prefix k must hold exactly.
-	if err := seqverify.Equivalent(context.Background(), orig, res.Network, seqverify.Options{Delay: res.PrefixK}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), orig, res.Network, seqverify.Options{Delay: res.PrefixK}, nil); err != nil {
 		t.Fatalf("resynthesized circuit not delayed-equivalent: %v", err)
 	}
 	if err := res.Network.Check(); err != nil {
@@ -109,7 +109,7 @@ func TestDCRetAblation(t *testing.T) {
 	}
 	// Even the harmed circuit must remain behaviourally correct.
 	if res.Applied {
-		if err := seqverify.Equivalent(context.Background(), orig, res.Network, seqverify.Options{Delay: res.PrefixK}); err != nil {
+		if err := seqverify.Equivalent(context.Background(), orig, res.Network, seqverify.Options{Delay: res.PrefixK}, nil); err != nil {
 			t.Fatalf("ablated result not equivalent: %v", err)
 		}
 	}
@@ -160,7 +160,7 @@ func TestResynthesizeIterate(t *testing.T) {
 	if res.PeriodAfter > res.PeriodBefore {
 		t.Fatalf("iteration made things worse: %v -> %v", res.PeriodBefore, res.PeriodAfter)
 	}
-	if err := seqverify.Equivalent(context.Background(), orig, res.Network, seqverify.Options{Delay: res.PrefixK}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), orig, res.Network, seqverify.Options{Delay: res.PrefixK}, nil); err != nil {
 		t.Fatalf("iterated result not equivalent: %v", err)
 	}
 }
@@ -185,7 +185,7 @@ func TestResynthesizeRandomFSMs(t *testing.T) {
 		if err := res.Network.Check(); err != nil {
 			t.Fatalf("seed %d: invalid result: %v", seed, err)
 		}
-		if err := seqverify.Equivalent(context.Background(), n, res.Network, seqverify.Options{Delay: res.PrefixK}); err != nil {
+		if err := seqverify.Equivalent(context.Background(), n, res.Network, seqverify.Options{Delay: res.PrefixK}, nil); err != nil {
 			t.Fatalf("seed %d: not equivalent: %v", seed, err)
 		}
 	}

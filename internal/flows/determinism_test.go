@@ -42,7 +42,7 @@ func TestPlanetIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := reach.AnalyzeProduct(ctx, src, sd.Net, p, 0, reach.DefaultLimits)
+		v, err := reach.AnalyzeProduct(ctx, src, sd.Net, p, 0, reach.DefaultLimits, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -567,7 +567,7 @@ const (
 // of the traversal, so a budget exhausted mid-proof surfaces as
 // errors.Is(err, guard.ErrBudget), not as a verification failure.
 func VerifyVerdict(ctx context.Context, src *network.Network, r *Result, cfg Config) (string, error) {
-	err := seqverify.Equivalent(ctx, src, r.Net, seqverify.Options{Delay: r.PrefixK})
+	err := seqverify.Equivalent(ctx, src, r.Net, seqverify.Options{Delay: r.PrefixK}, cfg.Tracer)
 	if err == nil {
 		return string(seqverify.VerdictExact), nil
 	}

@@ -182,7 +182,7 @@ func TestPairingRefutedByEveryEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := seqverify.Equivalent(ctx, a, b, seqverify.Options{}); err == nil {
+	if err := seqverify.Equivalent(ctx, a, b, seqverify.Options{}, nil); err == nil {
 		t.Error("seqverify.Equivalent proved the pair")
 	}
 	if _, err := sweep.ProveEquivalent(ctx, a, b, 0, sweep.Options{}); err == nil {

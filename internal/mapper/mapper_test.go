@@ -101,7 +101,7 @@ func TestMapSequentialPreservesBehaviour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := seqverify.Equivalent(context.Background(), ref, m, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), ref, m, seqverify.Options{}, nil); err != nil {
 		t.Fatalf("optimize+map broke the counter: %v", err)
 	}
 	// All logic must carry gate annotations.

@@ -1,17 +1,12 @@
-// Package ohash holds the open-addressed hash-table mechanics shared by
-// the BDD unique table (internal/bdd) and the AIG structural-hashing table
-// (internal/aig): the level-tagged field mix, the power-of-two linear-probe
-// sequence, and the 3/4-load growth rule. Both engines were measured
-// against Go maps and won on exactly these ingredients (DESIGN.md §8), so
-// they live here once — a probe or load-factor tweak cannot drift between
-// the two tables.
+// Package ohash holds the open-addressed hash table of the AIG
+// structural-hashing table (internal/aig) — power-of-two sizing, linear
+// probing, growth at 3/4 load — and Mix3, the level-tagged field mix that
+// table shares with the chained BDD unique table (internal/bdd). Measured
+// against Go maps, both tables won on these ingredients (DESIGN.md §8).
 //
-// Two layers are exported. The primitive layer (Mix3, Probe, ShouldGrow)
-// is for tables with bespoke lifecycles — the BDD unique table keeps its
-// incremental old-table migration and composes these directly. The Table
-// layer is a complete ref table for callers with simple lifecycles, such
-// as the AIG strash: inserts, lookups and wholesale Reset. Neither layer
-// deletes single entries, so there are no tombstones.
+// Table is a complete ref table for callers with simple lifecycles, such
+// as the AIG strash: inserts, lookups and wholesale Reset. It never deletes
+// single entries, so there are no tombstones.
 package ohash
 
 // Mix3 hashes three 32-bit fields: distinct multiplicative mixes per
@@ -25,30 +20,30 @@ func Mix3(a, b, c uint32) uint32 {
 	return h
 }
 
-// Probe walks the linear probe sequence of a power-of-two table: the slot
+// probe walks the linear probe sequence of a power-of-two table: the slot
 // sequence h&mask, (h+1)&mask, … . The zero value is not usable; start
-// with NewProbe.
-type Probe struct {
+// with newProbe.
+type probe struct {
 	i, mask uint32
 }
 
-// NewProbe starts a probe sequence for hash h over a table of buckets
+// newProbe starts a probe sequence for hash h over a table of buckets
 // slots. buckets must be a power of two.
-func NewProbe(h uint32, buckets int) Probe {
+func newProbe(h uint32, buckets int) probe {
 	mask := uint32(buckets - 1)
-	return Probe{i: h & mask, mask: mask}
+	return probe{i: h & mask, mask: mask}
 }
 
-// Slot returns the current bucket index.
-func (p *Probe) Slot() uint32 { return p.i }
+// slot returns the current bucket index.
+func (p *probe) slot() uint32 { return p.i }
 
-// Advance steps to the next bucket of the sequence.
-func (p *Probe) Advance() { p.i = (p.i + 1) & p.mask }
+// advance steps to the next bucket of the sequence.
+func (p *probe) advance() { p.i = (p.i + 1) & p.mask }
 
-// ShouldGrow reports whether a power-of-two open-addressed table holding
+// shouldGrow reports whether a power-of-two open-addressed table holding
 // entries occupied slots should double. The threshold is 3/4 — past it,
 // linear-probe clustering makes chains grow sharply.
-func ShouldGrow(entries, buckets int) bool {
+func shouldGrow(entries, buckets int) bool {
 	return entries*4 >= buckets*3
 }
 
@@ -70,7 +65,7 @@ const emptySlot = int32(-1)
 // buckets). hashOf must return the same hash Insert was given for the ref.
 func NewTable(capHint int, hashOf func(ref int32) uint32) *Table {
 	buckets := 1 << 8
-	for ShouldGrow(capHint, buckets) {
+	for shouldGrow(capHint, buckets) {
 		buckets *= 2
 	}
 	t := &Table{slots: make([]int32, buckets), hashOf: hashOf}
@@ -83,8 +78,8 @@ func NewTable(capHint int, hashOf func(ref int32) uint32) *Table {
 // Lookup probes for a ref whose key matches, per the caller's eq predicate,
 // among refs stored under hash h. The chain terminates at an empty slot.
 func (t *Table) Lookup(h uint32, eq func(ref int32) bool) (int32, bool) {
-	for p := NewProbe(h, len(t.slots)); ; p.Advance() {
-		r := t.slots[p.Slot()]
+	for p := newProbe(h, len(t.slots)); ; p.advance() {
+		r := t.slots[p.slot()]
 		if r == emptySlot {
 			return 0, false
 		}
@@ -95,10 +90,10 @@ func (t *Table) Lookup(h uint32, eq func(ref int32) bool) (int32, bool) {
 }
 
 // Insert stores ref under hash h. The caller guarantees the ref is not
-// already present (Lookup first). The table doubles per ShouldGrow,
+// already present (Lookup first). The table doubles per shouldGrow,
 // rehashing every entry through hashOf.
 func (t *Table) Insert(h uint32, ref int32) {
-	if ShouldGrow(t.entries+1, len(t.slots)) {
+	if shouldGrow(t.entries+1, len(t.slots)) {
 		t.grow()
 	}
 	t.place(h, ref)
@@ -107,11 +102,11 @@ func (t *Table) Insert(h uint32, ref int32) {
 
 // place stores ref in the first empty slot of its probe path.
 func (t *Table) place(h uint32, ref int32) {
-	p := NewProbe(h, len(t.slots))
-	for t.slots[p.Slot()] != emptySlot {
-		p.Advance()
+	p := newProbe(h, len(t.slots))
+	for t.slots[p.slot()] != emptySlot {
+		p.advance()
 	}
-	t.slots[p.Slot()] = ref
+	t.slots[p.slot()] = ref
 }
 
 // grow doubles the bucket array and reinserts every ref.

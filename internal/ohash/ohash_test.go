@@ -28,13 +28,13 @@ func TestProbeCoversTable(t *testing.T) {
 	// A probe sequence must visit every slot exactly once per wrap.
 	const buckets = 64
 	visited := make(map[uint32]bool)
-	p := NewProbe(0xdeadbeef, buckets)
+	p := newProbe(0xdeadbeef, buckets)
 	for i := 0; i < buckets; i++ {
-		if visited[p.Slot()] {
-			t.Fatalf("slot %d revisited after %d steps", p.Slot(), i)
+		if visited[p.slot()] {
+			t.Fatalf("slot %d revisited after %d steps", p.slot(), i)
 		}
-		visited[p.Slot()] = true
-		p.Advance()
+		visited[p.slot()] = true
+		p.advance()
 	}
 	if len(visited) != buckets {
 		t.Fatalf("visited %d of %d slots", len(visited), buckets)
@@ -53,8 +53,8 @@ func TestShouldGrowThreshold(t *testing.T) {
 		{768, 1024, true},
 	}
 	for _, c := range cases {
-		if got := ShouldGrow(c.entries, c.buckets); got != c.want {
-			t.Errorf("ShouldGrow(%d,%d) = %v, want %v", c.entries, c.buckets, got, c.want)
+		if got := shouldGrow(c.entries, c.buckets); got != c.want {
+			t.Errorf("shouldGrow(%d,%d) = %v, want %v", c.entries, c.buckets, got, c.want)
 		}
 	}
 }
@@ -91,7 +91,7 @@ func TestTableRehashUnderLoad(t *testing.T) {
 	if tab.Cap() == startCap {
 		t.Fatalf("table never grew past %d buckets under %d inserts", startCap, n)
 	}
-	if ShouldGrow(tab.Len(), tab.Cap()) {
+	if shouldGrow(tab.Len(), tab.Cap()) {
 		t.Fatalf("post-insert load %d/%d is at or past the growth threshold", tab.Len(), tab.Cap())
 	}
 	for i := 0; i < n; i++ {

@@ -2,9 +2,13 @@ package reach_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/flows"
+	"repro/internal/genlib"
+	"repro/internal/network"
 	"repro/internal/reach"
 )
 
@@ -38,6 +42,40 @@ func BenchmarkReachFixpoint(b *testing.B) {
 			b.ReportMetric(float64(last.Stats.PeakNodes), "peak-nodes")
 			b.ReportMetric(float64(last.Depth), "depth")
 		})
+	}
+}
+
+// BenchmarkProductReachS510 measures the verification product of s510's
+// retime flow output against its source: the product runs three image
+// steps and trips the 2,000,000-node limit, one of the failing BDD
+// attempts that dominate verification time on Table I. It is all mk and
+// computed-table traffic at a large, cold pool, so it tracks the kernel's
+// memory layout.
+func BenchmarkProductReachS510(b *testing.B) {
+	c, ok := bench.ByName("s510")
+	if !ok {
+		b.Fatal("s510 missing")
+	}
+	src, err := c.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	ret, err := flows.RunFlow(ctx, "retime", src, genlib.Lib2(), flows.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := network.Pair(src, ret.Net)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err := reach.AnalyzeProduct(ctx, src, ret.Net, p, ret.PrefixK, reach.DefaultLimits, nil)
+		if !errors.Is(err, reach.ErrTooLarge) {
+			b.Fatalf("want the node limit to trip, got %v", err)
+		}
 	}
 }
 

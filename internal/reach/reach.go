@@ -10,6 +10,7 @@ package reach
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/bdd"
@@ -90,10 +91,13 @@ func Analyze(ctx context.Context, n *network.Network, lim Limits, tr *obs.Tracer
 // read one variable. Reachable is the closure of the states reached after
 // delay image steps from the joint initial state — the states on which
 // delayed replacement with prefix delay requires equal outputs. The
-// latch limit applies to both machines together. It records no trace: its
-// caller is verification, timed by its own spans.
-func AnalyzeProduct(ctx context.Context, a, b *network.Network, p *network.Pairing, delay int, lim Limits) (*Analysis, error) {
-	return analyze(ctx, []*network.Network{a, b}, p.PI, delay, lim, nil)
+// latch limit applies to both machines together. It opens no span, so its
+// time stays with the caller's verification span; once the manager exists
+// it emits one "reach_product" event on tr with the BDD node count, the
+// computed-table hits and misses, the image steps taken and the outcome
+// ("fixpoint", "node_limit", "budget" or "error").
+func AnalyzeProduct(ctx context.Context, a, b *network.Network, p *network.Pairing, delay int, lim Limits, tr *obs.Tracer) (*Analysis, error) {
+	return analyze(ctx, []*network.Network{a, b}, p.PI, delay, lim, tr)
 }
 
 func analyze(ctx context.Context, nets []*network.Network, piOfB []int, delay int, lim Limits, tr *obs.Tracer) (a *Analysis, err error) {
@@ -108,24 +112,34 @@ func analyze(ctx context.Context, nets []*network.Network, piOfB []int, delay in
 	nv := 2*L + len(nets[0].PIs)
 	m := bdd.New(nv)
 	m.MaxNodes = lim.MaxBDDNodes
-	sp := tr.Begin("reach.analyze")
-	defer sp.End()
+	product := len(nets) > 1
+	var sp *obs.Span // nil for a product: see AnalyzeProduct
+	if !product {
+		sp = tr.Begin("reach.analyze")
+		defer sp.End()
+	}
 	depth := 0
 	defer func() {
 		r := recover()
 		st := m.Stats()
+		if r != nil {
+			if r != bdd.ErrNodeLimit {
+				panic(r)
+			}
+			a, err = nil, fmt.Errorf("reach: state space too large: %d BDD nodes for %d latches after %d image steps (limit %d): %w",
+				st.Nodes, L, depth, lim.MaxBDDNodes, ErrTooLarge)
+		}
+		if product {
+			tr.Event("reach_product", map[string]any{
+				"bdd_nodes": st.Nodes, "bdd_cache_hits": st.CacheHits, "bdd_cache_misses": st.CacheMisses,
+				"depth": depth, "outcome": outcome(err),
+			})
+			return
+		}
 		sp.Add("reach_iterations", int64(depth))
 		sp.Add("bdd_nodes", int64(st.PeakNodes))
 		sp.Add("bdd_cache_hits", st.CacheHits)
 		sp.Add("bdd_cache_misses", st.CacheMisses)
-		if r != nil {
-			if r == bdd.ErrNodeLimit {
-				a, err = nil, fmt.Errorf("reach: state space too large: %d BDD nodes for %d latches after %d image steps (limit %d): %w",
-					st.Nodes, L, depth, lim.MaxBDDNodes, ErrTooLarge)
-				return
-			}
-			panic(r)
-		}
 	}()
 
 	a = &Analysis{M: m}
@@ -212,9 +226,9 @@ func analyze(ctx context.Context, nets []*network.Network, piOfB []int, delay in
 		if cerr := guard.Check(ctx, "reach.analyze"); cerr != nil {
 			return nil, fmt.Errorf("reach: fixpoint interrupted after %d image steps: %w", depth, cerr)
 		}
-		// Frontier sizes are trace output only: an untraced analysis
-		// skips the walk over every frontier.
-		if tr != nil {
+		// Frontier sizes are trace output only: an untraced analysis, or
+		// a product, skips the walk over every frontier.
+		if sp != nil {
 			fn := m.NodeCount(frontier)
 			peak = max(peak, fn)
 			tr.Event("reach_iter", map[string]any{
@@ -234,6 +248,19 @@ func analyze(ctx context.Context, nets []*network.Network, piOfB []int, delay in
 	a.Stats = m.Stats()
 	sp.Max("reach_frontier_peak_nodes", int64(peak))
 	return a, nil
+}
+
+// outcome names how an analysis ended, for the reach_product event.
+func outcome(err error) string {
+	switch {
+	case err == nil:
+		return "fixpoint"
+	case errors.Is(err, ErrTooLarge):
+		return "node_limit"
+	case errors.Is(err, guard.ErrBudget):
+		return "budget"
+	}
+	return "error"
 }
 
 // buildNodeFns computes the BDD over current-state and input vars for every

@@ -204,4 +204,52 @@ func TestAnalysisStatsAndTrace(t *testing.T) {
 	if iters != a.Depth+1 {
 		t.Fatalf("got %d reach_iter events, want %d", iters, a.Depth+1)
 	}
+
+	// A product opens no span and adds no counter (its time and counts
+	// belong to the caller's verification span); it emits one
+	// reach_product event per analysis, carrying the manager's counts and
+	// the outcome, also when the node limit stops it.
+	buf.Reset()
+	tr = obs.NewJSON(&buf)
+	b := n.Clone()
+	p, err := network.Pair(n, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, err := AnalyzeProduct(context.Background(), n, b, p, 0, DefaultLimits, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AnalyzeProduct(context.Background(), n, b, p, 0, Limits{MaxBDDNodes: 8}, tr); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("8-node product: %v, want ErrTooLarge", err)
+	}
+	if len(tr.Root().Children()) != 0 || len(tr.Counters()) != 0 {
+		t.Fatalf("product analysis left spans %v or counters %v", tr.Root().Children(), tr.Counters())
+	}
+	evs, _, err = obs.ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []map[string]any
+	for _, e := range evs {
+		if e.Ev != "event" || e.Name != "reach_product" {
+			t.Fatalf("product emitted %s %q", e.Ev, e.Name)
+		}
+		got = append(got, e.Fields)
+	}
+	want := []map[string]any{
+		{"bdd_nodes": float64(pa.Stats.Nodes), "bdd_cache_hits": float64(pa.Stats.CacheHits),
+			"bdd_cache_misses": float64(pa.Stats.CacheMisses), "depth": float64(pa.Depth), "outcome": "fixpoint"},
+		{"bdd_nodes": float64(8), "outcome": "node_limit"},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got events %v, want two reach_product events", evs)
+	}
+	for i := range want {
+		for k, v := range want[i] {
+			if got[i][k] != v {
+				t.Fatalf("reach_product event %d: %s = %v, want %v (all fields %v)", i, k, got[i][k], v, got[i])
+			}
+		}
+	}
 }

@@ -56,7 +56,7 @@ func TestPropertyRandomAtomicMoves(t *testing.T) {
 		if moves == 0 {
 			continue
 		}
-		err := seqverify.Equivalent(context.Background(), orig, work, seqverify.Options{})
+		err := seqverify.Equivalent(context.Background(), orig, work, seqverify.Options{}, nil)
 		if errors.Is(err, reach.ErrTooLarge) {
 			err = bitsim.RandomEquivalent(orig, work, 0, 500, seed, bitsim.Options{})
 		}
@@ -92,7 +92,7 @@ func TestPropertyStemSplitAlwaysDelayedEquivalent(t *testing.T) {
 		if err := work.Check(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		err := seqverify.Equivalent(context.Background(), orig, work, seqverify.Options{Delay: k})
+		err := seqverify.Equivalent(context.Background(), orig, work, seqverify.Options{Delay: k}, nil)
 		if errors.Is(err, reach.ErrTooLarge) {
 			err = bitsim.RandomEquivalent(orig, work, k, 500, seed, bitsim.Options{})
 		}
@@ -102,7 +102,7 @@ func TestPropertyStemSplitAlwaysDelayedEquivalent(t *testing.T) {
 		// With preserved initial values the split is even safe (Section II:
 		// preservation of initial states makes the new states invalid but
 		// unreachable).
-		err = seqverify.Equivalent(context.Background(), orig, work, seqverify.Options{})
+		err = seqverify.Equivalent(context.Background(), orig, work, seqverify.Options{}, nil)
 		if err != nil && !errors.Is(err, reach.ErrTooLarge) {
 			t.Fatalf("seed %d: init-preserving split must be safe: %v", seed, err)
 		}
@@ -126,7 +126,7 @@ func TestPropertyMinPeriodNeverWorse(t *testing.T) {
 		if p, err := periodOf(ret); err != nil || p > info.PeriodAfter+1e-9 {
 			t.Fatalf("seed %d: realized period %v does not match claim %v", seed, p, info.PeriodAfter)
 		}
-		verr := seqverify.Equivalent(context.Background(), orig, ret, seqverify.Options{})
+		verr := seqverify.Equivalent(context.Background(), orig, ret, seqverify.Options{}, nil)
 		if errors.Is(verr, reach.ErrTooLarge) {
 			verr = bitsim.RandomEquivalent(orig, ret, 0, 500, seed, bitsim.Options{})
 		}
@@ -157,7 +157,7 @@ func TestPropertyMinAreaKeepsPeriodAndEquivalence(t *testing.T) {
 		if q, err := periodOf(ret); err != nil || q > p+1e-9 {
 			t.Fatalf("seed %d: period constraint violated: %v", seed, q)
 		}
-		verr := seqverify.Equivalent(context.Background(), orig, ret, seqverify.Options{})
+		verr := seqverify.Equivalent(context.Background(), orig, ret, seqverify.Options{}, nil)
 		if errors.Is(verr, reach.ErrTooLarge) {
 			verr = bitsim.RandomEquivalent(orig, ret, 0, 500, seed, bitsim.Options{})
 		}

@@ -92,7 +92,7 @@ func TestForwardMove(t *testing.T) {
 	if err := n.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{}, nil); err != nil {
 		t.Fatalf("forward move broke equivalence: %v", err)
 	}
 }
@@ -132,7 +132,7 @@ func TestForwardSharedRegisterStays(t *testing.T) {
 	if len(n.Latches) != 2 { // r1 kept (other consumer), r2 replaced by new
 		t.Fatalf("latches = %d, want 2", len(n.Latches))
 	}
-	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{}, nil); err != nil {
 		t.Fatalf("equivalence: %v", err)
 	}
 }
@@ -160,7 +160,7 @@ func TestBackwardMove(t *testing.T) {
 	if err := n.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{}, nil); err != nil {
 		t.Fatalf("backward move broke equivalence: %v", err)
 	}
 }
@@ -219,11 +219,11 @@ func TestSplitFanoutStem(t *testing.T) {
 	if err := n.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{Delay: 1}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{Delay: 1}, nil); err != nil {
 		t.Fatalf("stem split not delayed-equivalent: %v", err)
 	}
 	// With equal initial states this split is even safe-equivalent.
-	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{}, nil); err != nil {
 		t.Fatalf("stem split with preserved inits must be safe: %v", err)
 	}
 }
@@ -269,7 +269,7 @@ func TestMinPeriodPipeline(t *testing.T) {
 	// Pipeline latency must be preserved: with X-free original this is
 	// checkable exactly (backward moves may introduce fresh-but-consistent
 	// initial values).
-	if err := seqverify.Equivalent(context.Background(), n, ret, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), n, ret, seqverify.Options{}, nil); err != nil {
 		t.Fatalf("retimed pipeline not equivalent: %v", err)
 	}
 }
@@ -296,7 +296,7 @@ func TestMinPeriodFSM(t *testing.T) {
 	if info.PeriodAfter > info.PeriodBefore {
 		t.Fatalf("period regressed: %v", info)
 	}
-	if err := seqverify.Equivalent(context.Background(), n, ret, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), n, ret, seqverify.Options{}, nil); err != nil {
 		t.Fatalf("retimed FSM not equivalent: %v", err)
 	}
 }
@@ -519,7 +519,7 @@ func TestMinAreaMergesSplitRegisters(t *testing.T) {
 	if info.RegsAfter != 1 {
 		t.Fatalf("registers after min-area = %d, want 1", info.RegsAfter)
 	}
-	if err := seqverify.Equivalent(context.Background(), n, ret, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), n, ret, seqverify.Options{}, nil); err != nil {
 		t.Fatalf("min-area broke equivalence: %v", err)
 	}
 }
@@ -585,7 +585,7 @@ func TestRemoveConstantRegisters(t *testing.T) {
 	if err := n.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{}, nil); err != nil {
 		t.Fatalf("constant-register removal broke equivalence: %v", err)
 	}
 }
@@ -607,7 +607,7 @@ func TestRemoveConstantRegistersChain(t *testing.T) {
 	if n.FindNode("q1") != nil {
 		t.Fatal("q1 not removed")
 	}
-	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{}); err != nil {
+	if err := seqverify.Equivalent(context.Background(), ref, n, seqverify.Options{}, nil); err != nil {
 		t.Fatal(err)
 	}
 }

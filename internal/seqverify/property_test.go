@@ -190,7 +190,7 @@ func TestPropertyEquivalentMatchesExplicitProduct(t *testing.T) {
 			var verdicts []bool
 			for delay := 0; delay <= 2; delay++ {
 				want := explicitEquivalent(t, a, b, delay)
-				err := seqverify.Equivalent(context.Background(), a, b, seqverify.Options{Delay: delay})
+				err := seqverify.Equivalent(context.Background(), a, b, seqverify.Options{Delay: delay}, nil)
 				if (err == nil) != want {
 					t.Errorf("seed %d %s delay %d: Equivalent = %v, explicit search equivalent = %v",
 						seed, kind, delay, err, want)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/bdd"
 	"repro/internal/logic"
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/reach"
 )
 
@@ -42,13 +43,14 @@ const (
 // describes the mismatch (with a witness input and state) or a resource
 // failure. The node-function build and every image step check ctx and
 // return a typed guard budget error (errors.Is(err, guard.ErrBudget)) once
-// the deadline passes.
-func Equivalent(ctx context.Context, a, b *network.Network, opt Options) (err error) {
+// the deadline passes. The product traversal reports its BDD counts as a
+// "reach_product" event on tr (see reach.AnalyzeProduct); tr may be nil.
+func Equivalent(ctx context.Context, a, b *network.Network, opt Options, tr *obs.Tracer) (err error) {
 	p, err := network.Pair(a, b)
 	if err != nil {
 		return fmt.Errorf("seqverify: %w", err)
 	}
-	an, err := reach.AnalyzeProduct(ctx, a, b, p, opt.Delay, reach.DefaultLimits)
+	an, err := reach.AnalyzeProduct(ctx, a, b, p, opt.Delay, reach.DefaultLimits, tr)
 	if err != nil {
 		return fmt.Errorf("seqverify: %w", err)
 	}

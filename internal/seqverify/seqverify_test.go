@@ -36,7 +36,7 @@ func TestSelfEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Equivalent(context.Background(), n, n.Clone(), Options{}); err != nil {
+	if err := Equivalent(context.Background(), n, n.Clone(), Options{}, nil); err != nil {
 		t.Fatalf("network not equivalent to clone: %v", err)
 	}
 }
@@ -46,7 +46,7 @@ func TestDetectsFunctionalBug(t *testing.T) {
 	m := n.Clone()
 	c := m.FindNode("carry")
 	m.SetFunction(c, c.Fanins, logic.MustParseCover(2, "1-", "-1"))
-	if err := Equivalent(context.Background(), n, m, Options{}); err == nil {
+	if err := Equivalent(context.Background(), n, m, Options{}, nil); err == nil {
 		t.Fatal("OR-for-AND bug not detected")
 	}
 }
@@ -55,7 +55,7 @@ func TestDetectsInitStateBug(t *testing.T) {
 	n, _ := blif.ParseString(cnt2)
 	m := n.Clone()
 	m.Latches[0].Init = network.V1
-	if err := Equivalent(context.Background(), n, m, Options{}); err == nil {
+	if err := Equivalent(context.Background(), n, m, Options{}, nil); err == nil {
 		t.Fatal("initial-state difference not detected")
 	}
 }
@@ -81,13 +81,13 @@ func TestDelayedReplacement(t *testing.T) {
 	// cycle 2 onward, different before.
 	a := buildDelayed([]network.Value{network.V0, network.V0})
 	b := buildDelayed([]network.Value{network.V1, network.V1})
-	if err := Equivalent(context.Background(), a, b, Options{Delay: 0}); err == nil {
+	if err := Equivalent(context.Background(), a, b, Options{Delay: 0}, nil); err == nil {
 		t.Fatal("initial transient must fail safe replacement")
 	}
-	if err := Equivalent(context.Background(), a, b, Options{Delay: 1}); err == nil {
+	if err := Equivalent(context.Background(), a, b, Options{Delay: 1}, nil); err == nil {
 		t.Fatal("one cycle is not enough for a depth-2 pipeline")
 	}
-	if err := Equivalent(context.Background(), a, b, Options{Delay: 2}); err != nil {
+	if err := Equivalent(context.Background(), a, b, Options{Delay: 2}, nil); err != nil {
 		t.Fatalf("delay-2 replacement must hold: %v", err)
 	}
 }
@@ -118,10 +118,10 @@ func TestStemSplitEquivalence(t *testing.T) {
 	out2 := split.AddLogic("out", []*network.Node{h1, h2}, logic.MustParseCover(2, "10", "01"))
 	split.AddPO("y", out2)
 
-	if err := Equivalent(context.Background(), orig, split, Options{Delay: 0}); err != nil {
+	if err := Equivalent(context.Background(), orig, split, Options{Delay: 0}, nil); err != nil {
 		t.Fatalf("stem split with equal inits must be safe-equivalent: %v", err)
 	}
-	if err := Equivalent(context.Background(), orig, split, Options{Delay: 1}); err != nil {
+	if err := Equivalent(context.Background(), orig, split, Options{Delay: 1}, nil); err != nil {
 		t.Fatalf("and surely delayed-equivalent: %v", err)
 	}
 }
@@ -130,7 +130,7 @@ func TestPOMatchingByName(t *testing.T) {
 	n, _ := blif.ParseString(cnt2)
 	m := n.Clone()
 	m.POs[0].Name = "other"
-	if err := Equivalent(context.Background(), n, m, Options{}); err == nil {
+	if err := Equivalent(context.Background(), n, m, Options{}, nil); err == nil {
 		t.Fatal("missing PO name must be reported")
 	}
 }
@@ -144,7 +144,7 @@ func TestTooLarge(t *testing.T) {
 		d = n.AddLatch(fmt.Sprintf("r%d", i), d, network.V0).Output
 	}
 	n.AddPO("q", d)
-	if err := Equivalent(context.Background(), n, n.Clone(), Options{}); !errors.Is(err, reach.ErrTooLarge) {
+	if err := Equivalent(context.Background(), n, n.Clone(), Options{}, nil); !errors.Is(err, reach.ErrTooLarge) {
 		t.Fatalf("latch limit not applied: %v", err)
 	}
 }
