@@ -201,12 +201,6 @@ func (m *Manager) SetOrder(order []int) {
 	}
 }
 
-// Order returns the current variable order: element k is the variable at
-// level k. The slice is a copy.
-func (m *Manager) Order() []int {
-	return append([]int(nil), m.level2var...)
-}
-
 // NumVars returns the variable count.
 func (m *Manager) NumVars() int { return m.numVars }
 
@@ -450,9 +444,6 @@ func (m *Manager) Xor(f, g Ref) Ref { return m.Ite(f, m.Not(g), g) }
 // Xnor computes f ↔ g.
 func (m *Manager) Xnor(f, g Ref) Ref { return m.Ite(f, g, m.Not(g)) }
 
-// Implies computes f → g.
-func (m *Manager) Implies(f, g Ref) Ref { return m.Ite(f, g, True) }
-
 // Exists existentially quantifies the variables marked true in vars.
 func (m *Manager) Exists(f Ref, vars []bool) Ref {
 	cube := m.varsCube(vars)
@@ -650,39 +641,6 @@ func (m *Manager) Support(f Ref) []bool {
 	return sup
 }
 
-// SatCount returns the number of satisfying assignments over all NumVars
-// variables as a float64 (adequate for reporting reachable-state counts).
-func (m *Manager) SatCount(f Ref) float64 {
-	memo := make(map[Ref]float64)
-	var count func(f Ref, level int32) float64
-	count = func(f Ref, level int32) float64 {
-		if f == False {
-			return 0
-		}
-		fl := m.level(f)
-		if f == True {
-			fl = int32(m.numVars)
-		}
-		gap := 1.0 // multiplier for the variables skipped above f
-		for i := level; i < fl; i++ {
-			gap *= 2
-		}
-		if f == True {
-			return gap
-		}
-		var sub float64
-		if v, ok := memo[f]; ok {
-			sub = v
-		} else {
-			n := m.nodes[f]
-			sub = count(n.lo, fl+1) + count(n.hi, fl+1)
-			memo[f] = sub
-		}
-		return gap * sub
-	}
-	return count(f, 0)
-}
-
 // PickCube returns one satisfying assignment of f (nil if f is False).
 // Unconstrained variables are reported as logic.LitBoth.
 func (m *Manager) PickCube(f Ref) []logic.Lit {
@@ -704,34 +662,6 @@ func (m *Manager) PickCube(f Ref) []logic.Lit {
 		}
 	}
 	return out
-}
-
-// FromCover builds the BDD of a SOP cover; cover variable i maps to manager
-// variable varMap[i] (identity when varMap is nil).
-func (m *Manager) FromCover(f *logic.Cover, varMap []int) Ref {
-	r := False
-	for _, c := range f.Cubes {
-		cube := True
-		for v := 0; v < c.N; v++ {
-			mv := v
-			if varMap != nil {
-				mv = varMap[v]
-			}
-			switch c.Lit(v) {
-			case logic.LitPos:
-				cube = m.And(cube, m.Var(mv))
-			case logic.LitNeg:
-				cube = m.And(cube, m.NVar(mv))
-			case logic.LitNone:
-				cube = False
-			}
-			if cube == False {
-				break // a void literal (or contradiction) kills the cube
-			}
-		}
-		r = m.Or(r, cube)
-	}
-	return r
 }
 
 // ToCover converts a BDD back into a (possibly non-minimal) SOP cover by

@@ -264,3 +264,64 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatal("terminals have zero internal nodes")
 	}
 }
+
+// SatCount returns the number of satisfying assignments over all NumVars
+// variables as a float64.
+func (m *Manager) SatCount(f Ref) float64 {
+	memo := make(map[Ref]float64)
+	var count func(f Ref, level int32) float64
+	count = func(f Ref, level int32) float64 {
+		if f == False {
+			return 0
+		}
+		fl := m.level(f)
+		if f == True {
+			fl = int32(m.numVars)
+		}
+		gap := 1.0 // multiplier for the variables skipped above f
+		for i := level; i < fl; i++ {
+			gap *= 2
+		}
+		if f == True {
+			return gap
+		}
+		var sub float64
+		if v, ok := memo[f]; ok {
+			sub = v
+		} else {
+			n := m.nodes[f]
+			sub = count(n.lo, fl+1) + count(n.hi, fl+1)
+			memo[f] = sub
+		}
+		return gap * sub
+	}
+	return count(f, 0)
+}
+
+// FromCover builds the BDD of a SOP cover; cover variable i maps to manager
+// variable varMap[i] (identity when varMap is nil).
+func (m *Manager) FromCover(f *logic.Cover, varMap []int) Ref {
+	r := False
+	for _, c := range f.Cubes {
+		cube := True
+		for v := 0; v < c.N; v++ {
+			mv := v
+			if varMap != nil {
+				mv = varMap[v]
+			}
+			switch c.Lit(v) {
+			case logic.LitPos:
+				cube = m.And(cube, m.Var(mv))
+			case logic.LitNeg:
+				cube = m.And(cube, m.NVar(mv))
+			case logic.LitNone:
+				cube = False
+			}
+			if cube == False {
+				break // a void literal (or contradiction) kills the cube
+			}
+		}
+		r = m.Or(r, cube)
+	}
+	return r
+}

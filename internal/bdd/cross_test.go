@@ -134,3 +134,6 @@ func TestCrossCofactor(t *testing.T) {
 		}
 	}
 }
+
+// Implies computes f → g.
+func (m *Manager) Implies(f, g Ref) Ref { return m.Ite(f, g, True) }

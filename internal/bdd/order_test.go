@@ -141,3 +141,9 @@ func TestFromCoverVoidCube(t *testing.T) {
 		t.Fatalf("void cube leaked into FromCover result")
 	}
 }
+
+// Order returns the current variable order: element k is the variable at
+// level k. The slice is a copy.
+func (m *Manager) Order() []int {
+	return append([]int(nil), m.level2var...)
+}

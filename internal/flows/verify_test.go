@@ -59,6 +59,24 @@ func TestVerifyVerdictProvedByInduction(t *testing.T) {
 	}
 }
 
+// TestVerifyVerdictS510Exact: with the flow output's latches first in the
+// product's variable order, the exact rung proves s510's retime and resyn
+// outputs (resyn at its prefix k = 36), so with Sweep on neither reaches
+// sweep. The interleaved order it replaced took both products past the
+// node limit and left them spot-checked.
+func TestVerifyVerdictS510Exact(t *testing.T) {
+	for _, flow := range []string{"retime", "resyn"} {
+		n, r := flowOutput(t, "s510", flow)
+		for _, cfg := range []Config{{}, {Sweep: true}} {
+			v, err := VerifyVerdict(context.Background(), n, r, cfg)
+			if err != nil || v != string(seqverify.VerdictExact) {
+				t.Errorf("s510 %s (k = %d, Sweep %v): verdict %q, err %v; want %q",
+					flow, r.PrefixK, cfg.Sweep, v, err, seqverify.VerdictExact)
+			}
+		}
+	}
+}
+
 // flowOutput builds a registry circuit and the result to verify against
 // it: a clone when flow is "", else the output of that flow on lib2.
 func flowOutput(t *testing.T, circuit, flow string) (*network.Network, *Result) {

@@ -9,8 +9,6 @@
 package reach
 
 import (
-	"sort"
-
 	"repro/internal/bdd"
 	"repro/internal/network"
 )
@@ -229,64 +227,40 @@ func topoLeafRanks(n *network.Network) (latchRank, piRank []int, found int) {
 }
 
 // levelOrder derives the static variable order of one machine or of a
-// product of two. Each machine's latches and PIs are keyed by their
-// topoLeafRanks discovery rank, normalized by the machine's source count
-// (unseen sources after all seen ones, in declaration order); a shared PI
-// takes the earlier of its two keys (piOfB pairs PI i of the first machine
-// with PI piOfB[i] of the second). Sorting by key interleaves corresponding
-// state variables of structurally similar machines, and each latch's
-// cur/next pair stays adjacent. On one machine the ranks are distinct
-// integers, so the order is plain rank order. The manager variable
-// *indices* are untouched — only their level placement changes.
-func levelOrder(ms []*Machine, piOfB []int, nv int) []int {
-	type ent struct {
-		key  float64
-		kind int // 0 PI, 1+k latch of machine k
-		idx  int
-	}
-	var ents []ent
-	piKey := make([]float64, len(ms[0].N.PIs))
-	for k, mc := range ms {
-		lr, pr, found := topoLeafRanks(mc.N)
-		denom := float64(found + len(lr) + len(pr) + 1)
-		norm := func(r, fallback int) float64 {
-			if r < 0 {
-				r = fallback
-			}
-			return float64(r) / denom
-		}
-		for i := range lr {
-			ents = append(ents, ent{norm(lr[i], found+i), 1 + k, i})
-		}
-		for i := range piKey {
-			j := i
-			if k > 0 {
-				j = piOfB[i]
-			}
-			if key := norm(pr[j], found+len(lr)+j); k == 0 || key < piKey[i] {
-				piKey[i] = key
-			}
-		}
-	}
-	for i, key := range piKey {
-		ents = append(ents, ent{key, 0, i})
-	}
-	sort.Slice(ents, func(x, y int) bool {
-		if ents[x].key != ents[y].key {
-			return ents[x].key < ents[y].key
-		}
-		if ents[x].kind != ents[y].kind {
-			return ents[x].kind < ents[y].kind
-		}
-		return ents[x].idx < ents[y].idx
-	})
+// product of two. A machine's latches and PIs take the levels of their
+// topoLeafRanks discovery order (sources no driver or output reaches
+// after all others, latches before PIs, each in declaration order), and
+// each latch's cur/next pair stays adjacent. In a product the second
+// machine, the implementation, contributes only its latches, and they go
+// above every variable of the first: below them the source, shared PIs
+// included, keeps the order it has alone. Of the product orders measured
+// on Table I this one built the fewest nodes on the SOP substrate and lost
+// no exact verdict on either substrate; it is what keeps s510's retimed
+// and resynthesized outputs under the node limit (DESIGN.md §9). The
+// manager variable *indices* are untouched — only their level placement
+// changes.
+func levelOrder(ms []*Machine, nv int) []int {
 	order := make([]int, 0, nv)
-	for _, e := range ents {
-		if e.kind == 0 {
-			order = append(order, ms[0].InVar[e.idx])
-		} else {
-			mc := ms[e.kind-1]
-			order = append(order, mc.CurVar[e.idx], mc.NextVar[e.idx])
+	for k := len(ms) - 1; k >= 0; k-- {
+		mc := ms[k]
+		lr, pr, found := topoLeafRanks(mc.N)
+		at := make([][]int, found+len(lr)+len(pr)) // the variables of the source at each rank
+		for i, r := range lr {
+			if r < 0 {
+				r = found + i
+			}
+			at[r] = []int{mc.CurVar[i], mc.NextVar[i]}
+		}
+		if k == 0 {
+			for j, r := range pr {
+				if r < 0 {
+					r = found + len(lr) + j
+				}
+				at[r] = []int{mc.InVar[j]}
+			}
+		}
+		for _, vs := range at {
+			order = append(order, vs...)
 		}
 	}
 	return order

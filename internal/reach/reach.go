@@ -29,7 +29,9 @@ import (
 // first machine owns var 2L+j, and the second machine's PIs share those
 // variables through the port pairing. Variable *indices* are fixed; their
 // level placement is topology-driven (levelOrder), with each cur/next pair
-// kept adjacent.
+// kept adjacent. A product places the second machine's latches above all
+// of the first machine, so a verifier passes the source as the first
+// machine and the implementation as the second.
 type Analysis struct {
 	M *bdd.Manager
 	// Machines holds the analysed network, or the two sides of a product
@@ -90,12 +92,15 @@ func Analyze(ctx context.Context, n *network.Network, lim Limits, tr *obs.Tracer
 // whose inputs are shared as p pairs them: PI i of a and PI p.PI[i] of b
 // read one variable. Reachable is the closure of the states reached after
 // delay image steps from the joint initial state — the states on which
-// delayed replacement with prefix delay requires equal outputs. The
-// latch limit applies to both machines together. It opens no span, so its
-// time stays with the caller's verification span; once the manager exists
-// it emits one "reach_product" event on tr with the BDD node count, the
-// computed-table hits and misses, the image steps taken and the outcome
-// ("fixpoint", "node_limit", "budget" or "error").
+// delayed replacement with prefix delay requires equal outputs. Pass the
+// source as a and the implementation as b: b's latches go first in the
+// variable order, which keeps the products of Table I's flow outputs
+// within the node limit (DESIGN.md §9). The order changes the cost, never
+// the answer. The latch limit applies to both machines together. It
+// opens no span, so its time stays with the caller's verification span;
+// once the manager exists it emits one "reach_product" event on tr with
+// the BDD node count, the computed-table hits and misses, the image steps
+// taken and the outcome ("fixpoint", "node_limit", "budget" or "error").
 func AnalyzeProduct(ctx context.Context, a, b *network.Network, p *network.Pairing, delay int, lim Limits, tr *obs.Tracer) (*Analysis, error) {
 	return analyze(ctx, []*network.Network{a, b}, p.PI, delay, lim, tr)
 }
@@ -165,7 +170,7 @@ func analyze(ctx context.Context, nets []*network.Network, piOfB []int, delay in
 			a.Machines[1].InVar[piOfB[j]] = 2*L + j
 		}
 	}
-	m.SetOrder(levelOrder(a.Machines, piOfB, nv))
+	m.SetOrder(levelOrder(a.Machines, nv))
 	for _, mc := range a.Machines {
 		if err := mc.buildNodeFns(ctx, m); err != nil {
 			return nil, err
@@ -332,21 +337,6 @@ func coneOfInfluence(n *network.Network) map[*network.Node]bool {
 		mark(po.Driver)
 	}
 	return need
-}
-
-// NumReachable returns the number of reachable states.
-func (a *Analysis) NumReachable() float64 {
-	// SatCount counts over all manager variables; divide out next-state
-	// and input vars, which Reachable does not depend on.
-	total := a.M.SatCount(a.Reachable)
-	free := a.M.NumVars()
-	for _, mc := range a.Machines {
-		free -= len(mc.CurVar)
-	}
-	for i := 0; i < free; i++ {
-		total /= 2
-	}
-	return total
 }
 
 // UnreachableDC projects the reachable set of a one-network analysis onto

@@ -39,6 +39,27 @@ const counter3 = `
 .end
 `
 
+// NumReachable counts the reachable states by evaluating Reachable under
+// every assignment of the current-state variables, so it suits only the
+// few-latch machines of these tests. Exported for the reach_test package.
+func (a *Analysis) NumReachable() float64 {
+	var cur []int
+	for _, mc := range a.Machines {
+		cur = append(cur, mc.CurVar...)
+	}
+	env := make([]bool, a.M.NumVars())
+	n := 0
+	for st := 0; st < 1<<len(cur); st++ {
+		for i, v := range cur {
+			env[v] = st>>i&1 == 1
+		}
+		if a.M.Eval(a.Reachable, env) {
+			n++
+		}
+	}
+	return float64(n)
+}
+
 func TestCounterFullyReachable(t *testing.T) {
 	n, err := blif.ParseString(counter3)
 	if err != nil {

@@ -2,6 +2,7 @@ package seqverify_test
 
 import (
 	"context"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/logic"
 	"repro/internal/network"
+	"repro/internal/reach"
 	"repro/internal/retime"
 	"repro/internal/seqverify"
 	"repro/internal/sim"
@@ -165,51 +167,131 @@ func forwardRetimed(t *testing.T, n *network.Network, seed int64) *network.Netwo
 	return nil
 }
 
-// TestPropertyEquivalentMatchesExplicitProduct pins the product-machine
-// traversal against explicit-state search: over random small FSM pairs —
-// a against a clone with one cover bit flipped, and a against a
-// forward-retimed copy — Equivalent must return nil exactly when the
-// explicit search of the product finds equal outputs after the prefix, at
-// delays 0, 1 and 2. b declares its PIs in reverse order, so the variable
-// each PI of b reads is exercised. The suite must contain pairs refuted
-// and proved, and pairs whose verdict depends on the prefix.
-func TestPropertyEquivalentMatchesExplicitProduct(t *testing.T) {
-	var proved, refuted, prefixMatters int
+// forEachRandomPair calls f on the random small FSM pairs of the property
+// suites: a against a clone with one cover bit flipped, and a against a
+// forward-retimed copy. b declares its PIs in reverse order, so the
+// variable each PI of b reads is exercised.
+func forEachRandomPair(t *testing.T, f func(seed int64, kind string, a, b *network.Network)) {
+	t.Helper()
 	for seed := int64(1); seed <= 24; seed++ {
 		a := bench.Synthetic(bench.Profile{Name: "a", PIs: 3, POs: 2, FFs: 3, Gates: 10, Seed: seed})
 		if seed%3 == 0 {
 			a.Latches[int(seed)%len(a.Latches)].Init = network.VX
 		}
 		r := rand.New(rand.NewSource(seed))
-		pairs := map[string]*network.Network{"flipped": flipCoverBit(a, r)}
+		b := flipCoverBit(a, r)
+		slices.Reverse(b.PIs)
+		f(seed, "flipped", a, b)
 		if b := forwardRetimed(t, a, seed); b != nil {
-			pairs["retimed"] = b
-		}
-		for kind, b := range pairs {
 			slices.Reverse(b.PIs)
-			var verdicts []bool
-			for delay := 0; delay <= 2; delay++ {
-				want := explicitEquivalent(t, a, b, delay)
-				err := seqverify.Equivalent(context.Background(), a, b, seqverify.Options{Delay: delay}, nil)
-				if (err == nil) != want {
-					t.Errorf("seed %d %s delay %d: Equivalent = %v, explicit search equivalent = %v",
-						seed, kind, delay, err, want)
-				}
-				if want {
-					proved++
-				} else {
-					refuted++
-				}
-				verdicts = append(verdicts, want)
-			}
-			if verdicts[0] != verdicts[1] || verdicts[1] != verdicts[2] {
-				prefixMatters++
-			}
+			f(seed, "retimed", a, b)
 		}
 	}
+}
+
+// TestPropertyEquivalentMatchesExplicitProduct pins the product-machine
+// traversal against explicit-state search: over the random pairs,
+// Equivalent must return nil exactly when the explicit search of the
+// product finds equal outputs after the prefix, at delays 0, 1 and 2. The
+// suite must contain pairs refuted and proved, and pairs whose verdict
+// depends on the prefix.
+func TestPropertyEquivalentMatchesExplicitProduct(t *testing.T) {
+	var proved, refuted, prefixMatters int
+	forEachRandomPair(t, func(seed int64, kind string, a, b *network.Network) {
+		var verdicts []bool
+		for delay := 0; delay <= 2; delay++ {
+			want := explicitEquivalent(t, a, b, delay)
+			err := seqverify.Equivalent(context.Background(), a, b, seqverify.Options{Delay: delay}, nil)
+			if (err == nil) != want {
+				t.Errorf("seed %d %s delay %d: Equivalent = %v, explicit search equivalent = %v",
+					seed, kind, delay, err, want)
+			}
+			if want {
+				proved++
+			} else {
+				refuted++
+			}
+			verdicts = append(verdicts, want)
+		}
+		if verdicts[0] != verdicts[1] || verdicts[1] != verdicts[2] {
+			prefixMatters++
+		}
+	})
 	if proved == 0 || refuted == 0 || prefixMatters == 0 {
 		t.Fatalf("suite lacks power: %d proved, %d refuted, %d pairs whose verdict depends on the prefix",
 			proved, refuted, prefixMatters)
 	}
 	t.Logf("%d proved, %d refuted, %d pairs whose verdict depends on the prefix", proved, refuted, prefixMatters)
+}
+
+// reachedStates lists the states a product analysis reached, each as the
+// pair of latch bitmasks (state of a, state of the other machine),
+// whichever side of the product a was passed on.
+func reachedStates(an *reach.Analysis, a *network.Network) map[[2]int]bool {
+	ma, mo := an.Machines[0], an.Machines[1]
+	if ma.N != a {
+		ma, mo = mo, ma
+	}
+	la := len(ma.CurVar)
+	env := make([]bool, an.M.NumVars())
+	out := map[[2]int]bool{}
+	for st := 0; st < 1<<(la+len(mo.CurVar)); st++ {
+		for i, v := range ma.CurVar {
+			env[v] = st>>i&1 == 1
+		}
+		for i, v := range mo.CurVar {
+			env[v] = st>>(la+i)&1 == 1
+		}
+		if an.M.Eval(an.Reachable, env) {
+			out[[2]int{st & (1<<la - 1), st >> la}] = true
+		}
+	}
+	return out
+}
+
+// TestPropertyProductOrderSymmetric: the product's variable order puts the
+// second machine's latches first, so swapping the sides changes the BDDs
+// the check builds but must never change its answer. Over the random
+// pairs, Equivalent(a, b) and Equivalent(b, a) agree at delays 0, 1 and
+// 2, and AnalyzeProduct reaches the same product states both ways.
+func TestPropertyProductOrderSymmetric(t *testing.T) {
+	ctx := context.Background()
+	var proved, refuted int
+	forEachRandomPair(t, func(seed int64, kind string, a, b *network.Network) {
+		pab, err := network.Pair(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pba, err := network.Pair(b, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for delay := 0; delay <= 2; delay++ {
+			opt := seqverify.Options{Delay: delay}
+			eab, eba := seqverify.Equivalent(ctx, a, b, opt, nil), seqverify.Equivalent(ctx, b, a, opt, nil)
+			if (eab == nil) != (eba == nil) {
+				t.Errorf("seed %d %s delay %d: Equivalent(a, b) = %v, Equivalent(b, a) = %v", seed, kind, delay, eab, eba)
+			}
+			if eab == nil {
+				proved++
+			} else {
+				refuted++
+			}
+			ab, err := reach.AnalyzeProduct(ctx, a, b, pab, delay, reach.DefaultLimits, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ba, err := reach.AnalyzeProduct(ctx, b, a, pba, delay, reach.DefaultLimits, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sab, sba := reachedStates(ab, a), reachedStates(ba, a); !maps.Equal(sab, sba) {
+				t.Errorf("seed %d %s delay %d: AnalyzeProduct(a, b) reached %d states, (b, a) %d, or other ones",
+					seed, kind, delay, len(sab), len(sba))
+			}
+		}
+	})
+	if proved == 0 || refuted == 0 {
+		t.Fatalf("suite lacks power: %d proved, %d refuted", proved, refuted)
+	}
 }

@@ -44,7 +44,11 @@ const (
 // failure. The node-function build and every image step check ctx and
 // return a typed guard budget error (errors.Is(err, guard.ErrBudget)) once
 // the deadline passes. The product traversal reports its BDD counts as a
-// "reach_product" event on tr (see reach.AnalyzeProduct); tr may be nil.
+// "reach_product" event on tr (see reach.AnalyzeProduct); a traversal that
+// reaches its fixpoint is followed by one "product_outputs" event with the
+// output check's outcome ("equal", "refuted" or "node_limit") and the
+// manager's node count after it. tr may be nil. Pass the implementation as
+// b: the product's variable order puts b's latches first (DESIGN.md §9).
 func Equivalent(ctx context.Context, a, b *network.Network, opt Options, tr *obs.Tracer) (err error) {
 	p, err := network.Pair(a, b)
 	if err != nil {
@@ -55,19 +59,23 @@ func Equivalent(ctx context.Context, a, b *network.Network, opt Options, tr *obs
 		return fmt.Errorf("seqverify: %w", err)
 	}
 	m := an.M
+	outcome := "equal"
 	defer func() {
 		if r := recover(); r != nil {
 			if r != bdd.ErrNodeLimit {
 				panic(r)
 			}
+			outcome = "node_limit"
 			err = fmt.Errorf("seqverify: output check past %d BDD nodes: %w", m.MaxNodes, reach.ErrTooLarge)
 		}
+		tr.Event("product_outputs", map[string]any{"outcome": outcome, "bdd_nodes": m.Size()})
 	}()
 	// Output equality on all reached product states, all inputs.
 	ma, mb := an.Machines[0], an.Machines[1]
 	for i, j := range p.PO {
 		diff := m.Xor(ma.NodeFn[a.POs[i].Driver], mb.NodeFn[b.POs[j].Driver])
 		if bad := m.And(an.Reachable, diff); bad != bdd.False {
+			outcome = "refuted"
 			w := m.PickCube(bad)
 			return fmt.Errorf("seqverify: PO %q differs (delay=%d); witness in=%s stateA=%s stateB=%s",
 				a.POs[i].Name, opt.Delay, bits(w, ma.InVar), bits(w, ma.CurVar), bits(w, mb.CurVar))

@@ -1,6 +1,7 @@
 package seqverify
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/blif"
 	"repro/internal/logic"
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/reach"
 )
 
@@ -74,6 +76,40 @@ func buildDelayed(inits []network.Value) *network.Network {
 	o := n.AddLogic("o", []*network.Node{prev}, buf.Clone())
 	n.AddPO("y", o)
 	return n
+}
+
+// TestOutputCheckTraced: after the product's reach_product event,
+// Equivalent emits the output check's outcome and node count, so a check
+// that ends after the fixpoint is told apart from the traversal.
+func TestOutputCheckTraced(t *testing.T) {
+	n, err := blif.ParseString(cnt2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bug := n.Clone()
+	c := bug.FindNode("carry")
+	bug.SetFunction(c, c.Fanins, logic.MustParseCover(2, "1-", "-1"))
+	for _, tc := range []struct {
+		b       *network.Network
+		outcome string
+	}{{n.Clone(), "equal"}, {bug, "refuted"}} {
+		var buf bytes.Buffer
+		err := Equivalent(context.Background(), n, tc.b, Options{}, obs.NewJSON(&buf))
+		if (err == nil) != (tc.outcome == "equal") {
+			t.Fatalf("%s: Equivalent = %v", tc.outcome, err)
+		}
+		evs, _, err := obs.ReadEvents(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(evs) != 2 || evs[0].Name != "reach_product" || evs[1].Name != "product_outputs" {
+			t.Fatalf("%s: events %v, want reach_product then product_outputs", tc.outcome, evs)
+		}
+		got := evs[1].Fields
+		if got["outcome"] != tc.outcome || got["bdd_nodes"].(float64) < evs[0].Fields["bdd_nodes"].(float64) {
+			t.Errorf("%s: product_outputs %v after reach_product %v", tc.outcome, got, evs[0].Fields)
+		}
+	}
 }
 
 func TestDelayedReplacement(t *testing.T) {
