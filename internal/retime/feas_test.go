@@ -200,14 +200,59 @@ func TestFEASRegisterBoundEdgeCases(t *testing.T) {
 	}
 }
 
-func TestMinPeriodLagsHonoursCancelledContext(t *testing.T) {
-	g := registryGraph(t, "s5378")
-	if len(g.Nodes)+1 <= MaxExactMinAreaVertices {
-		t.Fatalf("s5378 has %d vertices; the test needs the FEAS path", len(g.Nodes)+1)
+// tripContext is a context whose deadline passes after its first n
+// checks: the budget runs out while the lag search is already under way.
+type tripContext struct {
+	context.Context
+	n    int
+	done chan struct{}
+}
+
+func newTripContext(n int) *tripContext {
+	c := &tripContext{Context: context.Background(), n: n, done: make(chan struct{})}
+	close(c.done)
+	return c
+}
+
+func (c *tripContext) Done() <-chan struct{} {
+	if c.n > 0 {
+		c.n--
+		return nil
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := g.MinPeriodLags(ctx); !errors.Is(err, guard.ErrBudget) {
-		t.Fatalf("err = %v, want a guard budget error", err)
+	return c.done
+}
+
+func (c *tripContext) Err() error {
+	if c.n > 0 {
+		return nil
+	}
+	return context.DeadlineExceeded
+}
+
+// TestMinPeriodLagsHonoursCancelledContext covers both lag searches: s641
+// (200 vertices) takes OPT, s5378 (1575) takes FEAS. Each must stop with a
+// guard budget error whether the deadline has passed at entry or passes
+// after the search has made its first check.
+func TestMinPeriodLagsHonoursCancelledContext(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  bool
+	}{{"s641", true}, {"s5378", false}} {
+		g := registryGraph(t, tc.name)
+		if opt := len(g.Nodes)+1 <= MaxExactMinAreaVertices; opt != tc.opt {
+			t.Fatalf("%s has %d vertices; the test needs OPT=%v", tc.name, len(g.Nodes)+1, tc.opt)
+		}
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		for _, ctx := range []struct {
+			name string
+			ctx  context.Context
+		}{{"cancelled", cancelled}, {"trips after one check", newTripContext(1)}} {
+			t.Run(tc.name+"/"+ctx.name, func(t *testing.T) {
+				if _, _, err := g.MinPeriodLags(ctx.ctx); !errors.Is(err, guard.ErrBudget) {
+					t.Fatalf("err = %v, want a guard budget error", err)
+				}
+			})
+		}
 	}
 }

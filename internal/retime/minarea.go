@@ -23,19 +23,21 @@ import (
 // exact formulation.
 const MaxExactMinAreaVertices = 420
 
+// wdInf marks an unreachable pair in the W matrix.
+const wdInf = int(1) << 30
+
 // wdMatrices computes the Leiserson–Saxe W and D matrices:
 // W(u,v) = minimum register count over u→v paths,
 // D(u,v) = maximum path delay among minimum-register paths.
 func (g *Graph) wdMatrices() ([][]int, [][]float64) {
 	nv := len(g.Nodes) + 1
-	const inf = int(1) << 30
 	w := make([][]int, nv)
 	d := make([][]float64, nv)
 	for i := range w {
 		w[i] = make([]int, nv)
 		d[i] = make([]float64, nv)
 		for j := range w[i] {
-			w[i][j] = inf
+			w[i][j] = wdInf
 			d[i][j] = math.Inf(-1)
 		}
 	}
@@ -50,29 +52,39 @@ func (g *Graph) wdMatrices() ([][]int, [][]float64) {
 	}
 	// The host is the environment, not a circuit vertex: combinational
 	// paths never pass through it, so it may appear only as an endpoint.
+	// Row k keeps its infinite entries while k is the pivot (only i = k
+	// writes to it, and only where W(k,j) is finite), so each pivot visits
+	// the finite columns of row k alone.
+	cols := make([]int, 0, nv)
 	for k := 1; k < nv; k++ {
+		wk, dk := w[k], d[k]
+		cols = cols[:0]
+		for j, x := range wk {
+			if x < wdInf {
+				cols = append(cols, j)
+			}
+		}
 		for i := 0; i < nv; i++ {
-			if w[i][k] >= inf {
+			wi, di := w[i], d[i]
+			if wi[k] >= wdInf {
 				continue
 			}
-			for j := 0; j < nv; j++ {
-				if w[k][j] >= inf {
-					continue
-				}
-				nw := w[i][k] + w[k][j]
-				nd := d[i][k] + d[k][j]
-				if nw < w[i][j] || (nw == w[i][j] && nd > d[i][j]) {
-					w[i][j] = nw
-					d[i][j] = nd
+			for _, j := range cols {
+				nw := wi[k] + wk[j]
+				nd := di[k] + dk[j]
+				if nw < wi[j] || (nw == wi[j] && nd > di[j]) {
+					wi[j] = nw
+					di[j] = nd
 				}
 			}
 		}
 	}
 	// Finalize: D(u,v) = prefix delay + d(v).
 	for i := 0; i < nv; i++ {
+		wi, di := w[i], d[i]
 		for j := 0; j < nv; j++ {
-			if w[i][j] < inf {
-				d[i][j] += g.Delay[j]
+			if wi[j] < wdInf {
+				di[j] += g.Delay[j]
 			}
 		}
 	}
@@ -92,11 +104,10 @@ func (g *Graph) MinAreaLags(c float64) ([]int, error) {
 	for _, e := range g.Edges {
 		cons = append(cons, constraint{u: e.From, v: e.To, bound: int64(e.W)})
 	}
-	const inf = int(1) << 30
 	const eps = 1e-9
 	for u := 0; u < nv; u++ {
 		for v := 0; v < nv; v++ {
-			if w[u][v] >= inf || d[u][v] <= c+eps {
+			if w[u][v] >= wdInf || d[u][v] <= c+eps {
 				continue
 			}
 			b := int64(w[u][v] - 1)

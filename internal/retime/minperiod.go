@@ -2,6 +2,7 @@ package retime
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -227,16 +228,14 @@ func (t *kernel) feas(ctx context.Context, c float64) (r []int, ok bool, err err
 // larger graphs fall back to binary search over FEAS. FEAS with a pinned
 // host vertex can only add registers to vertex inputs (non-negative lags),
 // so on large graphs the result is a sound upper bound rather than the
-// true optimum — an authentic limitation of increment-only retimers. FEAS
-// checks ctx at every iteration of every probe and returns a typed guard
-// budget error once the deadline passes.
+// true optimum — an authentic limitation of increment-only retimers. OPT
+// checks ctx before every probe and FEAS at every iteration of every
+// probe; both return a typed guard budget error once the deadline passes.
 func (g *Graph) MinPeriodLags(ctx context.Context) ([]int, float64, error) {
 	if len(g.Nodes)+1 <= MaxExactMinAreaVertices {
-		if cerr := guard.Check(ctx, "retime.min_period"); cerr != nil {
-			return nil, 0, cerr
-		}
-		if r, c, err := g.MinPeriodLagsOPT(); err == nil {
-			return r, c, nil
+		r, c, err := g.MinPeriodLagsOPT(ctx)
+		if err == nil || errors.Is(err, guard.ErrBudget) {
+			return r, c, err
 		}
 	}
 	return g.minPeriodLagsFEAS(ctx)
