@@ -2,6 +2,7 @@ package reach_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/bench"
@@ -106,5 +107,22 @@ func BenchmarkUnreachableDC(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkCover = a.UnreachableDC(idx)
+	}
+}
+
+// BenchmarkStageRefusalS1196 measures a refused DC extraction: s1196's
+// retime-flow DC-extraction input builds 168,698 nodes of per-latch
+// relations, past the staged budget of 62,500, so every iteration ends at
+// the stage with ErrTooLarge after 0 image steps. Without the stage the
+// same analysis built 2,000,000 nodes over three image steps before the
+// limit tripped; allocations per op are the memory a refusal costs.
+func BenchmarkStageRefusalS1196(b *testing.B) {
+	n := dcExtractInput(b, "s1196", flows.SubstrateSOP)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := reach.Analyze(context.Background(), n, reach.DefaultLimits, nil); !errors.Is(err, reach.ErrTooLarge) {
+			b.Fatalf("want the stage to refuse, got %v", err)
+		}
 	}
 }

@@ -72,6 +72,24 @@ type Limits struct {
 // monolithic relation could afford to 32 (DESIGN.md §9).
 var DefaultLimits = Limits{MaxLatches: 32, MaxBDDNodes: 2_000_000}
 
+// relationShare is the share of Limits.MaxBDDNodes that a single-network
+// analysis may spend on its node functions, initial state and per-latch
+// relations. On Table I's DC extractions, relations of at most 26,140
+// nodes reach the fixpoint and those of at least 168,698 trip the 2M-node
+// limit, so 1/32 refuses the doomed ones before their image steps
+// (DESIGN.md §9).
+const relationShare = 32
+
+// relationBudget is the node budget up to the relations under a MaxBDDNodes
+// limit of maxNodes. It stays a limit at small values, since a zero
+// bdd.Manager.MaxNodes means none.
+func relationBudget(maxNodes int) int {
+	if maxNodes <= 0 {
+		return 0
+	}
+	return max(maxNodes/relationShare, 1)
+}
+
 // ErrTooLarge is returned when the circuit exceeds the configured limits.
 // Analyze wraps it with the observed node/iteration numbers; match with
 // errors.Is, not ==.
@@ -84,8 +102,15 @@ var ErrTooLarge = fmt.Errorf("reach: circuit exceeds implicit-enumeration limits
 // image step of the fixpoint iteration check ctx, returning a typed guard
 // budget error (errors.Is(err, guard.ErrBudget)) wrapping the cause when
 // the deadline passes or the context is cancelled.
+//
+// The node budget is staged: the node functions and per-latch relations
+// must fit in 1/32 of lim.MaxBDDNodes, or the analysis returns ErrTooLarge
+// after 0 image steps without building the rest; the transition relation
+// and the fixpoint then get the full limit. The span's reach_setup_nodes
+// counter holds the node count when the first image step starts, or at
+// that refusal, and reach_stage_refused is 1 on a refusal.
 func Analyze(ctx context.Context, n *network.Network, lim Limits, tr *obs.Tracer) (*Analysis, error) {
-	return analyze(ctx, []*network.Network{n}, nil, 0, lim, tr)
+	return analyze(ctx, []*network.Network{n}, nil, 0, lim, relationBudget(lim.MaxBDDNodes), tr)
 }
 
 // AnalyzeProduct runs the same analysis on the product machine of a and b,
@@ -96,16 +121,19 @@ func Analyze(ctx context.Context, n *network.Network, lim Limits, tr *obs.Tracer
 // source as a and the implementation as b: b's latches go first in the
 // variable order, which keeps the products of Table I's flow outputs
 // within the node limit (DESIGN.md §9). The order changes the cost, never
-// the answer. The latch limit applies to both machines together. It
+// the answer. The latch limit applies to both machines together, and
+// the node limit holds from the first node, with no staged budget. It
 // opens no span, so its time stays with the caller's verification span;
 // once the manager exists it emits one "reach_product" event on tr with
 // the BDD node count, the computed-table hits and misses, the image steps
 // taken and the outcome ("fixpoint", "node_limit", "budget" or "error").
 func AnalyzeProduct(ctx context.Context, a, b *network.Network, p *network.Pairing, delay int, lim Limits, tr *obs.Tracer) (*Analysis, error) {
-	return analyze(ctx, []*network.Network{a, b}, p.PI, delay, lim, tr)
+	return analyze(ctx, []*network.Network{a, b}, p.PI, delay, lim, lim.MaxBDDNodes, tr)
 }
 
-func analyze(ctx context.Context, nets []*network.Network, piOfB []int, delay int, lim Limits, tr *obs.Tracer) (a *Analysis, err error) {
+// analyze runs the analysis with the node limit at relNodes until the
+// per-latch relations exist and at lim.MaxBDDNodes from there on.
+func analyze(ctx context.Context, nets []*network.Network, piOfB []int, delay int, lim Limits, relNodes int, tr *obs.Tracer) (a *Analysis, err error) {
 	L := 0
 	for _, n := range nets {
 		L += len(n.Latches)
@@ -116,7 +144,8 @@ func analyze(ctx context.Context, nets []*network.Network, piOfB []int, delay in
 	}
 	nv := 2*L + len(nets[0].PIs)
 	m := bdd.New(nv)
-	m.MaxNodes = lim.MaxBDDNodes
+	m.MaxNodes = relNodes
+	staged := relNodes != lim.MaxBDDNodes // cleared once the full limit holds
 	product := len(nets) > 1
 	var sp *obs.Span // nil for a product: see AnalyzeProduct
 	if !product {
@@ -131,8 +160,14 @@ func analyze(ctx context.Context, nets []*network.Network, piOfB []int, delay in
 			if r != bdd.ErrNodeLimit {
 				panic(r)
 			}
-			a, err = nil, fmt.Errorf("reach: state space too large: %d BDD nodes for %d latches after %d image steps (limit %d): %w",
-				st.Nodes, L, depth, lim.MaxBDDNodes, ErrTooLarge)
+			limit := fmt.Sprintf("limit %d", lim.MaxBDDNodes)
+			if staged {
+				limit = fmt.Sprintf("relation stage %d of limit %d", relNodes, lim.MaxBDDNodes)
+				sp.Add("reach_setup_nodes", int64(st.Nodes))
+				sp.Add("reach_stage_refused", 1)
+			}
+			a, err = nil, fmt.Errorf("reach: state space too large: %d BDD nodes for %d latches after %d image steps (%s): %w",
+				st.Nodes, L, depth, limit, ErrTooLarge)
 		}
 		if product {
 			tr.Event("reach_product", map[string]any{
@@ -213,10 +248,12 @@ func analyze(ctx context.Context, nets []*network.Network, piOfB []int, delay in
 			quant[v] = true
 		}
 	}
+	m.MaxNodes, staged = lim.MaxBDDNodes, false
 	trel := BuildTransRel(m, parts, quant, perm, DefaultClusterNodes)
 	sp.Add("reach_clusters", int64(trel.NumClusters()))
 	sp.Add("reach_quant_schedule_len", int64(trel.ScheduleLen()))
 	sp.Max("reach_cluster_peak_nodes", int64(trel.PeakClusterNodes()))
+	sp.Add("reach_setup_nodes", int64(m.Size()))
 
 	frontier := init
 	for k := 0; k < delay; k++ {

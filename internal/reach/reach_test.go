@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -182,6 +183,21 @@ func TestLimits(t *testing.T) {
 	if !strings.Contains(err.Error(), "BDD nodes") || !strings.Contains(err.Error(), "image steps") {
 		t.Fatalf("node-limit error lacks node/iteration numbers: %v", err)
 	}
+	// The relation stage is MaxBDDNodes/32 but never 0, which the manager
+	// reads as no limit: every small limit must still refuse, before the
+	// first image step, naming the stage and the limit.
+	for _, limit := range []int{1, 8, 31, 32, 64} {
+		_, err := Analyze(context.Background(), n, Limits{MaxBDDNodes: limit}, nil)
+		if !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("MaxBDDNodes %d: %v, want ErrTooLarge", limit, err)
+		}
+		if !strings.Contains(err.Error(), "after 0 image steps") {
+			t.Fatalf("MaxBDDNodes %d: error does not place the refusal before the first image step: %v", limit, err)
+		}
+		if stage := relationBudget(limit); stage != limit && !strings.Contains(err.Error(), fmt.Sprintf("relation stage %d of limit %d", stage, limit)) {
+			t.Fatalf("MaxBDDNodes %d: error does not name the stage %d and the limit: %v", limit, stage, err)
+		}
+	}
 }
 
 func TestAnalysisStatsAndTrace(t *testing.T) {
@@ -207,6 +223,19 @@ func TestAnalysisStatsAndTrace(t *testing.T) {
 	}
 	if sp.Counter("bdd_nodes") != int64(a.Stats.PeakNodes) {
 		t.Fatal("span bdd_nodes does not match manager stats")
+	}
+	if setup := sp.Counter("reach_setup_nodes"); setup <= 2 || setup > int64(a.Stats.Nodes) || sp.Counter("reach_stage_refused") != 0 {
+		t.Fatalf("reach_setup_nodes %d (of %d nodes), reach_stage_refused %d; want the nodes before the first image step and no refusal",
+			setup, a.Stats.Nodes, sp.Counter("reach_stage_refused"))
+	}
+	// A stage refusal says so on the span, with the node count it stopped at.
+	rt := obs.New()
+	if _, err := Analyze(context.Background(), n, Limits{MaxBDDNodes: 64}, rt); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("64-node analysis: %v, want ErrTooLarge", err)
+	}
+	if rs := rt.Root().Find("reach.analyze"); rs.Counter("reach_stage_refused") != 1 || rs.Counter("reach_setup_nodes") != 2 {
+		t.Fatalf("refused span: reach_stage_refused %d, reach_setup_nodes %d; want 1 and the stage, 2",
+			rs.Counter("reach_stage_refused"), rs.Counter("reach_setup_nodes"))
 	}
 	evs, skipped, err := obs.ReadEvents(&buf)
 	if err != nil {
