@@ -1,13 +1,11 @@
-// Package repro hosts the benchmark harness that regenerates the paper's
-// evaluation: one benchmark per Table I circuit and flow (reporting the
-// Reg/Clk/Area row values as custom metrics), the Section III worked
-// example, the Section IV engine-complexity claim, and the ablations
-// called out in DESIGN.md. Run with:
+// Package repro hosts the benchmarks of the paper's claims that no Table I
+// workload covers: the Section III worked example, the Section IV
+// engine-complexity claim, the ablations called out in DESIGN.md, and the
+// retiming, reachability, two-level and timing engines underneath. Table I
+// itself, every cell verified, is measured by the tablebench module. Run
+// with:
 //
 //	go test -bench=. -benchmem
-//
-// Absolute numbers differ from the paper's SIS/lib2 testbed; the shapes
-// (who wins, where the technique declines) are the reproduction target.
 package repro
 
 import (
@@ -26,14 +24,6 @@ import (
 	"repro/internal/timing"
 )
 
-// tableCircuits are the Table I rows exercised by the flow benchmarks.
-// The largest profiles run but dominate wall-clock; trim with -bench
-// filters when iterating.
-var tableCircuits = []string{
-	"ex2", "ex6", "bbtas", "bbara", "s27", "s208", "s298", "s344",
-	"s382", "s386", "s400", "s420", "s510", "s526", "s641", "s820",
-}
-
 func buildCircuit(b *testing.B, name string) *network.Network {
 	b.Helper()
 	c, ok := bench.ByName(name)
@@ -45,80 +35,6 @@ func buildCircuit(b *testing.B, name string) *network.Network {
 		b.Fatal(err)
 	}
 	return n
-}
-
-// BenchmarkTableIScriptDelay regenerates the "script.delay" column.
-func BenchmarkTableIScriptDelay(b *testing.B) {
-	lib := genlib.Lib2()
-	for _, name := range tableCircuits {
-		b.Run(name, func(b *testing.B) {
-			src := buildCircuit(b, name)
-			var last *flows.Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r, err := flows.ScriptDelay(context.Background(), src, lib, flows.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = r
-			}
-			report(b, last)
-		})
-	}
-}
-
-// BenchmarkTableIRetiming regenerates the "+ retiming + comb.opt" column.
-func BenchmarkTableIRetiming(b *testing.B) {
-	lib := genlib.Lib2()
-	for _, name := range tableCircuits {
-		b.Run(name, func(b *testing.B) {
-			src := buildCircuit(b, name)
-			sd, err := flows.ScriptDelay(context.Background(), src, lib, flows.Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var last *flows.Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r, err := flows.RetimeCombOpt(context.Background(), sd.Net, lib, flows.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = r
-			}
-			report(b, last)
-		})
-	}
-}
-
-// BenchmarkTableIResynthesis regenerates the "+ resynthesis" column.
-func BenchmarkTableIResynthesis(b *testing.B) {
-	lib := genlib.Lib2()
-	for _, name := range tableCircuits {
-		b.Run(name, func(b *testing.B) {
-			src := buildCircuit(b, name)
-			sd, err := flows.ScriptDelay(context.Background(), src, lib, flows.Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var last *flows.Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r, err := flows.Resynthesis(context.Background(), sd.Net, lib, flows.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = r
-			}
-			report(b, last)
-		})
-	}
-}
-
-func report(b *testing.B, r *flows.Result) {
-	b.ReportMetric(float64(r.Regs), "regs")
-	b.ReportMetric(r.Clk, "clk")
-	b.ReportMetric(r.Area, "area")
 }
 
 // BenchmarkPaperExample is the Section III worked example (Fig. 4–6):

@@ -37,7 +37,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per flow; exceeding it degrades or fails with a typed error (0 = unbounded)")
 	passTimeout := flag.Duration("pass-timeout", 0, "wall-clock budget per pass within a flow (0 = unbounded)")
 	sweepOn := flag.Bool("sweep", false, "SAT-based sequential sweeping: prove register equivalences by K-induction when the state space exceeds the exact-reachability limit, both for don't-care extraction and for -verify")
-	metricsOut := flag.String("metrics", "", "write a Prometheus text dump of run metrics to this file")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -49,7 +48,7 @@ func main() {
 		os.Exit(2)
 	}
 	var tr *obs.Tracer
-	if *trace || *statsJSON != "" || *metricsOut != "" {
+	if *trace || *statsJSON != "" {
 		tr = obs.New()
 		if *statsJSON != "" {
 			jf, err := os.Create(*statsJSON)
@@ -59,11 +58,6 @@ func main() {
 			defer jf.Close()
 			tr.SetJSON(jf)
 		}
-	}
-	var reg *obs.Registry
-	if *metricsOut != "" {
-		reg = obs.NewRegistry()
-		tr.SetRegistry(reg)
 	}
 	f, err := os.Open(*in)
 	if err != nil {
@@ -128,25 +122,6 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *out)
 	}
-	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, reg); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote metrics to %s\n", *metricsOut)
-	}
-}
-
-// writeMetrics dumps the registry (plus a final runtime sample) as
-// Prometheus text, the same exposition resynd serves from /metrics.
-func writeMetrics(path string, reg *obs.Registry) error {
-	reg.SampleRuntime()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	reg.WritePrometheus(f)
-	return nil
 }
 
 func fatal(err error) {

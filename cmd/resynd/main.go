@@ -18,31 +18,16 @@
 //	resynd [-addr :8080] [-workers N] [-queue N] [-job-timeout 5m]
 //	       [-timeout 1m] [-pass-timeout 30s] [-debug]
 //	       [-data-dir DIR] [-drain-timeout 30s] [-max-jobs N] [-job-ttl D] [-retries N]
-//	       [-sweep]
-//
-//	resynd -loadgen [-target http://host:8080] [-qps 2] [-duration 10s]
-//	       [-circuits bbtas,s27,ex6] [-flow resyn] [-loadgen-verify] [-out BENCH_serve.json]
-//	       [-loadgen-restart]
-//
-// With -loadgen and no -target, an in-process server is booted on an
-// ephemeral port and torn down after the run, so a single command produces
-// a self-contained BENCH_serve.json. -loadgen-restart runs the replay
-// twice against the same -data-dir with a server restart in between; the
-// report then carries both cache hit rates, showing how much of the cache
-// the durable log preserved.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -64,44 +49,23 @@ func main() {
 	maxJobs := flag.Int("max-jobs", 0, "evict least-recently-used finished jobs past this count (0 = unbounded)")
 	jobTTL := flag.Duration("job-ttl", 0, "evict finished jobs this long after completion (0 = keep)")
 	retries := flag.Int("retries", serve.DefaultRetryPolicy.Max, "retries for transiently failed jobs (deadline, contained panic)")
-	sweepOn := flag.Bool("sweep", false, "default every request to SAT-based sequential sweeping (folded into the job content address)")
 	version := flag.Bool("version", false, "print version and exit")
-
-	loadgen := flag.Bool("loadgen", false, "run the load generator instead of serving")
-	target := flag.String("target", "", "loadgen: base URL of a running resynd (empty = boot an in-process server)")
-	qps := flag.Float64("qps", 2, "loadgen: submissions per second")
-	duration := flag.Duration("duration", 10*time.Second, "loadgen: submission window")
-	circuits := flag.String("circuits", "", "loadgen: comma-separated bench circuits (default bbtas,s27,ex6)")
-	flow := flag.String("flow", "resyn", "loadgen: flow submitted with every request")
-	lgVerify := flag.Bool("loadgen-verify", false, "loadgen: request verification on every job")
-	lgRestart := flag.Bool("loadgen-restart", false, "loadgen: run the replay twice with a server restart in between (requires in-process server + -data-dir)")
-	out := flag.String("out", "BENCH_serve.json", "loadgen: output report file")
 	flag.Parse()
 
 	if *version {
 		fmt.Println("resynd", buildinfo.Version())
 		return
 	}
-	cfg := serve.Config{
+	s, err := serve.New(serve.Config{
 		Workers: *workers,
 		Queue:   *queue,
 		Budget:  guard.Budget{Job: *jobTimeout, Flow: *timeout, Pass: *passTimeout},
-		Sweep:   *sweepOn,
 		Version: buildinfo.Version(),
 		DataDir: *dataDir,
 		MaxJobs: *maxJobs,
 		JobTTL:  *jobTTL,
 		Retry:   serve.RetryPolicy{Max: *retries},
-	}
-
-	if *loadgen {
-		if err := runLoadgen(cfg, *target, *qps, *duration, *circuits, *flow, *lgVerify, *lgRestart, *out, *debug); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	s, err := serve.New(cfg)
+	})
 	if err != nil {
 		fatal(err)
 	}
@@ -142,100 +106,6 @@ func main() {
 		}
 	}
 	s.Close()
-}
-
-// runLoadgen replays benchmark traffic against target (or an in-process
-// server when target is empty) and writes the bench_serve/v2 report. With
-// restart, the replay runs twice against the same data dir with a full
-// server restart in between; the final report's cache_hit_rate is the
-// post-restart phase and cache_hit_rate_pre_restart the first phase, so
-// the artifact shows the durable log preserving the result cache.
-func runLoadgen(cfg serve.Config, target string, qps float64, duration time.Duration, circuits, flow string, verify, restart bool, out string, debug bool) error {
-	var names []string
-	if circuits != "" {
-		for _, n := range strings.Split(circuits, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
-			}
-		}
-	}
-	if restart && target != "" {
-		return errors.New("loadgen: -loadgen-restart needs the in-process server (drop -target)")
-	}
-	if restart && cfg.DataDir == "" {
-		return errors.New("loadgen: -loadgen-restart needs -data-dir (nothing survives a restart without the job log)")
-	}
-
-	load := func(target string) (*serve.LoadReport, error) {
-		return serve.RunLoad(serve.LoadConfig{
-			Target:   target,
-			QPS:      qps,
-			Duration: duration,
-			Circuits: names,
-			Flow:     flow,
-			Verify:   verify,
-			Log:      os.Stderr,
-		})
-	}
-
-	var rep *serve.LoadReport
-	if target != "" {
-		var err error
-		if rep, err = load(target); err != nil {
-			return err
-		}
-	} else {
-		phases := 1
-		if restart {
-			phases = 2
-		}
-		var pre float64
-		for phase := 1; phase <= phases; phase++ {
-			s, err := serve.New(cfg)
-			if err != nil {
-				return err
-			}
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				s.Close()
-				return err
-			}
-			srv := &http.Server{Handler: s.Handler(debug)}
-			go srv.Serve(ln)
-			url := "http://" + ln.Addr().String()
-			if phase == 1 {
-				fmt.Printf("resynd loadgen: in-process server at %s\n", url)
-			} else {
-				fmt.Printf("resynd loadgen: restarted at %s (%s)\n", url, s.Recovery())
-			}
-			rep, err = load(url)
-			srv.Close()
-			s.Close()
-			if err != nil {
-				return err
-			}
-			if phase == 1 && restart {
-				pre = rep.CacheHitRate
-			}
-		}
-		if restart {
-			rep.CacheHitRatePreRestart = pre
-		}
-	}
-
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %d jobs, p50 %.1fms p99 %.1fms, %.2f jobs/s, cache hit rate %.2f\n",
-		out, rep.Completed, rep.LatencyMsP50, rep.LatencyMsP99, rep.JobsPerSec, rep.CacheHitRate)
-	return nil
 }
 
 func fatal(err error) {

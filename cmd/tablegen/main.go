@@ -42,7 +42,6 @@ func main() {
 	passTimeout := flag.Duration("pass-timeout", 0, "wall-clock budget per pass within a flow (0 = unbounded)")
 	substrate := flag.String("substrate", "sop", "technology-independent substrate for the flows: sop | aig")
 	sweepOn := flag.Bool("sweep", false, "SAT-based sequential sweeping: prove register equivalences by K-induction past the exact-reachability limit, for don't-cares and verification")
-	metricsOut := flag.String("metrics", "", "write a Prometheus text dump of run metrics to this file")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -64,9 +63,6 @@ func main() {
 	if *trace {
 		opt.Tracer = obs.New()
 	}
-	if *metricsOut != "" {
-		opt.Registry = obs.NewRegistry()
-	}
 	if *statsJSON != "" {
 		jf, err := os.Create(*statsJSON)
 		if err != nil {
@@ -81,16 +77,6 @@ func main() {
 	if *trace {
 		fmt.Println()
 		opt.Tracer.WriteTree(os.Stdout)
-	}
-	if *metricsOut != "" {
-		opt.Registry.SampleRuntime()
-		mf, merr := os.Create(*metricsOut)
-		if merr != nil {
-			fmt.Fprintln(os.Stderr, "tablegen:", merr)
-			os.Exit(1)
-		}
-		opt.Registry.WritePrometheus(mf)
-		mf.Close()
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tablegen:", err)

@@ -3,17 +3,14 @@ package serve
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/guard"
 	"repro/internal/obs"
 )
 
-// RetryPolicy governs re-execution of transiently failed work: capped
-// exponential backoff with full jitter. The same policy is shared by the
-// server's job retry loop and the loadgen client's 503 handling, so the
-// two sides of the connection back off in the same shape.
+// RetryPolicy governs re-execution of transiently failed jobs: capped
+// exponential backoff with full jitter.
 type RetryPolicy struct {
 	// Max is the number of retries after the first attempt (so Max=2
 	// allows 3 attempts). <0 disables retries; 0 takes the default.
@@ -50,28 +47,19 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// Backoff returns the sleep before retry number attempt (0-based): a
-// uniform draw from [0, min(Cap, Base<<attempt)].
-func (p RetryPolicy) Backoff(attempt int, rng *rand.Rand) time.Duration {
-	p = p.withDefaults()
+// backoff returns the sleep before retry number attempt (0-based): a
+// uniform draw from [0, min(Cap, Base<<attempt)] on the server's jitter
+// RNG.
+func (s *Server) backoff(attempt int) time.Duration {
+	p := s.cfg.Retry
 	ceil := p.Base
 	for i := 0; i < attempt && ceil < p.Cap; i++ {
 		ceil *= 2
 	}
-	if ceil > p.Cap {
-		ceil = p.Cap
-	}
-	if ceil <= 0 {
-		return 0
-	}
-	return time.Duration(rng.Int63n(int64(ceil) + 1))
-}
-
-// backoff draws from the server's jitter RNG.
-func (s *Server) backoff(attempt int) time.Duration {
+	ceil = min(ceil, p.Cap)
 	s.rngMu.Lock()
 	defer s.rngMu.Unlock()
-	return s.cfg.Retry.Backoff(attempt, s.rng)
+	return time.Duration(s.rng.Int63n(int64(ceil) + 1))
 }
 
 // runJob executes one job on a pool worker: attempts run under the job

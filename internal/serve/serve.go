@@ -141,10 +141,6 @@ type Config struct {
 	Queue int
 	// Budget bounds each job (Job), its flows (Flow) and passes (Pass).
 	Budget guard.Budget
-	// Sweep turns SAT-based sequential sweeping on for every request that
-	// did not ask for it itself. Applied before content addressing, so the
-	// effective value is what the job key answers for.
-	Sweep bool
 	// Version is reported from /healthz.
 	Version string
 
@@ -300,12 +296,6 @@ func unavailable(err error) bool {
 // budget), fixing the poisoned-cache behaviour where one deadline blip
 // made a circuit permanently unserveable.
 func (s *Server) Submit(req Request) (*Job, bool, error) {
-	// Server-wide sweep defaults fold into the request before it is
-	// content-addressed: an inherited default and an explicit ask are the
-	// same job.
-	if s.cfg.Sweep {
-		req.Sweep = true
-	}
 	req.normalize()
 	if err := req.validate(); err != nil {
 		return nil, false, err

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -23,7 +24,7 @@ import (
 	"repro/internal/obs"
 )
 
-func circuitBLIF(t *testing.T, name string) string {
+func circuitBLIF(t testing.TB, name string) string {
 	t.Helper()
 	c, ok := bench.ByName(name)
 	if !ok {
@@ -40,7 +41,7 @@ func circuitBLIF(t *testing.T, name string) string {
 	return b.String()
 }
 
-func startServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func startServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
@@ -54,7 +55,7 @@ func startServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func postJob(t *testing.T, url string, req Request) (JobInfo, int) {
+func postJob(t testing.TB, url string, req Request) (JobInfo, int) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -74,13 +75,17 @@ func postJob(t *testing.T, url string, req Request) (JobInfo, int) {
 	return info, resp.StatusCode
 }
 
-func waitDone(t *testing.T, url, id string) JobInfo {
+func waitDone(t testing.TB, url, id string) JobInfo {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		resp, err := http.Get(url + "/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			resp.Body.Close()
+			t.Fatalf("GET /jobs/%s: status %d", id, resp.StatusCode)
 		}
 		var info JobInfo
 		err = json.NewDecoder(resp.Body).Decode(&info)
@@ -510,38 +515,33 @@ func TestServeJobFailureIsReported(t *testing.T) {
 	}
 }
 
-func TestLoadGenSmoke(t *testing.T) {
-	_, ts := startServer(t, Config{Workers: 4})
-	var logBuf bytes.Buffer
-	rep, err := RunLoad(LoadConfig{
-		Target:   ts.URL,
-		QPS:      50,
-		Duration: 300 * time.Millisecond,
-		Circuits: []string{"bbtas", "s27"},
-		Flow:     "script",
-		Log:      &logBuf,
-	})
-	if err != nil {
-		t.Fatal(err)
+// BenchmarkServeSubmit measures HTTP submit-to-terminal latency on the
+// default serving mix (bbtas, s27, ex6 through the resyn flow) against an
+// in-process server: one op is one POST /jobs followed by polling
+// GET /jobs/{id} until the job ends. The first submission of each circuit
+// runs the flow and every later one is a content-addressed cache hit, so
+// at the default benchtime both percentiles time the cache-hit path.
+func BenchmarkServeSubmit(b *testing.B) {
+	_, ts := startServer(b, Config{})
+	var netlists []string
+	for _, name := range []string{"bbtas", "s27", "ex6"} {
+		netlists = append(netlists, circuitBLIF(b, name))
 	}
-	if rep.Schema != LoadSchema {
-		t.Fatalf("schema = %q", rep.Schema)
+	ms := make([]float64, 0, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		info, status := postJob(b, ts.URL, Request{Netlist: netlists[i%len(netlists)], Flow: "resyn"})
+		if status != http.StatusAccepted && status != http.StatusOK {
+			b.Fatalf("POST /jobs: status %d", status)
+		}
+		if final := waitDone(b, ts.URL, info.ID); final.State != StateDone {
+			b.Fatalf("job %s ended %s: %s", info.ID, final.State, final.Error)
+		}
+		ms = append(ms, float64(time.Since(start))/float64(time.Millisecond))
 	}
-	if rep.Submitted == 0 || rep.Completed == 0 {
-		t.Fatalf("no traffic: %+v", rep)
-	}
-	if rep.Failed != 0 {
-		t.Fatalf("%d jobs failed: %s", rep.Failed, logBuf.String())
-	}
-	// Two distinct circuits cycled >2 times: everything after the first
-	// two submissions is a cache hit.
-	if rep.Submitted > 4 && rep.CacheHits == 0 {
-		t.Fatalf("no cache hits across %d submissions of 2 circuits", rep.Submitted)
-	}
-	if rep.LatencyMsP50 <= 0 || rep.LatencyMsP99 < rep.LatencyMsP50 {
-		t.Fatalf("implausible latency percentiles: %+v", rep)
-	}
-	if rep.JobsPerSec <= 0 {
-		t.Fatalf("jobs/sec = %v", rep.JobsPerSec)
-	}
+	b.StopTimer()
+	sort.Float64s(ms)
+	b.ReportMetric(ms[len(ms)/2], "p50-ms")
+	b.ReportMetric(ms[len(ms)*99/100], "p99-ms")
 }

@@ -48,10 +48,6 @@ type Options struct {
 	// Tracer, when non-nil, receives every circuit's span tree, merged in
 	// suite order.
 	Tracer *obs.Tracer
-	// Registry, when non-nil, receives pass-latency histograms and
-	// counter/peak metrics from every circuit's tracer (the bridge is
-	// concurrency-safe, so all workers share it).
-	Registry *obs.Registry
 	// JSON, when non-nil, receives the concatenated JSON-lines event
 	// streams of the per-circuit tracers, in suite order. Within a circuit
 	// the stream is exactly what a dedicated tracer would emit; the t_ms
@@ -174,13 +170,10 @@ func runCircuit(ctx context.Context, c bench.Circuit, lib *genlib.Library, opt O
 		return r
 	}
 	var tr *obs.Tracer
-	if opt.Tracer != nil || opt.JSON != nil || opt.Registry != nil {
+	if opt.Tracer != nil || opt.JSON != nil {
 		tr = obs.New()
 		if opt.JSON != nil {
 			tr.SetJSON(&jsonBuf)
-		}
-		if opt.Registry != nil {
-			tr.SetRegistry(opt.Registry)
 		}
 		r.tr = tr
 	}
