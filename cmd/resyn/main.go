@@ -36,7 +36,7 @@ func main() {
 	statsJSON := flag.String("stats-json", "", "write the JSON-lines trace event stream to this file")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per flow; exceeding it degrades or fails with a typed error (0 = unbounded)")
 	passTimeout := flag.Duration("pass-timeout", 0, "wall-clock budget per pass within a flow (0 = unbounded)")
-	sweepOn := flag.Bool("sweep", false, "SAT-based sequential sweeping: prove register equivalences by K-induction when the state space exceeds the exact-reachability limit, both for don't-care extraction and for -verify")
+	sweepOn := flag.Bool("sweep", false, "verification only: where the product machine exceeds the exact-reachability limits, -verify tries a k-induction proof (SAT-based sequential sweeping) before the random-simulation spot check; the flows' output does not depend on it")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -109,7 +109,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("verify: %s PASSED\n", verdict)
+		hint := ""
+		if verdict == flows.VerdictSpotChecked && !*sweepOn {
+			hint = " (past the exact limits; -sweep tries a k-induction proof first)"
+		}
+		fmt.Printf("verify: %s PASSED%s\n", verdict, hint)
 	}
 	if *out != "" {
 		g, err := os.Create(*out)

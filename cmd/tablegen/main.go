@@ -41,7 +41,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per flow; a circuit exceeding it reports a typed error instead of stalling the table (0 = unbounded)")
 	passTimeout := flag.Duration("pass-timeout", 0, "wall-clock budget per pass within a flow (0 = unbounded)")
 	substrate := flag.String("substrate", "sop", "technology-independent substrate for the flows: sop | aig")
-	sweepOn := flag.Bool("sweep", false, "SAT-based sequential sweeping: prove register equivalences by K-induction past the exact-reachability limit, for don't-cares and verification")
+	sweepOn := flag.Bool("sweep", false, "verification only: prove outputs past the exact-reachability limits by k-induction (SAT-based sequential sweeping) before the random-simulation spot check; the table's regs/clk/area do not depend on it")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -19,6 +18,7 @@ import (
 	"repro/internal/genlib"
 	"repro/internal/guard"
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/parexec"
 )
 
@@ -158,20 +158,45 @@ func TestTargetedFaultsOnFSM(t *testing.T) {
 	}
 }
 
-// TestBDDBlowupDegradesToSkippedDCs pins the resource-fault path: a blown
-// BDD node budget must not fail the flow but skip DC extraction with the
-// paper's footnote, carrying the observed numbers.
-func TestBDDBlowupDegradesToSkippedDCs(t *testing.T) {
+// TestBDDBlowupDegradesToSweepDCs pins the resource-fault path: a blown
+// BDD node budget must not fail the flow. Within the sweep rung's register
+// bound (the paper example) DC extraction falls back to induction-proven
+// register classes with no footnote; above it (s5378, 174 registers past
+// the latch limit) it is skipped with the paper's footnote, carrying the
+// observed numbers.
+func TestBDDBlowupDegradesToSweepDCs(t *testing.T) {
 	src := bench.BuildPaperExample()
 	inj := faults.NewInjector(7).Force("reach.dc_extract", guard.FaultBDDBlowup)
-	sd, ret, rsyn, err := flows.RunAll(context.Background(), src, genlib.Lib2(), flows.Config{Inject: inj})
+	tr := obs.New()
+	sd, ret, rsyn, err := flows.RunAll(context.Background(), src, genlib.Lib2(), flows.Config{Inject: inj, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(ret.Note, "DC extraction skipped") {
-		t.Fatalf("blowup must degrade to a skip note, got %q", ret.Note)
+	if ret.Note != "" {
+		t.Fatalf("blowup within the register bound must degrade to the sweep rung, got note %q", ret.Note)
+	}
+	if tr.Root().Find("sweep.dc_extract") == nil {
+		t.Fatal("blowup within the register bound took no sweep rung")
 	}
 	checkResults(t, src, sd, ret, rsyn)
+
+	c, _ := bench.ByName("s5378")
+	big, err := c.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj = faults.NewInjector(7).Force("reach.dc_extract", guard.FaultBDDBlowup)
+	r, err := flows.RunFlow(context.Background(), "retime", big, genlib.Lib2(), flows.Config{Inject: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "DC extraction skipped: reach: 174 latches exceed the 32-latch limit: reach: circuit exceeds implicit-enumeration limits"
+	if r.Note != want {
+		t.Fatalf("s5378 retime note:\n got %q\nwant %q", r.Note, want)
+	}
+	if err := r.Net.Check(); err != nil {
+		t.Fatalf("s5378 retime output invalid: %v", err)
+	}
 }
 
 // TestDeadlineFaultIsBudgetTyped pins the taxonomy: an injected deadline

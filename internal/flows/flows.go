@@ -86,11 +86,11 @@ type Config struct {
 	// flows restructure before mapping: SubstrateSOP (default, also for
 	// "") or SubstrateAIG. See substrate.go.
 	Substrate string
-	// Sweep enables SAT-based sequential sweeping wherever the state
-	// space exceeds the exact reach limits: verification falls back to
-	// k-induction over the product machine instead of random simulation,
-	// and DC extraction falls back to proven register equivalence
-	// classes applied as DCret (see internal/sweep).
+	// Sweep is read by VerifyVerdict alone: where the product machine
+	// exceeds the exact reach limits, verification tries k-induction over
+	// it (internal/sweep) before falling back to random simulation. The
+	// flows never read it, so a flow's output depends on the circuit and
+	// the substrate only.
 	Sweep bool
 }
 
@@ -202,8 +202,10 @@ func ScriptDelay(ctx context.Context, n *network.Network, lib *genlib.Library, c
 
 // RetimeCombOpt runs the conventional baseline on a mapped circuit:
 // min-period retiming, unreachable-state don't-care extraction by implicit
-// state enumeration, per-node simplification, and remapping. The input
-// should be a ScriptDelay result; it is not modified.
+// state enumeration (past its limits, induction-proven register classes on
+// circuits of at most maxSweepDCRegs registers), per-node simplification,
+// and remapping. The input should be a ScriptDelay result; it is not
+// modified.
 //
 // It records a "flow.retime_combopt" span on cfg.Tracer over the
 // min-period retimer, the implicit state enumeration, the don't-care
@@ -230,8 +232,10 @@ func RetimeCombOpt(ctx context.Context, mappedIn *network.Network, lib *genlib.L
 		note = "retiming failed: " + rollCause(rep).Error()
 	}
 	// Combinational optimization with retiming-induced external don't
-	// cares from implicit state enumeration (bounded; skipped when the
-	// state space is out of reach, as it was for SIS on large circuits).
+	// cares. The circuit picks the engine: implicit state enumeration
+	// while it fits the reach limits, induction-proven register classes
+	// past that wall up to maxSweepDCRegs registers, and above that none
+	// (skipped, as it was for SIS on large circuits).
 	lim := reach.DefaultLimits
 	dcFault := cfg.fault("reach.dc_extract")
 	if dcFault == guard.FaultBDDBlowup {
@@ -243,7 +247,7 @@ func RetimeCombOpt(ctx context.Context, mappedIn *network.Network, lib *genlib.L
 		func(ctx context.Context, work *network.Network) (*network.Network, int, error) {
 			a, rerr := reach.Analyze(ctx, work, lim, tr)
 			if rerr != nil {
-				if cfg.Sweep && errors.Is(rerr, reach.ErrTooLarge) {
+				if errors.Is(rerr, reach.ErrTooLarge) && len(work.Latches) <= maxSweepDCRegs {
 					return work, 0, applySweepDCs(ctx, work, tr)
 				}
 				return nil, 0, rerr
@@ -380,6 +384,15 @@ func bestRemap(ctx context.Context, n *network.Network, lib *genlib.Library, cfg
 	}
 	return best.net, best.met, nil
 }
+
+// maxSweepDCRegs bounds the sweep rung of the retime flow's DC extraction
+// by register count. Measured on Table I, sweep DCs lowered the retime
+// row's registers on circuits of 19 to 47 registers (SOP s641 19 -> 16
+// and s1196 22 -> 21; AIG s344 39 -> 36, s526 47 -> 19 and s1196
+// 21 -> 20) but merged none on s5378 (174 registers) on either
+// substrate, and on the AIG bench.Large() rows (s9234 and up) they took
+// 6-16 s per circuit to merge at most one register.
+const maxSweepDCRegs = 64
 
 // applySweepDCs is the DC extraction beyond the exact-reachability wall:
 // register equivalence classes proven by induction (internal/sweep) stand

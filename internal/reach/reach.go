@@ -139,7 +139,7 @@ func analyze(ctx context.Context, nets []*network.Network, piOfB []int, delay in
 		L += len(n.Latches)
 	}
 	if lim.MaxLatches > 0 && L > lim.MaxLatches {
-		return nil, fmt.Errorf("reach: %d latches exceed the %d-latch limit (enable -sweep for SAT-based induction instead of exact reachability): %w",
+		return nil, fmt.Errorf("reach: %d latches exceed the %d-latch limit: %w",
 			L, lim.MaxLatches, ErrTooLarge)
 	}
 	nv := 2*L + len(nets[0].PIs)

@@ -171,13 +171,13 @@ func TestLimits(t *testing.T) {
 	}
 	// The wrapped errors must carry the observed numbers, not a bare string.
 	_, err := Analyze(context.Background(), n, Limits{MaxLatches: 2}, nil)
-	if !strings.Contains(err.Error(), "3 latches") {
-		t.Fatalf("latch-limit error lacks the latch count: %v", err)
+	if !strings.Contains(err.Error(), "3 latches") || !strings.Contains(err.Error(), "2-latch limit") {
+		t.Fatalf("latch-limit error lacks the latch count or the limit: %v", err)
 	}
-	// Oversized circuits are not a dead end any more: the error must point
-	// the user at the SAT-based sweeping fallback.
-	if !strings.Contains(err.Error(), "-sweep") {
-		t.Fatalf("latch-limit error lacks the -sweep hint: %v", err)
+	// The engine names no command-line flag: what follows a refusal is
+	// the caller's choice (the flows' DC ladder, VerifyVerdict's ladder).
+	if strings.Contains(err.Error(), "-sweep") {
+		t.Fatalf("latch-limit error names a CLI flag: %v", err)
 	}
 	_, err = Analyze(context.Background(), n, Limits{MaxBDDNodes: 8}, nil)
 	if !strings.Contains(err.Error(), "BDD nodes") || !strings.Contains(err.Error(), "image steps") {

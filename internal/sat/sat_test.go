@@ -3,6 +3,8 @@ package sat
 import (
 	"context"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -282,5 +284,90 @@ func TestXorGateEqual(t *testing.T) {
 	}
 	if got := s.Solve(context.Background(), d.Not()); got != Sat {
 		t.Fatalf("a⇔b with ¬d = %v, want Sat", got)
+	}
+}
+
+// TestPropertyReduceDBMatchesBruteForce runs the brute-force differential
+// with the learned-clause limit lowered to a handful, so reduceDB (and its
+// locked-clause check) runs many times per solve, including between the
+// assumption probes of one incremental instance. Every verdict must still
+// match exhaustive enumeration and every Sat model must satisfy the
+// clauses and the assumptions.
+func TestPropertyReduceDBMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	reduced, deleted := 0, 0
+	for iter := 0; iter < 150; iter++ {
+		nv := 10 + rng.Intn(7) // ≤ 16 variables
+		nc := nv*4 + rng.Intn(nv/2+1)
+		clauses := make([][]Lit, nc)
+		for i := range clauses {
+			c := make([]Lit, 3)
+			for j := range c {
+				c[j] = MkLit(Var(rng.Intn(nv)), rng.Intn(2) == 1)
+			}
+			clauses[i] = c
+		}
+		s := New()
+		s.learntLimit = 2
+		for v := 0; v < nv; v++ {
+			s.NewVar()
+		}
+		for _, c := range clauses {
+			s.AddClause(c...)
+		}
+		for probe := 0; probe < 4; probe++ {
+			var assumps []Lit
+			if probe > 0 {
+				assumps = append(assumps, MkLit(Var(rng.Intn(nv)), rng.Intn(2) == 1))
+			}
+			aug := append([][]Lit{}, clauses...)
+			for _, a := range assumps {
+				aug = append(aug, []Lit{a})
+			}
+			want := bruteForce(nv, aug)
+			got := s.Solve(context.Background(), assumps...)
+			if (got == Sat) != want {
+				t.Fatalf("iter %d probe %d (nv=%d nc=%d): CDCL = %v, brute force = %v", iter, probe, nv, nc, got, want)
+			}
+			if got == Sat && !modelSatisfies(s, aug) {
+				t.Fatalf("iter %d probe %d: Sat model violates formula+assumptions", iter, probe)
+			}
+		}
+		if s.learntLimit > 2 {
+			reduced++
+		}
+		for _, c := range s.clauses {
+			if c.learnt && c.deleted {
+				deleted++
+			}
+		}
+	}
+	if reduced < 50 || deleted == 0 {
+		t.Fatalf("reduction barely exercised: %d of 150 instances reduced, %d clauses deleted", reduced, deleted)
+	}
+}
+
+// TestSortScored checks the reduceDB candidate order against the standard
+// library on inputs longer than the largest shellsort gap, with repeated
+// activities so the cref tiebreak decides.
+func TestSortScored(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range []int{0, 1, 2, 9, 700, 2000} {
+		a := make([]scored, n)
+		for i := range a {
+			a[i] = scored{cref: int32(rng.Intn(4 * n)), act: float64(rng.Intn(8))}
+		}
+		want := make([]scored, n)
+		copy(want, a)
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].act != want[j].act {
+				return want[i].act < want[j].act
+			}
+			return want[i].cref < want[j].cref
+		})
+		sortScored(a)
+		if !reflect.DeepEqual(a, want) {
+			t.Fatalf("n=%d: sortScored order differs from sort.Slice", n)
+		}
 	}
 }

@@ -60,10 +60,10 @@ type Request struct {
 	// input through flows.VerifyVerdict (exact when feasible, random
 	// simulation otherwise).
 	Verify bool `json:"verify,omitempty"`
-	// Sweep enables SAT-based sequential sweeping beyond the exact reach
-	// limits: induction-proven register classes feed the DC extraction,
-	// and verification reports "proved-by-induction" instead of degrading
-	// to "simulated".
+	// Sweep affects verification only: past the exact reach limits the
+	// result is proved by k-induction ("proved-by-induction") before it
+	// degrades to "simulated". The flow output does not depend on it, so
+	// normalize clears it when Verify is off.
 	Sweep bool `json:"sweep,omitempty"`
 }
 
@@ -78,6 +78,9 @@ func (r *Request) normalize() {
 		// Normalized before hashing so an explicit "sop" and the default
 		// land on the same job.
 		r.Substrate = flows.SubstrateSOP
+	}
+	if !r.Verify {
+		r.Sweep = false
 	}
 }
 

@@ -27,8 +27,8 @@ func sweepTwinsBLIF() string {
 	return b.String()
 }
 
-// TestServeSweepVerification drives the sweep flag end to end: it
-// participates in the content address, a >32-latch job verifies as
+// TestServeSweepVerification drives the sweep flag end to end: with
+// verify on it participates in the content address, a >32-latch job verifies as
 // proved-by-induction instead of degrading to simulation, and the solver
 // counters cross the tracer bridge onto /metrics. It also pins the three
 // verdicts of flows.VerifyVerdict on the wire: "exact" for a small
@@ -96,6 +96,26 @@ func TestServeSweepVerification(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestServeSweepWithoutVerifyIsOneJob pins the content address: the flow
+// output does not depend on sweep, so without verification a request with
+// sweep and one without land on one job, and the second is a cache hit.
+func TestServeSweepWithoutVerifyIsOneJob(t *testing.T) {
+	_, ts := startServer(t, Config{Workers: 1})
+	src := sweepTwinsBLIF()
+	first, status := postJob(t, ts.URL, Request{Netlist: src, Flow: "retime", Sweep: true})
+	if status != http.StatusAccepted {
+		t.Fatalf("first submission: status %d, want 202", status)
+	}
+	if final := waitDone(t, ts.URL, first.ID); final.State != StateDone {
+		t.Fatalf("job failed: %+v", final)
+	}
+	again, status := postJob(t, ts.URL, Request{Netlist: src, Flow: "retime"})
+	if status != http.StatusOK || !again.Cached || again.ID != first.ID {
+		t.Fatalf("submission without sweep: status=%d cached=%v id=%s (want 200/true/%s)",
+			status, again.Cached, again.ID, first.ID)
 	}
 }
 

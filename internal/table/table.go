@@ -56,9 +56,9 @@ type Options struct {
 	// Substrate selects the flows' technology-independent representation
 	// (flows.SubstrateSOP or flows.SubstrateAIG; "" is SOP).
 	Substrate string
-	// Sweep enables SAT-based sequential sweeping in the flows and in
-	// verification: circuits past the exact-reachability limit are proved
-	// by K-induction instead of being spot-checked.
+	// Sweep enables SAT-based sequential sweeping in verification:
+	// outputs past the exact-reachability limit are proved by K-induction
+	// instead of being spot-checked. The rows do not depend on it.
 	Sweep bool
 }
 
