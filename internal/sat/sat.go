@@ -21,6 +21,13 @@
 //
 // Learned clauses are periodically reduced by activity (locked and binary
 // clauses are kept), bounding memory across long query streams.
+//
+// Every clause's literals live in one flat arena (MiniSat's clause
+// allocator): a clause is an offset and a length into it, and reduceDB
+// compacts the arena when it deletes clauses. With the scratch buffers of
+// AddClause and conflict analysis, and Reset, which empties a solver but
+// keeps every buffer's capacity, a solver reused across instances stops
+// allocating once its buffers have grown to the largest instance.
 package sat
 
 import (
@@ -110,14 +117,15 @@ type Stats struct {
 
 const noReason = int32(-1)
 
-// clause is one disjunction. lits[0] and lits[1] are the watched
-// literals; for a clause acting as the reason of an implied literal,
-// that literal sits at lits[0].
+// clause is one disjunction: arena[start:start+size] are its literals.
+// The first two are the watched literals; for a clause acting as the
+// reason of an implied literal, that literal comes first. A deleted
+// clause keeps its slot (so clause references stay stable) with size 0.
 type clause struct {
-	lits    []Lit
-	act     float64
-	learnt  bool
-	deleted bool
+	start, size int32
+	act         float64
+	learnt      bool
+	deleted     bool
 }
 
 // watcher pairs a clause reference with a blocker literal: if the blocker
@@ -128,9 +136,10 @@ type watcher struct {
 }
 
 // Solver is an incremental CDCL solver. The zero value is not usable; use
-// New.
+// New, or Reset it.
 type Solver struct {
 	clauses []clause
+	arena   []Lit       // every clause's literals, in clause order
 	watches [][]watcher // indexed by Lit
 
 	assign   []lbool // indexed by Var
@@ -164,6 +173,9 @@ type Solver struct {
 	analyzeT []Lit // minimization DFS stack
 	marked   []Var // vars marked 3 during one redundant() call
 	toClear  []Var // vars marked 3 that survived a successful call
+	learnt   []Lit // the clause analyze builds
+	addTmp   []Lit // AddClause's simplified copy of its argument
+	cands    []scored
 
 	learntLimit int
 	nLearnt     int
@@ -171,7 +183,38 @@ type Solver struct {
 
 // New returns an empty solver.
 func New() *Solver {
-	return &Solver{varInc: 1, claInc: 1, ok: true, learntLimit: 8192}
+	s := &Solver{}
+	s.Reset()
+	return s
+}
+
+// Reset empties the solver — no variables, no clauses, zero Stats,
+// MaxConflicts 0 — leaving exactly the state New returns, but keeps the
+// capacity of every buffer, so refilling it allocates little or nothing.
+func (s *Solver) Reset() {
+	*s = Solver{
+		clauses:  s.clauses[:0],
+		arena:    s.arena[:0],
+		watches:  s.watches[:0], // NewVar empties the lists it revives
+		assign:   s.assign[:0],
+		model:    s.model[:0],
+		level:    s.level[:0],
+		reason:   s.reason[:0],
+		polarity: s.polarity[:0],
+		trail:    s.trail[:0],
+		trailLim: s.trailLim[:0],
+		activity: s.activity[:0],
+		heap:     s.heap[:0],
+		heapPos:  s.heapPos[:0],
+		seen:     s.seen[:0],
+		analyzeT: s.analyzeT[:0],
+		marked:   s.marked[:0],
+		toClear:  s.toClear[:0],
+		learnt:   s.learnt[:0],
+		addTmp:   s.addTmp[:0],
+		cands:    s.cands[:0],
+		varInc:   1, claInc: 1, ok: true, learntLimit: 8192,
+	}
 }
 
 // NumVars returns the number of variables created so far.
@@ -188,7 +231,13 @@ func (s *Solver) NewVar() Var {
 	s.activity = append(s.activity, 0)
 	s.heapPos = append(s.heapPos, -1)
 	s.seen = append(s.seen, 0)
-	s.watches = append(s.watches, nil, nil)
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		s.watches = s.watches[:n+2]
+		s.watches[n] = s.watches[n][:0]
+		s.watches[n+1] = s.watches[n+1][:0]
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 	s.heapInsert(v)
 	return v
 }
@@ -223,7 +272,8 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	if s.decisionLevel() != 0 {
 		panic("sat: AddClause above decision level 0")
 	}
-	out := make([]Lit, 0, len(lits))
+	out := s.addTmp[:0]
+	defer func() { s.addTmp = out }()
 	for _, l := range lits {
 		if int(l.Var()) >= len(s.assign) {
 			panic(fmt.Sprintf("sat: literal %v references unknown variable", l))
@@ -264,19 +314,28 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	return true
 }
 
+// pushClause copies lits into the arena as a new clause.
 func (s *Solver) pushClause(lits []Lit, learnt bool) int32 {
 	cref := int32(len(s.clauses))
-	s.clauses = append(s.clauses, clause{lits: lits, learnt: learnt})
+	s.clauses = append(s.clauses, clause{start: int32(len(s.arena)), size: int32(len(lits)), learnt: learnt})
+	s.arena = append(s.arena, lits...)
 	if learnt {
 		s.nLearnt++
 	}
 	return cref
 }
 
-func (s *Solver) attachClause(cref int32) {
+// lits returns the literals of clause cref, aliasing the arena: valid
+// until the next pushClause or reduceDB.
+func (s *Solver) lits(cref int32) []Lit {
 	c := &s.clauses[cref]
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{cref, c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{cref, c.lits[0]})
+	return s.arena[c.start : c.start+c.size : c.start+c.size]
+}
+
+func (s *Solver) attachClause(cref int32) {
+	lits := s.lits(cref)
+	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], watcher{cref, lits[1]})
+	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{cref, lits[0]})
 }
 
 func (s *Solver) decisionLevel() int32 { return int32(len(s.trailLim)) }
@@ -313,22 +372,22 @@ func (s *Solver) propagate() int32 {
 				kept = append(kept, w)
 				continue
 			}
-			c := &s.clauses[w.cref]
+			lits := s.lits(w.cref)
 			// Normalize: the falsified watch goes to position 1.
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == p.Not() {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
+			first := lits[0]
 			if first != w.blocker && s.value(first) == lTrue {
 				kept = append(kept, watcher{w.cref, first})
 				continue
 			}
 			// Look for a new literal to watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{w.cref, first})
+			for k := 2; k < len(lits); k++ {
+				if s.value(lits[k]) != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{w.cref, first})
 					found = true
 					break
 				}
@@ -356,24 +415,24 @@ func (s *Solver) propagate() int32 {
 }
 
 // analyze runs first-UIP conflict analysis. It returns the learned clause
-// (asserting literal first) and the backtrack level.
+// (asserting literal first), valid until the next analysis, and the
+// backtrack level.
 func (s *Solver) analyze(confl int32) ([]Lit, int32) {
-	learnt := []Lit{0} // slot 0 for the asserting literal
+	learnt := append(s.learnt[:0], 0) // slot 0 for the asserting literal
 	seen := s.seen
 	counter := 0
 	p := Lit(-1)
 	idx := len(s.trail) - 1
 
 	for {
-		c := &s.clauses[confl]
-		if c.learnt {
+		if s.clauses[confl].learnt {
 			s.bumpClause(confl)
 		}
 		start := 0
 		if p != -1 {
 			start = 1 // lits[0] is p itself on reason-side visits
 		}
-		for _, q := range c.lits[start:] {
+		for _, q := range s.lits(confl)[start:] {
 			v := q.Var()
 			if seen[v] != 0 || s.level[v] == 0 {
 				continue
@@ -436,6 +495,7 @@ func (s *Solver) analyze(confl int32) ([]Lit, int32) {
 		learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
 		bt = s.level[learnt[1].Var()]
 	}
+	s.learnt = learnt
 	return learnt, bt
 }
 
@@ -449,8 +509,7 @@ func (s *Solver) redundant(l Lit) bool {
 	defer func() { s.analyzeT, s.marked = stack, marked }()
 	for n := 0; n < len(stack); n++ {
 		v := stack[n].Var()
-		c := &s.clauses[s.reason[v]]
-		for _, q := range c.lits[1:] {
+		for _, q := range s.lits(s.reason[v])[1:] {
 			qv := q.Var()
 			if s.level[qv] == 0 || s.seen[qv] != 0 {
 				continue // level-0 fact, clause member, or proven redundant
@@ -615,9 +674,7 @@ func (s *Solver) learnClause(lits []Lit) int32 {
 	if len(lits) == 1 {
 		return noReason
 	}
-	cp := make([]Lit, len(lits))
-	copy(cp, lits)
-	cref := s.pushClause(cp, true)
+	cref := s.pushClause(lits, true)
 	s.bumpClause(cref)
 	s.attachClause(cref)
 	s.Stats.Learned++
@@ -635,14 +692,16 @@ func (s *Solver) decayActivities() {
 func (s *Solver) numLearnt() int { return s.nLearnt }
 
 // reduceDB removes the lower-activity half of the removable learned
-// clauses (binary and locked clauses are kept), then rebuilds the watcher
-// lists. Clause references are stable — deleted slots stay allocated — so
-// reason pointers remain valid.
+// clauses (binary and locked clauses are kept), compacts the arena onto
+// the surviving clauses, then rebuilds the watcher lists. Clause
+// references are stable — deleted slots stay in the clause list with no
+// literals — so reason pointers remain valid.
 func (s *Solver) reduceDB() {
-	var cands []scored
+	cands := s.cands[:0]
+	defer func() { s.cands = cands }()
 	for i := range s.clauses {
 		c := &s.clauses[i]
-		if !c.learnt || c.deleted || len(c.lits) <= 2 || s.locked(int32(i)) {
+		if !c.learnt || c.deleted || c.size <= 2 || s.locked(int32(i)) {
 			continue
 		}
 		cands = append(cands, scored{int32(i), c.act})
@@ -655,9 +714,19 @@ func (s *Solver) reduceDB() {
 	sortScored(cands)
 	for _, sc := range cands[:len(cands)/2] {
 		s.clauses[sc.cref].deleted = true
-		s.clauses[sc.cref].lits = nil
+		s.clauses[sc.cref].size = 0
 		s.nLearnt--
 	}
+	// Clauses sit in the arena in reference order, so sliding each live
+	// one down over the freed gaps never overwrites a literal still to move.
+	end := int32(0)
+	for i := range s.clauses {
+		c := &s.clauses[i]
+		copy(s.arena[end:], s.arena[c.start:c.start+c.size])
+		c.start = end
+		end += c.size
+	}
+	s.arena = s.arena[:end]
 	for l := range s.watches {
 		ws := s.watches[l]
 		kept := ws[:0]
@@ -697,8 +766,7 @@ func sortScored(a []scored) {
 }
 
 func (s *Solver) locked(cref int32) bool {
-	c := &s.clauses[cref]
-	v := c.lits[0].Var()
+	v := s.arena[s.clauses[cref].start].Var()
 	return s.reason[v] == cref && s.assign[v] != lUndef
 }
 

@@ -371,3 +371,185 @@ func TestSortScored(t *testing.T) {
 		}
 	}
 }
+
+// randomCNF draws nc clauses of 1–3 literals (width 3 when wide) over nv
+// variables.
+func randomCNF(rng *rand.Rand, nv, nc int, wide bool) [][]Lit {
+	clauses := make([][]Lit, nc)
+	for i := range clauses {
+		width := 3
+		if !wide {
+			width = 1 + rng.Intn(3)
+		}
+		c := make([]Lit, width)
+		for j := range c {
+			c[j] = MkLit(Var(rng.Intn(nv)), rng.Intn(2) == 1)
+		}
+		clauses[i] = c
+	}
+	return clauses
+}
+
+// TestResetMatchesFresh solves a stream of random CNFs, each with a run
+// of assumption probes, twice: on a fresh solver per instance and on one
+// solver Reset between instances. Instance sizes rise and fall, so the
+// reused solver's buffers are sometimes larger than the instance and hold
+// stale entries past their length. Every status, every model and the
+// final Stats must be identical: Reset must leave exactly the state New
+// returns. Every third instance lowers the learned-clause limit to 2, so
+// reduceDB and arena compaction run many times; some carry a conflict
+// budget, so Unknown verdicts are compared too.
+func TestResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	reused := New()
+	reduced := 0
+	for iter := 0; iter < 120; iter++ {
+		nv := 20 + rng.Intn(80)
+		if iter%5 == 4 {
+			nv = 3 + rng.Intn(4) // a small instance after larger ones
+		}
+		// Random 3-SAT near the threshold, and every fourth instance
+		// mixed-width (often refuted at the top level).
+		clauses := randomCNF(rng, nv, nv*41/10+rng.Intn(nv/4+1), iter%4 != 3)
+		lowLimit := iter%3 == 0
+		budget := int64(0)
+		if iter%7 == 6 {
+			budget = int64(1 + rng.Intn(20))
+		}
+		var probes [][]Lit
+		for p := 0; p < 6; p++ {
+			var assumps []Lit
+			for a := rng.Intn(3); a > 0; a-- {
+				assumps = append(assumps, MkLit(Var(rng.Intn(nv)), rng.Intn(2) == 1))
+			}
+			probes = append(probes, assumps)
+		}
+
+		fresh := New()
+		reused.Reset()
+		for _, s := range []*Solver{fresh, reused} {
+			if lowLimit {
+				s.learntLimit = 2
+			}
+			s.MaxConflicts = budget
+			for v := 0; v < nv; v++ {
+				s.NewVar()
+			}
+		}
+		for ci, c := range clauses {
+			if a, b := fresh.AddClause(c...), reused.AddClause(c...); a != b {
+				t.Fatalf("iter %d clause %d: AddClause fresh %v, reused %v", iter, ci, a, b)
+			}
+		}
+		for pi, assumps := range probes {
+			a := fresh.Solve(context.Background(), assumps...)
+			b := reused.Solve(context.Background(), assumps...)
+			if a != b {
+				t.Fatalf("iter %d probe %d: fresh %v, reused %v", iter, pi, a, b)
+			}
+			if a != Sat {
+				continue
+			}
+			for v := 0; v < nv; v++ {
+				if fresh.Value(Var(v)) != reused.Value(Var(v)) {
+					t.Fatalf("iter %d probe %d: models differ at variable %d", iter, pi, v)
+				}
+			}
+		}
+		if fresh.Stats != reused.Stats {
+			t.Fatalf("iter %d: Stats fresh %+v, reused %+v", iter, fresh.Stats, reused.Stats)
+		}
+		if lowLimit && reused.learntLimit > 2 {
+			reduced++
+		}
+	}
+	if reduced < 10 {
+		t.Fatalf("reduction barely exercised: %d low-limit instances reduced", reduced)
+	}
+	// Field by field, a Reset solver is a new one; slices compare by
+	// length, since Reset keeps their capacity on purpose.
+	reused.Reset()
+	got, want := reflect.ValueOf(reused).Elem(), reflect.ValueOf(New()).Elem()
+	for i := 0; i < got.NumField(); i++ {
+		g, w := got.Field(i), want.Field(i)
+		same := g.Kind() == reflect.Slice && g.Len() == w.Len() ||
+			g.Kind() != reflect.Slice && g.Equal(w)
+		if !same {
+			t.Errorf("after Reset, field %s = %v, New gives %v", got.Type().Field(i).Name, g, w)
+		}
+	}
+}
+
+// TestReduceDBReclaimsArena fills a solver with learned clauses, reduces
+// it, and checks that the arena then holds exactly the literals of the
+// surviving clauses, packed in reference order, that every survivor kept
+// its literals, and that the solver still answers correctly.
+func TestReduceDBReclaimsArena(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	checked := 0
+	for iter := 0; iter < 40; iter++ {
+		nv := 12 + rng.Intn(5) // ≤ 16 variables, for brute force
+		clauses := randomCNF(rng, nv, nv*4+rng.Intn(nv/2+1), true)
+		s := New()
+		for v := 0; v < nv; v++ {
+			s.NewVar()
+		}
+		for _, c := range clauses {
+			s.AddClause(c...)
+		}
+		for probe := 0; probe < 8; probe++ {
+			s.Solve(context.Background(), MkLit(Var(rng.Intn(nv)), rng.Intn(2) == 1))
+		}
+		before := make(map[int32][]Lit)
+		for i := range s.clauses {
+			if !s.clauses[i].deleted {
+				before[int32(i)] = sortedLits(s.lits(int32(i)))
+			}
+		}
+		arenaBefore := len(s.arena)
+		s.reduceDB()
+		live, end := 0, int32(0)
+		for i := range s.clauses {
+			c := &s.clauses[i]
+			if c.deleted {
+				if c.size != 0 {
+					t.Fatalf("iter %d: deleted clause %d keeps %d literals", iter, i, c.size)
+				}
+				continue
+			}
+			if c.start != end {
+				t.Fatalf("iter %d: clause %d starts at %d, want %d (arena not packed)", iter, i, c.start, end)
+			}
+			end += c.size
+			live++
+			if got := sortedLits(s.lits(int32(i))); !reflect.DeepEqual(got, before[int32(i)]) {
+				t.Fatalf("iter %d: clause %d literals %v after reduction, %v before", iter, i, got, before[int32(i)])
+			}
+		}
+		if int(end) != len(s.arena) {
+			t.Fatalf("iter %d: arena holds %d literals, live clauses %d", iter, len(s.arena), end)
+		}
+		if len(before) == live {
+			continue // nothing removable this time
+		}
+		if len(s.arena) >= arenaBefore {
+			t.Fatalf("iter %d: arena did not shrink (%d -> %d)", iter, arenaBefore, len(s.arena))
+		}
+		checked++
+		if got, want := s.Solve(context.Background()), bruteForce(nv, clauses); (got == Sat) != want {
+			t.Fatalf("iter %d: after reduction CDCL = %v, brute force = %v", iter, got, want)
+		}
+		if s.Solve(context.Background()) == Sat && !modelSatisfies(s, clauses) {
+			t.Fatalf("iter %d: model after reduction violates the clauses", iter)
+		}
+	}
+	if checked < 10 {
+		t.Fatalf("only %d of 40 instances deleted a clause", checked)
+	}
+}
+
+func sortedLits(ls []Lit) []Lit {
+	out := append([]Lit(nil), ls...)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/aig"
 	"repro/internal/network"
@@ -21,7 +22,8 @@ var (
 
 // FirstRoundChunks sets up the first proof round of ProveEquivalent(a, b,
 // delay) at K = 1 and returns its chunk count and a runner that discharges
-// chunk i under ctx on fresh solvers, reporting its SAT calls and error.
+// chunk i under ctx on its slot's freshly reset instances, reporting its
+// SAT calls and error.
 func FirstRoundChunks(a, b *network.Network, delay int) (int, func(ctx context.Context, i int) (int64, error), error) {
 	g, pos, err := aig.FromProduct(a, b)
 	if err != nil {
@@ -36,7 +38,29 @@ func FirstRoundChunks(a, b *network.Network, delay int) (int, func(ctx context.C
 	}
 	chunks := e.makeChunks(active)
 	return len(chunks), func(ctx context.Context, i int) (int64, error) {
-		cr, err := e.runChunk(ctx, chunks[i])
+		cr, err := e.runChunk(ctx, i, chunks[i])
 		return cr.solves, err
+	}, nil
+}
+
+// WarmRound proves b against a at induction depth k on one worker and
+// returns a runner of one more full round on the converged engine, whose
+// slots are warm from the proof. The runner reports an error unless the
+// round is clean: it re-proves every class and output obligation.
+func WarmRound(ctx context.Context, a, b *network.Network, delay, k int) (func() error, error) {
+	g, pos, err := aig.FromProduct(a, b)
+	if err != nil {
+		return nil, err
+	}
+	e := newEngine(g, pos, delay, k, 1, Options{})
+	if err := e.run(ctx); err != nil {
+		return nil, err
+	}
+	return func() error {
+		cexes, unknowns, poUnknown, err := e.round(ctx, true)
+		if err == nil && len(cexes)+len(unknowns)+poUnknown > 0 {
+			err = fmt.Errorf("round not clean: %d cexes, %d unknowns, %d output unknowns", len(cexes), len(unknowns), poUnknown)
+		}
+		return err
 	}, nil
 }

@@ -66,10 +66,8 @@ func splitmix(x *uint64) uint64 {
 // delayed-replacement prefix.
 func (e *engine) candidates() {
 	g := e.g
-	nn := g.NumNodes()
-	digest := make([]uint64, nn)
-	vals := make([]uint64, nn)
-	nxt := make([]uint64, len(g.Latches()))
+	digest := make([]uint64, g.NumNodes())
+	vals, nxt := e.vals, e.nxt
 	for w := 0; w < simWords; w++ {
 		st := mix64(simSeed, 0xC4D1F00D+uint64(w))
 		for _, la := range g.Latches() {
@@ -148,8 +146,7 @@ type cex struct {
 // greatest fixpoint instead of over-splitting on illegal states.
 func (e *engine) replay(c *cex, seed uint64) bool {
 	g := e.g
-	vals := make([]uint64, g.NumNodes())
-	nxt := make([]uint64, len(g.Latches()))
+	vals, nxt := e.vals, e.nxt
 	st := seed
 	for i, la := range g.Latches() {
 		w := c.state[i]
@@ -205,10 +202,12 @@ func holds(vals []uint64, cls []int32) bool {
 
 // refineAt splits every class whose members disagree on the current
 // words. Splitting is stable: members keep their ascending order, groups
-// appear in first-member order, singletons vanish.
+// appear in first-member order, singletons vanish. The class list is
+// double-buffered and a split class's groups are packed into its own
+// storage, so refinement allocates nothing once its scratch has grown.
 func (e *engine) refineAt(vals []uint64) bool {
 	changed := false
-	var next [][]int32
+	next := e.spare[:0]
 	for _, cls := range e.classes {
 		if holds(vals, cls) {
 			next = append(next, cls)
@@ -218,21 +217,53 @@ func (e *engine) refineAt(vals []uint64) bool {
 		for _, m := range cls {
 			e.dirty[m] = true
 		}
-		var order []uint64
-		groups := make(map[uint64][]int32)
-		for _, m := range cls {
-			w := vals[m]
-			if _, ok := groups[w]; !ok {
-				order = append(order, w)
-			}
-			groups[w] = append(groups[w], m)
+		next = e.split(vals, cls, next)
+	}
+	e.classes, e.spare = next, e.classes
+	return changed
+}
+
+// split groups cls by word, rewrites cls's storage as the groups of two
+// or more members one after another, and appends those groups to next.
+func (e *engine) split(vals []uint64, cls []int32, next [][]int32) [][]int32 {
+	members := append(e.members[:0], cls...)
+	group := e.group[:0] // per member: its group's index in order
+	size := e.size[:0]   // per group, in first-member order: its member count
+	clear(e.groupOf)
+	for _, m := range members {
+		w := vals[m]
+		gi, ok := e.groupOf[w]
+		if !ok {
+			gi = int32(len(size))
+			e.groupOf[w] = gi
+			size = append(size, 0)
 		}
-		for _, w := range order {
-			if grp := groups[w]; len(grp) >= 2 {
-				next = append(next, grp)
-			}
+		size[gi]++
+		group = append(group, gi)
+	}
+	// end[gi] becomes group gi's start in cls, then advances past every
+	// member placed; groups of one keep -1 and vanish.
+	end := e.end[:0]
+	off := int32(0)
+	for _, n := range size {
+		if n < 2 {
+			end = append(end, -1)
+			continue
+		}
+		end = append(end, off)
+		off += n
+	}
+	for j, m := range members {
+		if gi := group[j]; end[gi] >= 0 {
+			cls[end[gi]] = m
+			end[gi]++
 		}
 	}
-	e.classes = next
-	return changed
+	for gi, n := range size {
+		if n >= 2 {
+			next = append(next, cls[end[gi]-n:end[gi]:end[gi]])
+		}
+	}
+	e.members, e.group, e.size, e.end = members, group, size, end
+	return next
 }

@@ -35,34 +35,47 @@ type chunkResult struct {
 }
 
 // makeChunks shards the active classes into at most chunkCount groups of
-// balanced obligation count, plus one shard for the output obligations.
+// balanced obligation count, plus one shard for the output obligations,
+// and gives every chunk index its slot of instances. The class chunks
+// are consecutive runs of active and the chunk list reuses the previous
+// round's, so both stay valid until the next call.
 func (e *engine) makeChunks(active []int) []chunk {
-	var chunks []chunk
+	chunks := e.chunks[:0]
 	total := 0
 	for _, ci := range active {
 		total += len(e.classes[ci]) - 1
 	}
 	if total > 0 {
 		per := (total + chunkCount - 1) / chunkCount
-		var cur []int
-		acc := 0
-		for _, ci := range active {
-			cur = append(cur, ci)
+		start, acc := 0, 0
+		for i, ci := range active {
 			acc += len(e.classes[ci]) - 1
 			if acc >= per && len(chunks) < chunkCount-1 {
-				chunks = append(chunks, chunk{classIdx: cur})
-				cur, acc = nil, 0
+				chunks = append(chunks, chunk{classIdx: active[start : i+1]})
+				start, acc = i+1, 0
 			}
 		}
-		if len(cur) > 0 {
-			chunks = append(chunks, chunk{classIdx: cur})
+		if start < len(active) {
+			chunks = append(chunks, chunk{classIdx: active[start:]})
 		}
 	}
 	if len(e.pos) > 0 {
 		chunks = append(chunks, chunk{pos: true})
 	}
+	for len(e.slots) < len(chunks) {
+		e.slots = append(e.slots, slot{e.newInst(e.k+1, false), e.newInst(e.delay+e.k, true)})
+	}
+	e.chunks = chunks
 	return chunks
 }
+
+// slot is the step/base instance pair of one chunk index, owned for the
+// engine's lifetime and reset at the start of every round, so a round
+// refills buffers the previous one grew instead of allocating its own.
+// Slots are indexed by chunk, not by worker: a chunk starts from the same
+// empty instances whichever worker runs it, so results stay identical at
+// any width.
+type slot struct{ step, base *inst }
 
 // litUnset marks a (frame, node) pair not yet encoded. sat.Lit 0 is a
 // real literal (variable 0, positive), so the sentinel must be negative.
@@ -95,6 +108,12 @@ type inst struct {
 	// hyp marks the (frame, member) pairs hypoRepair has tied to their
 	// representative.
 	hyp map[[2]int32]bool
+	// Scratch: nodeLit's work stack, hypoRepair's simulation words, and
+	// the counterexample extract fills, which a caller keeping it detaches
+	// by setting cx to nil.
+	stack     []node
+	vals, nxt []uint64
+	cx        *cex
 }
 
 // node is one AIG node at one frame.
@@ -103,29 +122,43 @@ type node struct {
 	id int32
 }
 
+// newInst allocates an instance of nFrames frames; reset readies it.
 func (e *engine) newInst(nFrames int, init bool) *inst {
-	s := sat.New()
-	s.MaxConflicts = maxConflicts
-	in := &inst{e: e, s: s, falseL: sat.FalseLit(s), init: init,
-		ands: make(map[[2]sat.Lit]sat.Lit), hyp: make(map[[2]int32]bool)}
-	in.frames = make([][]sat.Lit, nFrames)
+	nn := e.g.NumNodes()
+	in := &inst{e: e, s: sat.New(), init: init,
+		ands: make(map[[2]sat.Lit]sat.Lit), hyp: make(map[[2]int32]bool),
+		frames: make([][]sat.Lit, nFrames),
+		vals:   make([]uint64, nn), nxt: make([]uint64, len(e.g.Latches()))}
 	for t := range in.frames {
-		fr := make([]sat.Lit, e.g.NumNodes())
+		in.frames[t] = make([]sat.Lit, nn)
+	}
+	return in
+}
+
+// reset empties in for a new round: an empty solver holding only the
+// constant, no strashed ANDs, no hypothesis ties, and every (frame, node)
+// unencoded except the constant and, on the base instance, the declared
+// initial values.
+func (in *inst) reset() {
+	in.s.Reset()
+	in.s.MaxConflicts = maxConflicts
+	in.falseL = sat.FalseLit(in.s)
+	clear(in.ands)
+	clear(in.hyp)
+	for _, fr := range in.frames {
 		for i := range fr {
 			fr[i] = litUnset
 		}
 		fr[0] = in.falseL
-		in.frames[t] = fr
 	}
 	// A declared initial value is a constant whether an obligation
 	// reaches the latch or not, so a base counterexample always starts
 	// from a legal initial state.
-	for _, la := range e.g.Latches() {
-		if init && la.Init != network.VX {
+	for _, la := range in.e.g.Latches() {
+		if in.init && la.Init != network.VX {
 			in.frames[0][la.Out] = withCompl(in.falseL, la.Init == network.V1)
 		}
 	}
-	return in
 }
 
 // and returns a literal for a ∧ b: a constant or an operand when the
@@ -164,7 +197,7 @@ func withCompl(l sat.Lit, compl bool) sat.Lit {
 // own returns node id's own function at frame t over the encoded
 // literals of its fanins, or litUnset and the first fanin not encoded
 // yet. A PI, a free frame-0 state bit or an unknown initial value is a
-// fresh variable; newInst presets declared initial values.
+// fresh variable; reset presets declared initial values.
 func (in *inst) own(t int, id int32) (sat.Lit, node) {
 	g := in.e.g
 	if g.IsAnd(id) {
@@ -198,7 +231,8 @@ func (in *inst) nodeLit(t int, id int32) sat.Lit {
 	if l := in.frames[t][id]; l != litUnset {
 		return l
 	}
-	stack := []node{{t, id}}
+	stack := append(in.stack[:0], node{t, id})
+	defer func() { in.stack = stack }()
 	for len(stack) > 0 {
 		it := stack[len(stack)-1]
 		if in.frames[it.t][it.id] != litUnset {
@@ -259,8 +293,7 @@ func (in *inst) aigLit(t int, l aig.Lit) sat.Lit {
 func (in *inst) hypoRepair(c *cex, K int) bool {
 	e := in.e
 	g := e.g
-	vals := make([]uint64, g.NumNodes())
-	nxt := make([]uint64, len(g.Latches()))
+	vals, nxt := in.vals, in.nxt
 	for i, la := range g.Latches() {
 		vals[la.Out] = c.state[i]
 	}
@@ -317,30 +350,32 @@ func (e *engine) stepSolve(ctx context.Context, step *inst, d sat.Lit, nFrames, 
 		if err != nil || st != sat.Sat {
 			return st, nil, err
 		}
-		c := e.extract(step, false, po, nFrames)
+		c := step.extract(po, nFrames)
 		if !step.hypoRepair(c, K) {
+			step.cx = nil
 			return st, c, nil
 		}
 	}
 }
 
-// runChunk discharges one shard's obligations on two private lazily-built
-// solvers: the reduced K-induction step instance and a bounded base
-// instance from the initial states. Each obligation is an assumption
-// probe on a fresh XOR gate, so learned clauses accumulate across the
-// whole shard; a step obligation whose two literals coincide needs no
-// probe.
+// runChunk discharges the obligations of shard i, ch, on its slot's two
+// lazily-built solvers, reset first: the reduced K-induction step instance
+// and a bounded base instance from the initial states. Each obligation is
+// an assumption probe on a fresh XOR gate, so learned clauses accumulate
+// across the whole shard; a step obligation whose two literals coincide
+// needs no probe.
 //
 // Member m's step obligation compares its own function at frame K with
 // the representative's literal. A clean full round proves every
 // obligation in one reduced model, so by induction in topological order
 // every member equals its representative at frame K whenever the
 // partition holds at frames 0..K-1: the partition is inductive.
-func (e *engine) runChunk(ctx context.Context, ch chunk) (cr chunkResult, err error) {
+func (e *engine) runChunk(ctx context.Context, i int, ch chunk) (cr chunkResult, err error) {
 	K := e.k
 	delay := e.delay
-	step := e.newInst(K+1, false)
-	base := e.newInst(delay+K, true)
+	step, base := e.slots[i].step, e.slots[i].base
+	step.reset()
+	base.reset()
 
 	defer func() {
 		cr.solves = step.s.Stats.Solves + base.s.Stats.Solves
@@ -382,7 +417,8 @@ func (e *engine) runChunk(ctx context.Context, ch chunk) (cr chunkResult, err er
 				}
 				switch st {
 				case sat.Sat:
-					cr.cexes = append(cr.cexes, e.extract(base, true, false, delay+K))
+					cr.cexes = append(cr.cexes, base.extract(false, delay+K))
+					base.cx = nil
 					broke = true
 				case sat.Unknown:
 					cr.unknowns = append(cr.unknowns, m)
@@ -431,12 +467,13 @@ func (e *engine) runChunk(ctx context.Context, ch chunk) (cr chunkResult, err er
 	return cr, nil
 }
 
-// extract reads a counterexample out of a freshly Sat instance: the
-// frame-0 latch state and every frame's PI bits, broadcast to 64-lane
-// words. On the step instance an unencoded member reads its
-// representative; other nodes the lazy encoding never touched are
-// unconstrained — any value extends the model, so they read as 0.
-func (e *engine) extract(in *inst, isBase, po bool, nFrames int) *cex {
+// extract reads a counterexample of nFrames frames out of a freshly Sat
+// instance into in.cx: the frame-0 latch state and every frame's PI bits,
+// broadcast to 64-lane words. On the step instance an unencoded member
+// reads its representative; other nodes the lazy encoding never touched
+// are unconstrained — any value extends the model, so they read as 0.
+func (in *inst) extract(po bool, nFrames int) *cex {
+	e := in.e
 	g := e.g
 	lats := g.Latches()
 	bit := func(t int, id int32) bool {
@@ -446,25 +483,32 @@ func (e *engine) extract(in *inst, isBase, po bool, nFrames int) *cex {
 		}
 		return l != litUnset && in.s.ValueLit(l)
 	}
-	c := &cex{base: isBase, po: po}
-	c.state = make([]uint64, len(lats))
-	if isBase {
-		c.xmask = make([]bool, len(lats))
+	if in.cx == nil {
+		in.cx = &cex{state: make([]uint64, len(lats)), pis: make([][]uint64, len(in.frames))}
+		if in.init {
+			in.cx.xmask = make([]bool, len(lats))
+		}
+		for t := range in.cx.pis {
+			in.cx.pis[t] = make([]uint64, len(g.PIs()))
+		}
 	}
+	c := in.cx
+	c.base, c.po = in.init, po
 	for i := range lats {
+		c.state[i] = 0
 		if bit(0, lats[i].Out) {
 			c.state[i] = ^uint64(0)
 		}
-		if isBase && lats[i].Init == network.VX {
+		if in.init && lats[i].Init == network.VX {
 			c.xmask[i] = true
 		}
 	}
-	c.pis = make([][]uint64, nFrames)
-	for t := 0; t < nFrames; t++ {
-		c.pis[t] = make([]uint64, len(g.PIs()))
+	c.pis = c.pis[:nFrames]
+	for t, w := range c.pis {
 		for j, pi := range g.PIs() {
+			w[j] = 0
 			if bit(t, pi) {
-				c.pis[t][j] = ^uint64(0)
+				w[j] = ^uint64(0)
 			}
 		}
 	}

@@ -226,12 +226,26 @@ type engine struct {
 	// incremental rounds re-prove only classes holding a dirty member.
 	dirty map[int32]bool
 
+	// slots[i] holds the instances of chunk i (see slot); active and
+	// chunks are the round's shards, rebuilt in place every round.
+	slots  []slot
+	active []int
+	chunks []chunk
+	// Scratch of the sequential phases: simulation words (candidates,
+	// replay) and refineAt's spare class list and grouping buffers.
+	vals, nxt        []uint64
+	spare            [][]int32
+	members          []int32
+	group, size, end []int32
+	groupOf          map[uint64]int32
+
 	res Result
 }
 
 func newEngine(g *aig.Graph, pos []aig.ProductPO, delay, k, width int, opt Options) *engine {
 	e := &engine{g: g, pos: pos, opt: opt, delay: delay, k: k, width: width, dirty: make(map[int32]bool),
-		rep: make([]int32, g.NumNodes())}
+		rep: make([]int32, g.NumNodes()), vals: make([]uint64, g.NumNodes()),
+		nxt: make([]uint64, len(g.Latches())), groupOf: make(map[uint64]int32)}
 	e.latchIdxOf = make(map[int32]int, len(g.Latches()))
 	for i, la := range g.Latches() {
 		e.latchIdxOf[la.Out] = i
@@ -269,44 +283,9 @@ func (e *engine) run(ctx context.Context) error {
 		if len(e.classes) == 0 && len(e.pos) == 0 {
 			return nil
 		}
-		var active []int
-		for i, cls := range e.classes {
-			if !fullRound && !e.anyDirty(cls) {
-				continue
-			}
-			active = append(active, i)
-		}
-		e.res.Rounds++
-		e.assignReps()
-		chunks := e.makeChunks(active)
-		results, err := parexec.Map(ctx, e.width, chunks,
-			func(ctx context.Context, _ int, ch chunk) (chunkResult, error) {
-				return e.runChunk(ctx, ch)
-			})
+		cexes, unknowns, poUnknown, err := e.round(ctx, fullRound)
 		if err != nil {
-			return fmt.Errorf("sweep: round %d: %w", e.res.Rounds, err)
-		}
-		// Index-ordered merge: identical at any worker width.
-		var cexes []*cex
-		var unknowns []int32
-		var poFail error
-		poUnknown := 0
-		for _, cr := range results {
-			cexes = append(cexes, cr.cexes...)
-			unknowns = append(unknowns, cr.unknowns...)
-			poUnknown += cr.poUnknown
-			if cr.poFail != nil && poFail == nil {
-				poFail = cr.poFail
-			}
-			e.res.Cexes += len(cr.cexes)
-			e.res.Unknowns += len(cr.unknowns) + cr.poUnknown
-			e.res.SatCalls += cr.solves
-			e.res.Conflicts += cr.conflicts
-			e.res.Learned += cr.learned
-			e.res.Structural += cr.structural
-		}
-		if poFail != nil {
-			return poFail
+			return err
 		}
 		if len(cexes) == 0 && len(unknowns) == 0 && poUnknown == 0 {
 			if fullRound {
@@ -316,7 +295,7 @@ func (e *engine) run(ctx context.Context) error {
 			continue
 		}
 		fullRound = false
-		e.dirty = make(map[int32]bool)
+		clear(e.dirty)
 		progress := false
 		for i, c := range cexes {
 			if e.replay(c, mix64(simSeed, uint64(e.res.Rounds)<<20|uint64(i))) {
@@ -334,6 +313,43 @@ func (e *engine) run(ctx context.Context) error {
 			return ErrUnknown
 		}
 	}
+}
+
+// round discharges one round of obligations — every class on a full
+// round, otherwise only the classes holding a dirty member — and merges
+// the chunk results in index order, identical at any worker width. It
+// returns the refuting counterexamples, the abandoned members and the
+// abandoned output obligations; a genuine output disproof is the error.
+func (e *engine) round(ctx context.Context, full bool) (cexes []*cex, unknowns []int32, poUnknown int, err error) {
+	active := e.active[:0]
+	for i, cls := range e.classes {
+		if full || e.anyDirty(cls) {
+			active = append(active, i)
+		}
+	}
+	e.active = active
+	e.res.Rounds++
+	e.assignReps()
+	results, err := parexec.Map(ctx, e.width, e.makeChunks(active), e.runChunk)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("sweep: round %d: %w", e.res.Rounds, err)
+	}
+	var poFail error
+	for _, cr := range results {
+		cexes = append(cexes, cr.cexes...)
+		unknowns = append(unknowns, cr.unknowns...)
+		poUnknown += cr.poUnknown
+		if cr.poFail != nil && poFail == nil {
+			poFail = cr.poFail
+		}
+		e.res.Cexes += len(cr.cexes)
+		e.res.Unknowns += len(cr.unknowns) + cr.poUnknown
+		e.res.SatCalls += cr.solves
+		e.res.Conflicts += cr.conflicts
+		e.res.Learned += cr.learned
+		e.res.Structural += cr.structural
+	}
+	return cexes, unknowns, poUnknown, poFail
 }
 
 // assignReps points every class member at its representative for the

@@ -18,7 +18,7 @@ import (
 )
 
 // build constructs a registry circuit by name.
-func build(t *testing.T, name string) *network.Network {
+func build(t testing.TB, name string) *network.Network {
 	t.Helper()
 	c, ok := bench.ByName(name)
 	if !ok {
