@@ -71,10 +71,11 @@ type Library struct {
 	matches map[matchKey][]Match
 }
 
-type matchKey struct {
-	pins int
-	tt   uint16
-}
+// matchKey packs a pin count and a truth table into one word, so a lookup
+// is a 32-bit map probe.
+type matchKey uint32
+
+func keyOf(pins int, tt uint16) matchKey { return matchKey(pins)<<16 | matchKey(tt) }
 
 // evalTT computes a cover's truth table over n ≤ 4 variables.
 func evalTT(f *logic.Cover, n int) uint16 {
@@ -166,7 +167,7 @@ func NewLibrary(name string, regArea float64, gates []*Gate) (*Library, error) {
 		}
 		g.tt = evalTT(g.Func, n)
 		canon, perm := CanonTT(g.tt, n)
-		key := matchKey{n, canon}
+		key := keyOf(n, canon)
 		byCanon[key] = append(byCanon[key], canonGate{g, perm})
 	}
 	// Index under every permutation image so lookup is a single probe. A
@@ -178,12 +179,12 @@ func NewLibrary(name string, regArea float64, gates []*Gate) (*Library, error) {
 		n := g.NumPins()
 		for _, p := range permutations(n) {
 			tt := permuteTT(g.tt, n, p)
-			if _, done := lib.matches[matchKey{n, tt}]; done {
+			if _, done := lib.matches[keyOf(n, tt)]; done {
 				continue
 			}
 			canon, permQ := CanonTT(tt, n)
 			var ms []Match
-			for _, c := range byCanon[matchKey{n, canon}] {
+			for _, c := range byCanon[keyOf(n, canon)] {
 				// canonical var i corresponds to query var permQ[i] and to
 				// gate pin c.perm[i]; so query var permQ[i] -> pin c.perm[i].
 				pinFor := make([]int, n)
@@ -192,7 +193,7 @@ func NewLibrary(name string, regArea float64, gates []*Gate) (*Library, error) {
 				}
 				ms = append(ms, Match{G: c.g, PinFor: pinFor})
 			}
-			lib.matches[matchKey{n, tt}] = ms
+			lib.matches[keyOf(n, tt)] = ms
 		}
 	}
 	return lib, nil
@@ -214,5 +215,5 @@ func (lib *Library) Match(tt uint16, n int) []Match {
 	if n < 4 {
 		tt &= uint16(1)<<(1<<uint(n)) - 1
 	}
-	return lib.matches[matchKey{n, tt}]
+	return lib.matches[keyOf(n, tt)]
 }

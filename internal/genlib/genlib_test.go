@@ -158,13 +158,13 @@ func referenceMatcher(lib *Library) func(tt uint16, n int) []Match {
 	byCanon := map[matchKey][]canonGate{}
 	for _, g := range lib.Gates {
 		canon, perm := CanonTT(g.TT(), g.NumPins())
-		key := matchKey{g.NumPins(), canon}
+		key := keyOf(g.NumPins(), canon)
 		byCanon[key] = append(byCanon[key], canonGate{g, perm})
 	}
 	return func(tt uint16, n int) []Match {
 		canon, permQ := CanonTT(tt, n)
 		var out []Match
-		for _, c := range byCanon[matchKey{n, canon}] {
+		for _, c := range byCanon[keyOf(n, canon)] {
 			pinFor := make([]int, n)
 			for i := 0; i < n; i++ {
 				pinFor[permQ[i]] = c.perm[i]

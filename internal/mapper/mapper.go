@@ -9,7 +9,8 @@ package mapper
 import (
 	"context"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/genlib"
 	"repro/internal/guard"
@@ -21,42 +22,49 @@ import (
 const (
 	maxCutLeaves   = 4
 	maxCutsPerNode = 16
+	// cutSetSlots is a power of two at least four times the most cuts one
+	// node can merge (maxCutsPerNode squared).
+	cutSetSlots = 1024
 )
 
-// cut is a set of at most maxCutLeaves leaves sorted by ID, with the
-// truth table of its root over them (leaf i is variable i).
+// proj holds the projection tables of the four cut variables.
+var proj = [maxCutLeaves]uint16{0xAAAA, 0xCCCC, 0xF0F0, 0xFF00}
+
+// cut is a set of at most maxCutLeaves leaf node IDs sorted ascending
+// (unused slots are 0), with the truth table of its root over them (leaf i
+// is variable i). It holds no pointers, so the cut arena costs the garbage
+// collector nothing. sig has bit(id) set for every leaf; isig has bit(id)
+// set for every node of the cone's interior (the root down to, but not
+// including, the leaves) and possibly more, so a trivial cut has isig 0.
 type cut struct {
-	leaves [maxCutLeaves]*network.Node
-	n      int
-	tt     uint16
+	leaves    [maxCutLeaves]int32
+	sig, isig uint64
+	tt        uint16
+	n         uint8
 }
 
-// cutKey identifies a cut by its leaf IDs; unused slots hold -1.
-type cutKey [maxCutLeaves]int
+// bit is a node ID's signature bit.
+func bit(id int32) uint64 { return 1 << (uint32(id) & 63) }
 
-func (c *cut) key() cutKey {
-	k := cutKey{-1, -1, -1, -1}
-	for i, l := range c.leaves[:c.n] {
-		k[i] = l.ID
+func trivialCut(id int32) cut {
+	return cut{leaves: [maxCutLeaves]int32{id}, n: 1, sig: bit(id), tt: proj[0]}
+}
+
+// mergeCuts sets out to the union of the leaves and signatures of two
+// cuts, failing above maxCutLeaves; the caller sets tt and isig.
+func mergeCuts(out, a, b *cut) bool {
+	if bits.OnesCount64(a.sig|b.sig) > maxCutLeaves {
+		return false
 	}
-	return k
-}
-
-func trivialCut(v *network.Node) cut {
-	return cut{leaves: [maxCutLeaves]*network.Node{v}, n: 1, tt: 0xAAAA}
-}
-
-// mergeCuts unions the leaves of two cuts, failing above maxCutLeaves.
-func mergeCuts(a, b *cut) (cut, bool) {
-	var out cut
+	*out = cut{sig: a.sig | b.sig}
 	i, j := 0, 0
-	for i < a.n || j < b.n {
-		var x *network.Node
+	for i < int(a.n) || j < int(b.n) {
+		var x int32
 		switch {
-		case j >= b.n || (i < a.n && a.leaves[i].ID < b.leaves[j].ID):
+		case j >= int(b.n) || (i < int(a.n) && a.leaves[i] < b.leaves[j]):
 			x = a.leaves[i]
 			i++
-		case i >= a.n || b.leaves[j].ID < a.leaves[i].ID:
+		case i >= int(a.n) || b.leaves[j] < a.leaves[i]:
 			x = b.leaves[j]
 			j++
 		default:
@@ -65,34 +73,103 @@ func mergeCuts(a, b *cut) (cut, bool) {
 			j++
 		}
 		if out.n == maxCutLeaves {
-			return cut{}, false
+			return false
 		}
 		out.leaves[out.n] = x
 		out.n++
 	}
-	return out, true
+	return true
 }
 
-// coneEval computes cut truth tables. The cone of the root is evaluated
-// down to the cut's leaves and no further: a leaf is a free variable even
-// where other leaves compute it, so a cut's table is not in general the
-// composition of its fanin cuts' tables (DESIGN.md §8). memo[id] is node
+// stretch returns a's table over the leaves of c, a superset of a's, and
+// the signature bits of the leaves of c that a lacks. Each variable moves
+// up to its position in c by adjacent swaps, highest first, so it only
+// ever swaps with variables the table does not depend on.
+func stretch(a, c *cut) (tt uint16, extra uint64) {
+	var pos [maxCutLeaves]int
+	j := 0
+	for i, l := range c.leaves[:c.n] {
+		if j < int(a.n) && a.leaves[j] == l {
+			pos[j] = i
+			j++
+		} else {
+			extra |= bit(l)
+		}
+	}
+	tt = a.tt
+	for k := int(a.n) - 1; k >= 0; k-- {
+		for p := k; p < pos[k]; p++ {
+			switch p {
+			case 0:
+				tt = tt&0x9999 | (tt&0x2222)<<1 | (tt&0x4444)>>1
+			case 1:
+				tt = tt&0xC3C3 | (tt&0x0C0C)<<2 | (tt&0x3030)>>2
+			default:
+				tt = tt&0xF00F | (tt&0x00F0)<<4 | (tt&0x0F00)>>4
+			}
+		}
+	}
+	return tt, extra
+}
+
+// localTT is the table of v's function over its fanins (fanin i is
+// variable i); v has at most maxCutLeaves fanins.
+func localTT(v *network.Node) uint16 {
+	var out uint16
+	for _, c := range v.Func.Cubes {
+		cube := uint16(0xFFFF)
+		for pin := 0; pin < c.N; pin++ {
+			switch c.Lit(pin) {
+			case logic.LitPos:
+				cube &= proj[pin]
+			case logic.LitNeg:
+				cube &= ^proj[pin]
+			case logic.LitNone:
+				cube = 0
+			}
+		}
+		out |= cube
+	}
+	return out
+}
+
+// apply evaluates a local table on the tables of its len(in) fanins.
+func apply(local uint16, in ...uint16) uint16 {
+	var out uint16
+	for m := 0; m < 1<<len(in); m++ {
+		if local>>m&1 == 0 {
+			continue
+		}
+		t := uint16(0xFFFF)
+		for i, x := range in {
+			if m>>i&1 == 0 {
+				x = ^x
+			}
+			t &= x
+		}
+		out |= t
+	}
+	return out
+}
+
+// coneEval computes cut truth tables by evaluating the root's cone down to
+// the cut's leaves and no further: a leaf is a free variable even where
+// other leaves compute it (DESIGN.md §"Genlib mapper"). memo[id] is node
 // id's table over the current cut while stamp[id] == epoch, so no
 // evaluation has to clear the arrays.
 type coneEval struct {
-	stamp []int
+	local []uint16 // node ID -> localTT, for logic nodes of ≤ 4 fanins
+	stamp []uint32
 	memo  []uint16
-	epoch int
+	epoch uint32
 }
 
 // tt evaluates the truth table of v over the leaves of c; false means the
 // cone escapes the cut.
 func (e *coneEval) tt(v *network.Node, c *cut) (uint16, bool) {
 	e.epoch++
-	// Projection patterns for up to 4 variables over 16 minterms.
-	proj := [maxCutLeaves]uint16{0xAAAA, 0xCCCC, 0xF0F0, 0xFF00}
 	for i, l := range c.leaves[:c.n] {
-		e.stamp[l.ID], e.memo[l.ID] = e.epoch, proj[i]
+		e.stamp[l], e.memo[l] = e.epoch, proj[i]
 	}
 	return e.eval(v)
 }
@@ -101,31 +178,49 @@ func (e *coneEval) eval(x *network.Node) (uint16, bool) {
 	if e.stamp[x.ID] == e.epoch {
 		return e.memo[x.ID], true
 	}
-	if x.Kind != network.KindLogic {
+	// A node of more than maxCutLeaves fanins has no cut, so mapping stops
+	// there before any cone can contain it.
+	if x.Kind != network.KindLogic || len(x.Fanins) > maxCutLeaves {
 		return 0, false // cone escapes the cut
 	}
-	for _, fi := range x.Fanins {
-		if _, ok := e.eval(fi); !ok {
+	var in [maxCutLeaves]uint16
+	for i, fi := range x.Fanins {
+		t, ok := e.eval(fi)
+		if !ok {
 			return 0, false
 		}
+		in[i] = t
 	}
-	var out uint16
-	for _, c := range x.Func.Cubes {
-		cube := uint16(0xFFFF)
-		for pin := 0; pin < c.N; pin++ {
-			switch c.Lit(pin) {
-			case logic.LitPos:
-				cube &= e.memo[x.Fanins[pin].ID]
-			case logic.LitNeg:
-				cube &= ^e.memo[x.Fanins[pin].ID]
-			case logic.LitNone:
-				cube = 0
-			}
-		}
-		out |= cube
-	}
+	out := apply(e.local[x.ID], in[:len(x.Fanins)]...)
 	e.stamp[x.ID], e.memo[x.ID] = e.epoch, out
 	return out, true
+}
+
+// cutSet is an open-addressed set of leaf tuples that bumping epoch
+// empties.
+type cutSet struct {
+	epoch uint32
+	slots [cutSetSlots]struct {
+		epoch  uint32
+		n      uint8
+		leaves [maxCutLeaves]int32
+	}
+}
+
+// insert adds c's leaves, reporting false if they were already present.
+func (t *cutSet) insert(c *cut) bool {
+	l := c.leaves
+	h := uint32(l[0])*0x9E3779B1 + uint32(l[1])*0x85EBCA77 + uint32(l[2])*0xC2B2AE3D + uint32(l[3])*0x27D4EB2F
+	for i := (h ^ h>>16) & (cutSetSlots - 1); ; i = (i + 1) & (cutSetSlots - 1) {
+		sl := &t.slots[i]
+		if sl.epoch != t.epoch {
+			sl.epoch, sl.n, sl.leaves = t.epoch, c.n, l
+			return true
+		}
+		if sl.n == c.n && sl.leaves == l {
+			return false
+		}
+	}
 }
 
 // choice is a node's best cover; match.G is nil for a node not mapped.
@@ -153,19 +248,23 @@ func MapDelay(ctx context.Context, n *network.Network, lib *genlib.Library, tr *
 	if err != nil {
 		return nil, err
 	}
-	return extract(n, s.best)
+	return s.extract(n)
 }
 
 // mapState is the delay DP over one network. Per-node state is indexed
 // by Node.ID; seen and cand are buffers reused from node to node.
 type mapState struct {
-	lib  *genlib.Library
-	cuts [][]cut
-	arr  []float64
-	best []choice
-	cone coneEval
-	seen map[cutKey]struct{}
-	cand []cut
+	lib   *genlib.Library
+	nodes []*network.Node // node ID -> node, for extract
+	// cuts[id] is node id's kept cuts, carved from block: pointer-free
+	// arena blocks that fill up and are never copied.
+	cuts  [][]cut
+	block []cut
+	arr   []float64
+	best  []choice
+	cone  coneEval
+	seen  cutSet
+	cand  []cut
 
 	cutsEnumerated, candidatesTried int
 }
@@ -175,14 +274,37 @@ func newMapState(n *network.Network, lib *genlib.Library) *mapState {
 	for _, v := range n.Nodes() {
 		size = max(size, v.ID+1)
 	}
-	return &mapState{
-		lib:  lib,
-		cuts: make([][]cut, size),
-		arr:  make([]float64, size),
-		best: make([]choice, size),
-		cone: coneEval{stamp: make([]int, size), memo: make([]uint16, size)},
-		seen: make(map[cutKey]struct{}),
+	s := &mapState{
+		lib:   lib,
+		nodes: make([]*network.Node, size),
+		cuts:  make([][]cut, size),
+		arr:   make([]float64, size),
+		best:  make([]choice, size),
+		cone: coneEval{local: make([]uint16, size), stamp: make([]uint32, size),
+			memo: make([]uint16, size)},
 	}
+	for _, v := range n.Nodes() {
+		s.nodes[v.ID] = v
+		if v.Kind == network.KindLogic && len(v.Fanins) <= maxCutLeaves {
+			s.cone.local[v.ID] = localTT(v)
+		}
+	}
+	return s
+}
+
+// carve returns an empty cut list of capacity n from the arena.
+func (s *mapState) carve(n int) []cut {
+	if cap(s.block)-len(s.block) < n {
+		s.block = make([]cut, 0, min(max(2*cap(s.block), 256), 4096))
+	}
+	start := len(s.block)
+	s.block = s.block[:start+n]
+	return s.block[start : start : start+n]
+}
+
+// keepTrivial sets node v's kept cuts to its trivial cut.
+func (s *mapState) keepTrivial(v *network.Node) {
+	s.cuts[v.ID] = append(s.carve(1), trivialCut(int32(v.ID)))
 }
 
 // run chooses, in topological order, the cut and gate that minimize each
@@ -193,10 +315,10 @@ func (s *mapState) run(ctx context.Context, n *network.Network) error {
 		return err
 	}
 	for _, p := range n.PIs {
-		s.cuts[p.ID] = []cut{trivialCut(p)}
+		s.keepTrivial(p)
 	}
 	for _, l := range n.Latches {
-		s.cuts[l.Output.ID] = []cut{trivialCut(l.Output)}
+		s.keepTrivial(l.Output)
 	}
 
 	for _, v := range order {
@@ -214,7 +336,7 @@ func (s *mapState) run(ctx context.Context, n *network.Network) error {
 				return fmt.Errorf("mapper: library lacks tie cells")
 			}
 			s.best[v.ID] = choice{cut: cut{tt: tt}, match: m[0], area: m[0].G.Area}
-			s.cuts[v.ID] = []cut{trivialCut(v)}
+			s.keepTrivial(v)
 			continue
 		}
 		cand := s.enumerate(v)
@@ -225,11 +347,11 @@ func (s *mapState) run(ctx context.Context, n *network.Network) error {
 		var bc choice
 		for i := range cand {
 			c := &cand[i]
-			for _, m := range s.lib.Match(c.tt, c.n) {
+			for _, m := range s.lib.Match(c.tt, int(c.n)) {
 				s.candidatesTried++
 				a := 0.0
 				for li, leaf := range c.leaves[:c.n] {
-					la := s.arr[leaf.ID] + m.G.PinDelays[m.PinFor[li]]
+					la := s.arr[leaf] + m.G.PinDelays[m.PinFor[li]]
 					if la > a {
 						a = la
 					}
@@ -247,9 +369,8 @@ func (s *mapState) run(ctx context.Context, n *network.Network) error {
 		s.arr[v.ID] = bc.arr
 		// Keep a bounded cut set for consumers: the trivial cut, then the
 		// candidates by leaf count, stable in enumeration order.
-		kept := make([]cut, 1, min(len(cand)+1, maxCutsPerNode))
-		kept[0] = trivialCut(v)
-		for k := 1; k <= maxCutLeaves; k++ {
+		kept := append(s.carve(min(len(cand)+1, maxCutsPerNode)), trivialCut(int32(v.ID)))
+		for k := uint8(1); k <= maxCutLeaves; k++ {
 			for i := 0; i < len(cand) && len(kept) < maxCutsPerNode; i++ {
 				if cand[i].n == k {
 					kept = append(kept, cand[i])
@@ -265,79 +386,93 @@ func (s *mapState) run(ctx context.Context, n *network.Network) error {
 // first-seen order: the cross-merges of the fanins' kept cuts, or the
 // immediate-fanin cut for wider nodes. The result is reused by the next
 // call.
+//
+// A merged cut's table composes the fanin cuts' tables through v's local
+// table where that is provably the stop-at-leaf function: when no leaf the
+// merge adds to a fanin cut lies inside that cut's cone, tested against
+// its interior signature. Otherwise, and for wider nodes, the cone is
+// evaluated.
 func (s *mapState) enumerate(v *network.Node) []cut {
-	clear(s.seen)
 	s.cand = s.cand[:0]
-	add := func(c cut) {
-		k := c.key()
-		if _, dup := s.seen[k]; dup {
-			return
-		}
-		s.seen[k] = struct{}{}
-		tt, ok := s.cone.tt(v, &c)
-		if !ok {
-			return
-		}
-		s.cutsEnumerated++
-		c.tt = tt
-		s.cand = append(s.cand, c)
-	}
+	vbit := bit(int32(v.ID))
+	local := s.cone.local[v.ID]
 	switch len(v.Fanins) {
 	case 1:
-		for _, c0 := range s.cuts[v.Fanins[0].ID] {
-			add(c0)
+		// The fanin's kept cuts are distinct already.
+		for _, c := range s.cuts[v.Fanins[0].ID] {
+			c.tt = apply(local, c.tt)
+			c.isig |= vbit
+			s.cutsEnumerated++
+			s.cand = append(s.cand, c)
 		}
 	case 2:
-		cuts1 := s.cuts[v.Fanins[1].ID]
-		for i0 := range s.cuts[v.Fanins[0].ID] {
-			c0 := &s.cuts[v.Fanins[0].ID][i0]
+		s.seen.epoch++
+		cuts0, cuts1 := s.cuts[v.Fanins[0].ID], s.cuts[v.Fanins[1].ID]
+		for i0 := range cuts0 {
+			a := &cuts0[i0]
 			for i1 := range cuts1 {
-				if c, ok := mergeCuts(c0, &cuts1[i1]); ok {
-					add(c)
+				b := &cuts1[i1]
+				var c cut
+				if !mergeCuts(&c, a, b) || !s.seen.insert(&c) {
+					continue
 				}
+				ta, extraA := stretch(a, &c)
+				tb, extraB := stretch(b, &c)
+				if extraA&a.isig == 0 && extraB&b.isig == 0 {
+					c.tt = apply(local, ta, tb)
+				} else if tt, ok := s.cone.tt(v, &c); ok {
+					c.tt = tt
+				} else {
+					continue
+				}
+				c.isig = vbit | a.isig | b.isig
+				s.cutsEnumerated++
+				s.cand = append(s.cand, c)
 			}
 		}
 	default:
 		// Wider nodes: immediate-fanin cut only.
-		if len(v.Fanins) <= maxCutLeaves {
-			var c cut
-			c.n = copy(c.leaves[:], v.Fanins)
-			leaves := c.leaves[:c.n]
-			sort.Slice(leaves, func(i, j int) bool { return leaves[i].ID < leaves[j].ID })
-			add(c)
+		if len(v.Fanins) > maxCutLeaves {
+			break
+		}
+		c := cut{n: uint8(len(v.Fanins)), isig: vbit}
+		for i, fi := range v.Fanins {
+			c.leaves[i] = int32(fi.ID)
+			c.sig |= bit(c.leaves[i])
+		}
+		slices.Sort(c.leaves[:c.n])
+		if tt, ok := s.cone.tt(v, &c); ok {
+			c.tt = tt
+			s.cutsEnumerated++
+			s.cand = append(s.cand, c)
 		}
 	}
 	return s.cand
 }
 
 // extract builds the mapped network from the chosen covers.
-func extract(n *network.Network, best []choice) (*network.Network, error) {
+func (s *mapState) extract(n *network.Network) (*network.Network, error) {
 	m := network.New(n.Name + "_mapped")
-	old2new := make(map[*network.Node]*network.Node)
+	old2new := make([]*network.Node, len(s.nodes))
 	for _, p := range n.PIs {
-		old2new[p] = m.AddPI(p.Name)
+		old2new[p.ID] = m.AddPI(p.Name)
 	}
-	type latchPair struct {
-		oldL *network.Latch
-		newL *network.Latch
-	}
-	var lpairs []latchPair
-	for _, l := range n.Latches {
-		nl := m.AddLatch(l.Output.Name, nil, l.Init)
-		old2new[l.Output] = nl.Output
-		lpairs = append(lpairs, latchPair{l, nl})
+	newLatches := make([]*network.Latch, len(n.Latches))
+	for i, l := range n.Latches {
+		newLatches[i] = m.AddLatch(l.Output.Name, nil, l.Init)
+		old2new[l.Output.ID] = newLatches[i].Output
 	}
 	// Mark required nodes from the sinks.
-	required := make(map[*network.Node]bool)
+	required := make([]bool, len(s.nodes))
 	var need func(v *network.Node)
 	need = func(v *network.Node) {
-		if v.IsSource() || required[v] {
+		if v.IsSource() || required[v.ID] {
 			return
 		}
-		required[v] = true
-		bc := &best[v.ID]
+		required[v.ID] = true
+		bc := &s.best[v.ID]
 		for _, leaf := range bc.cut.leaves[:bc.cut.n] {
-			need(leaf)
+			need(s.nodes[leaf])
 		}
 	}
 	for _, p := range n.POs {
@@ -352,38 +487,37 @@ func extract(n *network.Network, best []choice) (*network.Network, error) {
 		return nil, err
 	}
 	for _, v := range order {
-		if !required[v] {
+		if !required[v.ID] {
 			continue
 		}
-		bc := &best[v.ID]
+		bc := &s.best[v.ID]
 		if bc.match.G == nil {
 			return nil, fmt.Errorf("mapper: required node %s has no mapping", v.Name)
 		}
 		fanins := make([]*network.Node, bc.cut.n)
 		for i, leaf := range bc.cut.leaves[:bc.cut.n] {
-			nf, ok := old2new[leaf]
-			if !ok {
-				return nil, fmt.Errorf("mapper: leaf %s of %s not materialized", leaf.Name, v.Name)
+			if fanins[i] = old2new[leaf]; fanins[i] == nil {
+				return nil, fmt.Errorf("mapper: leaf %s of %s not materialized", s.nodes[leaf].Name, v.Name)
 			}
-			fanins[i] = nf
 		}
 		// Node function: gate function re-expressed over fanin order.
 		// Gate pin bc.match.PinFor[i] is driven by fanin i.
 		gf := bc.match.G.Func
-		varMap := make([]int, gf.N)
+		var pins [maxCutLeaves]int
+		varMap := pins[:gf.N]
 		for i := 0; i < len(fanins); i++ {
 			varMap[bc.match.PinFor[i]] = i
 		}
 		f := gf.Remap(len(fanins), varMap)
 		node := m.AddLogic(v.Name, fanins, f)
 		node.Gate = &genlib.Bound{G: bc.match.G, PinOf: bc.match.PinFor}
-		old2new[v] = node
+		old2new[v.ID] = node
 	}
 	for _, p := range n.POs {
-		m.AddPO(p.Name, old2new[p.Driver])
+		m.AddPO(p.Name, old2new[p.Driver.ID])
 	}
-	for _, lp := range lpairs {
-		lp.newL.Driver = old2new[lp.oldL.Driver]
+	for i, l := range n.Latches {
+		newLatches[i].Driver = old2new[l.Driver.ID]
 	}
 	if err := m.Check(); err != nil {
 		return nil, fmt.Errorf("mapper: mapped network invalid: %w", err)

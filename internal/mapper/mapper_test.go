@@ -3,6 +3,9 @@ package mapper
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/aig"
@@ -13,6 +16,7 @@ import (
 	"repro/internal/guard"
 	"repro/internal/logic"
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/seqverify"
 	"repro/internal/sim"
 	"repro/internal/timing"
@@ -246,9 +250,9 @@ func checkConeTTs(t *testing.T, n *network.Network) *mapState {
 			continue
 		}
 		for _, c := range s.enumerate(v) {
-			want, ok := referenceConeTT(v, c.leaves[:c.n])
+			want, ok := referenceConeTT(v, s.leafNodes(&c))
 			if !ok || c.tt != want {
-				t.Fatalf("%s: cut %v of %s: tt %04x, reference %04x (ok %v)", n.Name, c.key(), v.Name, c.tt, want, ok)
+				t.Fatalf("%s: cut %v of %s: tt %04x, reference %04x (ok %v)", n.Name, c.leaves[:c.n], v.Name, c.tt, want, ok)
 			}
 			cuts++
 		}
@@ -257,6 +261,15 @@ func checkConeTTs(t *testing.T, n *network.Network) *mapState {
 		t.Fatalf("%s: re-enumerated %d cuts, mapping enumerated %d", n.Name, cuts, enumerated)
 	}
 	return s
+}
+
+// leafNodes maps a cut's leaf IDs back to nodes.
+func (s *mapState) leafNodes(c *cut) []*network.Node {
+	leaves := make([]*network.Node, c.n)
+	for i, id := range c.leaves[:c.n] {
+		leaves[i] = s.nodes[id]
+	}
+	return leaves
 }
 
 func TestConeTTStopsAtLeaves(t *testing.T) {
@@ -276,9 +289,9 @@ func TestConeTTStopsAtLeaves(t *testing.T) {
 	s := checkConeTTs(t, n)
 	// Leaves a, b, c, x are variables 0..3, so x' + c = ^0xFF00 | 0xF0F0.
 	const xNotOrC = ^uint16(0xFF00) | 0xF0F0
-	want := cutKey{a.ID, b.ID, c.ID, x.ID}
+	want := [maxCutLeaves]int32{int32(a.ID), int32(b.ID), int32(c.ID), int32(x.ID)}
 	for _, cu := range s.enumerate(y) {
-		if cu.key() == want {
+		if cu.n == maxCutLeaves && cu.leaves == want {
 			if cu.tt != xNotOrC {
 				t.Fatalf("tt over {a,b,c,x} = %04x, want %04x", cu.tt, xNotOrC)
 			}
@@ -295,6 +308,151 @@ func TestConeTTMatchesReferenceOnRegistry(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkConeTTs(t, n)
+	}
+}
+
+// twoInputCovers are the symmetric two-input functions of lib2's gates.
+var twoInputCovers = [][]string{
+	{"11"}, {"00"}, {"1-", "-1"}, {"0-", "-0"}, {"10", "01"}, {"11", "00"},
+}
+
+// randomSubject builds a reconvergent decomposed network of AND/OR/XOR-type
+// two-input nodes and inverters. Fanins are mostly drawn from the last few
+// nodes, so cones overlap. stride-1 unused primary inputs follow every
+// node, so with stride 64 all of its real nodes share one signature bit
+// and with strides 63 or 65 the bits wrap within short paths.
+func randomSubject(rng *rand.Rand, stride, nLogic int) *network.Network {
+	n := network.New(fmt.Sprintf("rand_stride%d", stride))
+	pads := 0
+	var pool []*network.Node
+	add := func(v *network.Node) {
+		pool = append(pool, v)
+		for i := 1; i < stride; i++ {
+			n.AddPI(fmt.Sprintf("pad%d", pads))
+			pads++
+		}
+	}
+	for i := 0; i < 6; i++ {
+		add(n.AddPI(fmt.Sprintf("x%d", i)))
+	}
+	pick := func() *network.Node {
+		if rng.Intn(4) == 0 {
+			return pool[rng.Intn(len(pool))]
+		}
+		return pool[len(pool)-1-rng.Intn(min(6, len(pool)))]
+	}
+	for i := 0; i < nLogic; i++ {
+		name := fmt.Sprintf("g%d", i)
+		if rng.Intn(5) == 0 {
+			add(n.AddLogic(name, []*network.Node{pick()}, logic.MustParseCover(1, "0")))
+			continue
+		}
+		x, y := pick(), pick()
+		for y == x {
+			y = pick()
+		}
+		f := logic.MustParseCover(2, twoInputCovers[rng.Intn(len(twoInputCovers))]...)
+		add(n.AddLogic(name, []*network.Node{x, y}, f))
+	}
+	for i := 0; i < 4; i++ {
+		n.AddPO(fmt.Sprintf("y%d", i), pool[len(pool)-1-i])
+	}
+	return n
+}
+
+// composition counts, over every two-fanin merge a DP enumerates, the
+// merges whose composed table (composability check ignored) differs from
+// stop-at-leaf evaluation, and the merges the signature check sends to
+// cone evaluation although composition is right.
+func composition(s *mapState, n *network.Network) (needCone, falseAlarm int) {
+	for _, v := range n.Nodes() {
+		if v.Kind != network.KindLogic || len(v.Fanins) != 2 {
+			continue
+		}
+		local := s.cone.local[v.ID]
+		cuts0, cuts1 := s.cuts[v.Fanins[0].ID], s.cuts[v.Fanins[1].ID]
+		for i0 := range cuts0 {
+			for i1 := range cuts1 {
+				a, b := &cuts0[i0], &cuts1[i1]
+				var c cut
+				if !mergeCuts(&c, a, b) {
+					continue
+				}
+				ta, extraA := stretch(a, &c)
+				tb, extraB := stretch(b, &c)
+				want, _ := referenceConeTT(v, s.leafNodes(&c))
+				switch {
+				case apply(local, ta, tb) != want:
+					needCone++
+				case extraA&a.isig != 0 || extraB&b.isig != 0:
+					falseAlarm++
+				}
+			}
+		}
+	}
+	return needCone, falseAlarm
+}
+
+// TestComposedTTMatchesConeEval checks every cut table the enumerator
+// produces, composed or cone-evaluated, against the map-based reference on
+// random reconvergent networks whose node IDs collide mod 64 and on the AIG
+// subject graphs of s5378 and s9234. The random networks must contain
+// merges that composition would get wrong and merges whose signatures
+// collide, so that a weaker composability test fails here.
+func TestComposedTTMatchesConeEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	needCone, falseAlarm := 0, 0
+	for trial := 0; trial < 12; trial++ {
+		n := randomSubject(rng, []int{1, 63, 64, 65}[trial%4], 300)
+		s := checkConeTTs(t, n)
+		nc, fa := composition(s, n)
+		needCone += nc
+		falseAlarm += fa
+	}
+	t.Logf("random networks: %d merges need cone evaluation, %d signature false alarms", needCone, falseAlarm)
+	if needCone == 0 || falseAlarm == 0 {
+		t.Fatalf("random networks exercise too little: %d merges need cone evaluation, %d signature false alarms", needCone, falseAlarm)
+	}
+	for _, name := range []string{"s5378", "s9234"} {
+		checkConeTTs(t, aigSubject(t, name))
+	}
+}
+
+// TestMapperPinned pins what MapDelay reports and returns on one SOP and
+// one AIG subject graph: the cuts enumerated, the (cut, gate) candidates
+// tried, the mapped area and the STA period. Any change to cut
+// generation, deduplication, truth tables or the DP moves these numbers; an
+// optimisation of the mapper must leave them exactly where they are.
+func TestMapperPinned(t *testing.T) {
+	sop := buildCircuit(t, "s1238")
+	if err := algebraic.OptimizeDelay(context.Background(), sop, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name              string
+		subject           *network.Network
+		cuts, candidates  int64
+		area, periodDelay float64
+	}{
+		{"s1238 SOP", sop, 15815, 2130, 1799, 29.75},
+		{"s9234 AIG", aigSubject(t, "s9234"), 250983, 35484, 20284, 32.7},
+	} {
+		lib := genlib.Lib2()
+		tr := obs.New()
+		m, err := MapDelay(context.Background(), tc.subject, lib, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := timing.Period(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cuts, cands := tr.Counter("mapper_cuts"), tr.Counter("mapper_candidates"); cuts != tc.cuts || cands != tc.candidates {
+			t.Errorf("%s: %d cuts, %d candidates; want %d, %d", tc.name, cuts, cands, tc.cuts, tc.candidates)
+		}
+		if a := Area(m, lib); math.Abs(a-tc.area) > 1e-9 || math.Abs(p-tc.periodDelay) > 1e-9 {
+			t.Errorf("%s: area %v, period %v; want %v, %v", tc.name, a, p, tc.area, tc.periodDelay)
+		}
 	}
 }
 

@@ -65,8 +65,8 @@ func TestSweepSearchPinned(t *testing.T) {
 	if err != nil {
 		t.Fatalf("s641 DC extraction: %v", err)
 	}
-	// Registers runs at K = 1 and leaves Result.K unset.
-	want = searchCounters{SatCalls: 89, Conflicts: 256, Learned: 185, Structural: 17, Cexes: 0, Rounds: 1, NodeEquivs: 53, K: 0}
+	// Registers runs at K = 1.
+	want = searchCounters{SatCalls: 89, Conflicts: 256, Learned: 185, Structural: 17, Cexes: 0, Rounds: 1, NodeEquivs: 53, K: 1}
 	if got := countersOf(res); got != want {
 		t.Errorf("s641 DC extraction: got %+v, want %+v", got, want)
 	}

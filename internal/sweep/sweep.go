@@ -149,6 +149,7 @@ func registers(ctx context.Context, n *network.Network, k, width int, opt Option
 		return nil, err
 	}
 	res := e.result()
+	res.K = k
 	record(sp, res)
 	return res, nil
 }
