@@ -15,56 +15,46 @@ package aig
 // deterministic: transforms are enumerated in a fixed nested order and
 // ties always resolve to the first discovery.
 
-import "sync"
+import (
+	"sync"
 
-// varTT4 is the truth table of input i of a 4-variable function.
-var varTT4 = [4]uint16{0xAAAA, 0xCCCC, 0xF0F0, 0xFF00}
+	"repro/internal/cut"
+)
 
 // npnTransform is one member of the NPN group for 4 inputs: an input
-// permutation (index into npnPerms), an input negation mask, and an
+// permutation (index into cut.Perms), an input negation mask, and an
 // output negation. Applied to f it yields g with
 //
 //	g(y0..y3) = f(x0..x3) ⊕ out, where x_i = y_{perm[i]} ⊕ neg_i.
 type npnTransform struct {
-	perm uint8 // index into npnPerms
+	perm uint8 // index into cut.Perms
 	neg  uint8 // bit i: input i of f is negated
 	out  bool  // output negated
 }
 
-// npnPerms holds the 24 permutations of 4 elements in lexicographic
-// order; npnInvPerm[i] is the index of the inverse of npnPerms[i].
-var (
-	npnPerms   [24][4]uint8
-	npnInvPerm [24]uint8
-)
-
 // ttApply computes the transformed table g = T·f as defined on
-// npnTransform, by direct minterm evaluation (16 iterations — this is only
-// used at init and in tests, never in the rewrite hot loop).
+// npnTransform: negate the inputs in neg, move input i to position
+// perm[i] (cut.Permute's convention), then negate the output.
 func ttApply(tt uint16, t npnTransform) uint16 {
-	p := &npnPerms[t.perm]
-	var r uint16
-	for m := 0; m < 16; m++ {
-		src := 0
-		for i := 0; i < 4; i++ {
-			bit := int(m>>p[i]&1) ^ int(t.neg>>i&1)
-			src |= bit << i
+	for i, v := range cut.Var {
+		if t.neg>>i&1 != 0 {
+			s := 1 << i
+			tt = tt&v>>s | tt&^v<<s
 		}
-		b := tt >> src & 1
-		if t.out {
-			b ^= 1
-		}
-		r |= b << m
 	}
-	return r
+	tt = cut.Permute(tt, &cut.Perms[t.perm])
+	if t.out {
+		tt = ^tt
+	}
+	return tt
 }
 
 // invertTransform returns S with f = S·(T·f) for all f: if T = (π, ν, o)
 // then S = (π⁻¹, ν∘π⁻¹, o) — the permutation inverts, the negation mask
 // follows the inverted wires, the output flag is its own inverse.
 func invertTransform(t npnTransform) npnTransform {
-	inv := npnInvPerm[t.perm]
-	ip := &npnPerms[inv]
+	inv := cut.Inverse[t.perm]
+	ip := &cut.Perms[inv]
 	var neg uint8
 	for j := 0; j < 4; j++ {
 		neg |= ((t.neg >> ip[j]) & 1) << j
@@ -129,7 +119,6 @@ func getNPNLib() *npnLib {
 func InitLibraries() { getNPNLib() }
 
 func buildNPN() *npnLib {
-	buildPerms()
 	lib := &npnLib{
 		canon: make([]npnEntry, 1<<16),
 		cost:  make([]int8, 1<<16),
@@ -139,42 +128,6 @@ func buildNPN() *npnLib {
 	lib.buildCosts()
 	lib.buildImpls()
 	return lib
-}
-
-// buildPerms fills npnPerms with the 24 permutations in lexicographic
-// order (Heap's algorithm is not order-stable; plain recursive generation
-// is) and resolves each permutation's inverse index.
-func buildPerms() {
-	var gen func(prefix []uint8, rest []uint8)
-	idx := 0
-	var cur [4]uint8
-	gen = func(prefix, rest []uint8) {
-		if len(rest) == 0 {
-			copy(cur[:], prefix)
-			npnPerms[idx] = cur
-			idx++
-			return
-		}
-		for i := range rest {
-			next := make([]uint8, 0, len(rest)-1)
-			next = append(next, rest[:i]...)
-			next = append(next, rest[i+1:]...)
-			gen(append(prefix, rest[i]), next)
-		}
-	}
-	gen(nil, []uint8{0, 1, 2, 3})
-	for i := range npnPerms {
-		var inv [4]uint8
-		for j, v := range npnPerms[i] {
-			inv[v] = uint8(j)
-		}
-		for k := range npnPerms {
-			if npnPerms[k] == inv {
-				npnInvPerm[i] = uint8(k)
-				break
-			}
-		}
-	}
 }
 
 // buildCanon fills the canonicalization table by orbit expansion: scanning
@@ -233,11 +186,11 @@ func (lib *npnLib) buildCosts() {
 		lib.cost[^tt] = k
 	}
 	setCost(0x0000, 0)
-	for _, v := range varTT4 {
+	for _, v := range cut.Var {
 		setCost(v, 0)
 	}
 	lists := make([][]uint16, libMaxNodes+1)
-	lists[0] = varTT4[:]
+	lists[0] = cut.Var[:]
 	for k := 1; k <= libMaxNodes; k++ {
 		for i := 0; i <= (k-1)/2; i++ {
 			j := k - 1 - i
@@ -279,10 +232,10 @@ func (lib *npnLib) buildCosts() {
 func cofTT4(tt uint16, i int, pos bool) uint16 {
 	shift := uint(1) << i
 	if pos {
-		t := tt & varTT4[i]
+		t := tt & cut.Var[i]
 		return t | t>>shift
 	}
-	t := tt &^ varTT4[i]
+	t := tt &^ cut.Var[i]
 	return t | t<<shift
 }
 
@@ -312,7 +265,7 @@ func (lib *npnLib) buildImpls() {
 		}
 		var build func(t uint16) uint8
 		build = func(t uint16) uint8 {
-			for i, v := range varTT4 {
+			for i, v := range cut.Var {
 				if t == v {
 					return uint8(i << 1)
 				}
@@ -394,7 +347,7 @@ func (im *libImpl) instantiate(leaves *[4]Lit, and func(a, b Lit) Lit) Lit {
 // TestNPNInstantiationComputesCut for the end-to-end check pinning this
 // convention.
 func cutLeafLits(xf npnTransform, leafLits *[4]Lit) (mapped [4]Lit, outNeg bool) {
-	ip := &npnPerms[npnInvPerm[xf.perm]]
+	ip := &cut.Perms[cut.Inverse[xf.perm]]
 	for k := 0; k < 4; k++ {
 		src := ip[k]
 		mapped[k] = leafLits[src].NotIf(xf.neg>>src&1 != 0)

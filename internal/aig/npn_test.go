@@ -3,6 +3,8 @@ package aig
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/cut"
 )
 
 // ttOfLit evaluates a literal of a 4-PI graph as a truth table, given the
@@ -30,6 +32,45 @@ func ttOfLit(g *Graph, l Lit, piTT map[int32]uint16) uint16 {
 		t = ^t
 	}
 	return t
+}
+
+// referenceTTApply is T·f by direct minterm evaluation, the definition on
+// npnTransform.
+func referenceTTApply(tt uint16, t npnTransform) uint16 {
+	p := &cut.Perms[t.perm]
+	var r uint16
+	for m := 0; m < 16; m++ {
+		src := 0
+		for i := 0; i < 4; i++ {
+			bit := int(m>>p[i]&1) ^ int(t.neg>>i&1)
+			src |= bit << i
+		}
+		b := tt >> src & 1
+		if t.out {
+			b ^= 1
+		}
+		r |= b << m
+	}
+	return r
+}
+
+// TestTTApplyMatchesReference checks every transform of the NPN group on
+// a spread of tables against the per-minterm definition.
+func TestTTApplyMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for p := 0; p < 24; p++ {
+		for neg := 0; neg < 16; neg++ {
+			for o := 0; o < 2; o++ {
+				xf := npnTransform{perm: uint8(p), neg: uint8(neg), out: o == 1}
+				for k := 0; k < 8; k++ {
+					tt := uint16(r.Uint32())
+					if got, want := ttApply(tt, xf), referenceTTApply(tt, xf); got != want {
+						t.Fatalf("ttApply(%04x, %+v) = %04x, want %04x", tt, xf, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestNPNCanonicalTable checks the canonicalization table exhaustively:
@@ -159,7 +200,7 @@ func exhaustiveTreeCosts(bound int) map[uint16]int {
 		return true
 	}
 	add(0x0000, 0)
-	for _, v := range varTT4 {
+	for _, v := range cut.Var {
 		add(v, 0)
 	}
 	for changed := true; changed; {
@@ -218,7 +259,7 @@ func TestNPNLibraryMatchesExhaustive(t *testing.T) {
 	var leaves [4]Lit
 	for i := 0; i < 4; i++ {
 		leaves[i] = g.AddPI(string(rune('a' + i)))
-		piTT[leaves[i].Node()] = varTT4[i]
+		piTT[leaves[i].Node()] = cut.Var[i]
 	}
 	for _, rep := range lib.classes {
 		if rep == 0x0000 {
@@ -253,7 +294,7 @@ func TestNPNInstantiationComputesCut(t *testing.T) {
 	var leafLits [4]Lit
 	for i := 0; i < 4; i++ {
 		leafLits[i] = g.AddPI(string(rune('a' + i)))
-		piTT[leafLits[i].Node()] = varTT4[i]
+		piTT[leafLits[i].Node()] = cut.Var[i]
 	}
 	r := rand.New(rand.NewSource(31))
 	check := func(tt uint16) {

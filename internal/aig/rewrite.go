@@ -31,21 +31,19 @@ package aig
 import (
 	"context"
 
+	"repro/internal/cut"
 	"repro/internal/parexec"
 )
-
-// rewriteCutInputs is the cut width of the rewriting pass — fixed at 4 to
-// match the NPN library (uint16 truth tables, 222 classes).
-const rewriteCutInputs = 4
 
 // rewriteCuts is the priority-cut budget C per node.
 const rewriteCuts = 8
 
 // pcut is one priority cut: sorted leaf node ids, the root's function
-// over them (4-var table, vacuous above n), the depth of its deepest
-// leaf, and the area-flow score that ranks it.
+// over them (a padded cut table), the depth of its deepest leaf, and the
+// area-flow score that ranks it. The cut width is cut.MaxLeaves, which
+// the NPN library matches (uint16 truth tables, 222 classes).
 type pcut struct {
-	leaves [rewriteCutInputs]int32
+	leaves cut.Leaves
 	depth  int32
 	aflow  float32
 	tt     uint16
@@ -73,20 +71,6 @@ func (c *pcut) better(d *pcut) bool {
 	return false
 }
 
-// sameLeaves reports identical leaf sets (which implies identical cut
-// functions — the function is determined by the leaves).
-func (c *pcut) sameLeaves(d *pcut) bool {
-	if c.n != d.n {
-		return false
-	}
-	for i := 0; i < int(c.n); i++ {
-		if c.leaves[i] != d.leaves[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Decision kinds of the rewrite pass.
 const (
 	rwNone  = uint8(iota) // keep the node as-is
@@ -98,7 +82,7 @@ const (
 // rwDecision is one node's accepted replacement, produced read-only in
 // the parallel phase and consumed by the serial apply phase.
 type rwDecision struct {
-	leaves [rewriteCutInputs]int32
+	leaves cut.Leaves
 	repl   Lit   // rwConst/rwLeaf: substitute literal in old-graph ids
 	gain   int32 // estimated net AND savings (≥ 0 when accepted)
 	depth  int32 // estimated level of the replacement output
@@ -269,11 +253,8 @@ func (e *rwEngine) leafAreaFlow(leaf int32) float32 {
 func (e *rwEngine) enumerateCuts(id int32, f0, f1 Lit, arena *rwArena) {
 	g := e.g
 	n0, n1 := f0.Node(), f1.Node()
-	var trivial0, trivial1 pcut
-	trivial0 = pcut{n: 1, tt: varTT4[0], depth: g.levels[n0]}
-	trivial0.leaves[0] = n0
-	trivial1 = pcut{n: 1, tt: varTT4[0], depth: g.levels[n1]}
-	trivial1.leaves[0] = n1
+	trivial0 := pcut{leaves: cut.Leaves{n0}, n: 1, tt: cut.Var[0], depth: g.levels[n0]}
+	trivial1 := pcut{leaves: cut.Leaves{n1}, n: 1, tt: cut.Var[0], depth: g.levels[n1]}
 
 	cuts0 := e.cutsOf(n0)
 	cuts1 := e.cutsOf(n1)
@@ -281,33 +262,16 @@ func (e *rwEngine) enumerateCuts(id int32, f0, f1 Lit, arena *rwArena) {
 	e.cutLen[id] = 0
 
 	consider := func(c0, c1 *pcut) {
-		var merged pcut
-		i, j := 0, 0
-		for i < int(c0.n) || j < int(c1.n) {
-			var v int32
-			switch {
-			case j == int(c1.n) || (i < int(c0.n) && c0.leaves[i] < c1.leaves[j]):
-				v = c0.leaves[i]
-				i++
-			case i == int(c0.n) || c1.leaves[j] < c0.leaves[i]:
-				v = c1.leaves[j]
-				j++
-			default:
-				v = c0.leaves[i]
-				i++
-				j++
-			}
-			if int(merged.n) == rewriteCutInputs {
-				return // infeasible: union exceeds the cut width
-			}
-			merged.leaves[merged.n] = v
-			merged.n++
+		leaves, n, ok := cut.Merge(&c0.leaves, c0.n, &c1.leaves, c1.n)
+		if !ok {
+			return // infeasible: union exceeds the cut width
 		}
-		t0 := expand4(c0.tt, &c0.leaves, c0.n, &merged.leaves, merged.n)
+		merged := pcut{leaves: leaves, n: n}
+		t0, _ := cut.Stretch(c0.tt, &c0.leaves, c0.n, &leaves, n)
 		if f0.Compl() {
 			t0 = ^t0
 		}
-		t1 := expand4(c1.tt, &c1.leaves, c1.n, &merged.leaves, merged.n)
+		t1, _ := cut.Stretch(c1.tt, &c1.leaves, c1.n, &leaves, n)
 		if f1.Compl() {
 			t1 = ^t1
 		}
@@ -343,7 +307,7 @@ func (e *rwEngine) insertCut(id int32, base int, cand *pcut, arena *rwArena) {
 	ln := int(e.cutLen[id])
 	slab := e.cuts[base : base+rewriteCuts]
 	for k := 0; k < ln; k++ {
-		if slab[k].sameLeaves(cand) {
+		if slab[k].leaves == cand.leaves {
 			return // identical leaves, identical function: a duplicate
 		}
 	}
@@ -364,40 +328,6 @@ func (e *rwEngine) insertCut(id int32, base int, cand *pcut, arena *rwArena) {
 	e.cutLen[id] = uint8(ln + 1)
 }
 
-// expand4 re-expresses a table over leaf set from as a table over the
-// superset to (both sorted); variables of to absent in from are vacuous.
-func expand4(tt uint16, from *[rewriteCutInputs]int32, nFrom uint8, to *[rewriteCutInputs]int32, nTo uint8) uint16 {
-	if nFrom == nTo {
-		return tt
-	}
-	var pos [rewriteCutInputs]int8
-	j := uint8(0)
-	for i := uint8(0); i < nTo; i++ {
-		if j < nFrom && from[j] == to[i] {
-			pos[i] = int8(j)
-			j++
-		} else {
-			pos[i] = -1
-		}
-	}
-	var out uint16
-	for m := 0; m < 1<<nTo; m++ {
-		src := 0
-		for i := uint8(0); i < nTo; i++ {
-			if pos[i] >= 0 && m&(1<<i) != 0 {
-				src |= 1 << uint(pos[i])
-			}
-		}
-		out |= (tt >> src & 1) << m
-	}
-	// Replicate across the vacuous high variables so the table is a valid
-	// padded 4-var function.
-	for w := nTo; w < rewriteCutInputs; w++ {
-		out |= out << (1 << w)
-	}
-	return out
-}
-
 // decide evaluates every kept cut of the node and records the best
 // acceptable replacement: largest gain, then shallowest, then first in
 // cut order. Gains must not stretch the node past its required time, and
@@ -408,8 +338,8 @@ func (e *rwEngine) decide(id int32, arena *rwArena) {
 	req := e.req[id]
 	critical := req == lvl
 	best := rwDecision{kind: rwNone}
-	for _, cut := range e.cutsOf(id) {
-		d := e.evalCut(id, &cut, arena)
+	for _, c := range e.cutsOf(id) {
+		d := e.evalCut(id, &c, arena)
 		if d.kind == rwNone {
 			continue
 		}
@@ -429,37 +359,37 @@ func (e *rwEngine) decide(id int32, arena *rwArena) {
 // evalCut canonicalizes the cut function, prices the library structure
 // against logic the graph already has, and returns the candidate decision
 // (kind rwNone when the class has no structure — never at full coverage).
-func (e *rwEngine) evalCut(id int32, cut *pcut, arena *rwArena) rwDecision {
+func (e *rwEngine) evalCut(id int32, c *pcut, arena *rwArena) rwDecision {
 	g := e.g
-	d := rwDecision{leaves: cut.leaves, tt: cut.tt, n: cut.n, kind: rwNone}
+	d := rwDecision{leaves: c.leaves, tt: c.tt, n: c.n, kind: rwNone}
 	// Collapse cases: the cut proves the root constant or a projection of
 	// one leaf. The whole MFFC is the gain; nothing new is built.
-	switch cut.tt {
+	switch c.tt {
 	case 0x0000, 0xFFFF:
 		d.kind = rwConst
-		d.repl = False.NotIf(cut.tt == 0xFFFF)
-		d.gain = e.mffcSize(id, cut, arena)
+		d.repl = False.NotIf(c.tt == 0xFFFF)
+		d.gain = e.mffcSize(id, c, arena)
 		d.depth = 0
 		return d
 	}
-	for i := 0; i < int(cut.n); i++ {
-		if cut.tt == varTT4[i] || cut.tt == ^varTT4[i] {
+	for i := 0; i < int(c.n); i++ {
+		if c.tt == cut.Var[i] || c.tt == ^cut.Var[i] {
 			d.kind = rwLeaf
-			d.repl = MkLit(cut.leaves[i], cut.tt != varTT4[i])
-			d.gain = e.mffcSize(id, cut, arena)
-			d.depth = g.levels[cut.leaves[i]]
+			d.repl = MkLit(c.leaves[i], c.tt != cut.Var[i])
+			d.gain = e.mffcSize(id, c, arena)
+			d.depth = g.levels[c.leaves[i]]
 			return d
 		}
 	}
-	ent := e.lib.canon[cut.tt]
+	ent := e.lib.canon[c.tt]
 	impl, ok := e.lib.impls[ent.canon]
 	if !ok {
 		return d
 	}
-	saved := e.mffcSize(id, cut, arena)
+	saved := e.mffcSize(id, c, arena)
 	var leafLits [4]Lit
-	for i := 0; i < int(cut.n); i++ {
-		leafLits[i] = MkLit(cut.leaves[i], false)
+	for i := 0; i < int(c.n); i++ {
+		leafLits[i] = MkLit(c.leaves[i], false)
 	}
 	mapped, _ := cutLeafLits(ent.xf, &leafLits)
 	cost, depth := e.price(impl, &mapped, arena)
@@ -514,12 +444,12 @@ func (e *rwEngine) price(impl *libImpl, mapped *[4]Lit, arena *rwArena) (cost, d
 // maximum fanout-free cone bounded by the cut leaves, via local
 // dereference simulation over epoch-stamped fanout copies. Marks cone
 // members in the arena for price's dying-node check.
-func (e *rwEngine) mffcSize(root int32, cut *pcut, arena *rwArena) int32 {
+func (e *rwEngine) mffcSize(root int32, c *pcut, arena *rwArena) int32 {
 	g := e.g
 	arena.epoch++
 	ep := arena.epoch
-	for i := 0; i < int(cut.n); i++ {
-		arena.leafMark[cut.leaves[i]] = ep
+	for i := 0; i < int(c.n); i++ {
+		arena.leafMark[c.leaves[i]] = ep
 	}
 	arena.member[root] = ep
 	count := int32(1)

@@ -214,6 +214,45 @@ func TestRewriteCollapsesRedundantCone(t *testing.T) {
 	}
 }
 
+// TestRewritePinned pins what one pass reports and returns on the swept,
+// balanced AIGs of s5378 and s9234, as the AIG flow first rewrites them:
+// the stats and the rebuilt graph's AND count and depth. Any change to cut
+// enumeration, cut truth tables, NPN canonicalization or the acceptance
+// rule moves these numbers.
+func TestRewritePinned(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		stats RewriteStats
+		ands  int
+		depth int32
+	}{
+		{"s5378", RewriteStats{Applied: 12, Gain: 20, CutsPruned: 3144, Waves: 34}, 2382, 34},
+		{"s9234", RewriteStats{Applied: 12, Gain: 17, CutsPruned: 6565, Waves: 42}, 4459, 42},
+	} {
+		c, ok := bench.ByName(tc.name)
+		if !ok {
+			t.Fatalf("no circuit %s", tc.name)
+		}
+		src, err := c.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := FromNetwork(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Sweep()
+		ng, stats, err := g.Balance().Rewrite(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats != tc.stats || ng.NumAnds() != tc.ands || ng.Depth() != tc.depth {
+			t.Errorf("%s: %+v, %d ANDs, depth %d; want %+v, %d ANDs, depth %d",
+				tc.name, stats, ng.NumAnds(), ng.Depth(), tc.stats, tc.ands, tc.depth)
+		}
+	}
+}
+
 // TestRewriteCancellation: a pre-cancelled context aborts between waves
 // without panicking and reports the context error.
 func TestRewriteCancellation(t *testing.T) {

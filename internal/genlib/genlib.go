@@ -7,6 +7,7 @@ package genlib
 import (
 	"fmt"
 
+	"repro/internal/cut"
 	"repro/internal/logic"
 )
 
@@ -77,76 +78,31 @@ type matchKey uint32
 
 func keyOf(pins int, tt uint16) matchKey { return matchKey(pins)<<16 | matchKey(tt) }
 
-// evalTT computes a cover's truth table over n ≤ 4 variables.
-func evalTT(f *logic.Cover, n int) uint16 {
-	var tt uint16
-	assign := make([]bool, n)
-	for m := 0; m < 1<<uint(n); m++ {
-		for v := 0; v < n; v++ {
-			assign[v] = m&(1<<uint(v)) != 0
-		}
-		if f.Eval(assign) {
-			tt |= 1 << uint(m)
-		}
-	}
-	return tt
-}
-
-// permuteTT reorders truth-table variables: new variable i is old
-// variable perm[i].
-func permuteTT(tt uint16, n int, perm []int) uint16 {
-	var out uint16
-	for m := 0; m < 1<<uint(n); m++ {
-		om := 0
-		for i := 0; i < n; i++ {
-			if m&(1<<uint(i)) != 0 {
-				om |= 1 << uint(perm[i])
-			}
-		}
-		if tt&(1<<uint(om)) != 0 {
-			out |= 1 << uint(m)
-		}
-	}
-	return out
-}
-
-func permutations(n int) [][]int {
-	if n == 0 {
-		return [][]int{{}}
-	}
-	var out [][]int
-	var rec func(cur []int, used []bool)
-	rec = func(cur []int, used []bool) {
-		if len(cur) == n {
-			c := make([]int, n)
-			copy(c, cur)
-			out = append(out, c)
-			return
-		}
-		for i := 0; i < n; i++ {
-			if !used[i] {
-				used[i] = true
-				rec(append(cur, i), used)
-				used[i] = false
-			}
-		}
-	}
-	rec(nil, make([]bool, n))
-	return out
-}
-
-// CanonTT returns the minimum truth table over all input permutations and
-// the permutation achieving it (canonical variable -> original variable).
+// CanonTT returns the minimum truth table over all permutations of its
+// n ≤ 4 inputs and the permutation achieving it (canonical variable ->
+// original variable), the lexicographically first on ties.
 func CanonTT(tt uint16, n int) (uint16, []int) {
-	best := tt
-	var bestPerm []int
-	for _, p := range permutations(n) {
-		if c := permuteTT(tt, n, p); bestPerm == nil || c < best {
-			best = c
-			bestPerm = p
+	best, bestK := tt, -1
+	for k := range cut.Perms {
+		if !cut.Fixes(&cut.Perms[k], n) {
+			continue
+		}
+		if c := permuted(tt, k); bestK < 0 || c < best {
+			best, bestK = c, k
 		}
 	}
-	return best, bestPerm
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = int(cut.Perms[bestK][i])
+	}
+	return best, perm
+}
+
+// permuted reorders tt's variables so that new variable i is old variable
+// cut.Perms[k][i]; cut.Permute moves old variable i to position p[i], so
+// it takes the inverse permutation.
+func permuted(tt uint16, k int) uint16 {
+	return cut.Permute(tt, &cut.Perms[cut.Inverse[k]])
 }
 
 // NewLibrary indexes the given gates for matching.
@@ -165,7 +121,7 @@ func NewLibrary(name string, regArea float64, gates []*Gate) (*Library, error) {
 		if g.Func.N != n {
 			return nil, fmt.Errorf("genlib: gate %s: %d cover vars for %d pins", g.Name, g.Func.N, n)
 		}
-		g.tt = evalTT(g.Func, n)
+		g.tt = cut.FromCover(g.Func) & (1<<(1<<n) - 1)
 		canon, perm := CanonTT(g.tt, n)
 		key := keyOf(n, canon)
 		byCanon[key] = append(byCanon[key], canonGate{g, perm})
@@ -177,8 +133,11 @@ func NewLibrary(name string, regArea float64, gates []*Gate) (*Library, error) {
 		matches: make(map[matchKey][]Match)}
 	for _, g := range gates {
 		n := g.NumPins()
-		for _, p := range permutations(n) {
-			tt := permuteTT(g.tt, n, p)
+		for k := range cut.Perms {
+			if !cut.Fixes(&cut.Perms[k], n) {
+				continue
+			}
+			tt := permuted(g.tt, k)
 			if _, done := lib.matches[keyOf(n, tt)]; done {
 				continue
 			}

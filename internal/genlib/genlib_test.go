@@ -1,11 +1,74 @@
 package genlib
 
 import (
+	"fmt"
+	"hash/fnv"
 	"slices"
 	"testing"
 
+	"repro/internal/cut"
 	"repro/internal/logic"
 )
+
+// evalTT is the reference truth table of a cover over n ≤ 4 variables,
+// by per-minterm evaluation.
+func evalTT(f *logic.Cover, n int) uint16 {
+	var tt uint16
+	assign := make([]bool, n)
+	for m := 0; m < 1<<uint(n); m++ {
+		for v := 0; v < n; v++ {
+			assign[v] = m&(1<<uint(v)) != 0
+		}
+		if f.Eval(assign) {
+			tt |= 1 << uint(m)
+		}
+	}
+	return tt
+}
+
+// permuteTT is the reference reordering of truth-table variables: new
+// variable i is old variable perm[i].
+func permuteTT(tt uint16, n int, perm []int) uint16 {
+	var out uint16
+	for m := 0; m < 1<<uint(n); m++ {
+		om := 0
+		for i := 0; i < n; i++ {
+			if m&(1<<uint(i)) != 0 {
+				om |= 1 << uint(perm[i])
+			}
+		}
+		if tt&(1<<uint(om)) != 0 {
+			out |= 1 << uint(m)
+		}
+	}
+	return out
+}
+
+// permutations lists the permutations of n inputs in lexicographic order.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	var rec func(cur []int, used []bool)
+	rec = func(cur []int, used []bool) {
+		if len(cur) == n {
+			c := make([]int, n)
+			copy(c, cur)
+			out = append(out, c)
+			return
+		}
+		for i := 0; i < n; i++ {
+			if !used[i] {
+				used[i] = true
+				rec(append(cur, i), used)
+				used[i] = false
+			}
+		}
+	}
+	rec(nil, make([]bool, n))
+	return out
+}
 
 func TestEvalTT(t *testing.T) {
 	and2 := logic.MustParseCover(2, "11")
@@ -15,6 +78,11 @@ func TestEvalTT(t *testing.T) {
 	inv := logic.MustParseCover(1, "0")
 	if tt := evalTT(inv, 1); tt != 0x1 {
 		t.Fatalf("INV tt = %04x, want 0001", tt)
+	}
+	for _, g := range Lib2().Gates {
+		if want := evalTT(g.Func, g.NumPins()); g.TT() != want {
+			t.Fatalf("gate %s: tt %04x, reference %04x", g.Name, g.TT(), want)
+		}
 	}
 }
 
@@ -29,6 +97,30 @@ func TestPermuteTT(t *testing.T) {
 	sw := permuteTT(tt, 2, []int{1, 0})
 	if sw != 0x4 {
 		t.Fatalf("swapped tt = %04x", sw)
+	}
+	// CanonTT's permutations of n inputs are the reference ones, in order,
+	// and permuted reorders by the reference's convention.
+	for n := 0; n <= 4; n++ {
+		ps := permutations(n)
+		tt := uint16(0x6cb1) & (1<<(1<<n) - 1)
+		for k := range cut.Perms {
+			if !cut.Fixes(&cut.Perms[k], n) {
+				continue
+			}
+			p := ps[0]
+			ps = ps[1:]
+			for i := range p {
+				if int(cut.Perms[k][i]) != p[i] {
+					t.Fatalf("n=%d: permutation %v, reference %v", n, cut.Perms[k], p)
+				}
+			}
+			if got, want := permuted(tt, k), permuteTT(tt, n, p); got != want {
+				t.Fatalf("n=%d perm %v: permuted %04x, reference %04x", n, p, got, want)
+			}
+		}
+		if len(ps) != 0 {
+			t.Fatalf("n=%d: %d reference permutations left over", n, len(ps))
+		}
 	}
 }
 
@@ -191,6 +283,27 @@ func TestMatchTableEqualsReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMatchTablePinned hashes, for every table over 0..4 inputs, the gate
+// names and PinFor slices Lib2().Match returns. The reference matcher above
+// shares CanonTT with the library, so only this pin catches a change in
+// CanonTT's choice of permutation among equal minima.
+func TestMatchTablePinned(t *testing.T) {
+	lib := Lib2()
+	h := fnv.New64a()
+	for n := 0; n <= 4; n++ {
+		for tt := 0; tt < 1<<(1<<uint(n)); tt++ {
+			fmt.Fprintf(h, "%d %04x:", n, tt)
+			for _, m := range lib.Match(uint16(tt), n) {
+				fmt.Fprintf(h, " %s%v", m.G.Name, m.PinFor)
+			}
+			fmt.Fprintln(h)
+		}
+	}
+	if got, want := h.Sum64(), uint64(0x41dd585a6c5b0c8a); got != want {
+		t.Fatalf("match table hash %#016x, want %#016x", got, want)
 	}
 }
 

@@ -12,32 +12,28 @@ import (
 	"math/bits"
 	"slices"
 
+	"repro/internal/cut"
 	"repro/internal/genlib"
 	"repro/internal/guard"
-	"repro/internal/logic"
 	"repro/internal/network"
 	"repro/internal/obs"
 )
 
 const (
-	maxCutLeaves   = 4
 	maxCutsPerNode = 16
 	// cutSetSlots is a power of two at least four times the most cuts one
 	// node can merge (maxCutsPerNode squared).
 	cutSetSlots = 1024
 )
 
-// proj holds the projection tables of the four cut variables.
-var proj = [maxCutLeaves]uint16{0xAAAA, 0xCCCC, 0xF0F0, 0xFF00}
-
-// cut is a set of at most maxCutLeaves leaf node IDs sorted ascending
-// (unused slots are 0), with the truth table of its root over them (leaf i
-// is variable i). It holds no pointers, so the cut arena costs the garbage
-// collector nothing. sig has bit(id) set for every leaf; isig has bit(id)
-// set for every node of the cone's interior (the root down to, but not
-// including, the leaves) and possibly more, so a trivial cut has isig 0.
-type cut struct {
-	leaves    [maxCutLeaves]int32
+// mcut is the mapper's cut: a sorted set of at most cut.MaxLeaves leaf
+// node IDs with the truth table of its root over them. It holds no
+// pointers, so the cut arena costs the garbage collector nothing. sig has
+// bit(id) set for every leaf; isig has bit(id) set for every node of the
+// cone's interior (the root down to, but not including, the leaves) and
+// possibly more, so a trivial cut has isig 0.
+type mcut struct {
+	leaves    cut.Leaves
 	sig, isig uint64
 	tt        uint16
 	n         uint8
@@ -46,91 +42,19 @@ type cut struct {
 // bit is a node ID's signature bit.
 func bit(id int32) uint64 { return 1 << (uint32(id) & 63) }
 
-func trivialCut(id int32) cut {
-	return cut{leaves: [maxCutLeaves]int32{id}, n: 1, sig: bit(id), tt: proj[0]}
+func trivialCut(id int32) mcut {
+	return mcut{leaves: cut.Leaves{id}, n: 1, sig: bit(id), tt: cut.Var[0]}
 }
 
-// mergeCuts sets out to the union of the leaves and signatures of two
-// cuts, failing above maxCutLeaves; the caller sets tt and isig.
-func mergeCuts(out, a, b *cut) bool {
-	if bits.OnesCount64(a.sig|b.sig) > maxCutLeaves {
-		return false
-	}
-	*out = cut{sig: a.sig | b.sig}
-	i, j := 0, 0
-	for i < int(a.n) || j < int(b.n) {
-		var x int32
-		switch {
-		case j >= int(b.n) || (i < int(a.n) && a.leaves[i] < b.leaves[j]):
-			x = a.leaves[i]
-			i++
-		case i >= int(a.n) || b.leaves[j] < a.leaves[i]:
-			x = b.leaves[j]
-			j++
-		default:
-			x = a.leaves[i]
-			i++
-			j++
-		}
-		if out.n == maxCutLeaves {
-			return false
-		}
-		out.leaves[out.n] = x
-		out.n++
-	}
-	return true
-}
-
-// stretch returns a's table over the leaves of c, a superset of a's, and
-// the signature bits of the leaves of c that a lacks. Each variable moves
-// up to its position in c by adjacent swaps, highest first, so it only
-// ever swaps with variables the table does not depend on.
-func stretch(a, c *cut) (tt uint16, extra uint64) {
-	var pos [maxCutLeaves]int
-	j := 0
+// sigAt is the signature of c's leaves at the positions set in mask,
+// exact where c.sig &^ a.sig would drop a leaf whose bit collides.
+func sigAt(c *mcut, mask uint8) (sig uint64) {
 	for i, l := range c.leaves[:c.n] {
-		if j < int(a.n) && a.leaves[j] == l {
-			pos[j] = i
-			j++
-		} else {
-			extra |= bit(l)
+		if mask>>i&1 != 0 {
+			sig |= bit(l)
 		}
 	}
-	tt = a.tt
-	for k := int(a.n) - 1; k >= 0; k-- {
-		for p := k; p < pos[k]; p++ {
-			switch p {
-			case 0:
-				tt = tt&0x9999 | (tt&0x2222)<<1 | (tt&0x4444)>>1
-			case 1:
-				tt = tt&0xC3C3 | (tt&0x0C0C)<<2 | (tt&0x3030)>>2
-			default:
-				tt = tt&0xF00F | (tt&0x00F0)<<4 | (tt&0x0F00)>>4
-			}
-		}
-	}
-	return tt, extra
-}
-
-// localTT is the table of v's function over its fanins (fanin i is
-// variable i); v has at most maxCutLeaves fanins.
-func localTT(v *network.Node) uint16 {
-	var out uint16
-	for _, c := range v.Func.Cubes {
-		cube := uint16(0xFFFF)
-		for pin := 0; pin < c.N; pin++ {
-			switch c.Lit(pin) {
-			case logic.LitPos:
-				cube &= proj[pin]
-			case logic.LitNeg:
-				cube &= ^proj[pin]
-			case logic.LitNone:
-				cube = 0
-			}
-		}
-		out |= cube
-	}
-	return out
+	return sig
 }
 
 // apply evaluates a local table on the tables of its len(in) fanins.
@@ -158,7 +82,7 @@ func apply(local uint16, in ...uint16) uint16 {
 // id's table over the current cut while stamp[id] == epoch, so no
 // evaluation has to clear the arrays.
 type coneEval struct {
-	local []uint16 // node ID -> localTT, for logic nodes of ≤ 4 fanins
+	local []uint16 // node ID -> table over its fanins, for logic nodes of ≤ 4 fanins
 	stamp []uint32
 	memo  []uint16
 	epoch uint32
@@ -166,10 +90,10 @@ type coneEval struct {
 
 // tt evaluates the truth table of v over the leaves of c; false means the
 // cone escapes the cut.
-func (e *coneEval) tt(v *network.Node, c *cut) (uint16, bool) {
+func (e *coneEval) tt(v *network.Node, c *mcut) (uint16, bool) {
 	e.epoch++
 	for i, l := range c.leaves[:c.n] {
-		e.stamp[l], e.memo[l] = e.epoch, proj[i]
+		e.stamp[l], e.memo[l] = e.epoch, cut.Var[i]
 	}
 	return e.eval(v)
 }
@@ -178,12 +102,12 @@ func (e *coneEval) eval(x *network.Node) (uint16, bool) {
 	if e.stamp[x.ID] == e.epoch {
 		return e.memo[x.ID], true
 	}
-	// A node of more than maxCutLeaves fanins has no cut, so mapping stops
-	// there before any cone can contain it.
-	if x.Kind != network.KindLogic || len(x.Fanins) > maxCutLeaves {
+	// A node of more than cut.MaxLeaves fanins has no cut, so mapping
+	// stops there before any cone can contain it.
+	if x.Kind != network.KindLogic || len(x.Fanins) > cut.MaxLeaves {
 		return 0, false // cone escapes the cut
 	}
-	var in [maxCutLeaves]uint16
+	var in [cut.MaxLeaves]uint16
 	for i, fi := range x.Fanins {
 		t, ok := e.eval(fi)
 		if !ok {
@@ -202,22 +126,21 @@ type cutSet struct {
 	epoch uint32
 	slots [cutSetSlots]struct {
 		epoch  uint32
-		n      uint8
-		leaves [maxCutLeaves]int32
+		leaves cut.Leaves
 	}
 }
 
 // insert adds c's leaves, reporting false if they were already present.
-func (t *cutSet) insert(c *cut) bool {
+func (t *cutSet) insert(c *mcut) bool {
 	l := c.leaves
 	h := uint32(l[0])*0x9E3779B1 + uint32(l[1])*0x85EBCA77 + uint32(l[2])*0xC2B2AE3D + uint32(l[3])*0x27D4EB2F
 	for i := (h ^ h>>16) & (cutSetSlots - 1); ; i = (i + 1) & (cutSetSlots - 1) {
 		sl := &t.slots[i]
 		if sl.epoch != t.epoch {
-			sl.epoch, sl.n, sl.leaves = t.epoch, c.n, l
+			sl.epoch, sl.leaves = t.epoch, l
 			return true
 		}
-		if sl.n == c.n && sl.leaves == l {
+		if sl.leaves == l {
 			return false
 		}
 	}
@@ -225,7 +148,7 @@ func (t *cutSet) insert(c *cut) bool {
 
 // choice is a node's best cover; match.G is nil for a node not mapped.
 type choice struct {
-	cut   cut
+	cut   mcut
 	match genlib.Match
 	arr   float64
 	area  float64
@@ -258,13 +181,13 @@ type mapState struct {
 	nodes []*network.Node // node ID -> node, for extract
 	// cuts[id] is node id's kept cuts, carved from block: pointer-free
 	// arena blocks that fill up and are never copied.
-	cuts  [][]cut
-	block []cut
+	cuts  [][]mcut
+	block []mcut
 	arr   []float64
 	best  []choice
 	cone  coneEval
 	seen  cutSet
-	cand  []cut
+	cand  []mcut
 
 	cutsEnumerated, candidatesTried int
 }
@@ -277,7 +200,7 @@ func newMapState(n *network.Network, lib *genlib.Library) *mapState {
 	s := &mapState{
 		lib:   lib,
 		nodes: make([]*network.Node, size),
-		cuts:  make([][]cut, size),
+		cuts:  make([][]mcut, size),
 		arr:   make([]float64, size),
 		best:  make([]choice, size),
 		cone: coneEval{local: make([]uint16, size), stamp: make([]uint32, size),
@@ -285,17 +208,17 @@ func newMapState(n *network.Network, lib *genlib.Library) *mapState {
 	}
 	for _, v := range n.Nodes() {
 		s.nodes[v.ID] = v
-		if v.Kind == network.KindLogic && len(v.Fanins) <= maxCutLeaves {
-			s.cone.local[v.ID] = localTT(v)
+		if v.Kind == network.KindLogic && len(v.Fanins) <= cut.MaxLeaves {
+			s.cone.local[v.ID] = cut.FromCover(v.Func)
 		}
 	}
 	return s
 }
 
 // carve returns an empty cut list of capacity n from the arena.
-func (s *mapState) carve(n int) []cut {
+func (s *mapState) carve(n int) []mcut {
 	if cap(s.block)-len(s.block) < n {
-		s.block = make([]cut, 0, min(max(2*cap(s.block), 256), 4096))
+		s.block = make([]mcut, 0, min(max(2*cap(s.block), 256), 4096))
 	}
 	start := len(s.block)
 	s.block = s.block[:start+n]
@@ -335,7 +258,7 @@ func (s *mapState) run(ctx context.Context, n *network.Network) error {
 			if len(m) == 0 {
 				return fmt.Errorf("mapper: library lacks tie cells")
 			}
-			s.best[v.ID] = choice{cut: cut{tt: tt}, match: m[0], area: m[0].G.Area}
+			s.best[v.ID] = choice{cut: mcut{tt: tt}, match: m[0], area: m[0].G.Area}
 			s.keepTrivial(v)
 			continue
 		}
@@ -370,7 +293,7 @@ func (s *mapState) run(ctx context.Context, n *network.Network) error {
 		// Keep a bounded cut set for consumers: the trivial cut, then the
 		// candidates by leaf count, stable in enumeration order.
 		kept := append(s.carve(min(len(cand)+1, maxCutsPerNode)), trivialCut(int32(v.ID)))
-		for k := uint8(1); k <= maxCutLeaves; k++ {
+		for k := uint8(1); k <= cut.MaxLeaves; k++ {
 			for i := 0; i < len(cand) && len(kept) < maxCutsPerNode; i++ {
 				if cand[i].n == k {
 					kept = append(kept, cand[i])
@@ -392,7 +315,7 @@ func (s *mapState) run(ctx context.Context, n *network.Network) error {
 // merge adds to a fanin cut lies inside that cut's cone, tested against
 // its interior signature. Otherwise, and for wider nodes, the cone is
 // evaluated.
-func (s *mapState) enumerate(v *network.Node) []cut {
+func (s *mapState) enumerate(v *network.Node) []mcut {
 	s.cand = s.cand[:0]
 	vbit := bit(int32(v.ID))
 	local := s.cone.local[v.ID]
@@ -412,13 +335,18 @@ func (s *mapState) enumerate(v *network.Node) []cut {
 			a := &cuts0[i0]
 			for i1 := range cuts1 {
 				b := &cuts1[i1]
-				var c cut
-				if !mergeCuts(&c, a, b) || !s.seen.insert(&c) {
+				sig := a.sig | b.sig
+				if bits.OnesCount64(sig) > cut.MaxLeaves {
 					continue
 				}
-				ta, extraA := stretch(a, &c)
-				tb, extraB := stretch(b, &c)
-				if extraA&a.isig == 0 && extraB&b.isig == 0 {
+				leaves, n, ok := cut.Merge(&a.leaves, a.n, &b.leaves, b.n)
+				c := mcut{leaves: leaves, n: n, sig: sig}
+				if !ok || !s.seen.insert(&c) {
+					continue
+				}
+				ta, addedA := cut.Stretch(a.tt, &a.leaves, a.n, &leaves, n)
+				tb, addedB := cut.Stretch(b.tt, &b.leaves, b.n, &leaves, n)
+				if sigAt(&c, addedA)&a.isig == 0 && sigAt(&c, addedB)&b.isig == 0 {
 					c.tt = apply(local, ta, tb)
 				} else if tt, ok := s.cone.tt(v, &c); ok {
 					c.tt = tt
@@ -432,10 +360,10 @@ func (s *mapState) enumerate(v *network.Node) []cut {
 		}
 	default:
 		// Wider nodes: immediate-fanin cut only.
-		if len(v.Fanins) > maxCutLeaves {
+		if len(v.Fanins) > cut.MaxLeaves {
 			break
 		}
-		c := cut{n: uint8(len(v.Fanins)), isig: vbit}
+		c := mcut{n: uint8(len(v.Fanins)), isig: vbit}
 		for i, fi := range v.Fanins {
 			c.leaves[i] = int32(fi.ID)
 			c.sig |= bit(c.leaves[i])
@@ -503,7 +431,7 @@ func (s *mapState) extract(n *network.Network) (*network.Network, error) {
 		// Node function: gate function re-expressed over fanin order.
 		// Gate pin bc.match.PinFor[i] is driven by fanin i.
 		gf := bc.match.G.Func
-		var pins [maxCutLeaves]int
+		var pins [cut.MaxLeaves]int
 		varMap := pins[:gf.N]
 		for i := 0; i < len(fanins); i++ {
 			varMap[bc.match.PinFor[i]] = i

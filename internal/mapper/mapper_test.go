@@ -12,6 +12,7 @@ import (
 	"repro/internal/algebraic"
 	"repro/internal/bench"
 	"repro/internal/bitsim"
+	"repro/internal/cut"
 	"repro/internal/genlib"
 	"repro/internal/guard"
 	"repro/internal/logic"
@@ -264,7 +265,7 @@ func checkConeTTs(t *testing.T, n *network.Network) *mapState {
 }
 
 // leafNodes maps a cut's leaf IDs back to nodes.
-func (s *mapState) leafNodes(c *cut) []*network.Node {
+func (s *mapState) leafNodes(c *mcut) []*network.Node {
 	leaves := make([]*network.Node, c.n)
 	for i, id := range c.leaves[:c.n] {
 		leaves[i] = s.nodes[id]
@@ -289,9 +290,9 @@ func TestConeTTStopsAtLeaves(t *testing.T) {
 	s := checkConeTTs(t, n)
 	// Leaves a, b, c, x are variables 0..3, so x' + c = ^0xFF00 | 0xF0F0.
 	const xNotOrC = ^uint16(0xFF00) | 0xF0F0
-	want := [maxCutLeaves]int32{int32(a.ID), int32(b.ID), int32(c.ID), int32(x.ID)}
+	want := cut.Leaves{int32(a.ID), int32(b.ID), int32(c.ID), int32(x.ID)}
 	for _, cu := range s.enumerate(y) {
-		if cu.n == maxCutLeaves && cu.leaves == want {
+		if cu.n == cut.MaxLeaves && cu.leaves == want {
 			if cu.tt != xNotOrC {
 				t.Fatalf("tt over {a,b,c,x} = %04x, want %04x", cu.tt, xNotOrC)
 			}
@@ -374,17 +375,18 @@ func composition(s *mapState, n *network.Network) (needCone, falseAlarm int) {
 		for i0 := range cuts0 {
 			for i1 := range cuts1 {
 				a, b := &cuts0[i0], &cuts1[i1]
-				var c cut
-				if !mergeCuts(&c, a, b) {
+				leaves, n, ok := cut.Merge(&a.leaves, a.n, &b.leaves, b.n)
+				if !ok {
 					continue
 				}
-				ta, extraA := stretch(a, &c)
-				tb, extraB := stretch(b, &c)
+				c := mcut{leaves: leaves, n: n}
+				ta, addedA := cut.Stretch(a.tt, &a.leaves, a.n, &leaves, n)
+				tb, addedB := cut.Stretch(b.tt, &b.leaves, b.n, &leaves, n)
 				want, _ := referenceConeTT(v, s.leafNodes(&c))
 				switch {
 				case apply(local, ta, tb) != want:
 					needCone++
-				case extraA&a.isig != 0 || extraB&b.isig != 0:
+				case sigAt(&c, addedA)&a.isig != 0 || sigAt(&c, addedB)&b.isig != 0:
 					falseAlarm++
 				}
 			}
