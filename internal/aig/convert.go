@@ -23,55 +23,82 @@ import (
 // cover is factored cube by cube.
 func FromNetwork(n *network.Network) (*Graph, error) {
 	g := New(n.Name)
-	lits := make(map[*network.Node]Lit, len(n.Nodes()))
+	lits := newNodeLits(n)
 	for _, pi := range n.PIs {
-		lits[pi] = g.AddPI(pi.Name)
+		lits[pi.ID] = g.AddPI(pi.Name)
 	}
 	for _, l := range n.Latches {
-		lits[l.Output] = g.AddLatch(l.Name, l.Init)
+		lits[l.Output.ID] = g.AddLatch(l.Name, l.Init)
 	}
-	if err := g.buildLogic(n, lits); err != nil {
+	next, outs, err := g.buildLogic(n, lits)
+	if err != nil {
 		return nil, fmt.Errorf("aig: FromNetwork: %w", err)
 	}
-	for _, po := range n.POs {
-		l, ok := lits[po.Driver]
-		if !ok {
-			return nil, fmt.Errorf("aig: FromNetwork: PO %s driver not built", po.Name)
-		}
-		g.AddPO(po.Name, l)
+	for i, po := range n.POs {
+		g.AddPO(po.Name, outs[i])
 	}
-	for i, la := range n.Latches {
-		l, ok := lits[la.Driver]
-		if !ok {
-			return nil, fmt.Errorf("aig: FromNetwork: latch %s driver not built", la.Name)
-		}
+	for i, l := range next {
 		g.SetLatchNext(i, l)
 	}
 	return g, nil
 }
 
+// nodeLits maps a network's Node.IDs to their literals; noLit marks a node
+// not built yet.
+type nodeLits []Lit
+
+const noLit = ^Lit(0)
+
+func newNodeLits(n *network.Network) nodeLits {
+	lits := make(nodeLits, n.NumIDs())
+	for i := range lits {
+		lits[i] = noLit
+	}
+	return lits
+}
+
+func (m nodeLits) get(v *network.Node) (Lit, error) {
+	if v == nil || v.ID >= len(m) || m[v.ID] == noLit {
+		return 0, fmt.Errorf("%v not built", v)
+	}
+	return m[v.ID], nil
+}
+
 // buildLogic factors every logic node of n into g in topological order,
-// extending lits (which must already map every PI and latch output).
-func (g *Graph) buildLogic(n *network.Network, lits map[*network.Node]Lit) error {
+// extending lits (which must already map every PI and latch output), and
+// returns the literals of n's latch drivers and of its POs.
+func (g *Graph) buildLogic(n *network.Network, lits nodeLits) (next, outs []Lit, err error) {
 	order, err := n.TopoOrder()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
+	var fanins []Lit
 	for _, v := range order {
-		if v.Kind != network.KindLogic {
-			continue
-		}
-		fanins := make([]Lit, len(v.Fanins))
-		for i, fi := range v.Fanins {
-			fl, ok := lits[fi]
-			if !ok {
-				return fmt.Errorf("fanin %s of %s not yet built", fi.Name, v.Name)
+		fanins = fanins[:0]
+		for _, fi := range v.Fanins {
+			fl, err := lits.get(fi)
+			if err != nil {
+				return nil, nil, fmt.Errorf("fanin of %s: %w", v.Name, err)
 			}
-			fanins[i] = fl
+			fanins = append(fanins, fl)
 		}
-		lits[v] = g.cover(v.Func, fanins)
+		lits[v.ID] = g.cover(v.Func, fanins)
 	}
-	return nil
+	for _, l := range n.Latches {
+		d, err := lits.get(l.Driver)
+		if err != nil {
+			return nil, nil, fmt.Errorf("driver of latch %s: %w", l.Name, err)
+		}
+		next = append(next, d)
+	}
+	for _, po := range n.POs {
+		d, err := lits.get(po.Driver)
+		if err != nil {
+			return nil, nil, fmt.Errorf("driver of PO %s: %w", po.Name, err)
+		}
+		outs = append(outs, d)
+	}
+	return next, outs, nil
 }
 
 // ProductPO pairs the two literals of one name-matched primary output in
@@ -98,49 +125,31 @@ func FromProduct(a, b *network.Network) (*Graph, []ProductPO, error) {
 		return nil, nil, fmt.Errorf("aig: FromProduct: %w", err)
 	}
 	g := New(a.Name + "*" + b.Name)
-	litsA := make(map[*network.Node]Lit, len(a.Nodes()))
-	litsB := make(map[*network.Node]Lit, len(b.Nodes()))
+	litsA, litsB := newNodeLits(a), newNodeLits(b)
 	for i, pi := range a.PIs {
-		litsA[pi] = g.AddPI(pi.Name)
-		litsB[b.PIs[p.PI[i]]] = litsA[pi]
+		litsA[pi.ID] = g.AddPI(pi.Name)
+		litsB[b.PIs[p.PI[i]].ID] = litsA[pi.ID]
 	}
 	for _, l := range a.Latches {
-		litsA[l.Output] = g.AddLatch("a/"+l.Name, l.Init)
+		litsA[l.Output.ID] = g.AddLatch("a/"+l.Name, l.Init)
 	}
 	for _, l := range b.Latches {
-		litsB[l.Output] = g.AddLatch("b/"+l.Name, l.Init)
+		litsB[l.Output.ID] = g.AddLatch("b/"+l.Name, l.Init)
 	}
-	if err := g.buildLogic(a, litsA); err != nil {
+	nextA, outsA, err := g.buildLogic(a, litsA)
+	if err != nil {
 		return nil, nil, fmt.Errorf("aig: FromProduct: %s: %w", a.Name, err)
 	}
-	if err := g.buildLogic(b, litsB); err != nil {
+	nextB, outsB, err := g.buildLogic(b, litsB)
+	if err != nil {
 		return nil, nil, fmt.Errorf("aig: FromProduct: %s: %w", b.Name, err)
 	}
-	for i, la := range a.Latches {
-		l, ok := litsA[la.Driver]
-		if !ok {
-			return nil, nil, fmt.Errorf("aig: FromProduct: latch %s driver not built", la.Name)
-		}
+	for i, l := range append(nextA, nextB...) {
 		g.SetLatchNext(i, l)
-	}
-	for j, lb := range b.Latches {
-		l, ok := litsB[lb.Driver]
-		if !ok {
-			return nil, nil, fmt.Errorf("aig: FromProduct: latch %s driver not built", lb.Name)
-		}
-		g.SetLatchNext(len(a.Latches)+j, l)
 	}
 	var pairs []ProductPO
 	for i, pa := range a.POs {
-		pb := b.POs[p.PO[i]]
-		la, ok := litsA[pa.Driver]
-		if !ok {
-			return nil, nil, fmt.Errorf("aig: FromProduct: PO %s driver not built", pa.Name)
-		}
-		lb, ok := litsB[pb.Driver]
-		if !ok {
-			return nil, nil, fmt.Errorf("aig: FromProduct: PO %s driver not built", pb.Name)
-		}
+		la, lb := outsA[i], outsB[p.PO[i]]
 		g.AddPO("a/"+pa.Name, la)
 		g.AddPO("b/"+pa.Name, lb)
 		pairs = append(pairs, ProductPO{Name: pa.Name, A: la, B: lb})

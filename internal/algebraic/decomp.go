@@ -19,26 +19,25 @@ func DecomposeBalanced(n *network.Network) error {
 	if err != nil {
 		return err
 	}
-	arrival := make(map[*network.Node]float64)
-	for _, p := range n.PIs {
-		arrival[p] = 0
-	}
-	for _, l := range n.Latches {
-		arrival[l.Output] = 0
+	// Per-node state, indexed by Node.ID. Only this pass adds nodes, and
+	// newNode appends each one's entries as AddLogic numbers it next.
+	// Sources keep arrival 0.
+	arrival := make([]float64, n.NumIDs())
+	invOf := make([]*network.Node, n.NumIDs()) // the shared inverter of a node
+	newNode := func(name string, fanins []*network.Node, f *logic.Cover, arr float64) *network.Node {
+		arrival, invOf = append(arrival, arr), append(invOf, nil)
+		return n.AddLogic(name, fanins, f.Clone())
 	}
 	inv := logic.MustParseCover(1, "0")
 	and := logic.MustParseCover(2, "11")
 	or := logic.MustParseCover(2, "1-", "-1")
 	// Shared inverters, one per inverted source, created on demand.
-	invOf := make(map[*network.Node]*network.Node)
 	getInv := func(src *network.Node) *network.Node {
-		if iv, ok := invOf[src]; ok {
-			return iv
+		if invOf[src.ID] == nil {
+			iv := newNode(src.Name+"_not", []*network.Node{src}, inv, arrival[src.ID]+1)
+			invOf[src.ID] = iv
 		}
-		iv := n.AddLogic(src.Name+"_not", []*network.Node{src}, inv.Clone())
-		arrival[iv] = arrival[src] + 1
-		invOf[src] = iv
-		return iv
+		return invOf[src.ID]
 	}
 	type operand struct {
 		node *network.Node
@@ -50,13 +49,8 @@ func DecomposeBalanced(n *network.Network) error {
 		for len(ops) > 1 {
 			sort.SliceStable(ops, func(i, j int) bool { return ops[i].arr < ops[j].arr })
 			a, b := ops[0], ops[1]
-			g := n.AddLogic("", []*network.Node{a.node, b.node}, f.Clone())
-			na := a.arr
-			if b.arr > na {
-				na = b.arr
-			}
-			op := operand{g, na + 1}
-			arrival[g] = op.arr
+			na := max(a.arr, b.arr) + 1
+			op := operand{newNode("", []*network.Node{a.node, b.node}, f, na), na}
 			ops = append([]operand{op}, ops[2:]...)
 		}
 		return ops[0]
@@ -68,23 +62,21 @@ func DecomposeBalanced(n *network.Network) error {
 			if len(v.Fanins) > 0 {
 				n.SetFunction(v, nil, logic.Zero(0))
 			}
-			arrival[v] = 0
+			arrival[v.ID] = 0
 			continue
 		}
 		if v.Func.HasFullCube() {
 			n.SetFunction(v, nil, logic.One(0))
-			arrival[v] = 0
+			arrival[v.ID] = 0
 			continue
 		}
 		// Inverters and buffers pass through unchanged.
 		if isInvOrBuf(v.Func) {
 			a := 0.0
 			for _, fi := range v.Fanins {
-				if arrival[fi] > a {
-					a = arrival[fi]
-				}
+				a = max(a, arrival[fi.ID])
 			}
-			arrival[v] = a + 1
+			arrival[v.ID] = a + 1
 			continue
 		}
 		var cubeRoots []operand
@@ -94,10 +86,10 @@ func DecomposeBalanced(n *network.Network) error {
 				fi := v.Fanins[pin]
 				switch c.Lit(pin) {
 				case logic.LitPos:
-					lits = append(lits, operand{fi, arrival[fi]})
+					lits = append(lits, operand{fi, arrival[fi.ID]})
 				case logic.LitNeg:
 					iv := getInv(fi)
-					lits = append(lits, operand{iv, arrival[iv]})
+					lits = append(lits, operand{iv, arrival[iv.ID]})
 				}
 			}
 			if len(lits) == 0 {
@@ -115,7 +107,7 @@ func DecomposeBalanced(n *network.Network) error {
 				n.RemoveDeadNode(v)
 			}
 		}
-		arrival[root.node] = root.arr
+		arrival[root.node.ID] = root.arr
 	}
 	n.Sweep()
 	return nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/blif"
@@ -16,17 +17,23 @@ import (
 
 // referenceEliminate is Eliminate without the composition memo: every
 // candidate recomposes every consumer. It is the oracle the memoised pass
-// must match exactly.
-func referenceEliminate(ctx context.Context, n *network.Network, threshold int) (int, error) {
-	count := 0
+// must match exactly. It visits a private copy of the node list and, with
+// shift set, deletes each removed node from the copy's live prefix in
+// place, the visit order Eliminate documents; without shift it visits
+// every node of the list. It returns the eliminations of each pass.
+func referenceEliminate(ctx context.Context, n *network.Network, threshold int, shift bool) ([]int, error) {
+	var passes []int
 	for {
-		progress := false
-		for _, g := range n.Nodes() {
+		count := 0
+		order := slices.Clone(n.Nodes())
+		live := len(order)
+		for i := 0; i < len(order); i++ {
+			g := order[i]
 			if g.Kind != network.KindLogic {
 				continue
 			}
 			if err := guard.Check(ctx, "algebraic.eliminate"); err != nil {
-				return count, err
+				return append(passes, count), err
 			}
 			if n.FindNode(g.Name) != g {
 				continue
@@ -56,13 +63,17 @@ func referenceEliminate(ctx context.Context, n *network.Network, threshold int) 
 			}
 			if n.NumFanouts(g) == 0 {
 				n.RemoveDeadNode(g)
+				if p := slices.Index(order[:live], g); shift && p >= 0 {
+					copy(order[p:live-1], order[p+1:live])
+					live--
+				}
 			}
 			count++
-			progress = true
 		}
-		if !progress {
-			return count, nil
+		if count == 0 {
+			return passes, nil
 		}
+		passes = append(passes, count)
 	}
 }
 
@@ -172,7 +183,11 @@ func TestEliminateMatchesReference(t *testing.T) {
 	eliminated := 0
 	for _, tc := range cases {
 		want := tc.net.Clone()
-		wantCount, wantErr := referenceEliminate(context.Background(), want, tc.threshold)
+		passes, wantErr := referenceEliminate(context.Background(), want, tc.threshold, true)
+		wantCount := 0
+		for _, k := range passes {
+			wantCount += k
+		}
 		got := tc.net.Clone()
 		gotCount, gotErr := Eliminate(context.Background(), got, tc.threshold)
 		if gotErr != nil || wantErr != nil {
@@ -207,6 +222,62 @@ func BenchmarkEliminate(b *testing.B) {
 		b.StartTimer()
 		if _, err := Eliminate(context.Background(), n, 0); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestEliminateSkipsAfterRemoval pins Eliminate's visit order on two
+// hand-built networks, at threshold 0. In a pass, the node after each
+// removed one is skipped until the next pass.
+//   - chain: x = a', w = b', y = x·w drives the output. Removing x skips w,
+//     so the first pass eliminates one node, not two.
+//   - constant: p = s·a, k = 1, q = k·a + b and r = k + q + p, which drives
+//     the output and register s. Removing p skips k, so q is eliminated
+//     into r before the next pass collapses k. Visiting k right away would
+//     make r constant and strand q: two eliminations, not three.
+func TestEliminateSkipsAfterRemoval(t *testing.T) {
+	chain := func() *network.Network {
+		n := network.New("chain")
+		a, b := n.AddPI("a"), n.AddPI("b")
+		x := n.AddLogic("x", []*network.Node{a}, logic.MustParseCover(1, "0"))
+		w := n.AddLogic("w", []*network.Node{b}, logic.MustParseCover(1, "0"))
+		n.AddPO("o", n.AddLogic("y", []*network.Node{x, w}, logic.MustParseCover(2, "11")))
+		return n
+	}
+	constant := func() *network.Network {
+		n := network.New("constant")
+		a, b := n.AddPI("a"), n.AddPI("b")
+		s := n.AddLatch("s", nil, network.V0)
+		p := n.AddLogic("p", []*network.Node{s.Output, a}, logic.MustParseCover(2, "11"))
+		k := n.AddConst("k", true)
+		q := n.AddLogic("q", []*network.Node{k, a, b}, logic.MustParseCover(3, "11-", "--1"))
+		r := n.AddLogic("r", []*network.Node{k, q, p}, logic.MustParseCover(3, "1--", "-1-", "--1"))
+		s.Driver = r
+		n.AddPO("o", r)
+		return n
+	}
+	for _, tc := range []struct {
+		name              string
+		build             func() *network.Network
+		shifted, visitAll []int // eliminations per pass
+	}{
+		{"chain", chain, []int{1, 1}, []int{2}},
+		{"constant", constant, []int{2, 1}, []int{2}},
+	} {
+		want := tc.build()
+		shifted, _ := referenceEliminate(context.Background(), want, 0, true)
+		visitAll, _ := referenceEliminate(context.Background(), tc.build(), 0, false)
+		if !slices.Equal(shifted, tc.shifted) || !slices.Equal(visitAll, tc.visitAll) {
+			t.Fatalf("%s: eliminations per pass %v shifted and %v visiting all, want %v and %v",
+				tc.name, shifted, visitAll, tc.shifted, tc.visitAll)
+		}
+		got := tc.build()
+		count, err := Eliminate(context.Background(), got, 0)
+		if err != nil || count != tc.shifted[0]+tc.shifted[1] {
+			t.Fatalf("%s: Eliminate = %d, %v; want %d", tc.name, count, err, tc.shifted[0]+tc.shifted[1])
+		}
+		if g, w := writeBLIF(t, got), writeBLIF(t, want); !bytes.Equal(g, w) {
+			t.Fatalf("%s: networks differ after eliminate:\n%s\nwant\n%s", tc.name, g, w)
 		}
 	}
 }

@@ -41,34 +41,42 @@ func SimplifyNodes(n *network.Network) int {
 // call made to it, and rewriting a consumer drops its entries. Nothing
 // else writes the network while Eliminate runs, so a hit returns what
 // composing afresh would. A memo rather than a worklist, because the
-// output depends on the visit order: the loop ranges over n.Nodes() while
-// RemoveDeadNode shifts that slice in place, which skips the node after
-// each removed one until the next pass.
+// output depends on the visit order.
+//
+// A pass visits the node list as it stood at the start of the pass, as
+// though each removal shifted the rest of the list down in place: the
+// node after each removed one is skipped until the next pass, and once
+// the shifted list runs out, the remaining visits all see its last node.
 func Eliminate(ctx context.Context, n *network.Network, threshold int) (int, error) {
 	type composition struct {
+		g        *network.Node
 		gVersion int
 		fanins   []*network.Node
 		cover    *logic.Cover
 	}
-	memo := make(map[*network.Node]map[*network.Node]composition)
-	version := make(map[*network.Node]int)
+	// memo[c.ID] lists consumer c's compositions, one per fanin g, and
+	// version is indexed by Node.ID too; Eliminate adds no node.
+	memo := make([][]composition, n.NumIDs())
+	version := make([]int, n.NumIDs())
 	compose := func(c, g *network.Node) ([]*network.Node, *logic.Cover) {
-		byG := memo[c]
-		if e, ok := byG[g]; ok && e.gVersion == version[g] {
-			return e.fanins, e.cover
+		for _, e := range memo[c.ID] {
+			if e.g == g && e.gVersion == version[g.ID] {
+				return e.fanins, e.cover
+			}
 		}
 		nf, nc := composedFunction(c, g)
-		if byG == nil {
-			byG = make(map[*network.Node]composition)
-			memo[c] = byG
-		}
-		byG[g] = composition{version[g], nf, nc}
+		memo[c.ID] = append(memo[c.ID], composition{g, version[g.ID], nf, nc})
 		return nf, nc
 	}
+	var newFanins [][]*network.Node
+	var newCovers []*logic.Cover
 	count := 0
 	for {
 		progress := false
-		for _, g := range n.Nodes() {
+		nodes := n.Nodes()
+		skip := 0 // removals so far this pass, while the shifted list lasts
+		for i := range nodes {
+			g := nodes[min(i+skip, len(nodes)-1)]
 			if g.Kind != network.KindLogic {
 				continue
 			}
@@ -87,26 +95,27 @@ func Eliminate(ctx context.Context, n *network.Network, threshold int) (int, err
 			}
 			// Estimate the literal delta of collapsing g everywhere.
 			delta := -g.Func.NumLits()
-			newCovers := make(map[*network.Node]*logic.Cover, len(consumers))
-			newFanins := make(map[*network.Node][]*network.Node, len(consumers))
+			newFanins, newCovers = newFanins[:0], newCovers[:0]
 			for _, c := range consumers {
 				nf, nc := compose(c, g)
-				newCovers[c] = nc
-				newFanins[c] = nf
+				newFanins, newCovers = append(newFanins, nf), append(newCovers, nc)
 				delta += nc.NumLits() - c.Func.NumLits()
 			}
 			if delta > threshold {
 				continue
 			}
-			for _, c := range consumers {
-				n.SetFunction(c, newFanins[c], newCovers[c])
+			for k, c := range consumers {
+				n.SetFunction(c, newFanins[k], newCovers[k])
 				n.TrimFanins(c)
-				version[c]++
-				delete(memo, c)
+				version[c.ID]++
+				memo[c.ID] = memo[c.ID][:0]
 			}
 			if n.NumFanouts(g) == 0 {
 				n.RemoveDeadNode(g)
-				delete(memo, g)
+				memo[g.ID] = nil
+				if i+skip < len(nodes) {
+					skip++
+				}
 			}
 			count++
 			progress = true

@@ -152,9 +152,9 @@ func TestSyntheticHasFeedbackAndStems(t *testing.T) {
 		for _, l := range n.Latches {
 			if n.NumFanouts(l.Output) >= 2 {
 				// Feedback: driver cone reaches some register output.
-				tfi := n.TransitiveFanin(l.Driver)
+				tfi := transitiveFanin(n, l.Driver)
 				for _, l2 := range n.Latches {
-					if tfi[l2.Output] {
+					if tfi[l2.Output.ID] {
 						found = true
 						break
 					}
@@ -213,9 +213,9 @@ func TestPipelineExampleIsFeedForward(t *testing.T) {
 	n := BuildPipelineExample()
 	dep := map[*network.Latch][]*network.Latch{}
 	for _, a := range n.Latches {
-		tfi := n.TransitiveFanin(a.Driver)
+		tfi := transitiveFanin(n, a.Driver)
 		for _, b := range n.Latches {
-			if tfi[b.Output] {
+			if tfi[b.Output.ID] {
 				dep[a] = append(dep[a], b)
 			}
 		}
@@ -259,4 +259,20 @@ func TestSingleFanoutExampleProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	var _ *network.Network = n
+}
+
+// transitiveFanin returns the combinational transitive fanin of v
+// (inclusive), stopping at sources, as a set indexed by Node.ID.
+func transitiveFanin(n *network.Network, v *network.Node) []bool {
+	seen := make([]bool, n.NumIDs())
+	for stack := []*network.Node{v}; len(stack) > 0; {
+		v, stack = stack[len(stack)-1], stack[:len(stack)-1]
+		if !seen[v.ID] {
+			seen[v.ID] = true
+			if !v.IsSource() {
+				stack = append(stack, v.Fanins...)
+			}
+		}
+	}
+	return seen
 }

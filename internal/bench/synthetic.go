@@ -105,7 +105,7 @@ func Synthetic(p Profile) *network.Network {
 		l.Driver = gates[gi]
 	}
 	// Primary outputs from distinct late gates where possible.
-	used := map[*network.Node]bool{}
+	used := make([]bool, n.NumIDs())
 	for i := 0; i < p.POs; i++ {
 		var d *network.Node
 		for tries := 0; tries < 16; tries++ {
@@ -114,27 +114,13 @@ func Synthetic(p Profile) *network.Network {
 				break
 			}
 			d = gates[r.Intn(len(gates))]
-			if !used[d] {
+			if !used[d.ID] {
 				break
 			}
 		}
-		used[d] = true
+		used[d.ID] = true
 		n.AddPO(fmt.Sprintf("out%d", i), d)
 	}
-	n.Sweep()
-	// Drop registers that ended up unread (sweeping keeps counts honest).
-	for {
-		removed := false
-		for _, l := range append([]*network.Latch(nil), n.Latches...) {
-			if n.NumFanouts(l.Output) == 0 {
-				n.RemoveLatch(l)
-				removed = true
-			}
-		}
-		if !removed {
-			break
-		}
-		n.Sweep()
-	}
+	n.SweepLatches() // drop registers that ended up unread, keeping counts honest
 	return n
 }

@@ -79,15 +79,19 @@ func Compile(n *network.Network) (*Sim, error) {
 		return nil, err
 	}
 	s := &Sim{}
-	code := make(map[*network.Node]int32, len(n.PIs)+len(n.Latches)+len(order))
+	code := make([]int32, n.NumIDs()) // by Node.ID; 0 (the constant) marks "not yet built"
 	add := func(v *network.Node) int32 {
-		if c, ok := code[v]; ok {
-			return c
+		if code[v.ID] == 0 {
+			code[v.ID] = int32(2 * (firstSlot + s.nSig))
+			s.nSig++
 		}
-		c := int32(2 * (firstSlot + s.nSig))
-		code[v] = c
-		s.nSig++
-		return c
+		return code[v.ID]
+	}
+	built := func(v *network.Node) (int32, bool) {
+		if v.ID >= len(code) || code[v.ID] == 0 {
+			return 0, false
+		}
+		return code[v.ID], true
 	}
 	for _, p := range n.PIs {
 		s.piCode = append(s.piCode, add(p))
@@ -100,7 +104,7 @@ func Compile(n *network.Network) (*Sim, error) {
 	for _, v := range order {
 		fan = fan[:0]
 		for _, fi := range v.Fanins {
-			c, ok := code[fi]
+			c, ok := built(fi)
 			if !ok {
 				return nil, fmt.Errorf("bitsim: %s: fanin %s used before definition", v.Name, fi.Name)
 			}
@@ -153,14 +157,14 @@ func Compile(n *network.Network) (*Sim, error) {
 		if l.Driver == nil {
 			return nil, fmt.Errorf("bitsim: latch %s has no driver", l.Name)
 		}
-		d, ok := code[l.Driver]
+		d, ok := built(l.Driver)
 		if !ok {
 			return nil, fmt.Errorf("bitsim: latch %s driver %s is not a simulated signal", l.Name, l.Driver.Name)
 		}
 		s.latchDrvCode = append(s.latchDrvCode, d)
 	}
 	for _, p := range n.POs {
-		d, ok := code[p.Driver]
+		d, ok := built(p.Driver)
 		if !ok {
 			return nil, fmt.Errorf("bitsim: PO %s driver %s is not a simulated signal", p.Name, p.Driver.Name)
 		}

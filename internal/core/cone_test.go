@@ -25,7 +25,7 @@ func TestCollapseConeMatchesNetworkSemantics(t *testing.T) {
 			if root.Kind != network.KindLogic {
 				continue
 			}
-			support, f, ok := collapseCone(n, root)
+			support, f, ok := new(coneCollapser).collapse(n, root)
 			if !ok {
 				continue
 			}
@@ -94,7 +94,7 @@ func equivCone(k int) (*network.Network, *dontcare.Classes) {
 // simplifies the node reading the equivalent registers.
 func TestCollapseConeRespectsBounds(t *testing.T) {
 	n, classes := equivCone(maxConeSupport - 2)
-	if _, _, ok := collapseCone(n, n.FindNode("h")); !ok {
+	if _, _, ok := new(coneCollapser).collapse(n, n.FindNode("h")); !ok {
 		t.Fatalf("cone of %d sources refused", maxConeSupport)
 	}
 	if simplifyWithDCRet(n, classes, nil) == 0 || n.FindNode("h_rs") == nil {
@@ -102,7 +102,7 @@ func TestCollapseConeRespectsBounds(t *testing.T) {
 	}
 
 	n, classes = equivCone(maxConeSupport - 1)
-	if _, _, ok := collapseCone(n, n.FindNode("h")); ok {
+	if _, _, ok := new(coneCollapser).collapse(n, n.FindNode("h")); ok {
 		t.Fatalf("cone of %d sources collapsed past the bound", maxConeSupport+1)
 	}
 	if simplifyWithDCRet(n, classes, nil) == 0 {
@@ -124,8 +124,9 @@ func TestConeCost(t *testing.T) {
 	g1 := n.AddLogic("g1", []*network.Node{a, b}, logic.MustParseCover(2, "11"))
 	g2 := n.AddLogic("g2", []*network.Node{g1, a}, logic.MustParseCover(2, "1-", "-1"))
 	n.AddPO("y", g2)
-	if got := coneCost(n, g2); got != 4 {
-		t.Fatalf("coneCost = %d, want 4 (2+2 literals)", got)
+	var cc coneCollapser
+	if _, _, ok := cc.collapse(n, g2); !ok || cc.cost() != 4 {
+		t.Fatalf("cone cost = %d (collapsed %v), want 4 (2+2 literals)", cc.cost(), ok)
 	}
 }
 
@@ -139,7 +140,7 @@ func TestSweepDanglingLatchesChains(t *testing.T) {
 	l3 := n.AddLatch("q3", l2.Output, network.V0)
 	_ = l3 // q3 output feeds nothing
 	n.AddPO("y", a)
-	removed := sweepDanglingLatches(n)
+	removed := n.SweepLatches()
 	if removed != 3 {
 		t.Fatalf("removed %d latches, want the whole chain of 3", removed)
 	}

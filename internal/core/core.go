@@ -147,10 +147,6 @@ func resynthesize(ctx context.Context, n *network.Network, opt Options) (*Result
 	// their fanout stems, recording the induced equivalences.
 	st = tr.Begin("stem_retime")
 	classes := dontcare.New()
-	onPath := make(map[*network.Node]bool, len(path))
-	for _, v := range path {
-		onPath[v] = true
-	}
 	seen := make(map[*network.Latch]bool)
 	var stemRegs []*network.Latch
 	for _, v := range path {
@@ -236,8 +232,7 @@ func resynthesize(ctx context.Context, n *network.Network, opt Options) (*Result
 		}
 		st.End()
 	}
-	sweepDanglingLatches(work)
-	work.Sweep()
+	work.SweepLatches()
 	classes.Prune(work)
 
 	// Step 5: constrained min-area retiming under the achieved delay.
@@ -255,7 +250,7 @@ func resynthesize(ctx context.Context, n *network.Network, opt Options) (*Result
 			}
 		}
 		retime.MergeSiblingRegisters(work)
-		sweepDanglingLatches(work)
+		work.SweepLatches()
 	}
 	p, err = timing.Period(work)
 	if err != nil {
@@ -286,20 +281,24 @@ func simplifyWithDCRet(work *network.Network, classes *dontcare.Classes, engineR
 	// Collect the distinct cone roots: latch drivers and PO drivers.
 	// Drivers of engine-created registers additionally qualify for
 	// DC-less collapse ("local node re-mapping" of the relocated block).
-	rootSet := make(map[*network.Node]bool)
-	relocated := make(map[*network.Node]bool)
+	// Roots are collected in latch, then PO order, and sorted below.
+	var roots []*network.Node
+	isRoot := make([]bool, work.NumIDs())
+	relocated := make([]bool, work.NumIDs())
+	addRoot := func(v *network.Node) {
+		if v.Kind == network.KindLogic && !isRoot[v.ID] {
+			isRoot[v.ID] = true
+			roots = append(roots, v)
+		}
+	}
 	for _, l := range work.Latches {
-		if l.Driver.Kind == network.KindLogic {
-			rootSet[l.Driver] = true
-			if engineRegs[l] {
-				relocated[l.Driver] = true
-			}
+		addRoot(l.Driver)
+		if engineRegs[l] && l.Driver.Kind == network.KindLogic {
+			relocated[l.Driver.ID] = true
 		}
 	}
 	for _, p := range work.POs {
-		if p.Driver.Kind == network.KindLogic {
-			rootSet[p.Driver] = true
-		}
+		addRoot(p.Driver)
 	}
 	// Deepest cones first: a deep cone still sees the equivalent register
 	// pairs in its support; once an enclosed shallow cone is rewritten
@@ -308,27 +307,24 @@ func simplifyWithDCRet(work *network.Network, classes *dontcare.Classes, engineR
 	if err != nil {
 		return 0
 	}
-	roots := make([]*network.Node, 0, len(rootSet))
-	for r := range rootSet {
-		roots = append(roots, r)
-	}
 	sort.Slice(roots, func(i, j int) bool {
-		ai, aj := sta.Arrival[roots[i]], sta.Arrival[roots[j]]
+		ai, aj := sta.Arrival[roots[i].ID], sta.Arrival[roots[j].ID]
 		if ai != aj {
 			return ai > aj
 		}
 		return roots[i].Name < roots[j].Name
 	})
+	var cc coneCollapser
 	for _, root := range roots {
 		if work.FindNode(root.Name) != root {
 			continue // replaced during an earlier iteration
 		}
-		support, f, ok := collapseCone(work, root)
+		support, f, ok := cc.collapse(work, root)
 		if !ok {
 			continue
 		}
 		dc := classes.DCOver(work, support)
-		if dc == nil && !relocated[root] {
+		if dc == nil && !relocated[root.ID] {
 			continue
 		}
 		s := logic.Simplify(f, dc)
@@ -336,14 +332,12 @@ func simplifyWithDCRet(work *network.Network, classes *dontcare.Classes, engineR
 		// collapsed form counts; for a relocated block without DC pairs,
 		// the collapse must beat the cone's total cost to qualify as a
 		// useful local re-mapping.
-		if dc != nil {
-			if s.NumLits() >= f.NumLits() {
-				continue
-			}
-		} else {
-			if s.NumLits() >= coneCost(work, root) {
-				continue
-			}
+		bound := f.NumLits()
+		if dc == nil {
+			bound = cc.cost()
+		}
+		if s.NumLits() >= bound {
+			continue
 		}
 		nn := work.AddLogic(root.Name+"_rs", support, s)
 		work.TrimFanins(nn)
@@ -360,17 +354,6 @@ func simplifyWithDCRet(work *network.Network, classes *dontcare.Classes, engineR
 	return improved
 }
 
-// coneCost sums the SOP literal counts of the cone's nodes.
-func coneCost(work *network.Network, root *network.Node) int {
-	total := 0
-	for v := range work.TransitiveFanin(root) {
-		if v.Kind == network.KindLogic {
-			total += v.Func.NumLits()
-		}
-	}
-	return total
-}
-
 // The bounds of cone collapsing in DCret simplification: a cone whose
 // source support exceeds maxConeSupport, or whose intermediate covers
 // exceed maxConeCubes cubes, is left to the per-node pass.
@@ -379,23 +362,47 @@ const (
 	maxConeCubes   = 512
 )
 
-// collapseCone flattens the combinational cone of root into a single cover
+// coneCollapser flattens combinational cones, keeping its per-node state
+// in ID-indexed slices that are reused across cones: stamp[id] == epoch
+// marks a node of the current cone, whose val and neg (its complement,
+// built on demand) are valid. cone holds the logic nodes of the last
+// cone collapsed.
+type coneCollapser struct {
+	epoch    uint32
+	stamp    []uint32
+	val, neg []*logic.Cover
+	cone     []*network.Node
+}
+
+// cost sums the SOP literal counts of the last collapsed cone's nodes.
+func (cc *coneCollapser) cost() int {
+	total := 0
+	for _, v := range cc.cone {
+		total += v.Func.NumLits()
+	}
+	return total
+}
+
+// collapse flattens the combinational cone of root into a single cover
 // over its source support (register outputs and PIs), within the
 // collapsing bounds.
-func collapseCone(work *network.Network, root *network.Node) ([]*network.Node, *logic.Cover, bool) {
+func (cc *coneCollapser) collapse(work *network.Network, root *network.Node) ([]*network.Node, *logic.Cover, bool) {
+	if k := work.NumIDs(); k > len(cc.stamp) {
+		k += k / 2 // headroom for the nodes the caller adds
+		cc.stamp, cc.val, cc.neg = make([]uint32, k), make([]*logic.Cover, k), make([]*logic.Cover, k)
+		cc.epoch = 0
+	}
+	cc.epoch++
 	// Gather cone and support.
 	var support []*network.Node
-	supIdx := make(map[*network.Node]int)
-	var cone []*network.Node
-	visited := make(map[*network.Node]bool)
+	cone := cc.cone[:0]
 	var walk func(v *network.Node) bool
 	walk = func(v *network.Node) bool {
-		if visited[v] {
+		if cc.stamp[v.ID] == cc.epoch {
 			return true
 		}
-		visited[v] = true
+		cc.stamp[v.ID] = cc.epoch
 		if v.IsSource() {
-			supIdx[v] = len(support)
 			support = append(support, v)
 			return len(support) <= maxConeSupport
 		}
@@ -407,26 +414,24 @@ func collapseCone(work *network.Network, root *network.Node) ([]*network.Node, *
 		cone = append(cone, v) // post-order = topological within cone
 		return true
 	}
-	if !walk(root) {
+	ok := walk(root)
+	if cc.cone = cone; !ok {
 		return nil, nil, false
 	}
 	m := len(support)
-	val := make(map[*network.Node]*logic.Cover, len(cone)+m)
-	neg := make(map[*network.Node]*logic.Cover)
-	for _, s := range support {
+	val, neg := cc.val, cc.neg
+	for i, s := range support {
 		c := logic.NewCover(m)
 		cube := logic.NewCube(m)
-		cube.SetLit(supIdx[s], logic.LitPos)
+		cube.SetLit(i, logic.LitPos)
 		c.Add(cube)
-		val[s] = c
+		val[s.ID], neg[s.ID] = c, nil
 	}
 	getNeg := func(x *network.Node) *logic.Cover {
-		if g, ok := neg[x]; ok {
-			return g
+		if neg[x.ID] == nil {
+			neg[x.ID] = val[x.ID].Complement()
 		}
-		g := val[x].Complement()
-		neg[x] = g
-		return g
+		return neg[x.ID]
 	}
 	for _, v := range cone {
 		f := logic.Zero(m)
@@ -436,7 +441,7 @@ func collapseCone(work *network.Network, root *network.Node) ([]*network.Node, *
 				var t *logic.Cover
 				switch c.Lit(pin) {
 				case logic.LitPos:
-					t = val[v.Fanins[pin]]
+					t = val[v.Fanins[pin].ID]
 				case logic.LitNeg:
 					t = getNeg(v.Fanins[pin])
 				default:
@@ -456,30 +461,10 @@ func collapseCone(work *network.Network, root *network.Node) ([]*network.Node, *
 			}
 		}
 		f.Scc()
-		val[v] = f
+		val[v.ID], neg[v.ID] = f, nil
 	}
-	out := logic.Minimize(val[root])
+	out := logic.Minimize(val[root.ID])
 	return support, out, true
-}
-
-// sweepDanglingLatches removes registers whose outputs feed nothing,
-// repeating until stable (a removed register may strand its driver chain).
-func sweepDanglingLatches(work *network.Network) int {
-	removed := 0
-	for {
-		progress := false
-		for _, l := range append([]*network.Latch(nil), work.Latches...) {
-			if work.NumFanouts(l.Output) == 0 {
-				work.RemoveLatch(l)
-				removed++
-				progress = true
-			}
-		}
-		work.Sweep()
-		if !progress {
-			return removed
-		}
-	}
 }
 
 // maxPasses bounds the Algorithm 1 passes of ResynthesizeIterate.

@@ -450,9 +450,9 @@ func applySweepDCs(ctx context.Context, work *network.Network, tr *obs.Tracer) e
 // don't cares projected onto its register fanins, returning the number of
 // nodes improved and the total SOP literals saved.
 func applyUnreachableDCs(n *network.Network, a *reach.Analysis) (improvedNodes, litsSaved int) {
-	latchIdx := make(map[*network.Node]int, len(n.Latches))
+	latchIdx := make([]int, n.NumIDs()) // by Node.ID: latch index + 1, or 0
 	for i, l := range n.Latches {
-		latchIdx[l.Output] = i
+		latchIdx[l.Output.ID] = i + 1
 	}
 	for _, v := range n.Nodes() {
 		if v.Kind != network.KindLogic {
@@ -461,8 +461,8 @@ func applyUnreachableDCs(n *network.Network, a *reach.Analysis) (improvedNodes, 
 		var regs []int      // latch indices among fanins
 		var positions []int // fanin positions of those latches
 		for pos, fi := range v.Fanins {
-			if li, ok := latchIdx[fi]; ok {
-				regs = append(regs, li)
+			if li := latchIdx[fi.ID]; li > 0 {
+				regs = append(regs, li-1)
 				positions = append(positions, pos)
 			}
 		}

@@ -193,10 +193,7 @@ type mapState struct {
 }
 
 func newMapState(n *network.Network, lib *genlib.Library) *mapState {
-	size := 0
-	for _, v := range n.Nodes() {
-		size = max(size, v.ID+1)
-	}
+	size := n.NumIDs()
 	s := &mapState{
 		lib:   lib,
 		nodes: make([]*network.Node, size),

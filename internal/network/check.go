@@ -1,24 +1,39 @@
 package network
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Check validates internal consistency: fanin/fanout symmetry, function
 // arity, name-table integrity, latch wiring and combinational acyclicity.
 // Passes call it in tests after every transformation.
 func (n *Network) Check() error {
-	inNodes := make(map[*Node]bool, len(n.nodes))
-	for _, v := range n.nodes {
-		inNodes[v] = true
+	nodes := n.Nodes()
+	// byID[id] is the node listed with that ID: a node belongs to n iff
+	// it is its ID's entry, which a removed or foreign node is not.
+	byID := make([]*Node, n.nextID)
+	for _, v := range nodes {
+		if v.ID < 0 || v.ID >= len(byID) {
+			return fmt.Errorf("network: node %s has ID %d outside [0, %d)", v.Name, v.ID, len(byID))
+		}
+		if byID[v.ID] != nil {
+			return fmt.Errorf("network: nodes %s and %s share ID %d", byID[v.ID].Name, v.Name, v.ID)
+		}
+		byID[v.ID] = v
 	}
+	has := func(v *Node) bool { return v != nil && v.ID >= 0 && v.ID < len(byID) && byID[v.ID] == v }
 	for name, v := range n.byName {
 		if v.Name != name {
 			return fmt.Errorf("network: name table maps %q to node named %q", name, v.Name)
 		}
-		if !inNodes[v] {
+		if !has(v) {
 			return fmt.Errorf("network: name table references removed node %q", name)
 		}
 	}
-	for _, v := range n.nodes {
+	// seen[id] == k+1 marks a fanin of the k-th node: duplicate detection.
+	seen := make([]int, len(byID))
+	for k, v := range nodes {
 		switch v.Kind {
 		case KindPI, KindLatchOut:
 			if len(v.Fanins) != 0 || v.Func != nil {
@@ -32,29 +47,21 @@ func (n *Network) Check() error {
 				return fmt.Errorf("network: node %s: %d cover vars vs %d fanins",
 					v.Name, v.Func.N, len(v.Fanins))
 			}
-			seen := make(map[*Node]bool)
 			for _, fi := range v.Fanins {
-				if !inNodes[fi] {
+				if !has(fi) {
 					return fmt.Errorf("network: node %s has removed fanin %s", v.Name, fi.Name)
 				}
-				if seen[fi] {
+				if seen[fi.ID] == k+1 {
 					return fmt.Errorf("network: node %s has duplicate fanin %s", v.Name, fi.Name)
 				}
-				seen[fi] = true
-				found := false
-				for _, fo := range fi.fanouts {
-					if fo == v {
-						found = true
-						break
-					}
-				}
-				if !found {
+				seen[fi.ID] = k + 1
+				if !slices.Contains(fi.fanouts, v) {
 					return fmt.Errorf("network: fanout list of %s misses consumer %s", fi.Name, v.Name)
 				}
 			}
 		}
 		for _, fo := range v.fanouts {
-			if !inNodes[fo] {
+			if !has(fo) {
 				return fmt.Errorf("network: node %s has removed fanout %s", v.Name, fo.Name)
 			}
 			if fo.FaninIndex(v) < 0 {
@@ -63,15 +70,15 @@ func (n *Network) Check() error {
 		}
 	}
 	for _, l := range n.Latches {
-		if !inNodes[l.Driver] {
-			return fmt.Errorf("network: latch %s driver removed", l.Name)
+		if !has(l.Driver) {
+			return fmt.Errorf("network: latch %s driver removed or missing", l.Name)
 		}
-		if !inNodes[l.Output] || l.Output.Kind != KindLatchOut {
+		if !has(l.Output) || l.Output.Kind != KindLatchOut {
 			return fmt.Errorf("network: latch %s output invalid", l.Name)
 		}
 	}
 	for _, p := range n.POs {
-		if !inNodes[p.Driver] {
+		if !has(p.Driver) {
 			return fmt.Errorf("network: PO %s driver removed", p.Name)
 		}
 	}

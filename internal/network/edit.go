@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/logic"
 )
@@ -16,7 +17,7 @@ func (n *Network) SetFunction(node *Node, fanins []*Node, f *logic.Cover) {
 	if node.Kind != KindLogic {
 		panic("network: SetFunction on non-logic node")
 	}
-	fanins, f = normalizeFanins(fanins, f)
+	fanins, f = n.normalizeFanins(fanins, f)
 	// A bound-gate annotation describes the old function; keep it only
 	// when the cover is structurally unchanged (pure rewires such as
 	// retiming moves preserve it).
@@ -196,7 +197,9 @@ func (n *Network) TrimAllFanins() int {
 	return total
 }
 
-// RemoveDeadNode deletes a logic node with no consumers.
+// RemoveDeadNode deletes a logic node with no consumers. It costs the
+// node's fanins, not the network: the node is tombstoned, and Nodes drops
+// it at its next compaction.
 func (n *Network) RemoveDeadNode(node *Node) {
 	if node.Kind != KindLogic {
 		panic("network: RemoveDeadNode on non-logic node")
@@ -207,14 +210,7 @@ func (n *Network) RemoveDeadNode(node *Node) {
 	for _, fi := range node.Fanins {
 		fi.removeFanout(node)
 	}
-	delete(n.byName, node.Name)
-	for i, v := range n.nodes {
-		if v == node {
-			n.nodes = append(n.nodes[:i], n.nodes[i+1:]...)
-			break
-		}
-	}
-	n.invalidateTopo()
+	n.tombstone(node)
 }
 
 // RemoveLatch deletes a latch and its output node. The output node must
@@ -223,20 +219,10 @@ func (n *Network) RemoveLatch(l *Latch) {
 	if n.NumFanouts(l.Output) != 0 {
 		panic(fmt.Sprintf("network: latch %s output still has consumers", l.Name))
 	}
-	for i, x := range n.Latches {
-		if x == l {
-			n.Latches = append(n.Latches[:i], n.Latches[i+1:]...)
-			break
-		}
+	if i := slices.Index(n.Latches, l); i >= 0 {
+		n.Latches = slices.Delete(n.Latches, i, i+1)
 	}
-	delete(n.byName, l.Output.Name)
-	for i, v := range n.nodes {
-		if v == l.Output {
-			n.nodes = append(n.nodes[:i], n.nodes[i+1:]...)
-			break
-		}
-	}
-	n.invalidateTopo()
+	n.tombstone(l.Output)
 }
 
 // Sweep removes logic nodes unreachable from any primary output or register
@@ -245,92 +231,119 @@ func (n *Network) RemoveLatch(l *Latch) {
 // One reverse pass suffices: fanins are always created before their
 // consumers, so walking the node array backward removes every consumer of
 // a dead node before the node itself — and every consumer of a dead node
-// is itself dead (liveness is transitive through fanins). The node array
-// is then compacted in place, keeping the whole sweep linear in the
-// network size (it used to rescan from the top per removed node, which
-// was the dominant cost of building s38417-class synthetics).
+// is itself dead (liveness is transitive through fanins). Removal
+// tombstones, so the sweep is linear in the network size.
 func (n *Network) Sweep() int {
-	live := make(map[*Node]bool)
-	var mark func(v *Node)
-	mark = func(v *Node) {
-		if v == nil || live[v] {
-			return
-		}
-		live[v] = true
-		for _, fi := range v.Fanins {
-			mark(fi)
-		}
-	}
+	live := make([]bool, n.nextID)
+	stack := make([]*Node, 0, len(n.POs)+len(n.Latches))
 	for _, p := range n.POs {
-		mark(p.Driver)
+		stack = append(stack, p.Driver)
 	}
 	for _, l := range n.Latches {
-		mark(l.Driver)
-		live[l.Output] = true
+		stack = append(stack, l.Driver)
+		live[l.Output.ID] = true
+	}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if v == nil || live[v.ID] {
+			continue
+		}
+		live[v.ID] = true
+		stack = append(stack, v.Fanins...)
 	}
 	removed := 0
 	for i := len(n.nodes) - 1; i >= 0; i-- {
 		v := n.nodes[i]
-		if v.Kind != KindLogic || live[v] {
+		if v.Kind != KindLogic || v.removed || live[v.ID] {
 			continue
 		}
 		for _, fi := range v.Fanins {
 			fi.removeFanout(v)
 		}
-		delete(n.byName, v.Name)
+		n.tombstone(v)
 		removed++
-	}
-	if removed > 0 {
-		kept := n.nodes[:0]
-		for _, v := range n.nodes {
-			if v.Kind != KindLogic || live[v] {
-				kept = append(kept, v)
-			}
-		}
-		n.nodes = kept
-		n.invalidateTopo()
 	}
 	return removed
 }
 
+// SweepLatches removes the registers whose outputs feed nothing, and the
+// logic that dies with them, until none is left (removing one register
+// may strand a whole chain). It returns the number of registers removed.
+func (n *Network) SweepLatches() int {
+	removed := 0
+	for {
+		n.Sweep()
+		k := removed
+		for _, l := range slices.Clone(n.Latches) {
+			if n.NumFanouts(l.Output) == 0 {
+				n.RemoveLatch(l)
+				removed++
+			}
+		}
+		if removed == k {
+			return removed
+		}
+	}
+}
+
 // Clone returns a deep copy of the network. Node identities are fresh but
-// names, order and functions are preserved.
+// names, order and functions are preserved; the copy's IDs are 0..k-1 in
+// node order. Its nodes, fanin lists and fanout lists are carved from one
+// arena each, every list capped so that an append reallocates instead of
+// overwriting its neighbour.
 func (n *Network) Clone() *Network {
-	c := New(n.Name)
-	old2new := make(map[*Node]*Node, len(n.nodes))
-	// First pass: create all nodes without fanins to allow arbitrary
-	// topological shapes (feedback goes through latches, but logic order in
-	// n.nodes may interleave).
+	k, nf, nfo := 0, 0, 0
 	for _, v := range n.nodes {
-		nv := &Node{Name: v.Name, Kind: v.Kind, Gate: v.Gate}
-		c.register(nv)
-		old2new[v] = nv
+		if !v.removed {
+			k, nf, nfo = k+1, nf+len(v.Fanins), nfo+len(v.fanouts)
+		}
+	}
+	c := &Network{Name: n.Name, nodes: make([]*Node, 0, k), byName: make(map[string]*Node, k)}
+	arena := make([]Node, k)
+	fanins := make([]*Node, nf)
+	fanouts := make([]*Node, nfo)
+	// to maps an ID of n to its copy; nil stays nil (a latch may be
+	// undriven while a network is built).
+	toID := make([]*Node, n.nextID)
+	to := func(v *Node) *Node {
+		if v == nil {
+			return nil
+		}
+		return toID[v.ID]
 	}
 	for _, v := range n.nodes {
-		if v.Kind != KindLogic {
+		if v.removed {
 			continue
 		}
-		nv := old2new[v]
+		nv := &arena[len(c.nodes)]
+		nv.Name, nv.Kind, nv.Gate = v.Name, v.Kind, v.Gate
+		nv.fanouts, fanouts = fanouts[:0:len(v.fanouts)], fanouts[len(v.fanouts):]
+		toID[v.ID] = c.register(nv)
+	}
+	// Fanout lists fill in consumer node order, not in n's list order.
+	for _, v := range n.nodes {
+		if v.removed || v.Kind != KindLogic {
+			continue
+		}
+		nv := toID[v.ID]
 		nv.Func = v.Func.Clone()
-		nv.Fanins = make([]*Node, len(v.Fanins))
+		m := len(v.Fanins)
+		nv.Fanins, fanins = fanins[:m:m], fanins[m:]
 		for i, fi := range v.Fanins {
-			nv.Fanins[i] = old2new[fi]
-			old2new[fi].fanouts = append(old2new[fi].fanouts, nv)
+			nfi := toID[fi.ID]
+			nv.Fanins[i] = nfi
+			nfi.fanouts = append(nfi.fanouts, nv)
 		}
 	}
 	for _, v := range n.PIs {
-		c.PIs = append(c.PIs, old2new[v])
+		c.PIs = append(c.PIs, to(v))
 	}
 	for _, p := range n.POs {
-		c.POs = append(c.POs, &PO{Name: p.Name, Driver: old2new[p.Driver]})
+		c.POs = append(c.POs, &PO{Name: p.Name, Driver: to(p.Driver)})
 	}
 	for _, l := range n.Latches {
-		c.Latches = append(c.Latches, &Latch{
-			Name:   l.Name,
-			Driver: old2new[l.Driver],
-			Output: old2new[l.Output],
-			Init:   l.Init,
-		})
+		c.Latches = append(c.Latches, &Latch{Name: l.Name, Driver: to(l.Driver), Output: to(l.Output), Init: l.Init})
 	}
 	return c
 }

@@ -11,6 +11,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/logic"
 )
@@ -66,6 +67,7 @@ type Node struct {
 	// fanouts lists the logic nodes that reference this node as a fanin.
 	// Register data inputs and primary outputs are tracked on the Network.
 	fanouts []*Node
+	removed bool // a tombstone, dropped from the node list by Nodes
 
 	// Gate is the technology-mapping annotation (nil when unmapped); it is
 	// declared as an opaque interface to keep network free of a genlib
@@ -98,13 +100,18 @@ type PO struct {
 // Network is a synchronous sequential circuit.
 type Network struct {
 	Name    string
-	nodes   []*Node
+	nodes   []*Node // in creation order, with dead tombstones until Nodes
+	dead    int
 	PIs     []*Node
 	POs     []*PO
 	Latches []*Latch
 
 	byName map[string]*Node
 	nextID int
+
+	// seen is ID-indexed scratch for normalizeFanins.
+	seen  []uint32
+	epoch uint32
 
 	// Memoized TopoOrder result (see topo.go). Valid distinguishes "not
 	// computed" from a cached nil-order cycle error.
@@ -119,14 +126,28 @@ func New(name string) *Network {
 }
 
 // Nodes returns all nodes (PIs, latch outputs and logic nodes) in creation
-// order. The returned slice must not be mutated.
-func (n *Network) Nodes() []*Node { return n.nodes }
+// order. The returned slice must not be mutated. Removed nodes are
+// compacted away here, into a fresh array: a slice returned earlier keeps
+// its contents, removed nodes included.
+func (n *Network) Nodes() []*Node {
+	if n.dead > 0 {
+		n.nodes = slices.DeleteFunc(slices.Clone(n.nodes), func(v *Node) bool { return v.removed })
+		n.dead = 0
+	}
+	return n.nodes
+}
+
+// NumIDs bounds the node IDs of n: every node has 0 <= ID < NumIDs(), so
+// per-node state lives in slices of this length indexed by Node.ID. IDs
+// are assigned in creation order and never reused; Clone renumbers its
+// nodes 0..len(Nodes())-1 in node order.
+func (n *Network) NumIDs() int { return n.nextID }
 
 // NumLogicNodes counts internal logic nodes.
 func (n *Network) NumLogicNodes() int {
 	k := 0
 	for _, v := range n.nodes {
-		if v.Kind == KindLogic {
+		if v.Kind == KindLogic && !v.removed {
 			k++
 		}
 	}
@@ -138,7 +159,7 @@ func (n *Network) NumLogicNodes() int {
 func (n *Network) NumLits() int {
 	k := 0
 	for _, v := range n.nodes {
-		if v.Kind == KindLogic && v.Func != nil {
+		if v.Kind == KindLogic && v.Func != nil && !v.removed {
 			k += v.Func.NumLits()
 		}
 	}
@@ -176,7 +197,7 @@ func (n *Network) AddLogic(name string, fanins []*Node, f *logic.Cover) *Node {
 	if f == nil {
 		panic("network: AddLogic requires a function")
 	}
-	fanins, f = normalizeFanins(fanins, f)
+	fanins, f = n.normalizeFanins(fanins, f)
 	node := n.register(&Node{Name: name, Kind: KindLogic, Fanins: fanins, Func: f})
 	for _, fi := range fanins {
 		fi.fanouts = append(fi.fanouts, node)
@@ -221,6 +242,16 @@ func (n *Network) LatchOfOutput(node *Node) *Latch {
 	return nil
 }
 
+// tombstone marks node removed; Nodes drops it at its next compaction.
+func (n *Network) tombstone(node *Node) {
+	delete(n.byName, node.Name)
+	if !node.removed {
+		node.removed = true
+		n.dead++
+	}
+	n.invalidateTopo()
+}
+
 // LatchesDrivenBy returns the latches whose data input is node.
 func (n *Network) LatchesDrivenBy(node *Node) []*Latch {
 	var out []*Latch
@@ -257,27 +288,35 @@ func (n *Network) NumFanouts(node *Node) int {
 	return len(node.fanouts) + len(n.LatchesDrivenBy(node)) + len(n.POsDrivenBy(node))
 }
 
-// normalizeFanins merges duplicate fanins and remaps the cover.
-func normalizeFanins(fanins []*Node, f *logic.Cover) ([]*Node, *logic.Cover) {
+// normalizeFanins merges duplicate fanins and remaps the cover. n.seen
+// stamps each fanin's ID with a fresh epoch per call, so a duplicate-free
+// list, the common case, costs no allocation.
+func (n *Network) normalizeFanins(fanins []*Node, f *logic.Cover) ([]*Node, *logic.Cover) {
 	if f.N != len(fanins) {
 		panic(fmt.Sprintf("network: cover has %d vars but %d fanins", f.N, len(fanins)))
 	}
-	seen := make(map[*Node]int)
-	var unique []*Node
-	varMap := make([]int, len(fanins))
+	if n.epoch++; n.epoch == 0 {
+		clear(n.seen)
+		n.epoch = 1
+	}
 	dup := false
-	for i, fi := range fanins {
-		if j, ok := seen[fi]; ok {
-			varMap[i] = j
-			dup = true
-			continue
+	for _, fi := range fanins {
+		if k := max(fi.ID+1, n.nextID); k > len(n.seen) {
+			n.seen = slices.Grow(n.seen, k-len(n.seen))[:k]
 		}
-		seen[fi] = len(unique)
-		varMap[i] = len(unique)
-		unique = append(unique, fi)
+		dup = dup || n.seen[fi.ID] == n.epoch
+		n.seen[fi.ID] = n.epoch
 	}
 	if !dup {
 		return fanins, f
+	}
+	var unique []*Node
+	varMap := make([]int, len(fanins))
+	for i, fi := range fanins {
+		if varMap[i] = slices.Index(unique, fi); varMap[i] < 0 {
+			varMap[i] = len(unique)
+			unique = append(unique, fi)
+		}
 	}
 	// Remap requires distinct targets; merging two old vars onto one new
 	// var is done cube-by-cube with literal intersection.

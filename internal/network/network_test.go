@@ -219,14 +219,55 @@ func TestCloneIsDeepAndEquivalent(t *testing.T) {
 	}
 }
 
+// transitiveFanin returns the combinational transitive fanin of node
+// (inclusive), stopping at sources, as a set indexed by Node.ID.
+func transitiveFanin(n *Network, node *Node) []bool {
+	seen := make([]bool, n.nextID)
+	stack := []*Node{node}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[v.ID] {
+			continue
+		}
+		seen[v.ID] = true
+		if !v.IsSource() {
+			stack = append(stack, v.Fanins...)
+		}
+	}
+	return seen
+}
+
+// transitiveFanout returns the logic nodes in the combinational transitive
+// fanout of node (inclusive of logic consumers, exclusive of node itself
+// unless it is logic), as a set indexed by Node.ID.
+func transitiveFanout(n *Network, node *Node) []bool {
+	seen := make([]bool, n.nextID)
+	stack := []*Node{node}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, c := range v.fanouts {
+			if !seen[c.ID] {
+				seen[c.ID] = true
+				stack = append(stack, c)
+			}
+		}
+	}
+	if node.Kind == KindLogic {
+		seen[node.ID] = true
+	}
+	return seen
+}
+
 func TestTransitiveFaninFanout(t *testing.T) {
 	n, g1, g2 := buildToy(t)
-	tfi := n.TransitiveFanin(g2)
-	if !tfi[g1] || !tfi[n.PIs[0]] || !tfi[n.FindNode("s")] {
+	tfi := transitiveFanin(n, g2)
+	if !tfi[g1.ID] || !tfi[n.PIs[0].ID] || !tfi[n.FindNode("s").ID] {
 		t.Fatal("TFI incomplete")
 	}
-	tfo := n.TransitiveFanout(n.FindNode("s"))
-	if !tfo[g1] || !tfo[g2] {
+	tfo := transitiveFanout(n, n.FindNode("s"))
+	if !tfo[g1.ID] || !tfo[g2.ID] {
 		t.Fatal("TFO incomplete")
 	}
 }

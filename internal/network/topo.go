@@ -45,27 +45,28 @@ func (n *Network) topoSort() ([]*Node, error) {
 		gray  = 1
 		black = 2
 	)
-	color := make(map[*Node]byte, len(n.nodes))
-	var order []*Node
+	nodes := n.Nodes()
+	color := make([]byte, n.nextID)
+	order := make([]*Node, 0, len(nodes))
 	var visit func(v *Node) error
 	visit = func(v *Node) error {
-		switch color[v] {
+		switch color[v.ID] {
 		case gray:
 			return fmt.Errorf("network: combinational cycle through %s", v.Name)
 		case black:
 			return nil
 		}
 		if v.IsSource() {
-			color[v] = black
+			color[v.ID] = black
 			return nil
 		}
-		color[v] = gray
+		color[v.ID] = gray
 		for _, fi := range v.Fanins {
 			if err := visit(fi); err != nil {
 				return err
 			}
 		}
-		color[v] = black
+		color[v.ID] = black
 		order = append(order, v)
 		return nil
 	}
@@ -80,7 +81,7 @@ func (n *Network) topoSort() ([]*Node, error) {
 		}
 	}
 	// Dead logic nodes still participate so callers can iterate everything.
-	for _, v := range n.nodes {
+	for _, v := range nodes {
 		if v.Kind == KindLogic {
 			if err := visit(v); err != nil {
 				return nil, err
@@ -88,46 +89,4 @@ func (n *Network) topoSort() ([]*Node, error) {
 		}
 	}
 	return order, nil
-}
-
-// TransitiveFanin returns the set of nodes in the combinational transitive
-// fanin of node (inclusive), stopping at sources.
-func (n *Network) TransitiveFanin(node *Node) map[*Node]bool {
-	seen := make(map[*Node]bool)
-	var walk func(v *Node)
-	walk = func(v *Node) {
-		if seen[v] {
-			return
-		}
-		seen[v] = true
-		if v.IsSource() {
-			return
-		}
-		for _, fi := range v.Fanins {
-			walk(fi)
-		}
-	}
-	walk(node)
-	return seen
-}
-
-// TransitiveFanout returns the set of logic nodes in the combinational
-// transitive fanout of node (inclusive of logic consumers, exclusive of
-// node itself unless it is logic).
-func (n *Network) TransitiveFanout(node *Node) map[*Node]bool {
-	seen := make(map[*Node]bool)
-	var walk func(v *Node)
-	walk = func(v *Node) {
-		for _, c := range v.fanouts {
-			if !seen[c] {
-				seen[c] = true
-				walk(c)
-			}
-		}
-	}
-	walk(node)
-	if node.Kind == KindLogic {
-		seen[node] = true
-	}
-	return seen
 }

@@ -187,29 +187,28 @@ func (t *TransRel) PeakClusterNodes() int { return t.peakClusterNodes }
 func topoLeafRanks(n *network.Network) (latchRank, piRank []int, found int) {
 	latchRank = make([]int, len(n.Latches))
 	piRank = make([]int, len(n.PIs))
-	latchIdx := make(map[*network.Node]int, len(n.Latches))
+	pos := make([]int, n.NumIDs()) // by Node.ID: a source's position in n.Latches or n.PIs
 	for i, l := range n.Latches {
 		latchRank[i] = -1
-		latchIdx[l.Output] = i
+		pos[l.Output.ID] = i
 	}
-	piIdx := make(map[*network.Node]int, len(n.PIs))
 	for j, p := range n.PIs {
 		piRank[j] = -1
-		piIdx[p] = j
+		pos[p.ID] = j
 	}
-	visited := make(map[*network.Node]bool)
+	visited := make([]bool, n.NumIDs())
 	var dfs func(*network.Node)
 	dfs = func(v *network.Node) {
-		if visited[v] {
+		if visited[v.ID] {
 			return
 		}
-		visited[v] = true
+		visited[v.ID] = true
 		switch v.Kind {
 		case network.KindPI:
-			piRank[piIdx[v]] = found
+			piRank[pos[v.ID]] = found
 			found++
 		case network.KindLatchOut:
-			latchRank[latchIdx[v]] = found
+			latchRank[pos[v.ID]] = found
 			found++
 		default:
 			for _, fi := range v.Fanins {

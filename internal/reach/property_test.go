@@ -148,7 +148,7 @@ func TestPropertyAnalyzeMatchesExplicitState(t *testing.T) {
 		m := a.M
 		parts := make([]bdd.Ref, L)
 		for i, l := range src.Latches {
-			parts[i] = m.Xnor(m.Var(mc.NextVar[i]), mc.NodeFn[l.Driver])
+			parts[i] = m.Xnor(m.Var(mc.NextVar[i]), mc.NodeFn[l.Driver.ID])
 		}
 		quant := make([]bool, m.NumVars())
 		perm := make([]int, m.NumVars())

@@ -55,9 +55,9 @@ type Machine struct {
 	N *network.Network
 	// CurVar / NextVar index by latch position, InVar by PI position.
 	CurVar, NextVar, InVar []int
-	// NodeFn maps every node in the cone of influence of a latch data input
-	// or a primary output to its BDD over current-state and input vars.
-	NodeFn map[*network.Node]bdd.Ref
+	// NodeFn holds, by Node.ID, the BDD over current-state and input vars
+	// of every node in the cone of influence of a latch input or a PO.
+	NodeFn []bdd.Ref
 }
 
 // Limits bounds the analysis; a zero field means "no limit".
@@ -190,7 +190,7 @@ func analyze(ctx context.Context, nets []*network.Network, piOfB []int, delay in
 			CurVar:  make([]int, len(n.Latches)),
 			NextVar: make([]int, len(n.Latches)),
 			InVar:   make([]int, len(n.PIs)),
-			NodeFn:  make(map[*network.Node]bdd.Ref),
+			NodeFn:  make([]bdd.Ref, n.NumIDs()),
 		}
 		for i := range n.Latches {
 			mc.CurVar[i] = 2 * (first + i)
@@ -240,7 +240,7 @@ func analyze(ctx context.Context, nets []*network.Network, piOfB []int, delay in
 	}
 	for _, mc := range a.Machines {
 		for i, l := range mc.N.Latches {
-			parts = append(parts, m.Xnor(m.Var(mc.NextVar[i]), mc.NodeFn[l.Driver]))
+			parts = append(parts, m.Xnor(m.Var(mc.NextVar[i]), mc.NodeFn[l.Driver.ID]))
 			quant[mc.CurVar[i]] = true
 			perm[mc.NextVar[i]], perm[mc.CurVar[i]] = mc.CurVar[i], mc.NextVar[i]
 		}
@@ -312,10 +312,10 @@ func outcome(err error) string {
 // an error, not a panic.
 func (mc *Machine) buildNodeFns(ctx context.Context, m *bdd.Manager) error {
 	for j, p := range mc.N.PIs {
-		mc.NodeFn[p] = m.Var(mc.InVar[j])
+		mc.NodeFn[p.ID] = m.Var(mc.InVar[j])
 	}
 	for i, l := range mc.N.Latches {
-		mc.NodeFn[l.Output] = m.Var(mc.CurVar[i])
+		mc.NodeFn[l.Output.ID] = m.Var(mc.CurVar[i])
 	}
 	order, err := mc.N.TopoOrder()
 	if err != nil {
@@ -323,7 +323,7 @@ func (mc *Machine) buildNodeFns(ctx context.Context, m *bdd.Manager) error {
 	}
 	need := coneOfInfluence(mc.N)
 	for _, v := range order {
-		if !need[v] {
+		if !need[v.ID] {
 			continue
 		}
 		if cerr := guard.Check(ctx, "reach.analyze"); cerr != nil {
@@ -333,7 +333,7 @@ func (mc *Machine) buildNodeFns(ctx context.Context, m *bdd.Manager) error {
 		for _, c := range v.Func.Cubes {
 			cube := bdd.True
 			for pin := 0; pin < c.N; pin++ {
-				fiRef := mc.NodeFn[v.Fanins[pin]]
+				fiRef := mc.NodeFn[v.Fanins[pin].ID]
 				switch c.Lit(pin) {
 				case logic.LitPos:
 					cube = m.And(cube, fiRef)
@@ -348,21 +348,21 @@ func (mc *Machine) buildNodeFns(ctx context.Context, m *bdd.Manager) error {
 			}
 			f = m.Or(f, cube)
 		}
-		mc.NodeFn[v] = f
+		mc.NodeFn[v.ID] = f
 	}
 	return nil
 }
 
-// coneOfInfluence marks the transitive fanin of every latch data input and
-// primary output.
-func coneOfInfluence(n *network.Network) map[*network.Node]bool {
-	need := make(map[*network.Node]bool)
+// coneOfInfluence marks, by Node.ID, the transitive fanin of every latch
+// data input and primary output.
+func coneOfInfluence(n *network.Network) []bool {
+	need := make([]bool, n.NumIDs())
 	var mark func(*network.Node)
 	mark = func(v *network.Node) {
-		if need[v] {
+		if need[v.ID] {
 			return
 		}
-		need[v] = true
+		need[v.ID] = true
 		for _, fi := range v.Fanins {
 			mark(fi)
 		}

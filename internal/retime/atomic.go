@@ -305,9 +305,10 @@ func MergeSiblingRegisters(n *network.Network) int {
 	merged := 0
 	for {
 		progress := false
-		byDriver := make(map[*network.Node][]*network.Latch)
+		// byDriver[id] holds the latches driven by node id, in latch order.
+		byDriver := make([][]*network.Latch, n.NumIDs())
 		for _, l := range n.Latches {
-			byDriver[l.Driver] = append(byDriver[l.Driver], l)
+			byDriver[l.Driver.ID] = append(byDriver[l.Driver.ID], l)
 		}
 		for _, group := range byDriver {
 			if len(group) < 2 {

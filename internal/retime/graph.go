@@ -40,7 +40,7 @@ type Edge struct {
 // (environment); vertices 1..len(Nodes) are the logic nodes.
 type Graph struct {
 	Nodes []*network.Node // Nodes[i] is vertex i+1
-	Index map[*network.Node]int
+	Index []int           // Index[v.ID] is logic node v's vertex id
 	Edges []Edge
 	Delay []float64 // per vertex; Delay[0] = 0 (host)
 }
@@ -54,11 +54,11 @@ const Host = 0
 // host vertex. Constant nodes get a zero-weight host edge, pinning their
 // lag to keep degenerate register creation out of the solution space.
 func BuildGraph(n *network.Network) (*Graph, error) {
-	g := &Graph{Index: make(map[*network.Node]int)}
+	g := &Graph{Index: make([]int, n.NumIDs())}
 	for _, v := range n.Nodes() {
 		if v.Kind == network.KindLogic {
 			g.Nodes = append(g.Nodes, v)
-			g.Index[v] = len(g.Nodes) // vertex id
+			g.Index[v.ID] = len(g.Nodes) // vertex id
 		}
 	}
 	g.Delay = make([]float64, len(g.Nodes)+1)
@@ -74,7 +74,7 @@ func BuildGraph(n *network.Network) (*Graph, error) {
 		for {
 			switch cur.Kind {
 			case network.KindLogic:
-				return g.Index[cur], w, nil
+				return g.Index[cur.ID], w, nil
 			case network.KindPI:
 				return Host, w, nil
 			case network.KindLatchOut:
@@ -92,7 +92,7 @@ func BuildGraph(n *network.Network) (*Graph, error) {
 	}
 
 	for _, v := range g.Nodes {
-		to := g.Index[v]
+		to := g.Index[v.ID]
 		for _, fi := range v.Fanins {
 			from, w, err := traceSource(fi)
 			if err != nil {

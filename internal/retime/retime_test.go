@@ -329,7 +329,7 @@ func TestWDMatrices(t *testing.T) {
 	n := pipeline3(t)
 	g, _ := BuildGraph(n)
 	w, d := g.wdMatrices()
-	i1, i2, i3 := g.Index[n.FindNode("g1")], g.Index[n.FindNode("g2")], g.Index[n.FindNode("g3")]
+	i1, i2, i3 := g.Index[n.FindNode("g1").ID], g.Index[n.FindNode("g2").ID], g.Index[n.FindNode("g3").ID]
 	if w[i1][i3] != 0 {
 		t.Fatalf("W(g1,g3) = %d, want 0", w[i1][i3])
 	}

@@ -73,7 +73,7 @@ func Equivalent(ctx context.Context, a, b *network.Network, opt Options, tr *obs
 	// Output equality on all reached product states, all inputs.
 	ma, mb := an.Machines[0], an.Machines[1]
 	for i, j := range p.PO {
-		diff := m.Xor(ma.NodeFn[a.POs[i].Driver], mb.NodeFn[b.POs[j].Driver])
+		diff := m.Xor(ma.NodeFn[a.POs[i].Driver.ID], mb.NodeFn[b.POs[j].Driver.ID])
 		if bad := m.And(an.Reachable, diff); bad != bdd.False {
 			outcome = "refuted"
 			w := m.PickCube(bad)

@@ -22,13 +22,14 @@ func PinDelay(v *network.Node, pin int) float64 {
 
 // Result holds arrival times and the critical path.
 type Result struct {
-	Arrival map[*network.Node]float64
+	// Arrival is indexed by Node.ID, over the analysed network's NumIDs.
+	Arrival []float64
 	// Period is the maximum arrival time over all combinational sinks.
 	Period float64
 	// CritSink is the logic node driving the most critical sink.
 	CritSink *network.Node
-	// critPred records, for each node, the fanin pin realizing its arrival.
-	critPred map[*network.Node]int
+	// critPred records, by Node.ID, the fanin pin realizing the arrival.
+	critPred []int32
 }
 
 // Analyze runs STA. Sources have arrival 0; logic node arrival is the max
@@ -39,37 +40,32 @@ func Analyze(n *network.Network) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{
-		Arrival:  make(map[*network.Node]float64, len(order)),
-		critPred: make(map[*network.Node]int, len(order)),
+		Arrival:  make([]float64, n.NumIDs()),
+		critPred: make([]int32, n.NumIDs()),
 	}
-	for _, p := range n.PIs {
-		res.Arrival[p] = 0
-	}
-	for _, l := range n.Latches {
-		res.Arrival[l.Output] = 0
-	}
+	// Sources keep arrival 0.
 	for _, v := range order {
-		best, bestPin := 0.0, -1
+		best, bestPin := 0.0, int32(-1)
 		for i, fi := range v.Fanins {
-			a := res.Arrival[fi] + PinDelay(v, i)
+			a := res.Arrival[fi.ID] + PinDelay(v, i)
 			if a > best || bestPin < 0 {
-				best, bestPin = a, i
+				best, bestPin = a, int32(i)
 			}
 		}
 		if len(v.Fanins) == 0 {
 			best = 0
 		}
-		res.Arrival[v] = best
-		res.critPred[v] = bestPin
+		res.Arrival[v.ID] = best
+		res.critPred[v.ID] = bestPin
 	}
 	// Period = max arrival at sinks.
 	for _, p := range n.POs {
-		if a := res.Arrival[p.Driver]; a > res.Period {
+		if a := res.Arrival[p.Driver.ID]; a > res.Period {
 			res.Period, res.CritSink = a, p.Driver
 		}
 	}
 	for _, l := range n.Latches {
-		if a := res.Arrival[l.Driver]; a > res.Period {
+		if a := res.Arrival[l.Driver.ID]; a > res.Period {
 			res.Period, res.CritSink = a, l.Driver
 		}
 	}
@@ -86,7 +82,7 @@ func (r *Result) CriticalPath() (source *network.Node, path []*network.Node) {
 	v := r.CritSink
 	for v != nil && !v.IsSource() {
 		path = append(path, v)
-		pin := r.critPred[v]
+		pin := int(r.critPred[v.ID])
 		if pin < 0 || pin >= len(v.Fanins) {
 			v = nil
 			break
