@@ -12,6 +12,13 @@
 // from a power-of-two array of bucket heads, and the computed table is a
 // bounded direct-mapped lossy cache of 16-byte entries. DESIGN.md §8
 // records the measurements.
+//
+// A Manager is single-threaded. Reset empties one and keeps its grown pool
+// and tables, so a reused manager gives out the refs and Stats of a fresh
+// one without allocating them again. internal/reach is the only package
+// that makes managers: it keeps a free list of them, and whoever asked for
+// an analysis hands its manager back with reach.Analysis.Release once it
+// is done with the analysis's BDDs.
 package bdd
 
 import (
@@ -90,7 +97,10 @@ type Manager struct {
 
 	// Computed table: direct-mapped lossy cache over (op, f, g, h),
 	// quadrupling up to cacheCap slots (maxCacheSize; tests shrink it).
+	// spare is the buffer the next quadrupling carries entries into: the
+	// one the previous quadrupling left, or one kept across Reset.
 	cache     []cacheEntry
+	spare     []cacheEntry
 	cacheUsed int
 	cacheCap  int
 
@@ -101,6 +111,8 @@ type Manager struct {
 	permTags map[string]Ref
 
 	// visited/visitEpoch implement O(1)-reset DFS marking for NodeCount.
+	// The epoch only ever rises while visited is kept, Reset included, so
+	// no stale mark can equal a new epoch.
 	visited    []uint32
 	visitEpoch uint32
 
@@ -160,22 +172,60 @@ const terminalLevel = int32(1) << 30
 // preallocated so early operations never pay growth stalls. The initial
 // variable order is the identity (variable v at level v).
 func New(n int) *Manager {
-	m := &Manager{
-		numVars:   n,
-		nodes:     make([]node, 2, initialPoolSize),
-		table:     make([]Ref, initialTableSize),
-		cache:     make([]cacheEntry, initialCacheSize),
-		cacheCap:  maxCacheSize,
-		var2level: make([]int, n),
-		level2var: make([]int, n),
+	m := new(Manager)
+	m.Reset(n)
+	return m
+}
+
+// Reset empties the manager for n variables and leaves exactly the state
+// New(n) returns: the two terminals, the identity order, the initial
+// bucket-array and computed-table sizes, zero Stats and MaxNodes 0. Every
+// ref and Stats value a reset manager gives out afterwards equals a fresh
+// manager's. It keeps the capacity of the node pool, the bucket array, both
+// computed-table buffers, the NodeCount marks and the permutation tags, so
+// a reused manager grows again without allocating. Refs from before the
+// Reset are meaningless after it.
+func (m *Manager) Reset(n int) {
+	m.numVars = n
+	m.nodes = m.nodes[:0]
+	if cap(m.nodes) < initialPoolSize {
+		m.nodes = make([]node, 0, initialPoolSize)
 	}
+	m.nodes = append(m.nodes, node{level: terminalLevel}, node{level: terminalLevel}) // False, True
+	m.var2level = resize(m.var2level, n)
+	m.level2var = resize(m.level2var, n)
 	for v := 0; v < n; v++ {
 		m.var2level[v] = v
 		m.level2var[v] = v
 	}
-	m.nodes[0] = node{level: terminalLevel} // False
-	m.nodes[1] = node{level: terminalLevel} // True
-	return m
+	m.table = resize(m.table, initialTableSize)
+	m.rehashes = 0
+	// Each quadrupling moves the cache to the other buffer, so the buffer
+	// that held size initialCacheSize·4^k last time is the one that must
+	// hold it again: start in the cache after an even number of
+	// quadruplings, in the spare after an odd one. A manager that grows as
+	// far as before then finds every size in a buffer that already has it.
+	for c := len(m.cache); c > initialCacheSize; c /= 4 {
+		m.cache, m.spare = m.spare, m.cache
+	}
+	m.cache = resize(m.cache, initialCacheSize)
+	m.cacheUsed = 0
+	m.cacheCap = maxCacheSize
+	m.perms = m.perms[:0]
+	clear(m.permTags)
+	m.MaxNodes = 0
+	m.cacheHits, m.cacheMisses = 0, 0
+}
+
+// resize returns s at length n with every element zero, in s's backing
+// array when its capacity suffices.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // SetOrder installs a static variable order: order[k] is the variable
@@ -255,7 +305,7 @@ func (m *Manager) growPool() {
 // rehash doubles the bucket array and relinks every node in one
 // sequential pass over the pool. Refs do not move, so no caller sees it.
 func (m *Manager) rehash() {
-	m.table = make([]Ref, 2*len(m.table))
+	m.table = resize(m.table, 2*len(m.table))
 	mask := uint32(len(m.table) - 1)
 	for r := 2; r < len(m.nodes); r++ {
 		n := &m.nodes[r]
@@ -317,7 +367,8 @@ func (m *Manager) cacheGet(op byte, f, g, h Ref) (Ref, bool) {
 
 // cachePut stores a result, overwriting whatever occupied the slot (lossy
 // direct-mapped replacement). When the cache is 3/4 occupied and below the
-// cap it quadruples, carrying surviving entries over.
+// cap it quadruples, carrying surviving entries over into the spare buffer
+// when that is large enough; the outgrown buffer becomes the spare.
 func (m *Manager) cachePut(op byte, f, g, h, r Ref) {
 	e := &m.cache[m.cacheIndex(op, f, g, h)]
 	if e.f == 0 {
@@ -327,7 +378,7 @@ func (m *Manager) cachePut(op byte, f, g, h, r Ref) {
 	*e = cacheEntry{f: kf, g: kg, h: kh, r: r}
 	if m.cacheUsed*4 >= len(m.cache)*3 && len(m.cache) < m.cacheCap {
 		old := m.cache
-		m.cache = make([]cacheEntry, 4*len(old))
+		m.cache, m.spare = resize(m.spare, 4*len(old)), old
 		m.cacheUsed = 0
 		for i := range old {
 			if old[i].f == 0 {

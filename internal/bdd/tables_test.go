@@ -2,6 +2,7 @@ package bdd
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -189,10 +190,11 @@ func TestCacheGrowth(t *testing.T) {
 }
 
 // TestNodeLimitAtGrowth trips MaxNodes exactly where the pool would double
-// and exactly where the bucket array would double, one node either side.
-// After recovery the manager must stay consistent, and with the limit
-// lifted, rerunning the workload must give the refs and Size of a manager
-// that never had a limit: a trip leaves nothing half-built.
+// and exactly where the bucket array would double, one node either side, on
+// a fresh manager and on a reset one that keeps a larger pool. After
+// recovery the manager must stay consistent, and with the limit lifted,
+// rerunning the workload must give the refs and Size of a manager that
+// never had a limit: a trip leaves nothing half-built.
 func TestNodeLimitAtGrowth(t *testing.T) {
 	const nvars = 24
 	work := func(m *Manager) Ref {
@@ -216,38 +218,75 @@ func TestNodeLimitAtGrowth(t *testing.T) {
 	if free.Size() <= initialPoolSize+1 {
 		t.Fatalf("workload builds %d nodes, too few to pass the first pool doubling", free.Size())
 	}
+	reused := New(nvars)
+	work(reused)
 	// The bucket array doubles when the node after the one that fills it
 	// (initialTableSize internal nodes plus the two terminals) is created.
 	fullTable := initialTableSize + 2
 	for _, limit := range []int{initialPoolSize, initialPoolSize + 1, fullTable, fullTable + 1} {
-		m := New(nvars)
-		m.MaxNodes = limit
-		func() {
-			defer func() {
-				if r := recover(); r != ErrNodeLimit {
-					t.Fatalf("limit %d: recovered %v, want ErrNodeLimit", limit, r)
-				}
+		for _, m := range []*Manager{New(nvars), reused} {
+			kind := "fresh"
+			if m == reused {
+				kind = "reset"
+				m.Reset(nvars)
+			}
+			kept := cap(m.nodes)
+			m.MaxNodes = limit
+			func() {
+				defer func() {
+					if r := recover(); r != ErrNodeLimit {
+						t.Fatalf("%s, limit %d: recovered %v, want ErrNodeLimit", kind, limit, r)
+					}
+				}()
+				work(m)
 			}()
-			work(m)
-		}()
-		st := m.Stats()
-		if st.Nodes != limit {
-			t.Fatalf("limit %d: tripped at %d nodes", limit, st.Nodes)
+			st := m.Stats()
+			if st.Nodes != limit {
+				t.Fatalf("%s, limit %d: tripped at %d nodes", kind, limit, st.Nodes)
+			}
+			if cap(m.nodes) > max(limit, kept) {
+				t.Fatalf("%s, limit %d: pool capacity %d grew past the limit", kind, limit, cap(m.nodes))
+			}
+			if wantRehash := limit > fullTable; (st.Rehashes > 0) != wantRehash {
+				t.Fatalf("%s, limit %d: %d rehashes", kind, limit, st.Rehashes)
+			}
+			if st.UniqueSize != st.Nodes-2 || st.UniqueLoad > 1 {
+				t.Fatalf("%s, limit %d: accounting diverged after the trip: %+v", kind, limit, st)
+			}
+			m.MaxNodes = 0
+			if got := work(m); got != want || m.Size() != free.Size() {
+				t.Fatalf("%s, limit %d: after recovery got ref %d with %d nodes, unlimited manager %d with %d",
+					kind, limit, got, m.Size(), want, free.Size())
+			}
 		}
-		if cap(m.nodes) > max(limit, initialPoolSize) {
-			t.Fatalf("limit %d: pool capacity %d grew past the limit", limit, cap(m.nodes))
+	}
+}
+
+// opMix draws one operation of a seeded Ite/AndExists/Exists/Permute mix
+// over nvars variables and a pool of poolLen earlier results. Every manager
+// that runs the returned step runs the same operation, so several managers
+// can follow one mix in lockstep.
+func opMix(r *rand.Rand, nvars, poolLen int) func(m *Manager, pool []Ref) Ref {
+	op := r.Intn(5)
+	i, j, k := r.Intn(poolLen), r.Intn(poolLen), r.Intn(poolLen)
+	v := r.Intn(nvars)
+	vars := make([]bool, nvars)
+	perm := r.Perm(nvars)
+	for x := range vars {
+		vars[x] = r.Intn(3) == 0
+	}
+	return func(m *Manager, p []Ref) Ref {
+		switch op {
+		case 0:
+			return m.Ite(m.Var(v), p[i], m.Not(p[j]))
+		case 1:
+			return m.Ite(p[i], p[j], p[k])
+		case 2:
+			return m.AndExists(p[i], m.Or(p[j], m.NVar(v)), vars)
+		case 3:
+			return m.Exists(m.Xor(p[i], m.Var(v)), vars)
 		}
-		if wantRehash := limit > fullTable; (st.Rehashes > 0) != wantRehash {
-			t.Fatalf("limit %d: %d rehashes", limit, st.Rehashes)
-		}
-		if st.UniqueSize != st.Nodes-2 || st.UniqueLoad > 1 {
-			t.Fatalf("limit %d: accounting diverged after the trip: %+v", limit, st)
-		}
-		m.MaxNodes = 0
-		if got := work(m); got != want || m.Size() != free.Size() {
-			t.Fatalf("limit %d: after recovery got ref %d with %d nodes, unlimited manager %d with %d",
-				limit, got, m.Size(), want, free.Size())
-		}
+		return m.Permute(p[i], perm)
 	}
 }
 
@@ -265,34 +304,15 @@ func TestRefsIndependentOfComputedTable(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	pool := [2][]Ref{{True}, {True}}
 	for step := 0; step < 400; step++ {
-		op := r.Intn(5)
-		i, j, k := r.Intn(len(pool[0])), r.Intn(len(pool[0])), r.Intn(len(pool[0]))
-		v := r.Intn(nvars)
-		vars := make([]bool, nvars)
-		perm := r.Perm(nvars)
-		for x := range vars {
-			vars[x] = r.Intn(3) == 0
-		}
+		op := opMix(r, nvars, len(pool[0]))
 		var out [2]Ref
 		for side, m := range []*Manager{tiny, def} {
-			p := pool[side]
-			switch op {
-			case 0:
-				out[side] = m.Ite(m.Var(v), p[i], m.Not(p[j]))
-			case 1:
-				out[side] = m.Ite(p[i], p[j], p[k])
-			case 2:
-				out[side] = m.AndExists(p[i], m.Or(p[j], m.NVar(v)), vars)
-			case 3:
-				out[side] = m.Exists(m.Xor(p[i], m.Var(v)), vars)
-			case 4:
-				out[side] = m.Permute(p[i], perm)
-			}
-			pool[side] = append(p, out[side])
+			out[side] = op(m, pool[side])
+			pool[side] = append(pool[side], out[side])
 		}
 		if out[0] != out[1] || tiny.Size() != def.Size() {
-			t.Fatalf("step %d (op %d): one-slot table gave ref %d with %d nodes, default %d with %d",
-				step, op, out[0], tiny.Size(), out[1], def.Size())
+			t.Fatalf("step %d: one-slot table gave ref %d with %d nodes, default %d with %d",
+				step, out[0], tiny.Size(), out[1], def.Size())
 		}
 		if len(pool[0]) > 64 {
 			pool[0], pool[1] = pool[0][1:], pool[1][1:]
@@ -304,5 +324,121 @@ func TestRefsIndependentOfComputedTable(t *testing.T) {
 	}
 	if ds.Nodes < 1000 {
 		t.Fatalf("workload too small: %d nodes", ds.Nodes)
+	}
+}
+
+// TestResetMatchesFresh checks that Reset leaves the manager New returns.
+// Right after the Reset every table field equals a fresh manager's. Then
+// the seeded operation mix, under a random static order, runs in lockstep
+// on the reset manager and on a fresh one: after every step both have the
+// same ref, Stats, NodeCount and Support, and a node limit trips on both
+// at the same step and node. The reset manager comes in turn from a larger
+// workload that grew every buffer, from an ErrNodeLimit raised in the
+// middle of an Ite, and runs under a MaxNodes below its kept pool capacity.
+func TestResetMatchesFresh(t *testing.T) {
+	const nvars = 12
+	m := New(20)
+	r := rand.New(rand.NewSource(17))
+	pool := []Ref{True}
+	for step := 0; step < 2000; step++ {
+		out := opMix(r, 20, len(pool))(m, pool)
+		m.NodeCount(out)
+		pool = append(pool, out)
+		if len(pool) > 64 {
+			pool = pool[1:]
+		}
+	}
+	if cap(m.nodes) <= initialPoolSize || cap(m.table) <= initialTableSize || cap(m.cache) <= initialCacheSize ||
+		cap(m.spare) <= initialCacheSize || len(m.visited) == 0 || len(m.perms) == 0 {
+		t.Fatalf("the workload left a buffer at its initial size: pool %d, buckets %d, cache %d and %d, marks %d, perms %d",
+			cap(m.nodes), cap(m.table), cap(m.cache), cap(m.spare), len(m.visited), len(m.perms))
+	}
+	resetLockstep(t, "after growth", m, nvars, 1, 0)
+
+	// Build two operands unlimited, then let their conjunction trip the
+	// limit halfway through its Ite recursion.
+	m.Reset(nvars)
+	g, h := randBdd(m, r, nvars), randBdd(m, r, nvars)
+	g, h = m.Xor(g, m.Var(0)), m.Xor(h, m.Var(nvars-1))
+	m.MaxNodes = m.Size() + 5
+	func() {
+		defer func() {
+			if rec := recover(); rec != ErrNodeLimit {
+				t.Fatalf("recovered %v, want ErrNodeLimit from the Ite", rec)
+			}
+		}()
+		m.Ite(g, h, m.Not(h))
+	}()
+	resetLockstep(t, "after a node-limit trip inside Ite", m, nvars, 2, 0)
+
+	const limit = 1500
+	if cap(m.nodes) <= limit {
+		t.Fatalf("kept pool capacity %d is not above the limit %d", cap(m.nodes), limit)
+	}
+	resetLockstep(t, "under a node limit below the kept pool", m, nvars, 3, limit)
+}
+
+// resetLockstep resets m for nvars variables, checks it against New, and
+// runs the seeded mix on it and on a fresh manager side by side, both with
+// the same random order and MaxNodes maxNodes. A positive maxNodes must
+// trip within the mix.
+func resetLockstep(t *testing.T, what string, m *Manager, nvars int, seed int64, maxNodes int) {
+	t.Helper()
+	epoch := m.visitEpoch
+	m.Reset(nvars)
+	f := New(nvars)
+	if m.numVars != f.numVars || !slices.Equal(m.nodes, f.nodes) ||
+		!slices.Equal(m.var2level, f.var2level) || !slices.Equal(m.level2var, f.level2var) ||
+		!slices.Equal(m.table, f.table) || m.rehashes != f.rehashes ||
+		!slices.Equal(m.cache, f.cache) || m.cacheUsed != f.cacheUsed || m.cacheCap != f.cacheCap ||
+		len(m.perms) != 0 || len(m.permTags) != 0 || m.MaxNodes != 0 || m.Stats() != f.Stats() {
+		t.Fatalf("%s: the reset manager differs from New(%d)", what, nvars)
+	}
+	if m.visitEpoch < epoch {
+		t.Fatalf("%s: Reset rewound the visit epoch %d to %d while keeping the marks", what, epoch, m.visitEpoch)
+	}
+	r := rand.New(rand.NewSource(seed))
+	order := r.Perm(nvars)
+	sides := []*Manager{f, m}
+	for _, x := range sides {
+		x.SetOrder(order)
+		x.MaxNodes = maxNodes
+	}
+	pool := [2][]Ref{{True}, {True}}
+	for step := 0; step < 400; step++ {
+		op := opMix(r, nvars, len(pool[0]))
+		var out [2]Ref
+		var tripped [2]bool
+		for side, x := range sides {
+			func() {
+				defer func() {
+					if rec := recover(); rec != nil {
+						if rec != ErrNodeLimit {
+							panic(rec)
+						}
+						tripped[side] = true
+					}
+				}()
+				out[side] = op(x, pool[side])
+			}()
+			pool[side] = append(pool[side], out[side])
+		}
+		if tripped != [2]bool{} {
+			if tripped != [2]bool{true, true} || f.Stats() != m.Stats() {
+				t.Fatalf("%s: step %d: tripped fresh %v, reset %v; fresh %v, reset %v",
+					what, step, tripped[0], tripped[1], f.Stats(), m.Stats())
+			}
+			return
+		}
+		if out[0] != out[1] || f.Stats() != m.Stats() ||
+			f.NodeCount(out[0]) != m.NodeCount(out[1]) || !slices.Equal(f.Support(out[0]), m.Support(out[1])) {
+			t.Fatalf("%s: step %d: fresh gave ref %d (%v), reset %d (%v)", what, step, out[0], f.Stats(), out[1], m.Stats())
+		}
+		if len(pool[0]) > 64 {
+			pool[0], pool[1] = pool[0][1:], pool[1][1:]
+		}
+	}
+	if maxNodes > 0 {
+		t.Fatalf("%s: the mix never reached MaxNodes %d (%d nodes)", what, maxNodes, m.Size())
 	}
 }

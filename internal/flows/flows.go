@@ -254,6 +254,7 @@ func RetimeCombOpt(ctx context.Context, mappedIn *network.Network, lib *genlib.L
 			}
 			st := tr.Begin("apply_unreachable_dcs")
 			improved, lits := applyUnreachableDCs(work, a)
+			a.Release()
 			st.Add("dc_nodes_simplified", int64(improved))
 			if lits > 0 {
 				st.Add("lits_saved", int64(lits))

@@ -178,6 +178,11 @@ func (r *refModel) compare(n *Network) error {
 			return fmt.Errorf("TopoOrder = %s (%v), reference %s (%v)", names(memo), merr, names(want), werr)
 		}
 	}
+	for _, v := range r.nodes {
+		if n.FindNode(v.Name) != v {
+			return fmt.Errorf("FindNode(%q) is not node %d: two nodes share the name", v.Name, v.ID)
+		}
+	}
 	if gerr, werr := n.Check(), r.check(n); (gerr == nil) != (werr == nil) {
 		return fmt.Errorf("Check = %v, reference %v", gerr, werr)
 	}
@@ -186,9 +191,9 @@ func (r *refModel) compare(n *Network) error {
 
 // compareClone checks c against the map-based Clone of n: nodes in the
 // same order, with IDs 0..k-1, the same kinds and covers, names as
-// re-registering them gives (a name seen before gets the suffix _ID), the
-// corresponding fanins and ports, and each fanout list in consumer node
-// order.
+// re-registering them gives (a taken name gets the suffix _ID until it is
+// free), the corresponding fanins and ports, and each fanout list in
+// consumer node order.
 func (r *refModel) compareClone(n, c *Network) error {
 	cn := c.Nodes()
 	if len(cn) != len(r.nodes) || c.NumIDs() != len(r.nodes) {
@@ -199,7 +204,7 @@ func (r *refModel) compareClone(n, c *Network) error {
 	for i, v := range r.nodes {
 		copyOf[v] = cn[i]
 		name := v.Name
-		if taken[name] {
+		for taken[name] {
 			name = fmt.Sprintf("%s_%d", name, i)
 		}
 		taken[name] = true

@@ -173,7 +173,7 @@ func (n *Network) register(node *Node) *Node {
 	if node.Name == "" {
 		node.Name = fmt.Sprintf("n%d", n.nextID)
 	}
-	if _, dup := n.byName[node.Name]; dup {
+	for n.byName[node.Name] != nil {
 		node.Name = fmt.Sprintf("%s_%d", node.Name, n.nextID)
 	}
 	node.ID = n.nextID

@@ -51,6 +51,33 @@ func TestBuildAndCheck(t *testing.T) {
 	}
 }
 
+// TestRegisterRenamesUntilFree pins how a taken name is renamed: the
+// suffix _ID is appended until the name is free, so no two nodes share a
+// name even when the first renaming is taken too. It covers a given name
+// and an automatic one (n<ID>), and the names survive a Clone.
+func TestRegisterRenamesUntilFree(t *testing.T) {
+	n := New("names")
+	buf := logic.MustParseCover(1, "1")
+	a := n.AddPI("a")                               // ID 0
+	n.AddPI("a_2")                                  // ID 1
+	dup := n.AddPI("a")                             // ID 2: a and a_2 are taken
+	n.AddLogic("n5", []*Node{a}, buf)               // ID 3
+	n.AddLogic("n5_5", []*Node{a}, buf)             // ID 4
+	auto := n.AddLogic("", []*Node{a}, buf.Clone()) // ID 5: n5 and n5_5 are taken
+	if dup.Name != "a_2_2" || auto.Name != "n5_5_5" {
+		t.Fatalf("renamed to %q and %q, want a_2_2 and n5_5_5", dup.Name, auto.Name)
+	}
+	for _, net := range []*Network{n, n.Clone()} {
+		seen := map[string]bool{}
+		for _, v := range net.Nodes() {
+			if seen[v.Name] || net.FindNode(v.Name) != v {
+				t.Fatalf("name %q is not unique to node %d", v.Name, v.ID)
+			}
+			seen[v.Name] = true
+		}
+	}
+}
+
 func TestDuplicateFaninsMerged(t *testing.T) {
 	n := New("m")
 	a := n.AddPI("a")

@@ -2,7 +2,9 @@ package reach
 
 import (
 	"context"
+	"slices"
 
+	"repro/internal/bdd"
 	"repro/internal/network"
 	"repro/internal/obs"
 )
@@ -12,4 +14,19 @@ import (
 // It is the reference the staged analysis is checked against.
 func AnalyzeFullBudget(ctx context.Context, n *network.Network, lim Limits, tr *obs.Tracer) (*Analysis, error) {
 	return analyze(ctx, []*network.Network{n}, nil, 0, lim, lim.MaxBDDNodes, tr)
+}
+
+// FreeManagers returns a copy of the manager free list.
+func FreeManagers() []*bdd.Manager {
+	managers.Lock()
+	defer managers.Unlock()
+	return slices.Clone(managers.free)
+}
+
+// DropFreeManagers empties the free list, so the next analysis starts on a
+// manager from bdd.New.
+func DropFreeManagers() {
+	managers.Lock()
+	defer managers.Unlock()
+	managers.free = nil
 }

@@ -12,6 +12,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/bdd"
 	"repro/internal/guard"
@@ -32,7 +34,16 @@ import (
 // kept adjacent. A product places the second machine's latches above all
 // of the first machine, so a verifier passes the source as the first
 // machine and the implementation as the second.
+//
+// The manager comes from a free list that analyses share. The code that
+// asked for the analysis calls Release once it has read everything it
+// needs from M; a failed analysis returns its manager itself. An analysis
+// that is never released leaves its manager to the garbage collector,
+// which is right for tests and one-off callers.
 type Analysis struct {
+	// M holds every BDD of the analysis. Release sets it to nil, so a use
+	// after release panics instead of reading a manager that another
+	// analysis may own by then.
 	M *bdd.Manager
 	// Machines holds the analysed network, or the two sides of a product
 	// machine in argument order.
@@ -90,6 +101,58 @@ func relationBudget(maxNodes int) int {
 	return max(maxNodes/relationShare, 1)
 }
 
+// managers is the free list of BDD managers that analyses reuse: a reset
+// manager keeps its grown node pool, bucket array and computed table, so a
+// reused one allocates almost nothing. It keeps at most GOMAXPROCS
+// managers. An analysis is single-threaded, so no more than GOMAXPROCS of
+// them make progress at once and a longer list would only hold memory;
+// more may still run, and their extra managers go to the garbage
+// collector. A sync.Pool drops whatever sits idle through two garbage
+// collections, which would make reuse depend on GC timing.
+var managers struct {
+	sync.Mutex
+	free []*bdd.Manager
+}
+
+// getManager returns a manager for nv variables in the state bdd.New(nv)
+// gives, reused from the free list when it holds one.
+func getManager(nv int) *bdd.Manager {
+	managers.Lock()
+	var m *bdd.Manager
+	if k := len(managers.free); k > 0 {
+		m = managers.free[k-1]
+		managers.free[k-1] = nil
+		managers.free = managers.free[:k-1]
+	}
+	managers.Unlock()
+	if m == nil {
+		return bdd.New(nv)
+	}
+	m.Reset(nv)
+	return m
+}
+
+// putManager returns m to the free list, or drops it when the list holds
+// GOMAXPROCS managers already.
+func putManager(m *bdd.Manager) {
+	managers.Lock()
+	defer managers.Unlock()
+	if len(managers.free) < runtime.GOMAXPROCS(0) {
+		managers.free = append(managers.free, m)
+	}
+}
+
+// Release returns the analysis's manager to the free list and sets M to
+// nil. Every ref of the analysis, NodeFn included, is dead afterwards. A
+// second Release does nothing.
+func (a *Analysis) Release() {
+	if a.M == nil {
+		return
+	}
+	putManager(a.M)
+	a.M = nil
+}
+
 // ErrTooLarge is returned when the circuit exceeds the configured limits.
 // Analyze wraps it with the observed node/iteration numbers; match with
 // errors.Is, not ==.
@@ -143,7 +206,7 @@ func analyze(ctx context.Context, nets []*network.Network, piOfB []int, delay in
 			L, lim.MaxLatches, ErrTooLarge)
 	}
 	nv := 2*L + len(nets[0].PIs)
-	m := bdd.New(nv)
+	m := getManager(nv)
 	m.MaxNodes = relNodes
 	staged := relNodes != lim.MaxBDDNodes // cleared once the full limit holds
 	product := len(nets) > 1
@@ -168,6 +231,9 @@ func analyze(ctx context.Context, nets []*network.Network, piOfB []int, delay in
 			}
 			a, err = nil, fmt.Errorf("reach: state space too large: %d BDD nodes for %d latches after %d image steps (%s): %w",
 				st.Nodes, L, depth, limit, ErrTooLarge)
+		}
+		if err != nil {
+			putManager(m)
 		}
 		if product {
 			tr.Event("reach_product", map[string]any{

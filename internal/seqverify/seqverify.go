@@ -58,6 +58,7 @@ func Equivalent(ctx context.Context, a, b *network.Network, opt Options, tr *obs
 	if err != nil {
 		return fmt.Errorf("seqverify: %w", err)
 	}
+	defer an.Release() // deferred first, so it runs after the deferred event reads m
 	m := an.M
 	outcome := "equal"
 	defer func() {
